@@ -24,13 +24,13 @@ from .data import (
 )
 from .engine import (
     AttemptRecord,
+    LooProblem,
     LooReport,
     ObservationResult,
     adapt_observation,
-    chi_weights,
     eta_weights,
     loo_ic,
-    nu_weights,
+    raw_weights,
     run_loo,
 )
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
     LooAdaptError,
     ValidationError,
 )
-from .gpd import GpdFit, WeightVector, fit_gpd_tail, pareto_smooth, truncate_weights
+from .gpd import GpdFit, WeightVector, fit_gpd_tail, pareto_smooth
 from .metrics import CurvePoint, auprc, auroc, pr_curve, roc_curve
 from .models import (
     GaussianPrior,
@@ -65,14 +65,8 @@ from .transforms import (
     TransformedDraws,
     apply_gradient_transform,
     apply_pmm,
-    exact_logdet_logistic,
-    exact_logdet_relu1,
-    first_order_logdet,
-    q_divergence,
-    q_kl,
-    q_ll,
-    q_var,
-    step_size,
+    gradient_direction,
+    gradient_logdet,
 )
 
 __all__ = [
@@ -87,6 +81,7 @@ __all__ = [
     "GridPosterior",
     "LogisticModel",
     "LooAdaptError",
+    "LooProblem",
     "LooReport",
     "MarginalStats",
     "ObservationResult",
@@ -103,14 +98,12 @@ __all__ = [
     "apply_gradient_transform",
     "apply_pmm",
     "build_grid_posterior",
-    "chi_weights",
     "eta_weights",
     "exact_loo_expectation",
-    "exact_logdet_logistic",
-    "exact_logdet_relu1",
     "finite_difference_jacobian",
-    "first_order_logdet",
     "fit_gpd_tail",
+    "gradient_direction",
+    "gradient_logdet",
     "grad_log_likelihood",
     "grad_log_posterior",
     "load_dataset_csv",
@@ -119,20 +112,14 @@ __all__ = [
     "log_posterior_unnorm",
     "loo_ic",
     "marginal_stats",
-    "nu_weights",
     "pareto_smooth",
     "pr_curve",
-    "q_divergence",
-    "q_kl",
-    "q_ll",
-    "q_var",
+    "raw_weights",
     "roc_curve",
     "run_loo",
     "sample_grid_posterior",
     "sigmoid",
-    "step_size",
     "auroc",
     "auprc",
-    "truncate_weights",
     "validate_dataset",
 ]

@@ -19,22 +19,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .data import Dataset, PosteriorDraws, RunConfig, load_dataset_csv, load_draws_csv
-from .engine import LooReport, ObservationResult, run_loo
+from .data import Dataset, RunConfig, load_dataset_csv, load_draws_csv
+from .engine import LooReport, ObservationResult, raw_weights, run_loo
 from .errors import LooAdaptError
-from .gpd import pareto_smooth, WeightVector
-from .models import (
-    GaussianPrior,
-    LogisticModel,
-    ReluOneModel,
-    SigmoidalModel,
-    bernoulli_log_likelihood,
-)
+from .gpd import pareto_smooth
+from .models import GaussianPrior, LogisticModel, ReluOneModel, SigmoidalModel, evaluate_posterior
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -95,7 +88,6 @@ def _observation_dict(result: ObservationResult) -> dict:
                 "degenerate": a.degenerate,
                 "flags": list(a.flags),
                 "h_used": a.h_used,
-                "exact_jacobian": a.exact_jacobian,
                 "max_step_sd": a.max_step_sd,
             }
             for a in result.attempts
@@ -194,14 +186,12 @@ def cmd_run(args) -> int:
 
 def cmd_diagnose(args) -> int:
     dataset, draws, model, prior, config = _load_inputs(args)
-    mu = model.mu_batch(draws.values, dataset.features)
-    log_lik = bernoulli_log_likelihood(mu, dataset.labels[None, :])
+    evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=False)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["observation_index", "raw_khat", "needs_adaptation"])
     for i in range(dataset.n):
-        _, fit = pareto_smooth(
-            WeightVector.from_log_weights(-log_lik[:, i]), config.tail_fraction_rule
-        )
+        # The command line takes posterior draws only: the proposal is the posterior.
+        _, fit = pareto_smooth(raw_weights(evaluation, evaluation.log_post, i), config.tail_fraction_rule)
         khat = fit.khat
         writer.writerow([i, "inf" if math.isinf(khat) else f"{khat:.6f}", khat > config.khat_threshold])
     return EXIT_OK

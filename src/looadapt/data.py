@@ -122,7 +122,6 @@ class RunConfig:
     hbar_exponents: tuple[int, ...] = DEFAULT_HBAR_EXPONENTS
     transform_order: tuple[str, ...] = TRANSFORM_KINDS
     tail_fraction_rule: str = "psis"
-    rng_seed: int = 0
     use_variational_correction: bool = False
 
     def __post_init__(self):
@@ -143,11 +142,8 @@ class RunConfig:
             raise DomainError(f"unknown transform kinds: {unknown}")
         if self.tail_fraction_rule not in _TAIL_RULES:
             raise DomainError(f"unknown tail rule {self.tail_fraction_rule!r}")
-        if int(self.rng_seed) < 0:
-            raise DomainError("rng_seed must be non-negative")
         object.__setattr__(self, "hbar_exponents", exps)
         object.__setattr__(self, "transform_order", order)
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
         object.__setattr__(self, "use_variational_correction", bool(self.use_variational_correction))
 
     @property
@@ -162,7 +158,6 @@ class RunConfig:
             "hbar_exponents",
             "transform_order",
             "tail_fraction_rule",
-            "rng_seed",
             "use_variational_correction",
         }
         unknown = set(payload) - known
@@ -187,7 +182,6 @@ class RunConfig:
             "hbar_exponents": list(self.hbar_exponents),
             "transform_order": list(self.transform_order),
             "tail_fraction_rule": self.tail_fraction_rule,
-            "rng_seed": self.rng_seed,
             "use_variational_correction": self.use_variational_correction,
         }
 

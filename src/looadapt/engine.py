@@ -1,7 +1,7 @@
 """Per-observation adaptation loop and leave-one-out summaries.
 
-For each observation the engine builds inverse-likelihood importance
-weights, smooths their tail and reads off the shape diagnostic k-hat. When
+For each observation the engine builds leave-one-out importance weights,
+smooths their tail and reads off the shape diagnostic k-hat. When
 the diagnostic exceeds the configured threshold it walks the configured
 (transform kind x step scale) grid, recomputing transformed weights until
 one attempt brings k-hat under the threshold or the grid is exhausted, in
@@ -20,17 +20,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import (
-    Dataset,
-    GRADIENT_KINDS,
-    MarginalStats,
-    PMM_KINDS,
-    PosteriorDraws,
-    RunConfig,
-    marginal_stats,
-)
+from .data import Dataset, MarginalStats, PosteriorDraws, RunConfig, marginal_stats
 from .errors import DomainError
-from .gpd import GpdFit, WeightVector, pareto_smooth
+from .gpd import WeightVector, pareto_smooth
 from .metrics import auprc, auroc, pr_curve, roc_curve
 from .models import (
     GaussianPrior,
@@ -53,7 +45,6 @@ class AttemptRecord:
     degenerate: bool
     flags: tuple[str, ...]
     h_used: float
-    exact_jacobian: bool
     max_step_sd: float
 
 
@@ -94,71 +85,88 @@ class LooReport:
     auprc: float | None
 
 
-def nu_weights(model: SigmoidalModel, draws: PosteriorDraws, dataset: Dataset, i: int) -> WeightVector:
-    """Self-normalized inverse-likelihood weights for observation i."""
-    mu = model.mu_batch(draws.values, dataset.features[i][None, :])[:, 0]
-    return WeightVector.from_log_weights(-bernoulli_log_likelihood(mu, dataset.labels[i]))
+@dataclass(frozen=True)
+class LooProblem:
+    """Read-only inputs and per-run precomputes shared by every observation.
+
+    ``evaluation`` holds mu, log likelihood and log posterior at the draws
+    (with the gradient only when KL or Var is in the transform order).
+    ``log_proposal`` is the per-draw log density the draws came from, up to
+    a constant: the unnormalized log posterior for posterior draws, the
+    variational log density q for variational ones.
+    """
+
+    model: SigmoidalModel
+    dataset: Dataset
+    prior: GaussianPrior
+    draws: PosteriorDraws
+    config: RunConfig
+    evaluation: PosteriorEvaluation
+    stats: MarginalStats
+    log_proposal: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        model: SigmoidalModel,
+        draws: PosteriorDraws,
+        dataset: Dataset,
+        prior: GaussianPrior,
+        config: RunConfig,
+        variational_log_density: Callable[[np.ndarray], float] | None = None,
+    ) -> "LooProblem":
+        """Evaluate the posterior and, in variational mode, q once per run.
+
+        ``variational_log_density`` is required exactly when the config sets
+        ``use_variational_correction``, and must be finite at every draw.
+        """
+        with_grad = any(kind in ("KL", "Var") for kind in config.transform_order)
+        evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=with_grad)
+        if config.use_variational_correction:
+            if variational_log_density is None:
+                raise DomainError("variational correction requested but no variational log density supplied")
+            log_proposal = np.array([float(variational_log_density(theta)) for theta in draws.values])
+            bad = np.flatnonzero(~np.isfinite(log_proposal))
+            if bad.size:
+                raise DomainError(
+                    f"variational log density is {log_proposal[bad[0]]} at draw {bad[0]}; it must be finite"
+                )
+        else:
+            log_proposal = evaluation.log_post
+        return cls(
+            model=model, dataset=dataset, prior=prior, draws=draws, config=config,
+            evaluation=evaluation, stats=marginal_stats(draws), log_proposal=log_proposal,
+        )
 
 
-def eta_weights(
-    model: SigmoidalModel,
-    draws: PosteriorDraws,
-    transformed: TransformedDraws,
-    dataset: Dataset,
-    prior: GaussianPrior,
-    i: int,
-    evaluation: PosteriorEvaluation | None = None,
-) -> WeightVector:
-    """Transformed-proposal weights.
+def raw_weights(evaluation: PosteriorEvaluation, log_proposal: np.ndarray, i: int) -> WeightVector:
+    """The weights of :func:`eta_weights` at the identity map.
+
+    log w = -log lik_i(theta) + [log post(theta) - log_proposal(theta)], read
+    from the cached evaluation; the bracket is exactly 0 for posterior draws.
+    """
+    return WeightVector.from_log_weights(-evaluation.log_lik[:, i] + (evaluation.log_post - log_proposal))
+
+
+def eta_weights(problem: LooProblem, transformed: TransformedDraws, i: int) -> WeightVector:
+    """Leave-one-out weights of transformed draws.
 
     log eta_k = log |det J_k| - log lik(phi_k | d_i)
-                + [log post(phi_k) - log post(theta_k)],
-    with the posterior ratio evaluated exactly through prior and likelihood
-    terms. Draws with a non-finite contribution get weight zero.
+                + [log post(phi_k) - log_proposal(theta_k)],
+    with the posterior evaluated exactly through prior and likelihood terms.
+    Any constant offset in the proposal density cancels under
+    self-normalization. Draws with a non-finite contribution get weight zero.
     """
-    if transformed.phi.shape != draws.values.shape:
+    if transformed.phi.shape != problem.draws.values.shape:
         raise DomainError("transformed draws are not aligned with the proposal draws")
-    if evaluation is None:
-        evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=False)
-    phi_eval = evaluate_posterior(model, transformed.phi, dataset, prior, with_grad=False)
+    phi_eval = evaluate_posterior(problem.model, transformed.phi, problem.dataset, problem.prior, with_grad=False)
     log_eta = (
         transformed.log_jac_det
         - phi_eval.log_lik[:, i]
-        + (phi_eval.log_post - evaluation.log_post)
+        + (phi_eval.log_post - problem.log_proposal)
     )
     log_eta = np.where(np.isnan(log_eta), -np.inf, log_eta)
     return WeightVector.from_log_weights(log_eta)
-
-
-def chi_weights(
-    model: SigmoidalModel,
-    draws: PosteriorDraws,
-    transformed: TransformedDraws,
-    dataset: Dataset,
-    prior: GaussianPrior,
-    variational_log_density: Callable[[np.ndarray], float],
-    i: int,
-) -> WeightVector:
-    """Variational-proposal weights for draws taken from an approximation.
-
-    log chi_k = log |det J_k| - log q(theta_k) + log prior(phi_k)
-                + sum_{j != i} log lik(phi_k | d_j),
-    where q is the supplied variational log density. Any constant offset in
-    q cancels under self-normalization.
-    """
-    if transformed.phi.shape != draws.values.shape:
-        raise DomainError("transformed draws are not aligned with the proposal draws")
-    phi_eval = evaluate_posterior(model, transformed.phi, dataset, prior, with_grad=False)
-    q_log = np.array([float(variational_log_density(theta)) for theta in draws.values])
-    loo_log_lik = phi_eval.log_lik.sum(axis=1) - phi_eval.log_lik[:, i]
-    log_chi = (
-        transformed.log_jac_det
-        - q_log
-        + prior.log_density_batch(transformed.phi)
-        + loo_log_lik
-    )
-    log_chi = np.where(np.isnan(log_chi), -np.inf, log_chi)
-    return WeightVector.from_log_weights(log_chi)
 
 
 def self_normalized_se(normalized_weights: np.ndarray, values: np.ndarray) -> float:
@@ -186,17 +194,7 @@ def _loo_quantities(weights: WeightVector, mu_at_phi: np.ndarray, y: int):
     return prob, prob_se, lpd, lpd_se
 
 
-def adapt_observation(
-    i: int,
-    model: SigmoidalModel,
-    draws: PosteriorDraws,
-    dataset: Dataset,
-    prior: GaussianPrior,
-    config: RunConfig,
-    stats: MarginalStats,
-    evaluation: PosteriorEvaluation | None = None,
-    variational_log_density: Callable[[np.ndarray], float] | None = None,
-) -> ObservationResult:
+def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     """Run the adaptation loop for one observation.
 
     Raw weights are smoothed first; a sub-threshold k-hat short-circuits the
@@ -205,18 +203,14 @@ def adapt_observation(
     first success. On exhaustion the lowest-k-hat candidate (including the
     raw weights) supplies the reported LOO quantities.
     """
-    if evaluation is None:
-        evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=True)
-    use_chi = config.use_variational_correction
-    if use_chi and variational_log_density is None:
-        raise DomainError("variational correction requested but no variational log density supplied")
-
+    config = problem.config
+    evaluation = problem.evaluation
     threshold = config.khat_threshold
-    raw = WeightVector.from_log_weights(-evaluation.log_lik[:, i])
+    raw = raw_weights(evaluation, problem.log_proposal, i)
     raw_smoothed, raw_fit = pareto_smooth(raw, config.tail_fraction_rule)
     raw_khat = raw_fit.khat
 
-    y = int(dataset.labels[i])
+    y = int(problem.dataset.labels[i])
     if raw_khat <= threshold:
         prob, prob_se, lpd, lpd_se = _loo_quantities(raw_smoothed, evaluation.mu[:, i], y)
         return ObservationResult(
@@ -240,34 +234,24 @@ def adapt_observation(
     for kind in config.transform_order:
         for hbar in config.hbar_values:
             spec = TransformSpec(kind=kind, hbar=hbar, observation_index=i)
-            transformed = apply_transform(
-                spec, model, draws, dataset, prior, stats,
-                nu_weights=raw_smoothed, evaluation=evaluation,
-            )
+            transformed = apply_transform(spec, problem, raw_smoothed)
             if transformed.degenerate:
                 attempts.append(
                     AttemptRecord(
                         spec=spec, khat=math.inf, fittable=False, degenerate=True,
                         flags=transformed.flags, h_used=transformed.h_used,
-                        exact_jacobian=transformed.exact_jacobian,
                         max_step_sd=transformed.max_step_sd,
                     )
                 )
                 continue
             flags = transformed.flags
             try:
-                if use_chi:
-                    weights = chi_weights(
-                        model, draws, transformed, dataset, prior, variational_log_density, i
-                    )
-                else:
-                    weights = eta_weights(model, draws, transformed, dataset, prior, i, evaluation)
+                weights = eta_weights(problem, transformed, i)
             except DomainError:
                 attempts.append(
                     AttemptRecord(
                         spec=spec, khat=math.inf, fittable=False, degenerate=True,
                         flags=flags + ("all-weights-zero",), h_used=transformed.h_used,
-                        exact_jacobian=transformed.exact_jacobian,
                         max_step_sd=transformed.max_step_sd,
                     )
                 )
@@ -278,7 +262,6 @@ def adapt_observation(
                 AttemptRecord(
                     spec=spec, khat=khat, fittable=fit.fittable, degenerate=False,
                     flags=flags, h_used=transformed.h_used,
-                    exact_jacobian=transformed.exact_jacobian,
                     max_step_sd=transformed.max_step_sd,
                 )
             )
@@ -292,7 +275,7 @@ def adapt_observation(
 
     final_khat, win_spec, win_transformed, final_weights = winner if winner is not None else best
     if win_transformed is not None:
-        mu_at_phi = model.mu_batch(win_transformed.phi, dataset.features[i][None, :])[:, 0]
+        mu_at_phi = problem.model.mu_batch(win_transformed.phi, problem.dataset.features[i][None, :])[:, 0]
     else:
         mu_at_phi = evaluation.mu[:, i]
     prob, prob_se, lpd, lpd_se = _loo_quantities(final_weights, mu_at_phi, y)
@@ -334,18 +317,16 @@ def run_loo(
     """Adapt every observation and assemble the aggregate report.
 
     Observations are independent; with ``workers > 1`` they are mapped over
-    a thread pool against the shared read-only inputs. Results are ordered
-    by observation index regardless of completion order, so the report is
-    deterministic for fixed inputs.
+    a thread pool against the shared read-only :class:`LooProblem`. Results
+    are ordered by observation index regardless of completion order, so the
+    report is deterministic for fixed inputs. Draws from a variational
+    approximation are corrected by setting ``use_variational_correction`` in
+    the config and passing their log density as ``variational_log_density``.
     """
-    evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=True)
-    stats = marginal_stats(draws)
+    problem = LooProblem.build(model, draws, dataset, prior, config, variational_log_density)
 
     def _one(i: int) -> ObservationResult:
-        return adapt_observation(
-            i, model, draws, dataset, prior, config, stats,
-            evaluation=evaluation, variational_log_density=variational_log_density,
-        )
+        return adapt_observation(i, problem)
 
     indices = range(dataset.n)
     if workers > 1:

@@ -146,6 +146,8 @@ def pareto_smooth(weights: WeightVector, tail_size_rule: str = "psis") -> tuple[
     cutoff = math.exp(log_cutoff)
     tail_lw = lw[tail_idx]
     excesses = np.sort(np.exp(tail_lw) - cutoff)
+    if excesses[0] <= 0:  # tail weights underflow to the cutoff: no spread to fit
+        return weights, GpdFit.unfittable(tail_idx.size)
     fit = fit_gpd_tail(excesses)
     if not fit.fittable:
         return weights, fit
@@ -158,11 +160,3 @@ def pareto_smooth(weights: WeightVector, tail_size_rule: str = "psis") -> tuple[
     new_lw = lw.copy()
     new_lw[tail_idx[np.argsort(tail_lw, kind="stable")]] = smoothed
     return WeightVector.from_log_weights(new_lw), fit
-
-
-def truncate_weights(weights: WeightVector) -> WeightVector:
-    """Cap each raw weight at (mean raw weight) * sqrt(S), then renormalize."""
-    lw = weights.log_weights - weights.log_weights.max()
-    s = lw.size
-    log_cap = logsumexp(lw) - 0.5 * math.log(s)
-    return WeightVector.from_log_weights(np.minimum(lw, log_cap))

@@ -23,7 +23,8 @@ determinant formulas, ensuring step and Jacobian describe the same map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,17 +39,10 @@ from .data import (
 )
 from .errors import DomainError
 from .gpd import WeightVector
-from .models import (
-    GaussianPrior,
-    LogisticModel,
-    PosteriorEvaluation,
-    ReluOneModel,
-    SigmoidalModel,
-    evaluate_posterior,
-    log_posterior_unnorm,
-    sigmoid,
-    sigmoid_slope,
-)
+from .models import LogisticModel, ReluOneModel, SigmoidalModel, sigmoid, sigmoid_slope
+
+if TYPE_CHECKING:
+    from .engine import LooProblem
 
 #: A determinant factor smaller than this in magnitude is treated as an
 #: exact zero: the map is flagged non-invertible for that draw.
@@ -86,7 +80,6 @@ class TransformedDraws:
     phi: np.ndarray
     log_jac_det: np.ndarray
     h_used: float
-    exact_jacobian: bool
     degenerate: bool = False
     flags: tuple[str, ...] = ()
     max_step_sd: float = 0.0
@@ -97,7 +90,6 @@ def _identity_transform(values: np.ndarray, flags: tuple[str, ...]) -> Transform
         phi=values.copy(),
         log_jac_det=np.zeros(values.shape[0]),
         h_used=0.0,
-        exact_jacobian=True,
         degenerate=True,
         flags=flags,
     )
@@ -107,7 +99,7 @@ def _identity_transform(values: np.ndarray, flags: tuple[str, ...]) -> Transform
 # Gradient-step directions
 # ---------------------------------------------------------------------------
 
-def _scale_and_direction(
+def gradient_direction(
     kind: str,
     model: SigmoidalModel,
     values: np.ndarray,
@@ -115,9 +107,15 @@ def _scale_and_direction(
     i: int,
     mu_col: np.ndarray,
     log_post: np.ndarray,
-    log_ref: float,
+    log_ref,
 ):
-    """Factor Q rows as exp(scale_k) * direction_k (sign in the direction)."""
+    """Factor the Q rows of a batch of draws as exp(scale_k) * direction_k.
+
+    ``mu_col`` and ``log_post`` are mu at observation i and the unnormalized
+    log posterior per draw; ``log_ref`` anchors the posterior-density factor
+    (the largest log posterior over the draw set in the engine). The sign of
+    Q lives in the direction. LL ignores ``log_post`` and ``log_ref``.
+    """
     x = dataset.features[i]
     y = int(dataset.labels[i])
     grad = model.grad_mu_batch(values, x)
@@ -131,63 +129,13 @@ def _scale_and_direction(
     return scale, direction
 
 
-def _q_single(kind, model, theta, dataset, prior, i, log_ref):
-    theta = np.asarray(theta, dtype=float)
-    values = theta[None, :]
-    mu_col = np.array([model.mu(theta, dataset.features[i])])
-    if kind == "LL":
-        log_post = np.zeros(1)
-        ref = 0.0
-    else:
-        lp = log_posterior_unnorm(model, theta, dataset, prior)
-        log_post = np.array([lp])
-        ref = lp if log_ref is None else float(log_ref)
-    scale, direction = _scale_and_direction(kind, model, values, dataset, i, mu_col, log_post, ref)
-    return np.exp(scale[0]) * direction[0]
+def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray, hbar: float) -> float:
+    """log h for h = hbar * min over draws and components of |sd_alpha / Q_alpha|.
 
-
-def q_kl(model, theta, dataset, prior, i, log_ref=None) -> np.ndarray:
-    """Cross-entropy descent direction at one parameter vector.
-
-    ``log_ref`` anchors the posterior-density factor (use the maximum log
-    posterior over the active draw set); omitting it anchors at theta
-    itself, making the density factor exactly 1.
+    Works on the factored Q = exp(scale) * direction, so huge density
+    factors never overflow. Components with Q = 0 are excluded; an all-zero
+    Q, or a zero posterior sd in a moving component, gives -inf (h = 0).
     """
-    return _q_single("KL", model, theta, dataset, prior, i, log_ref)
-
-
-def q_var(model, theta, dataset, prior, i, log_ref=None) -> np.ndarray:
-    """Estimator-variance descent direction; the mu exponent is doubled."""
-    return _q_single("Var", model, theta, dataset, prior, i, log_ref)
-
-
-def q_ll(model, theta, dataset, i) -> np.ndarray:
-    """Negative single-observation log-likelihood gradient."""
-    return _q_single("LL", model, theta, dataset, None, i, None)
-
-
-def step_size(q_values: np.ndarray, stats: MarginalStats, hbar: float) -> float:
-    """h = hbar * min over draws and components of |sd_alpha / Q_alpha|.
-
-    Components with Q = 0 are excluded; if every component of every draw is
-    zero the returned step is 0 and the transform is an identity. A zero
-    posterior sd with a non-zero Q also forces h = 0 (flagged degenerate by
-    the caller).
-    """
-    q = np.atleast_2d(np.asarray(q_values, dtype=float))
-    if not np.all(np.isfinite(q)):
-        raise DomainError("Q values must be finite")
-    absq = np.abs(q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(absq > 0, stats.sd[None, :] / np.where(absq > 0, absq, 1.0), np.inf)
-    smallest = float(ratios.min())
-    if not np.isfinite(smallest):
-        return 0.0
-    return float(hbar) * smallest
-
-
-def _log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray, hbar: float) -> float:
-    """log of the step-size rule, overflow-proof for huge density factors."""
     absd = np.abs(direction)
     with np.errstate(divide="ignore"):
         log_sd = np.log(sd)
@@ -287,161 +235,63 @@ def _logdet_relu1_batch(model: ReluOneModel, values, x, alpha, uvec, grad):
     return logdet, flags
 
 
-def _gradient_logdet_batch(kind, model, values, dataset, prior, i, mu_col, log_h, scale, grad_log_post):
-    alpha, uvec, grad = _alpha_uvec(kind, model, values, dataset, i, mu_col, log_h, scale, grad_log_post)
-    if isinstance(model, ReluOneModel):
-        logdet, flags = _logdet_relu1_batch(model, values, dataset.features[i], alpha, uvec, grad)
-        return logdet, flags, True
-    if isinstance(model, LogisticModel):
-        logdet, flags = _logdet_logistic_batch(alpha, uvec, grad)
-        return logdet, flags, True
-    # Generic model: first-order determinant from the divergence of Q.
-    h_div = np.einsum("sp,sp->s", grad, uvec) + alpha * np.array(
-        [sum(lam for lam, _ in model.hessian_spectrum(values[k], dataset.features[i])) for k in range(values.shape[0])]
-    )
-    det = 1.0 + h_div
-    singular = np.abs(det) < SINGULAR_EPS
-    logdet = np.where(singular, -np.inf, np.log(np.maximum(np.abs(det), SINGULAR_EPS)))
-    flags = ("singular-jacobian",) if singular.any() else ()
-    return logdet, flags, False
+def gradient_logdet(kind, model, values, dataset, i, mu_col, log_h, scale, grad_log_post):
+    """Exact per-draw log |det J| of the step theta + exp(log_h + scale) * direction.
 
-
-def exact_logdet_logistic(kind, model, theta, dataset, prior, i, h, log_ref=None) -> float:
-    """log |det J| of the h-step transform for a linear mean function.
-
-    Uses the same posterior-density scale convention as the Q functions:
-    pass the draw-set ``log_ref`` so that h and the density factor describe
-    the same map. With the default anchor the density factor is 1.
+    ``scale`` comes from :func:`gradient_direction` and ``log_h`` from
+    :func:`log_step_size`, so step and determinant describe the same map;
+    ``grad_log_post`` (KL/Var only) is the per-draw gradient of the log
+    posterior. Closed forms exist for the two built-in model families only:
+    any other model is a ``DomainError``. Returns ``(logdet, flags)``.
     """
-    if not isinstance(model, LogisticModel):
-        raise DomainError("exact_logdet_logistic requires a logistic model")
-    return _exact_logdet_single(kind, model, theta, dataset, prior, i, h, log_ref)
-
-
-def exact_logdet_relu1(kind, model, theta, dataset, prior, i, h, log_ref=None) -> float:
-    """log |det J| for the one-hidden-layer ReLU model via its eigenpairs."""
-    if not isinstance(model, ReluOneModel):
-        raise DomainError("exact_logdet_relu1 requires a relu1 model")
-    return _exact_logdet_single(kind, model, theta, dataset, prior, i, h, log_ref)
-
-
-def _exact_logdet_single(kind, model, theta, dataset, prior, i, h, log_ref):
     if kind not in GRADIENT_KINDS:
         raise DomainError(f"exact determinants are defined for {GRADIENT_KINDS}, got {kind!r}")
-    if h < 0:
-        raise DomainError("step size must be non-negative")
-    theta = np.asarray(theta, dtype=float)
-    if h == 0.0:
-        return 0.0
-    values = theta[None, :]
-    mu_col = np.array([model.mu(theta, dataset.features[i])])
-    if kind == "LL":
-        scale = np.zeros(1)
-        glp = None
-    else:
-        from .models import grad_log_posterior
-
-        lp = log_posterior_unnorm(model, theta, dataset, prior)
-        ref = lp if log_ref is None else float(log_ref)
-        scale = np.array([lp - ref + (1.0 if kind == "KL" else 2.0) * mu_col[0] * (1.0 - 2.0 * dataset.labels[i])])
-        glp = grad_log_posterior(model, theta, dataset, prior)[None, :]
-    # Fold the explicit h into log_h; scale already carries the density factor.
-    alpha, uvec, grad = _alpha_uvec(kind, model, values, dataset, i, mu_col, math.log(h), scale, glp)
+    if not isinstance(model, (LogisticModel, ReluOneModel)):
+        raise DomainError(f"no exact Jacobian determinant for {type(model).__name__}")
+    alpha, uvec, grad = _alpha_uvec(kind, model, values, dataset, i, mu_col, log_h, scale, grad_log_post)
     if isinstance(model, ReluOneModel):
-        logdet, _ = _logdet_relu1_batch(model, values, dataset.features[i], alpha, uvec, grad)
-    else:
-        logdet, _ = _logdet_logistic_batch(alpha, uvec, grad)
-    return float(logdet[0])
-
-
-def q_divergence(kind, model, theta, dataset, prior, i, log_ref=None) -> float:
-    """Divergence of the gradient-step direction field at theta.
-
-    For sigmoidal models: div Q = phi * [(grad log post + g grad_mu) . grad_mu
-    + tr hessian(mu)] for KL/Var and sigma(1-sigma) |grad_mu|^2 +
-    (sigma - y) tr hessian(mu) for LL; the trace comes from the spectral
-    pairs, so models with vanishing Hessians contribute nothing.
-    """
-    theta = np.asarray(theta, dtype=float)
-    x = dataset.features[i]
-    y = int(dataset.labels[i])
-    mu = model.mu(theta, x)
-    grad = model.grad_mu(theta, x)
-    trace = sum(lam for lam, _ in model.hessian_spectrum(theta, x))
-    if kind == "LL":
-        return float(sigmoid_slope(mu) * grad @ grad + (sigmoid(mu) - y) * trace)
-    from .models import grad_log_posterior
-
-    expo = 1.0 if kind == "KL" else 2.0
-    g = expo * (1.0 - 2.0 * y)
-    lp = log_posterior_unnorm(model, theta, dataset, prior)
-    ref = lp if log_ref is None else float(log_ref)
-    phi = ((-1.0) ** y) * math.exp(lp - ref + expo * mu * (1.0 - 2.0 * y))
-    glp = grad_log_posterior(model, theta, dataset, prior)
-    return float(phi * ((glp + g * grad) @ grad + trace))
-
-
-def first_order_logdet(div_q: float, h: float) -> float:
-    """First-order determinant log |1 + h div Q|; -inf marks a singular map."""
-    if not math.isfinite(div_q):
-        raise DomainError("divergence must be finite")
-    value = 1.0 + h * div_q
-    if abs(value) < SINGULAR_EPS:
-        return -math.inf
-    return math.log(abs(value))
+        return _logdet_relu1_batch(model, values, dataset.features[i], alpha, uvec, grad)
+    return _logdet_logistic_batch(alpha, uvec, grad)
 
 
 # ---------------------------------------------------------------------------
 # Whole-draw-set application
 # ---------------------------------------------------------------------------
 
-def apply_gradient_transform(
-    spec: TransformSpec,
-    model: SigmoidalModel,
-    draws: PosteriorDraws,
-    dataset: Dataset,
-    prior: GaussianPrior,
-    stats: MarginalStats,
-    evaluation: PosteriorEvaluation | None = None,
-) -> TransformedDraws:
+def apply_gradient_transform(spec: TransformSpec, problem: LooProblem) -> TransformedDraws:
     """Apply one KL/Var/LL step to every draw with its step-size rule.
 
-    The per-draw log-determinant is exact for the two built-in model
-    families and first-order otherwise; ``exact_jacobian`` records which.
-    A zero step (all-zero Q or a zero posterior sd in a moving component)
-    returns the identity with ``degenerate=True``.
+    The per-draw log-determinant is exact. A zero step (all-zero Q or a zero
+    posterior sd in a moving component) returns the identity with
+    ``degenerate=True``.
     """
     if spec.kind not in GRADIENT_KINDS:
         raise DomainError(f"apply_gradient_transform handles {GRADIENT_KINDS}, got {spec.kind!r}")
-    values = draws.values
+    model, dataset, evaluation = problem.model, problem.dataset, problem.evaluation
+    if spec.kind != "LL" and evaluation.grad_log_post is None:
+        raise DomainError(f"{spec.kind} needs the posterior gradient, which this problem was built without")
+    values = problem.draws.values
+    stats = problem.stats
     i = spec.observation_index
-    needs_grad = spec.kind != "LL"
-    if evaluation is None or (needs_grad and evaluation.grad_log_post is None):
-        evaluation = evaluate_posterior(model, values, dataset, prior, with_grad=needs_grad)
     mu_col = evaluation.mu[:, i]
-    log_ref = evaluation.log_ref
-    scale, direction = _scale_and_direction(spec.kind, model, values, dataset, i, mu_col, evaluation.log_post, log_ref)
-    log_h = _log_step_size(scale, direction, stats.sd, spec.hbar)
+    scale, direction = gradient_direction(
+        spec.kind, model, values, dataset, i, mu_col, evaluation.log_post, evaluation.log_ref
+    )
+    log_h = log_step_size(scale, direction, stats.sd, spec.hbar)
     if log_h == -np.inf:
         return _identity_transform(values, flags=("zero-step",))
 
     step = np.exp(log_h + scale)[:, None] * direction
-    phi = values + step
-    with np.errstate(invalid="ignore", divide="ignore"):
-        step_sd = np.abs(step) / np.where(stats.sd > 0, stats.sd, np.inf)
-    max_step_sd = float(step_sd.max()) if step_sd.size else 0.0
-
-    logdet, flags, exact = _gradient_logdet_batch(
-        spec.kind, model, values, dataset, prior, i, mu_col, log_h, scale, evaluation.grad_log_post
+    logdet, flags = gradient_logdet(
+        spec.kind, model, values, dataset, i, mu_col, log_h, scale, evaluation.grad_log_post
     )
     return TransformedDraws(
-        phi=phi,
+        phi=values + step,
         log_jac_det=logdet,
         h_used=float(np.exp(log_h)),
-        exact_jacobian=exact,
         degenerate=False,
         flags=flags,
-        max_step_sd=max_step_sd,
+        max_step_sd=_shift_in_sd_units(step, stats.sd),
     )
 
 
@@ -471,7 +321,6 @@ def apply_pmm(
             phi=values + shift,
             log_jac_det=np.zeros(s),
             h_used=hbar,
-            exact_jacobian=True,
             degenerate=False,
             flags=(),
             max_step_sd=_shift_in_sd_units(shift, stats.sd),
@@ -490,7 +339,6 @@ def apply_pmm(
         phi=phi,
         log_jac_det=np.full(s, logdet),
         h_used=hbar,
-        exact_jacobian=True,
         degenerate=False,
         flags=(),
         max_step_sd=_shift_in_sd_units(step, stats.sd),
@@ -503,19 +351,9 @@ def _shift_in_sd_units(step: np.ndarray, sd: np.ndarray) -> float:
     return float(scaled.max()) if scaled.size else 0.0
 
 
-def apply_transform(
-    spec: TransformSpec,
-    model: SigmoidalModel,
-    draws: PosteriorDraws,
-    dataset: Dataset,
-    prior: GaussianPrior,
-    stats: MarginalStats,
-    nu_weights: WeightVector | None = None,
-    evaluation: PosteriorEvaluation | None = None,
-) -> TransformedDraws:
-    """Dispatch on the transform kind; PMM kinds require the nu weights."""
+def apply_transform(spec: TransformSpec, problem: LooProblem, nu_weights: WeightVector) -> TransformedDraws:
+    """Dispatch on the transform kind; PMM kinds move toward the moments of
+    the smoothed raw weights ``nu_weights``."""
     if spec.kind in PMM_KINDS:
-        if nu_weights is None:
-            raise DomainError("PMM transforms need the importance weights")
-        return apply_pmm(spec, draws, nu_weights, stats)
-    return apply_gradient_transform(spec, model, draws, dataset, prior, stats, evaluation)
+        return apply_pmm(spec, problem.draws, nu_weights, problem.stats)
+    return apply_gradient_transform(spec, problem)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,11 @@ from looadapt import (
     PosteriorDraws,
     ReluOneModel,
     build_grid_posterior,
+    finite_difference_jacobian,
+    gradient_direction,
+    gradient_logdet,
 )
+from looadapt.models import evaluate_posterior
 
 
 def make_logistic_toy(seed=42, n=6, p=3, prior_sd=2.0, num_draws=50, draw_scale=1.0):
@@ -82,6 +88,41 @@ def make_grid_instance_2(seed=202, nodes_per_dim=81):
     prior = GaussianPrior.isotropic(2, 1.5)
     grid = build_grid_posterior(model, dataset, prior, bounds=[(-9.0, 9.0), (-9.0, 9.0)], nodes_per_dim=nodes_per_dim)
     return model, dataset, prior, grid
+
+
+def _one_draw(kind, model, theta, dataset, prior, i, log_ref):
+    values = np.asarray(theta, dtype=float)[None, :]
+    ev = evaluate_posterior(model, values, dataset, prior, with_grad=kind != "LL")
+    ref = ev.log_ref if log_ref is None else log_ref
+    scale, direction = gradient_direction(kind, model, values, dataset, i, ev.mu[:, i], ev.log_post, ref)
+    return values, ev, scale, direction
+
+
+def q_at(kind, model, theta, dataset, prior, i, log_ref=None):
+    """Q(theta) through the batched direction on a batch of one draw.
+
+    ``log_ref`` anchors the posterior-density factor (pass the maximum log
+    posterior over the draw set); omitting it anchors at theta itself,
+    making the density factor exactly 1.
+    """
+    _, _, scale, direction = _one_draw(kind, model, theta, dataset, prior, i, log_ref)
+    return np.exp(scale[0]) * direction[0]
+
+
+def logdet_at(kind, model, theta, dataset, prior, i, h, log_ref=None):
+    """Exact log |det J| of theta -> theta + h Q(theta) on a batch of one draw."""
+    values, ev, scale, _ = _one_draw(kind, model, theta, dataset, prior, i, log_ref)
+    log_h = math.log(h) if h > 0 else -math.inf
+    logdet, _ = gradient_logdet(kind, model, values, dataset, i, ev.mu[:, i], log_h, scale, ev.grad_log_post)
+    return float(logdet[0])
+
+
+def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6):
+    """div Q at theta: the trace of the finite-difference Jacobian of Q."""
+    jac = finite_difference_jacobian(
+        lambda t: q_at(kind, model, t, dataset, prior, i, log_ref), theta, step * np.ones(len(theta))
+    )
+    return float(np.trace(jac))
 
 
 def gpd_inverse_cdf_sample(rng, k, sigma, size):

@@ -20,34 +20,27 @@ from looadapt import (
     Dataset,
     GaussianPrior,
     LogisticModel,
+    LooProblem,
     PosteriorDraws,
     ReluOneModel,
     RunConfig,
     adapt_observation,
     auroc,
     eta_weights,
-    exact_logdet_logistic,
     exact_loo_expectation,
     finite_difference_jacobian,
     fit_gpd_tail,
-    first_order_logdet,
     grad_log_likelihood,
     grad_log_posterior,
     log_likelihood,
     log_posterior_unnorm,
-    marginal_stats,
-    nu_weights,
-    q_divergence,
-    q_kl,
-    q_ll,
-    q_var,
+    raw_weights,
     roc_curve,
     run_loo,
     sigmoid,
 )
 from looadapt.cli import main as cli_main
 from looadapt.data import GRADIENT_KINDS
-from looadapt.models import evaluate_posterior
 from looadapt.oracle import (
     finite_difference_gradient,
     finite_difference_hessian,
@@ -57,11 +50,14 @@ from looadapt.oracle import (
 from looadapt.transforms import TransformSpec, TransformedDraws, apply_gradient_transform
 
 from conftest import (
+    fd_divergence,
     gpd_inverse_cdf_sample,
+    logdet_at,
     make_grid_instance_2,
     make_logistic_toy,
     make_relu_toy,
     pair_count_auroc,
+    q_at,
 )
 
 
@@ -89,11 +85,11 @@ def test_criterion_01_identity_transform_equivalence():
                 phi=draws.values.copy(),
                 log_jac_det=np.zeros(draws.num_draws),
                 h_used=0.0,
-                exact_jacobian=True,
             )
             i = seed % dataset.n
-            nu = nu_weights(model, draws, dataset, i)
-            eta = eta_weights(model, draws, identity, dataset, prior, i)
+            problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+            nu = raw_weights(problem.evaluation, problem.log_proposal, i)
+            eta = eta_weights(problem, identity, i)
             assert np.max(np.abs(eta.normalized - nu.normalized)) <= 1e-12
 
 
@@ -177,21 +173,15 @@ def test_criterion_03_relu_hessian_spectrum():
 
 def _determinant_cell(kind, model, dataset, prior, draws, i, hbar, fd_step_scale):
     """Check exact vs finite-difference log-determinants for one grid cell."""
-    stats = marginal_stats(draws)
-    evaluation = evaluate_posterior(model, draws.values, dataset, prior)
+    problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+    stats = problem.stats
     spec = TransformSpec(kind=kind, hbar=hbar, observation_index=i)
-    out = apply_gradient_transform(spec, model, draws, dataset, prior, stats, evaluation)
-    assert not out.degenerate and out.exact_jacobian
-    ref = evaluation.log_ref
+    out = apply_gradient_transform(spec, problem)
+    assert not out.degenerate
+    ref = problem.evaluation.log_ref
 
     def map_fn(theta):
-        if kind == "KL":
-            q = q_kl(model, theta, dataset, prior, i, log_ref=ref)
-        elif kind == "Var":
-            q = q_var(model, theta, dataset, prior, i, log_ref=ref)
-        else:
-            q = q_ll(model, theta, dataset, i)
-        return theta + out.h_used * q
+        return theta + out.h_used * q_at(kind, model, theta, dataset, prior, i, log_ref=ref)
 
     checked = 0
     for k in range(draws.num_draws):
@@ -231,13 +221,12 @@ def test_criterion_05_first_order_determinant_convergence():
         theta = draws.values[3]
         i = 1
         ref = log_posterior_unnorm(model, theta, dataset, prior)
-        div = q_divergence("KL", model, theta, dataset, prior, i, log_ref=ref)
+        # div Q is the trace of the finite-difference Jacobian of the batched Q map.
+        div = fd_divergence("KL", model, theta, dataset, prior, i, log_ref=ref)
         assert abs(div) > 0.05
         hs = np.array([1e-2, 1e-3, 1e-4])
-        exact = np.array(
-            [exact_logdet_logistic("KL", model, theta, dataset, prior, i, h, log_ref=ref) for h in hs]
-        )
-        first = np.array([first_order_logdet(div, h) for h in hs])
+        exact = np.array([logdet_at("KL", model, theta, dataset, prior, i, h, log_ref=ref) for h in hs])
+        first = np.log(np.abs(1.0 + hs * div))
         # For a linear mean function the Jacobian of Q is rank one, so the
         # determinant-form first order IS exact: its remainder is bounded by
         # (in fact far below) C h^2.
@@ -329,13 +318,9 @@ def adaptation_study():
     draws = PosteriorDraws(values=values, param_names=tuple(f"g{j}" for j in range(p)))
 
     config = RunConfig()  # hbar = 4^-r for r = 0..10, all five transforms
-    evaluation = evaluate_posterior(model, draws.values, dataset, prior)
-    stats = marginal_stats(draws)
+    problem = LooProblem.build(model, draws, dataset, prior, config)
     start = time.perf_counter()
-    results = [
-        adapt_observation(i, model, draws, dataset, prior, config, stats, evaluation=evaluation)
-        for i in range(n)
-    ]
+    results = [adapt_observation(i, problem) for i in range(n)]
     elapsed = time.perf_counter() - start
     return results, elapsed
 

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior."""
 
 import csv
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,3 +210,41 @@ class TestReportJson:
         text = render_report_json({"a": math.inf, "b": [math.nan, 1.5], "c": np.float64(2.0)})
         payload = json.loads(text)
         assert payload == {"a": None, "b": [None, 1.5], "c": 2.0}
+
+
+class TestTracedRun:
+    """The benchmark's traced run rebinds these call-time names; a rename or a
+    call that bypasses its module global would silently drop spans."""
+
+    def _tracing(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_rebind_records_spans(self, toy_files, tmp_path, monkeypatch):
+        tracing = self._tracing(monkeypatch)
+        import looadapt
+
+        data, draws = toy_files
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for mod_name, points in tracing._POINTS.items():
+                module = getattr(looadapt, mod_name)
+                for attr, *_ in points:
+                    assert hasattr(getattr(module, attr), "__wrapped__"), f"{mod_name}.{attr}"
+            with tracer.root("cli.main"):
+                code = main(["run", "--data", str(data), "--draws", str(draws),
+                             "--model", "logistic", "--out", str(tmp_path / "report.json")])
+        finally:
+            tracer.uninstall()
+        assert code in (0, 3)
+        names = {s.name for s in tracer.spans}
+        for name in ("engine.adapt_observation", "transforms.apply_transform",
+                     "engine.eta_weights", "models.evaluate_posterior"):
+            assert name in names, name
+        assert all(s.obs is not None for s in tracer.spans if s.name == "engine.eta_weights")
+        assert not hasattr(looadapt.engine.adapt_observation, "__wrapped__")

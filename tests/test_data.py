@@ -193,6 +193,11 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig.from_json('{"bogus": 1}')
 
+    def test_rng_seed_is_an_unknown_key(self):
+        with pytest.raises(ValidationError, match="unknown config key 'rng_seed'"):
+            RunConfig.from_json('{"khat_threshold": 0.5, "rng_seed": 0}')
+        assert "rng_seed" not in RunConfig().to_json_dict()
+
 
 class TestPosteriorDraws:
     def test_minimum_two_draws(self):

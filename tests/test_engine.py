@@ -10,25 +10,24 @@ from looadapt import (
     DomainError,
     GaussianPrior,
     LogisticModel,
+    LooProblem,
     PosteriorDraws,
     RunConfig,
     TransformSpec,
     WeightVector,
     adapt_observation,
-    chi_weights,
     eta_weights,
     loo_ic,
-    marginal_stats,
-    nu_weights,
+    raw_weights,
     run_loo,
     sigmoid,
 )
 from looadapt.engine import ObservationResult, self_normalized_se, _loo_quantities
-from looadapt.models import evaluate_posterior, log_posterior_unnorm
+from looadapt.models import log_posterior_unnorm
 from looadapt.oracle import exact_loo_expectation, sample_grid_posterior
 from looadapt.transforms import TransformedDraws, apply_gradient_transform
 
-from conftest import make_grid_instance_2, make_logistic_toy
+from conftest import make_grid_instance_2, make_logistic_toy, make_relu_toy
 
 
 def _identity(draws):
@@ -36,8 +35,11 @@ def _identity(draws):
         phi=draws.values.copy(),
         log_jac_det=np.zeros(draws.num_draws),
         h_used=0.0,
-        exact_jacobian=True,
     )
+
+
+def _raw(problem, i):
+    return raw_weights(problem.evaluation, problem.log_proposal, i)
 
 
 class TestNuWeights:
@@ -48,14 +50,16 @@ class TestNuWeights:
         mu1 = 0.0  # sigma = 0.5
         mu2 = math.log(1.0 / 3.0)  # sigma = 0.25
         draws = PosteriorDraws(values=np.array([[mu1], [mu2]]), param_names=("b",))
-        weights = nu_weights(model, draws, dataset, 0)
+        problem = LooProblem.build(model, draws, dataset, GaussianPrior.isotropic(1, 1.0), RunConfig())
+        weights = _raw(problem, 0)
         np.testing.assert_allclose(weights.normalized, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
     def test_equal_likelihoods_uniform(self):
         dataset = Dataset(features=np.array([[0.0]]), labels=np.array([1]), feature_names=("x",))
         model = LogisticModel(p=1)
         draws = PosteriorDraws(values=np.array([[1.0], [2.0], [-3.0]]), param_names=("b",))
-        weights = nu_weights(model, draws, dataset, 0)
+        problem = LooProblem.build(model, draws, dataset, GaussianPrior.isotropic(1, 1.0), RunConfig())
+        weights = _raw(problem, 0)
         np.testing.assert_allclose(weights.normalized, 1.0 / 3.0, atol=1e-15)
 
     def test_single_weight_normalizes_to_one(self):
@@ -65,49 +69,48 @@ class TestNuWeights:
 class TestEtaWeights:
     def test_identity_transform_reduces_to_nu(self):
         model, dataset, prior, draws = make_logistic_toy(seed=51)
-        nu = nu_weights(model, draws, dataset, 2)
-        eta = eta_weights(model, draws, _identity(draws), dataset, prior, 2)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+        nu = _raw(problem, 2)
+        eta = eta_weights(problem, _identity(draws), 2)
         np.testing.assert_allclose(eta.normalized, nu.normalized, atol=1e-12)
 
     def test_constant_posterior_shift_cancels(self):
         model, dataset, prior, draws = make_logistic_toy(seed=52)
-        ev = evaluate_posterior(model, draws.values, dataset, prior, with_grad=False)
-        stats = marginal_stats(draws)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         spec = TransformSpec(kind="KL", hbar=0.25, observation_index=1)
-        td = apply_gradient_transform(spec, model, draws, dataset, prior, stats)
-        base = eta_weights(model, draws, td, dataset, prior, 1)
+        td = apply_gradient_transform(spec, problem)
+        base = eta_weights(problem, td, 1)
         # shifting every log weight by a constant is a no-op after
         # normalization; emulate by rescaling the jacobian column
         shifted = TransformedDraws(
             phi=td.phi,
             log_jac_det=td.log_jac_det + 5.0,
             h_used=td.h_used,
-            exact_jacobian=td.exact_jacobian,
         )
-        again = eta_weights(model, draws, shifted, dataset, prior, 1)
+        again = eta_weights(problem, shifted, 1)
         np.testing.assert_allclose(again.normalized, base.normalized, atol=1e-12)
 
     def test_misaligned_shapes_rejected(self):
         model, dataset, prior, draws = make_logistic_toy(seed=53)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         bad = TransformedDraws(
             phi=draws.values[:-1].copy(),
             log_jac_det=np.zeros(draws.num_draws - 1),
             h_used=0.0,
-            exact_jacobian=True,
         )
         with pytest.raises(DomainError):
-            eta_weights(model, draws, bad, dataset, prior, 0)
+            eta_weights(problem, bad, 0)
 
     def test_grid_oracle_expectation_within_three_se(self):
         model, dataset, prior, grid = make_grid_instance_2()
         rng = np.random.default_rng(77)
         values = sample_grid_posterior(grid, 4000, rng)
         draws = PosteriorDraws(values=values, param_names=("b0", "b1"))
-        stats = marginal_stats(draws)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         i = 4
         spec = TransformSpec(kind="KL", hbar=0.25, observation_index=i)
-        td = apply_gradient_transform(spec, model, draws, dataset, prior, stats)
-        eta = eta_weights(model, draws, td, dataset, prior, i)
+        td = apply_gradient_transform(spec, problem)
+        eta = eta_weights(problem, td, i)
 
         def f(nodes):
             return sigmoid(model.mu_batch(nodes, dataset.features[i][None, :])[:, 0])
@@ -119,16 +122,25 @@ class TestEtaWeights:
         assert abs(estimate - exact) <= 3.0 * se
 
 
+def _variational_problem(model, draws, dataset, prior, log_density, **config):
+    config = RunConfig(use_variational_correction=True, **config)
+    return LooProblem.build(model, draws, dataset, prior, config, variational_log_density=log_density)
+
+
 class TestChiWeights:
+    """Weights of draws from a variational proposal q."""
+
     def test_true_posterior_telescopes_to_nu(self):
         model, dataset, prior, draws = make_logistic_toy(seed=54)
-        nu = nu_weights(model, draws, dataset, 3)
+        nu = _raw(LooProblem.build(model, draws, dataset, prior, RunConfig()), 3)
 
         def variational(theta):
             return log_posterior_unnorm(model, theta, dataset, prior)
 
-        chi = chi_weights(model, draws, _identity(draws), dataset, prior, variational, 3)
+        problem = _variational_problem(model, draws, dataset, prior, variational)
+        chi = eta_weights(problem, _identity(draws), 3)
         np.testing.assert_allclose(chi.normalized, nu.normalized, atol=1e-12)
+        np.testing.assert_allclose(_raw(problem, 3).normalized, nu.normalized, atol=1e-12)
 
     def test_constant_factor_invariance(self):
         model, dataset, prior, draws = make_logistic_toy(seed=55)
@@ -139,14 +151,14 @@ class TestChiWeights:
         def variational_scaled(theta):
             return variational(theta) + 11.5
 
-        a = chi_weights(model, draws, _identity(draws), dataset, prior, variational, 0)
-        b = chi_weights(model, draws, _identity(draws), dataset, prior, variational_scaled, 0)
+        a = eta_weights(_variational_problem(model, draws, dataset, prior, variational), _identity(draws), 0)
+        b = eta_weights(_variational_problem(model, draws, dataset, prior, variational_scaled), _identity(draws), 0)
         np.testing.assert_allclose(a.normalized, b.normalized, atol=1e-12)
 
     def test_crude_gaussian_proposal_within_three_se(self):
         model, dataset, prior, grid = make_grid_instance_2()
         rng = np.random.default_rng(88)
-        # draws from a deliberately inflated Gaussian, corrected through chi
+        # draws from a deliberately inflated Gaussian, corrected through q
         proposal_sd = 2.5
         values = proposal_sd * rng.standard_normal((4000, 2))
         draws = PosteriorDraws(values=values, param_names=("b0", "b1"))
@@ -155,7 +167,8 @@ class TestChiWeights:
             return float(-0.5 * np.sum((np.asarray(theta) / proposal_sd) ** 2))
 
         i = 2
-        chi = chi_weights(model, draws, _identity(draws), dataset, prior, variational, i)
+        problem = _variational_problem(model, draws, dataset, prior, variational)
+        chi = eta_weights(problem, _identity(draws), i)
 
         def f(nodes):
             return sigmoid(model.mu_batch(nodes, dataset.features[i][None, :])[:, 0])
@@ -166,14 +179,29 @@ class TestChiWeights:
         se = self_normalized_se(chi.normalized, fvals)
         assert abs(estimate - exact) <= 3.0 * se
 
+    def test_non_finite_density_names_first_bad_draw(self):
+        model, dataset, prior, draws = make_logistic_toy(seed=65)
+
+        def variational(theta):
+            return math.nan if theta[0] > 0 else 0.0
+
+        first_bad = int(np.flatnonzero(draws.values[:, 0] > 0)[0])
+        with pytest.raises(DomainError, match=f"at draw {first_bad};"):
+            _variational_problem(model, draws, dataset, prior, variational)
+
+        def infinite(theta):
+            return -math.inf
+
+        with pytest.raises(DomainError, match="at draw 0;"):
+            _variational_problem(model, draws, dataset, prior, infinite)
+
 
 class TestAdaptObservation:
     def test_low_khat_short_circuits(self):
         model, dataset, prior, grid = make_grid_instance_2()
         rng = np.random.default_rng(99)
         draws = PosteriorDraws(values=sample_grid_posterior(grid, 2000, rng), param_names=("a", "b"))
-        stats = marginal_stats(draws)
-        result = adapt_observation(0, model, draws, dataset, prior, RunConfig(), stats)
+        result = adapt_observation(0, LooProblem.build(model, draws, dataset, prior, RunConfig()))
         assert result.raw_khat <= 0.7
         assert result.adapted and result.winning_transform is None
         assert result.attempts == ()
@@ -181,20 +209,18 @@ class TestAdaptObservation:
 
     def test_infinite_threshold_trivially_adapts(self):
         model, dataset, prior, draws = make_logistic_toy(seed=56, draw_scale=8.0)
-        stats = marginal_stats(draws)
         config = RunConfig(khat_threshold=math.inf)
-        result = adapt_observation(1, model, draws, dataset, prior, config, stats)
+        result = adapt_observation(1, LooProblem.build(model, draws, dataset, prior, config))
         assert result.adapted
         assert result.attempts == ()
 
     def test_final_khat_is_minimal_on_failure(self):
         # a wildly mismatched draw cloud that no transform can fix
         model, dataset, prior, draws = make_logistic_toy(seed=57, p=4, num_draws=300, draw_scale=12.0)
-        stats = marginal_stats(draws)
         config = RunConfig(hbar_exponents=(0, 2, 4))
-        ev = evaluate_posterior(model, draws.values, dataset, prior)
+        problem = LooProblem.build(model, draws, dataset, prior, config)
         for i in range(dataset.n):
-            result = adapt_observation(i, model, draws, dataset, prior, config, stats, evaluation=ev)
+            result = adapt_observation(i, problem)
             attempted = [a.khat for a in result.attempts]
             if not result.adapted and attempted:
                 assert result.final_khat <= min(attempted) + 1e-12
@@ -202,33 +228,33 @@ class TestAdaptObservation:
 
     def test_variational_flag_requires_density(self):
         model, dataset, prior, draws = make_logistic_toy(seed=58)
-        stats = marginal_stats(draws)
         config = RunConfig(use_variational_correction=True)
-        with pytest.raises(DomainError):
-            adapt_observation(0, model, draws, dataset, prior, config, stats)
+        with pytest.raises(DomainError, match="no variational log density"):
+            LooProblem.build(model, draws, dataset, prior, config)
+        with pytest.raises(DomainError, match="no variational log density"):
+            run_loo(model, draws, dataset, prior, config)
 
     def test_variational_correction_drives_attempts(self):
-        # draws from a wide Gaussian; the variational density is that
-        # proposal itself, so transformed chi weights correct for it
-        tau = 6.0
+        # draws from a Gaussian narrower than the posterior (the usual
+        # under-dispersion of a variational fit); the variational density is
+        # that proposal itself, so raw and transformed weights correct for it
+        tau = 0.8
         model, dataset, prior, draws = make_logistic_toy(
             seed=64, p=2, num_draws=400, draw_scale=tau
         )
-        stats = marginal_stats(draws)
 
         def proposal_log_density(theta):
             return float(-0.5 * np.sum((np.asarray(theta) / tau) ** 2))
 
-        config = RunConfig(use_variational_correction=True, hbar_exponents=(0, 1, 2))
+        problem = _variational_problem(
+            model, draws, dataset, prior, proposal_log_density, hbar_exponents=(0, 1, 2)
+        )
         flagged = adapted = 0
         for i in range(dataset.n):
-            result = adapt_observation(
-                i, model, draws, dataset, prior, config, stats,
-                variational_log_density=proposal_log_density,
-            )
-            if result.raw_khat > config.khat_threshold:
+            result = adapt_observation(i, problem)
+            if result.raw_khat > problem.config.khat_threshold:
                 flagged += 1
-                assert result.attempts  # chi-weighted attempts were made
+                assert result.attempts  # q-corrected attempts were made
                 adapted += int(result.adapted)
         assert flagged > 0
         assert adapted > 0
@@ -307,7 +333,7 @@ class TestRunLoo:
     def test_scaling_invariance_of_weights(self):
         # scaling all unnormalized weights is invisible downstream
         model, dataset, prior, draws = make_logistic_toy(seed=62)
-        nu = nu_weights(model, draws, dataset, 0)
+        nu = _raw(LooProblem.build(model, draws, dataset, prior, RunConfig()), 0)
         scaled = WeightVector.from_log_weights(nu.log_weights + 123.4)
         np.testing.assert_allclose(scaled.normalized, nu.normalized, atol=1e-12)
 
@@ -316,3 +342,91 @@ class TestRunLoo:
         report = run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 2)))
         for r in report.per_observation:
             assert 0.0 <= r.loo_predictive_prob <= 1.0
+
+
+class TestVariationalRun:
+    def test_grid_oracle_within_three_se(self):
+        # Gaussian proposal at the grid posterior's mean with 1.5x its
+        # covariance: every raw weight needs the q correction to be right
+        model, dataset, prior, grid = make_grid_instance_2()
+        w = grid.probabilities
+        mean = w @ grid.nodes
+        centered = grid.nodes - mean
+        cov = 1.5 * (centered.T @ (centered * w[:, None]))
+        rng = np.random.default_rng(7)
+        values = mean + rng.standard_normal((4000, 2)) @ np.linalg.cholesky(cov).T
+        draws = PosteriorDraws(values=values, param_names=("b0", "b1"))
+        precision = np.linalg.inv(cov)
+
+        def q(theta):
+            d = np.asarray(theta) - mean
+            return float(-0.5 * d @ precision @ d)
+
+        config = RunConfig(use_variational_correction=True)
+        report = run_loo(model, draws, dataset, prior, config, variational_log_density=q)
+        for r in report.per_observation:
+            x = dataset.features[r.index][None, :]
+            exact = exact_loo_expectation(
+                grid, model, dataset, r.index, lambda nodes: sigmoid(model.mu_batch(nodes, x)[:, 0])
+            )
+            assert abs(r.loo_predictive_prob - exact) <= 3.0 * r.loo_predictive_prob_se, r.index
+
+
+def _assert_same_results(a, b, prob=lambda p: p):
+    for ra, rb in zip(a, b):
+        assert ra.adapted == rb.adapted
+        assert ra.winning_transform == rb.winning_transform
+        assert len(ra.attempts) == len(rb.attempts)
+        assert abs(ra.loo_predictive_prob - prob(rb.loo_predictive_prob)) <= 1e-12
+        assert abs(ra.loo_log_predictive_density - rb.loo_log_predictive_density) <= 1e-12
+
+
+class TestMetamorphic:
+    """Symmetries of the LOO problem that every estimate must respect."""
+
+    @pytest.mark.parametrize("toy", ["logistic", "relu1"])
+    def test_draw_permutation_invariance(self, toy):
+        if toy == "logistic":
+            model, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
+        else:
+            model, dataset, prior, draws = make_relu_toy(seed=67, num_draws=60)
+        perm = np.random.default_rng(1).permutation(draws.num_draws)
+        shuffled = PosteriorDraws(values=draws.values[perm], param_names=draws.param_names)
+        config = RunConfig(hbar_exponents=(0, 1, 2))
+        a = run_loo(model, draws, dataset, prior, config)
+        b = run_loo(model, shuffled, dataset, prior, config)
+        assert any(r.attempts for r in a.per_observation)
+        _assert_same_results(a.per_observation, b.per_observation)
+
+    def test_logistic_label_and_sign_flip(self):
+        # y -> 1 - y and theta -> -theta leave every likelihood unchanged,
+        # so the LOO probability of class 1 becomes one minus itself
+        model, dataset, prior, draws = make_logistic_toy(seed=68, num_draws=80, draw_scale=3.0)
+        flipped_data = Dataset(features=dataset.features, labels=1 - dataset.labels,
+                               feature_names=dataset.feature_names)
+        flipped_draws = PosteriorDraws(values=-draws.values, param_names=draws.param_names)
+        config = RunConfig(hbar_exponents=(0, 1, 2))
+        a = run_loo(model, draws, dataset, prior, config)
+        b = run_loo(model, flipped_draws, flipped_data, prior, config)
+        assert any(r.attempts for r in a.per_observation)
+        _assert_same_results(a.per_observation, b.per_observation, prob=lambda p: 1.0 - p)
+
+    def test_observation_permutation_equivariance(self):
+        model, dataset, prior, draws = make_logistic_toy(seed=69, n=8, num_draws=80, draw_scale=3.0)
+        perm = np.random.default_rng(2).permutation(dataset.n)
+        shuffled = Dataset(features=dataset.features[perm], labels=dataset.labels[perm],
+                           feature_names=dataset.feature_names)
+        config = RunConfig(hbar_exponents=(0, 1, 2))
+        a = run_loo(model, draws, dataset, prior, config)
+        b = run_loo(model, draws, shuffled, prior, config)
+        assert any(r.attempts for r in a.per_observation)
+        reordered = [a.per_observation[j] for j in perm]
+        for ra, rb in zip(reordered, b.per_observation):
+            assert ra.adapted == rb.adapted
+            assert len(ra.attempts) == len(rb.attempts)
+            assert (ra.winning_transform is None) == (rb.winning_transform is None)
+            if ra.winning_transform is not None:
+                assert (ra.winning_transform.kind, ra.winning_transform.hbar) == (
+                    rb.winning_transform.kind, rb.winning_transform.hbar)
+            assert abs(ra.loo_predictive_prob - rb.loo_predictive_prob) <= 1e-12
+            assert abs(ra.loo_log_predictive_density - rb.loo_log_predictive_density) <= 1e-12

@@ -1,11 +1,11 @@
-"""Tail fitting, smoothing and truncation of importance weights."""
+"""Tail fitting and smoothing of importance weights."""
 
 import math
 
 import numpy as np
 import pytest
 
-from looadapt import DomainError, WeightVector, fit_gpd_tail, pareto_smooth, truncate_weights
+from looadapt import DomainError, WeightVector, fit_gpd_tail, pareto_smooth
 from looadapt.gpd import gpd_quantile, tail_size
 
 from conftest import gpd_inverse_cdf_sample
@@ -112,24 +112,14 @@ class TestParetoSmooth:
         direct = fit_gpd_tail(np.sort(np.exp(tail) - math.exp(cutoff)))
         assert fit.khat == pytest.approx(direct.khat, abs=1e-12)
 
-
-class TestTruncateWeights:
-    def test_uniform_unchanged(self):
-        weights = WeightVector.from_log_weights(np.zeros(9))
-        out = truncate_weights(weights)
-        np.testing.assert_allclose(out.normalized, weights.normalized, atol=1e-15)
-
-    def test_hand_evaluated_cap(self):
-        # raw [1, 1, 1, 100]: mean 25.75, cap 25.75 * 2 = 51.5
-        weights = WeightVector.from_log_weights(np.log([1.0, 1.0, 1.0, 100.0]))
-        out = truncate_weights(weights)
-        expected = np.array([1.0, 1.0, 1.0, 51.5])
-        np.testing.assert_allclose(out.normalized, expected / expected.sum(), rtol=1e-12)
-
-    def test_single_weight(self):
-        weights = WeightVector.from_log_weights(np.array([3.7]))
-        out = truncate_weights(weights)
-        np.testing.assert_allclose(out.normalized, [1.0])
+    def test_underflowed_tail_is_unfittable(self):
+        # every tail weight but three underflows to the cutoff: the excesses
+        # hit zero, which is an unfittable tail, not an error
+        lw = np.array([0.0, -1.0, -2.0] + [-800.0 - k for k in range(1997)])
+        weights = WeightVector.from_log_weights(lw)
+        smoothed, fit = pareto_smooth(weights)
+        assert not fit.fittable and fit.khat == math.inf
+        assert smoothed is weights
 
 
 class TestWeightVector:
