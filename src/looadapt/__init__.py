@@ -66,7 +66,7 @@ from .transforms import (
     apply_gradient_transform,
     apply_pmm,
     gradient_direction,
-    gradient_logdet,
+    gradient_jacobian,
 )
 
 __all__ = [
@@ -103,7 +103,7 @@ __all__ = [
     "finite_difference_jacobian",
     "fit_gpd_tail",
     "gradient_direction",
-    "gradient_logdet",
+    "gradient_jacobian",
     "grad_log_likelihood",
     "grad_log_posterior",
     "load_dataset_csv",

@@ -8,6 +8,11 @@ one attempt brings k-hat under the threshold or the grid is exhausted, in
 which case the best attempt is kept and the observation is flagged as
 unreliable. The per-observation loops are independent and can run on a
 thread pool; results are always assembled in observation order.
+
+The posterior is evaluated once per run, at the draws. Each (observation,
+kind) family of attempts lies on one line theta + hbar * D, built once
+(:func:`~looadapt.transforms.step_lines`); a step scale then costs O(S n)
+for the logistic model and O(S n d) for relu1.
 """
 
 from __future__ import annotations
@@ -26,13 +31,15 @@ from .gpd import WeightVector, pareto_smooth
 from .metrics import auprc, auroc, pr_curve, roc_curve
 from .models import (
     GaussianPrior,
+    LinearMuLine,
     PosteriorEvaluation,
+    ReluMuLine,
     SigmoidalModel,
     bernoulli_log_likelihood,
     evaluate_posterior,
     sigmoid,
 )
-from .transforms import TransformSpec, TransformedDraws, apply_transform
+from .transforms import TransformSpec, TransformedDraws, apply_transform, step_lines
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,9 @@ class LooProblem:
     (with the gradient only when KL or Var is in the transform order).
     ``log_proposal`` is the per-draw log density the draws came from, up to
     a constant: the unnormalized log posterior for posterior draws, the
-    variational log density q for variational ones.
+    variational log density q for variational ones. ``log_prior`` and
+    ``mu_origin`` (mu at the draws, with the relu1 pre-activations) are where
+    every step line starts.
     """
 
     model: SigmoidalModel
@@ -104,6 +113,8 @@ class LooProblem:
     evaluation: PosteriorEvaluation
     stats: MarginalStats
     log_proposal: np.ndarray
+    log_prior: np.ndarray
+    mu_origin: LinearMuLine | ReluMuLine
 
     @classmethod
     def build(
@@ -120,11 +131,16 @@ class LooProblem:
         ``variational_log_density`` is required exactly when the config sets
         ``use_variational_correction``, and must be finite at every draw.
         """
+        if config.use_variational_correction and variational_log_density is None:
+            raise DomainError("variational correction requested but no variational log density supplied")
+        if variational_log_density is not None and not config.use_variational_correction:
+            raise DomainError(
+                "a variational log density was supplied but use_variational_correction is off; "
+                "set it in the config to correct for the proposal"
+            )
         with_grad = any(kind in ("KL", "Var") for kind in config.transform_order)
         evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=with_grad)
         if config.use_variational_correction:
-            if variational_log_density is None:
-                raise DomainError("variational correction requested but no variational log density supplied")
             log_proposal = np.array([float(variational_log_density(theta)) for theta in draws.values])
             bad = np.flatnonzero(~np.isfinite(log_proposal))
             if bad.size:
@@ -136,6 +152,8 @@ class LooProblem:
         return cls(
             model=model, dataset=dataset, prior=prior, draws=draws, config=config,
             evaluation=evaluation, stats=marginal_stats(draws), log_proposal=log_proposal,
+            log_prior=prior.log_density_batch(draws.values),
+            mu_origin=model.mu_line(draws.values, dataset.features, evaluation.mu),
         )
 
 
@@ -153,13 +171,14 @@ def eta_weights(problem: LooProblem, transformed: TransformedDraws, i: int) -> W
 
     log eta_k = log |det J_k| - log lik(phi_k | d_i)
                 + [log post(phi_k) - log_proposal(theta_k)],
-    with the posterior evaluated exactly through prior and likelihood terms.
-    Any constant offset in the proposal density cancels under
-    self-normalization. Draws with a non-finite contribution get weight zero.
+    read from the transformed draws' evaluation. Any constant offset in the
+    proposal density cancels under self-normalization. Draws with a
+    non-finite contribution get weight zero.
     """
-    if transformed.phi.shape != problem.draws.values.shape:
+    phi_eval = transformed.evaluation
+    shape = problem.log_proposal.shape
+    if transformed.log_jac_det.shape != shape or phi_eval.log_post.shape != shape:
         raise DomainError("transformed draws are not aligned with the proposal draws")
-    phi_eval = evaluate_posterior(problem.model, transformed.phi, problem.dataset, problem.prior, with_grad=False)
     log_eta = (
         transformed.log_jac_det
         - phi_eval.log_lik[:, i]
@@ -231,10 +250,10 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     # Candidates for "best attempt" always include the raw weights.
     best = (raw_khat, None, None, raw_smoothed)  # (khat, spec, transformed, weights)
     winner = None
-    for kind in config.transform_order:
+    for line in step_lines(i, problem, raw_smoothed):
         for hbar in config.hbar_values:
-            spec = TransformSpec(kind=kind, hbar=hbar, observation_index=i)
-            transformed = apply_transform(spec, problem, raw_smoothed)
+            spec = TransformSpec(kind=line.kind, hbar=hbar, observation_index=i)
+            transformed = apply_transform(spec, problem, line)
             if transformed.degenerate:
                 attempts.append(
                     AttemptRecord(
@@ -274,11 +293,8 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
             break
 
     final_khat, win_spec, win_transformed, final_weights = winner if winner is not None else best
-    if win_transformed is not None:
-        mu_at_phi = problem.model.mu_batch(win_transformed.phi, problem.dataset.features[i][None, :])[:, 0]
-    else:
-        mu_at_phi = evaluation.mu[:, i]
-    prob, prob_se, lpd, lpd_se = _loo_quantities(final_weights, mu_at_phi, y)
+    final_evaluation = evaluation if win_transformed is None else win_transformed.evaluation
+    prob, prob_se, lpd, lpd_se = _loo_quantities(final_weights, final_evaluation.mu[:, i], y)
     adapted = final_khat <= threshold
     return ObservationResult(
         index=i,

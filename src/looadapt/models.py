@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -84,6 +84,17 @@ class GaussianPrior:
     def grad_batch(self, values) -> np.ndarray:
         return -values / self.sd**2
 
+    def line_coefficients(self, values, step):
+        """(theta . D / sd^2, |D / sd|^2) per draw for the line theta + hbar * D.
+
+        ``step`` is D, shaped (P,) or (S, P). Along the line the log density
+        is quadratic in hbar: log_density_batch(theta + hbar * D) =
+        log_density_batch(theta) - hbar * slope - hbar^2 / 2 * curvature.
+        """
+        slope = np.sum(values * (step / self.sd**2), axis=-1)
+        curvature = np.sum((step / self.sd) ** 2, axis=-1)
+        return slope, curvature
+
 
 class SigmoidalModel(abc.ABC):
     """Evaluator bundle for a classifier with outcome probability sigma(mu)."""
@@ -122,6 +133,19 @@ class SigmoidalModel(abc.ABC):
     def grad_mu_batch(self, values, x) -> np.ndarray:
         """grad_mu for every draw at one observation: (S, P) x (p,) -> (S, P)."""
 
+    @abc.abstractmethod
+    def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
+        """sum_n weights[s, n] * grad_mu(theta_s, x_n) for every draw: (S, P)."""
+
+    @abc.abstractmethod
+    def mu_line(self, values, features, mu):
+        """mu at the draws as the origin of lines theta + hbar * D.
+
+        ``mu`` is :meth:`mu_batch` at the draws. The result's ``along(D)``
+        and ``along_gradient(values, x, coef)`` fix a step and its ``at(hbar)``
+        gives mu at theta + hbar * D without forming the moved draws.
+        """
+
 
 @dataclass(frozen=True)
 class LogisticModel(SigmoidalModel):
@@ -155,6 +179,12 @@ class LogisticModel(SigmoidalModel):
 
     def grad_mu_batch(self, values, x) -> np.ndarray:
         return np.tile(np.asarray(x, dtype=float), (values.shape[0], 1))
+
+    def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
+        return np.asarray(weights, dtype=float) @ np.asarray(features, dtype=float)
+
+    def mu_line(self, values, features, mu) -> "LinearMuLine":
+        return LinearMuLine(mu=mu, features=np.asarray(features, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -293,6 +323,97 @@ class ReluOneModel(SigmoidalModel):
         grad[:, -1] = 1.0
         return grad
 
+    def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
+        """One contraction over the observations: the first-layer block is
+        sum_n weights_sn W2_k 1[z1_snk > 0] x_n, the second sum_n weights_sn relu(z1_snk)."""
+        features = np.asarray(features, dtype=float)
+        w1, w2, _ = self._split_batch(values)
+        s, dp = values.shape[0], self.d * self.p
+        z1 = np.einsum("sdp,np->snd", w1, features)
+        active = np.asarray(weights, dtype=float)[:, :, None] * (z1 > 0)
+        grad = np.empty((s, self.param_dim))
+        grad[:, dp : dp + self.d] = np.einsum("snd,snd->sd", active, z1)
+        del z1
+        active *= w2[:, None, :]
+        grad[:, :dp] = np.einsum("snd,np->sdp", active, features).reshape(s, dp)
+        grad[:, -1] = np.sum(weights, axis=1)
+        return grad
+
+    def mu_line(self, values, features, mu) -> "ReluMuLine":
+        features = np.asarray(features, dtype=float)
+        w1, w2, b2 = self._split_batch(values)
+        return ReluMuLine(model=self, z1=np.einsum("sdp,np->snd", w1, features), w2=w2, b2=b2, features=features)
+
+
+@dataclass(frozen=True)
+class LinearMuLine:
+    """mu(theta + hbar * D) = mu + hbar * dmu for a mean linear in theta.
+
+    ``dmu`` = D X^T broadcasts to (S, n); it is 0 at the origin that
+    :meth:`LogisticModel.mu_line` builds.
+    """
+
+    mu: np.ndarray        # (S, n) at the draws
+    features: np.ndarray  # (n, p)
+    dmu: np.ndarray | float = 0.0
+
+    def along(self, step) -> "LinearMuLine":
+        """The line with step D, (P,) or (S, P)."""
+        return replace(self, dmu=step @ self.features.T)
+
+    def along_gradient(self, values, x, coef) -> "LinearMuLine":
+        """The line with step D_s = coef_s * grad_mu(theta_s, x) = coef_s * x: dmu is rank one."""
+        return replace(self, dmu=coef[:, None] * (self.features @ x))
+
+    def at(self, hbar) -> np.ndarray:
+        return self.mu + hbar * self.dmu
+
+
+@dataclass(frozen=True)
+class ReluMuLine:
+    """mu(theta + hbar * D) for the one-hidden-layer network.
+
+    The first-layer pre-activations z1 + hbar * dz and the output weights
+    w2 + hbar * dw2 and bias b2 + hbar * db2 are affine in hbar, so each step
+    scale costs O(S n d). dz = a * g is kept factored (both broadcast to
+    (S, n, d)): a gradient step's first-layer block is a_sk * x, so its dz
+    never needs a dense (S, n, d) array until a step scale is evaluated.
+    """
+
+    model: ReluOneModel
+    z1: np.ndarray        # (S, n, d) at the draws
+    w2: np.ndarray        # (S, d)
+    b2: np.ndarray        # (S,)
+    features: np.ndarray  # (n, p)
+    a: np.ndarray | float = 0.0
+    g: np.ndarray | float = 1.0
+    dw2: np.ndarray | float = 0.0
+    db2: np.ndarray | float = 0.0
+
+    def along(self, step) -> "ReluMuLine":
+        """The line with step D, (P,) or (S, P); dz is one dense contraction."""
+        d, p = self.model.d, self.model.p
+        dw1 = step[..., : d * p].reshape(step.shape[:-1] + (d, p))
+        return replace(
+            self, a=np.einsum("...dp,np->...nd", dw1, self.features), g=1.0,
+            dw2=step[..., d * p : d * p + d], db2=step[..., -1],
+        )
+
+    def along_gradient(self, values, x, coef) -> "ReluMuLine":
+        """The line with step D_s = coef_s * grad_mu(theta_s, x):
+        dz_snk = coef_s W2_sk 1[z1_sk(x) > 0] (x . x_n)."""
+        _, z1x, mask = self.model.forward_batch(values, x)
+        return replace(
+            self, a=(coef[:, None] * self.w2 * mask)[:, None, :], g=(self.features @ x)[None, :, None],
+            dw2=coef[:, None] * (z1x * mask), db2=coef,
+        )
+
+    def at(self, hbar) -> np.ndarray:
+        z = np.multiply(hbar * self.a, self.g)
+        z = np.add(z, self.z1, out=z if z.shape == self.z1.shape else None)
+        np.maximum(z, 0.0, out=z)
+        return np.einsum("snd,sd->sn", z, self.w2 + hbar * self.dw2) + (self.b2 + hbar * self.db2)[:, None]
+
 
 def log_likelihood(model: SigmoidalModel, theta, x, y) -> float:
     """Bernoulli log likelihood of one observation at one parameter vector."""
@@ -359,8 +480,28 @@ def evaluate_posterior(
     log_post = prior.log_density_batch(values) + log_lik.sum(axis=1)
     grad = None
     if with_grad:
-        grad = prior.grad_batch(values).copy()
         resid = dataset.labels[None, :] - sigmoid(mu)
-        for i in range(dataset.n):
-            grad += resid[:, i, None] * model.grad_mu_batch(values, dataset.features[i])
+        grad = prior.grad_batch(values) + model.weighted_grad_mu(values, dataset.features, resid)
     return PosteriorEvaluation(mu=mu, log_lik=log_lik, log_post=log_post, grad_log_post=grad)
+
+
+@dataclass(frozen=True)
+class PosteriorLine:
+    """Posterior terms at phi = theta + hbar * D as functions of hbar.
+
+    The log prior is quadratic in hbar (:meth:`GaussianPrior.line_coefficients`)
+    and mu comes from the model's line, so a step scale costs O(S n) for the
+    logistic model and O(S n d) for relu1 instead of a full evaluation at phi.
+    """
+
+    mu: LinearMuLine | ReluMuLine
+    labels: np.ndarray           # (n,)
+    log_prior: np.ndarray        # (S,) at the draws
+    prior_slope: np.ndarray      # (S,)
+    prior_curvature: np.ndarray | float
+
+    def at(self, hbar) -> PosteriorEvaluation:
+        mu = self.mu.at(hbar)
+        log_lik = bernoulli_log_likelihood(mu, self.labels[None, :])
+        log_prior = self.log_prior - hbar * (self.prior_slope + 0.5 * hbar * self.prior_curvature)
+        return PosteriorEvaluation(mu=mu, log_lik=log_lik, log_post=log_prior + log_lik.sum(axis=1), grad_log_post=None)

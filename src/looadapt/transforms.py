@@ -18,6 +18,11 @@ constant rescaling of Q.
 Internally every Q row is factored as sign * exp(scale) * direction so that
 the posterior-density factor never overflows; the same h and scale feed the
 determinant formulas, ensuring step and Jacobian describe the same map.
+
+For one observation and kind every step scale moves the draws along one
+line, phi = theta + hbar * D. A :class:`StepLine` holds D and everything
+else that does not depend on hbar; :func:`apply_transform` evaluates one
+step scale of it without forming phi.
 """
 
 from __future__ import annotations
@@ -33,13 +38,20 @@ from .data import (
     GRADIENT_KINDS,
     MarginalStats,
     PMM_KINDS,
-    PosteriorDraws,
     TRANSFORM_KINDS,
     marginal_stats,
 )
 from .errors import DomainError
 from .gpd import WeightVector
-from .models import LogisticModel, ReluOneModel, SigmoidalModel, sigmoid, sigmoid_slope
+from .models import (
+    LogisticModel,
+    PosteriorEvaluation,
+    PosteriorLine,
+    ReluOneModel,
+    SigmoidalModel,
+    sigmoid,
+    sigmoid_slope,
+)
 
 if TYPE_CHECKING:
     from .engine import LooProblem
@@ -68,8 +80,10 @@ class TransformSpec:
 
 @dataclass(frozen=True)
 class TransformedDraws:
-    """Transformed draw matrix with per-draw log |Jacobian determinant|.
+    """One attempt: the posterior at the transformed draws and per-draw log |det J|.
 
+    ``evaluation`` holds mu, log likelihood and log posterior at the
+    transformed draws phi (without the gradient); phi itself is never formed.
     ``log_jac_det`` entries are finite except for draws where the map is
     numerically singular, which carry -inf (their transformed weight is
     zero). ``degenerate`` marks a transform that collapsed to the identity
@@ -77,7 +91,7 @@ class TransformedDraws:
     attempt.
     """
 
-    phi: np.ndarray
+    evaluation: PosteriorEvaluation
     log_jac_det: np.ndarray
     h_used: float
     degenerate: bool = False
@@ -85,10 +99,35 @@ class TransformedDraws:
     max_step_sd: float = 0.0
 
 
-def _identity_transform(values: np.ndarray, flags: tuple[str, ...]) -> TransformedDraws:
+@dataclass(frozen=True)
+class StepLine:
+    """Every attempt of one (observation, kind) family: phi = theta + hbar * step.
+
+    For one observation and kind the map's direction is fixed, so each
+    attempt on the step-scale grid is a point on one line. The line is built
+    once, by :func:`apply_pmm` or :func:`apply_gradient_transform`, with
+    everything that does not depend on hbar; :func:`apply_transform` then
+    evaluates one step scale. ``step`` is D, the hbar = 1 step, shaped (P,)
+    or (S, P); it is None for a family that is the identity at every step
+    scale, whose ``flags`` say why. ``jacobian`` is the diagonal of dD/dtheta
+    for PMM kinds and the h-independent determinant factors for gradient
+    kinds, whose step size at hbar = 1 is exp(``log_h``).
+    """
+
+    kind: str
+    observation_index: int
+    step: np.ndarray | None
+    posterior: PosteriorLine | None = None
+    jacobian: np.ndarray | GradientJacobian | None = None
+    log_h: float = 0.0
+    max_step_sd: float = 0.0
+    flags: tuple[str, ...] = ()
+
+
+def _identity_transform(problem: LooProblem, flags: tuple[str, ...]) -> TransformedDraws:
     return TransformedDraws(
-        phi=values.copy(),
-        log_jac_det=np.zeros(values.shape[0]),
+        evaluation=problem.evaluation,
+        log_jac_det=np.zeros(problem.draws.num_draws),
         h_used=0.0,
         degenerate=True,
         flags=flags,
@@ -109,24 +148,25 @@ def gradient_direction(
     log_post: np.ndarray,
     log_ref,
 ):
-    """Factor the Q rows of a batch of draws as exp(scale_k) * direction_k.
+    """Factor the Q rows of a batch of draws as exp(scale_k) * factor_k * grad_mu_k.
 
+    Returns ``(scale, factor, grad)`` with grad_mu at observation i per draw.
     ``mu_col`` and ``log_post`` are mu at observation i and the unnormalized
     log posterior per draw; ``log_ref`` anchors the posterior-density factor
     (the largest log posterior over the draw set in the engine). The sign of
-    Q lives in the direction. LL ignores ``log_post`` and ``log_ref``.
+    Q lives in the factor. LL ignores ``log_post`` and ``log_ref``.
     """
     x = dataset.features[i]
     y = int(dataset.labels[i])
     grad = model.grad_mu_batch(values, x)
     if kind == "LL":
         scale = np.zeros(values.shape[0])
-        direction = (sigmoid(mu_col) - y)[:, None] * grad
+        factor = sigmoid(mu_col) - y
     else:
         expo = 1.0 if kind == "KL" else 2.0
         scale = (log_post - log_ref) + expo * mu_col * (1.0 - 2.0 * y)
-        direction = ((-1.0) ** y) * grad
-    return scale, direction
+        factor = np.full(values.shape[0], (-1.0) ** y)
+    return scale, factor, grad
 
 
 def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray, hbar: float) -> float:
@@ -160,48 +200,64 @@ def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray, hbar
 #     LL:     alpha = h (sigma - y),  uvec = h sigma(1-sigma) grad_mu
 # so |det J| = prod_j (1 + alpha lambda_j) * (1 + grad_mu^T A^{-1} uvec)
 # with A = I + alpha * hessian(mu), diagonal in the Hessian eigenbasis.
+# Writing e = exp(log h + scale), alpha = e * alpha_factor and
+# uvec = e * uvec_factor * v with v free of h, every projection of grad_mu
+# and v is computed once per (observation, kind); a step scale then costs
+# O(S) scalars (logistic) or O(S d) (relu1).
 
 
-def _alpha_uvec(kind, model, values, dataset, i, mu_col, log_h, scale, grad_log_post):
-    x = dataset.features[i]
-    y = int(dataset.labels[i])
-    grad = model.grad_mu_batch(values, x)
-    if kind == "LL":
-        h = math.exp(log_h)
-        alpha = h * (sigmoid(mu_col) - y)
-        uvec = h * sigmoid_slope(mu_col)[:, None] * grad
-    else:
-        expo = 1.0 if kind == "KL" else 2.0
-        g = expo * (1.0 - 2.0 * y)
-        c = ((-1.0) ** y) * np.exp(log_h + scale)
-        alpha = c
-        uvec = c[:, None] * (grad_log_post + g * grad)
-    return alpha, uvec, grad
+@dataclass(frozen=True)
+class GradientJacobian:
+    """The h-independent factors of the exact log |det J| of a gradient step.
+
+    ``base`` is grad_mu . v per draw. For relu1, ``unorm`` is |u_k| per
+    (draw, active unit) (the Hessian eigenvalues are +-|u_k|) and ``plus`` /
+    ``minus`` are the products of the eigenbasis projections of grad_mu and
+    v; all three are None for the logistic model, whose Hessian vanishes.
+    """
+
+    scale: np.ndarray
+    alpha_factor: np.ndarray
+    uvec_factor: np.ndarray | float
+    base: np.ndarray
+    unorm: np.ndarray | None = None
+    plus: np.ndarray | None = None
+    minus: np.ndarray | None = None
+
+    def logdet(self, log_h: float):
+        """Per-draw log |det J| at step size exp(log_h), and its flags."""
+        e = np.exp(log_h + self.scale)
+        c = e * self.uvec_factor
+        rank_one = 1.0 + c * self.base
+        if self.unorm is None:
+            singular = np.abs(rank_one) < SINGULAR_EPS
+            logdet = np.log(np.maximum(np.abs(rank_one), SINGULAR_EPS))
+        else:
+            alpha = (e * self.alpha_factor)[:, None]
+            fplus = 1.0 + alpha * self.unorm
+            fminus = 1.0 - alpha * self.unorm
+            # grad_mu^T A^{-1} uvec; components outside the eigenbasis pass through.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                corr = (1.0 / fplus - 1.0) * self.plus + (1.0 / fminus - 1.0) * self.minus
+            rank_one = rank_one + c * corr.sum(axis=1)
+            eig_factors = np.abs(fplus * fminus)  # per unit |1 - alpha^2 |u|^2|
+            singular = (eig_factors < SINGULAR_EPS).any(axis=1) | (np.abs(rank_one) < SINGULAR_EPS)
+            logdet = np.log(np.maximum(eig_factors, SINGULAR_EPS)).sum(axis=1) + np.log(
+                np.maximum(np.abs(rank_one), SINGULAR_EPS)
+            )
+        logdet = np.where(singular, -np.inf, logdet)
+        return logdet, ("singular-jacobian",) if singular.any() else ()
 
 
-def _logdet_logistic_batch(alpha, uvec, grad):
-    # hessian(mu) = 0: pure rank-one update.
-    det = 1.0 + np.einsum("sp,sp->s", grad, uvec)
-    flags = []
-    logdet = np.where(np.abs(det) < SINGULAR_EPS, -np.inf, np.log(np.maximum(np.abs(det), SINGULAR_EPS)))
-    if np.any(np.abs(det) < SINGULAR_EPS):
-        flags.append("singular-jacobian")
-    return logdet, tuple(flags)
+def _relu1_projections(model: ReluOneModel, values, x, grad, v):
+    """Per-unit projections onto the Hessian eigenvectors; no P x P matrix is formed.
 
-
-def _logdet_relu1_batch(model: ReluOneModel, values, x, alpha, uvec, grad):
-    """Rank-one determinant update in the Hessian eigenbasis.
-
-    Works entirely with per-unit projections: no P x P matrix is formed.
     Inactive units carry eigenvalue 0 and drop out of every correction term.
     """
     d, p = model.d, model.p
     s = values.shape[0]
-    w1 = values[:, : d * p].reshape(s, d, p)
-    z1 = np.einsum("sdp,p->sd", w1, x)
-    mask = (z1 > 0).astype(float)
-    xnorm = float(np.linalg.norm(x))
-    unorm = mask * xnorm  # |u_k| per (draw, unit)
+    _, _, mask = model.forward_batch(values, x)
+    unorm = mask * float(np.linalg.norm(x))  # |u_k| per (draw, unit)
 
     def _proj(w):
         # v_{k,+-}^T w = (u_k . w1-block_k) / (sqrt(2) |u_k|) +- w2_k / sqrt(2)
@@ -213,137 +269,44 @@ def _logdet_relu1_batch(model: ReluOneModel, values, x, alpha, uvec, grad):
         b = wk / math.sqrt(2.0)
         return a + b, a - b
 
-    fplus = 1.0 + alpha[:, None] * unorm
-    fminus = 1.0 - alpha[:, None] * unorm
-
     gp, gm = _proj(grad)
-    up, um = _proj(uvec)
-    # grad_mu^T A^{-1} uvec; components outside the eigenbasis pass through.
-    with np.errstate(divide="ignore"):
-        corr = ((1.0 / fplus - 1.0) * gp * up + (1.0 / fminus - 1.0) * gm * um) * mask
-    base = np.einsum("sp,sp->s", grad, uvec)
-    rank_one = 1.0 + base + corr.sum(axis=1)
-
-    eig_factors = np.abs(fplus * fminus)  # per unit |1 - alpha^2 |u|^2|
-    singular = (eig_factors < SINGULAR_EPS).any(axis=1) | (np.abs(rank_one) < SINGULAR_EPS)
-    with np.errstate(divide="ignore"):
-        logdet = np.log(np.maximum(eig_factors, SINGULAR_EPS)).sum(axis=1) + np.log(
-            np.maximum(np.abs(rank_one), SINGULAR_EPS)
-        )
-    logdet = np.where(singular, -np.inf, logdet)
-    flags = ("singular-jacobian",) if singular.any() else ()
-    return logdet, flags
+    vp, vm = _proj(v)
+    return unorm, gp * vp * mask, gm * vm * mask
 
 
-def gradient_logdet(kind, model, values, dataset, i, mu_col, log_h, scale, grad_log_post):
-    """Exact per-draw log |det J| of the step theta + exp(log_h + scale) * direction.
+def gradient_jacobian(kind, model, values, dataset, i, mu_col, scale, grad_log_post) -> GradientJacobian:
+    """The determinant factors of the step theta + exp(log_h + scale) * factor * grad_mu.
 
-    ``scale`` comes from :func:`gradient_direction` and ``log_h`` from
-    :func:`log_step_size`, so step and determinant describe the same map;
-    ``grad_log_post`` (KL/Var only) is the per-draw gradient of the log
-    posterior. Closed forms exist for the two built-in model families only:
-    any other model is a ``DomainError``. Returns ``(logdet, flags)``.
+    ``scale`` comes from :func:`gradient_direction` and ``log_h`` (passed to
+    :meth:`GradientJacobian.logdet`) from :func:`log_step_size`, so step and
+    determinant describe the same map. ``grad_log_post`` (KL/Var only) is
+    the per-draw gradient of the log posterior. Closed forms exist for the
+    two built-in model families only: any other model is a ``DomainError``.
     """
     if kind not in GRADIENT_KINDS:
         raise DomainError(f"exact determinants are defined for {GRADIENT_KINDS}, got {kind!r}")
     if not isinstance(model, (LogisticModel, ReluOneModel)):
         raise DomainError(f"no exact Jacobian determinant for {type(model).__name__}")
-    alpha, uvec, grad = _alpha_uvec(kind, model, values, dataset, i, mu_col, log_h, scale, grad_log_post)
+    x = dataset.features[i]
+    y = int(dataset.labels[i])
+    grad = model.grad_mu_batch(values, x)
+    if kind == "LL":
+        alpha_factor, uvec_factor = sigmoid(mu_col) - y, 1.0
+        v = sigmoid_slope(mu_col)[:, None] * grad
+    else:
+        expo = 1.0 if kind == "KL" else 2.0
+        alpha_factor = uvec_factor = np.full(values.shape[0], (-1.0) ** y)
+        v = grad_log_post + expo * (1.0 - 2.0 * y) * grad
+    base = np.einsum("sp,sp->s", grad, v)
     if isinstance(model, ReluOneModel):
-        return _logdet_relu1_batch(model, values, dataset.features[i], alpha, uvec, grad)
-    return _logdet_logistic_batch(alpha, uvec, grad)
+        unorm, plus, minus = _relu1_projections(model, values, x, grad, v)
+        return GradientJacobian(scale, alpha_factor, uvec_factor, base, unorm, plus, minus)
+    return GradientJacobian(scale, alpha_factor, uvec_factor, base)
 
 
 # ---------------------------------------------------------------------------
-# Whole-draw-set application
+# Step lines: one per (observation, kind), evaluated per step scale
 # ---------------------------------------------------------------------------
-
-def apply_gradient_transform(spec: TransformSpec, problem: LooProblem) -> TransformedDraws:
-    """Apply one KL/Var/LL step to every draw with its step-size rule.
-
-    The per-draw log-determinant is exact. A zero step (all-zero Q or a zero
-    posterior sd in a moving component) returns the identity with
-    ``degenerate=True``.
-    """
-    if spec.kind not in GRADIENT_KINDS:
-        raise DomainError(f"apply_gradient_transform handles {GRADIENT_KINDS}, got {spec.kind!r}")
-    model, dataset, evaluation = problem.model, problem.dataset, problem.evaluation
-    if spec.kind != "LL" and evaluation.grad_log_post is None:
-        raise DomainError(f"{spec.kind} needs the posterior gradient, which this problem was built without")
-    values = problem.draws.values
-    stats = problem.stats
-    i = spec.observation_index
-    mu_col = evaluation.mu[:, i]
-    scale, direction = gradient_direction(
-        spec.kind, model, values, dataset, i, mu_col, evaluation.log_post, evaluation.log_ref
-    )
-    log_h = log_step_size(scale, direction, stats.sd, spec.hbar)
-    if log_h == -np.inf:
-        return _identity_transform(values, flags=("zero-step",))
-
-    step = np.exp(log_h + scale)[:, None] * direction
-    logdet, flags = gradient_logdet(
-        spec.kind, model, values, dataset, i, mu_col, log_h, scale, evaluation.grad_log_post
-    )
-    return TransformedDraws(
-        phi=values + step,
-        log_jac_det=logdet,
-        h_used=float(np.exp(log_h)),
-        degenerate=False,
-        flags=flags,
-        max_step_sd=_shift_in_sd_units(step, stats.sd),
-    )
-
-
-def apply_pmm(
-    spec: TransformSpec,
-    draws: PosteriorDraws,
-    nu_weights: WeightVector,
-    stats: MarginalStats,
-) -> TransformedDraws:
-    """Apply a damped moment-matching map to every draw.
-
-    PMM1 translates by hbar times the gap between weighted and plain means
-    (log-determinant exactly 0). PMM2 additionally rescales each centered
-    component by the weighted/plain sd ratio; a zero plain variance in any
-    component makes the rescaling unavailable and the transform is skipped.
-    """
-    if spec.kind not in PMM_KINDS:
-        raise DomainError(f"apply_pmm handles {PMM_KINDS}, got {spec.kind!r}")
-    values = draws.values
-    hbar = spec.hbar
-    wstats = marginal_stats(draws, nu_weights.normalized)
-    s = draws.num_draws
-
-    if spec.kind == "PMM1":
-        shift = hbar * (wstats.weighted_mean - stats.mean)
-        return TransformedDraws(
-            phi=values + shift,
-            log_jac_det=np.zeros(s),
-            h_used=hbar,
-            degenerate=False,
-            flags=(),
-            max_step_sd=_shift_in_sd_units(shift, stats.sd),
-        )
-
-    if np.any(stats.variance == 0):
-        return _identity_transform(values, flags=("pmm2-unavailable",))
-    ratio = np.sqrt(wstats.weighted_variance / stats.variance)
-    coef = 1.0 + hbar * (ratio - 1.0)
-    if np.any(np.abs(coef) < SINGULAR_EPS):
-        return _identity_transform(values, flags=("pmm2-singular",))
-    step = hbar * (ratio * (values - stats.mean) + wstats.weighted_mean - values)
-    phi = values + step
-    logdet = float(np.log(np.abs(coef)).sum())
-    return TransformedDraws(
-        phi=phi,
-        log_jac_det=np.full(s, logdet),
-        h_used=hbar,
-        degenerate=False,
-        flags=(),
-        max_step_sd=_shift_in_sd_units(step, stats.sd),
-    )
-
 
 def _shift_in_sd_units(step: np.ndarray, sd: np.ndarray) -> float:
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -351,9 +314,110 @@ def _shift_in_sd_units(step: np.ndarray, sd: np.ndarray) -> float:
     return float(scaled.max()) if scaled.size else 0.0
 
 
-def apply_transform(spec: TransformSpec, problem: LooProblem, nu_weights: WeightVector) -> TransformedDraws:
-    """Dispatch on the transform kind; PMM kinds move toward the moments of
-    the smoothed raw weights ``nu_weights``."""
-    if spec.kind in PMM_KINDS:
-        return apply_pmm(spec, problem.draws, nu_weights, problem.stats)
-    return apply_gradient_transform(spec, problem)
+def _line(kind, i, problem: LooProblem, step, mu_line, jacobian, log_h=0.0) -> StepLine:
+    values = problem.draws.values
+    slope, curvature = problem.prior.line_coefficients(values, step)
+    posterior = PosteriorLine(mu_line, problem.dataset.labels, problem.log_prior, slope, curvature)
+    return StepLine(
+        kind=kind, observation_index=i, step=step, posterior=posterior, jacobian=jacobian,
+        log_h=log_h, max_step_sd=_shift_in_sd_units(step, problem.stats.sd),
+    )
+
+
+def apply_gradient_transform(kind: str, i: int, problem: LooProblem) -> StepLine:
+    """The line of KL/Var/LL steps for observation i under the step-size rule.
+
+    D is the hbar = 1 step; hbar scales the step size h, so every attempt
+    is theta + hbar * D with an exact per-draw log-determinant. A zero step
+    (all-zero Q or a zero posterior sd in a moving component) makes every
+    attempt the identity with the ``zero-step`` flag.
+    """
+    if kind not in GRADIENT_KINDS:
+        raise DomainError(f"apply_gradient_transform handles {GRADIENT_KINDS}, got {kind!r}")
+    model, dataset, evaluation = problem.model, problem.dataset, problem.evaluation
+    if kind != "LL" and evaluation.grad_log_post is None:
+        raise DomainError(f"{kind} needs the posterior gradient, which this problem was built without")
+    values = problem.draws.values
+    mu_col = evaluation.mu[:, i]
+    scale, factor, grad = gradient_direction(
+        kind, model, values, dataset, i, mu_col, evaluation.log_post, evaluation.log_ref
+    )
+    log_h = log_step_size(scale, factor[:, None] * grad, problem.stats.sd, 1.0)
+    if log_h == -np.inf:
+        return StepLine(kind=kind, observation_index=i, step=None, flags=("zero-step",))
+    coef = np.exp(log_h + scale) * factor
+    jacobian = gradient_jacobian(kind, model, values, dataset, i, mu_col, scale, evaluation.grad_log_post)
+    mu_line = problem.mu_origin.along_gradient(values, dataset.features[i], coef)
+    return _line(kind, i, problem, coef[:, None] * grad, mu_line, jacobian, log_h)
+
+
+def apply_pmm(kind: str, i: int, problem: LooProblem, weighted: MarginalStats) -> StepLine:
+    """The line of damped moment-matching maps toward ``weighted``'s moments.
+
+    PMM1 translates by hbar times the gap between weighted and plain means
+    (log-determinant exactly 0). PMM2 additionally rescales each centered
+    component by the weighted/plain sd ratio; a zero plain variance in any
+    component makes the rescaling unavailable and every attempt the
+    identity with the ``pmm2-unavailable`` flag.
+    """
+    if kind not in PMM_KINDS:
+        raise DomainError(f"apply_pmm handles {PMM_KINDS}, got {kind!r}")
+    values = problem.draws.values
+    stats = problem.stats
+    if kind == "PMM1":
+        step = weighted.weighted_mean - stats.mean
+        diagonal = np.zeros(values.shape[1])
+    else:
+        if np.any(stats.variance == 0):
+            return StepLine(kind=kind, observation_index=i, step=None, flags=("pmm2-unavailable",))
+        ratio = np.sqrt(weighted.weighted_variance / stats.variance)
+        step = ratio * (values - stats.mean) + weighted.weighted_mean - values
+        diagonal = ratio - 1.0
+    return _line(kind, i, problem, step, problem.mu_origin.along(step), diagonal)
+
+
+def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
+    """Yield the line of each configured kind for observation i, in order.
+
+    PMM kinds move toward the moments of the smoothed raw weights
+    ``nu_weights``, computed once, when the first PMM line is needed.
+    """
+    weighted = None
+    for kind in problem.config.transform_order:
+        if kind in PMM_KINDS:
+            if weighted is None:
+                weighted = marginal_stats(problem.draws, nu_weights.normalized)
+            yield apply_pmm(kind, i, problem, weighted)
+        else:
+            yield apply_gradient_transform(kind, i, problem)
+
+
+def apply_transform(spec: TransformSpec, problem: LooProblem, line: StepLine) -> TransformedDraws:
+    """Evaluate one step scale of ``line``: phi = theta + hbar * D.
+
+    Costs O(S n) for the logistic model and O(S n d) for relu1, plus O(P)
+    (PMM) or O(S) / O(S d) (gradient kinds) for the determinant.
+    """
+    if (spec.kind, spec.observation_index) != (line.kind, line.observation_index):
+        raise DomainError(f"{spec} is not on the {line.kind} line of observation {line.observation_index}")
+    if line.step is None:
+        return _identity_transform(problem, line.flags)
+    hbar = spec.hbar
+    if line.kind in PMM_KINDS:
+        coef = 1.0 + hbar * line.jacobian
+        if np.any(np.abs(coef) < SINGULAR_EPS):
+            return _identity_transform(problem, ("pmm2-singular",))
+        h_used, flags = hbar, ()
+        log_jac_det = np.full(problem.draws.num_draws, float(np.log(np.abs(coef)).sum()))
+    else:
+        log_h = math.log(hbar) + line.log_h
+        h_used = math.exp(log_h)
+        log_jac_det, flags = line.jacobian.logdet(log_h)
+    return TransformedDraws(
+        evaluation=line.posterior.at(hbar),
+        log_jac_det=log_jac_det,
+        h_used=h_used,
+        degenerate=False,
+        flags=flags,
+        max_step_sd=hbar * line.max_step_sd,
+    )

@@ -13,12 +13,19 @@ from looadapt import (
     LogisticModel,
     PosteriorDraws,
     ReluOneModel,
+    TransformSpec,
+    TransformedDraws,
+    apply_gradient_transform,
+    apply_pmm,
     build_grid_posterior,
     finite_difference_jacobian,
     gradient_direction,
-    gradient_logdet,
+    gradient_jacobian,
+    marginal_stats,
 )
+from looadapt.data import PMM_KINDS
 from looadapt.models import evaluate_posterior
+from looadapt.transforms import apply_transform
 
 
 def make_logistic_toy(seed=42, n=6, p=3, prior_sd=2.0, num_draws=50, draw_scale=1.0):
@@ -94,8 +101,8 @@ def _one_draw(kind, model, theta, dataset, prior, i, log_ref):
     values = np.asarray(theta, dtype=float)[None, :]
     ev = evaluate_posterior(model, values, dataset, prior, with_grad=kind != "LL")
     ref = ev.log_ref if log_ref is None else log_ref
-    scale, direction = gradient_direction(kind, model, values, dataset, i, ev.mu[:, i], ev.log_post, ref)
-    return values, ev, scale, direction
+    scale, factor, grad = gradient_direction(kind, model, values, dataset, i, ev.mu[:, i], ev.log_post, ref)
+    return values, ev, scale, factor[:, None] * grad
 
 
 def q_at(kind, model, theta, dataset, prior, i, log_ref=None):
@@ -113,7 +120,8 @@ def logdet_at(kind, model, theta, dataset, prior, i, h, log_ref=None):
     """Exact log |det J| of theta -> theta + h Q(theta) on a batch of one draw."""
     values, ev, scale, _ = _one_draw(kind, model, theta, dataset, prior, i, log_ref)
     log_h = math.log(h) if h > 0 else -math.inf
-    logdet, _ = gradient_logdet(kind, model, values, dataset, i, ev.mu[:, i], log_h, scale, ev.grad_log_post)
+    jacobian = gradient_jacobian(kind, model, values, dataset, i, ev.mu[:, i], scale, ev.grad_log_post)
+    logdet, _ = jacobian.logdet(log_h)
     return float(logdet[0])
 
 
@@ -123,6 +131,25 @@ def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6
         lambda t: q_at(kind, model, t, dataset, prior, i, log_ref), theta, step * np.ones(len(theta))
     )
     return float(np.trace(jac))
+
+
+def identity_transform(problem):
+    """The identity map as an attempt: the transformed draws are the draws."""
+    return TransformedDraws(
+        evaluation=problem.evaluation, log_jac_det=np.zeros(problem.draws.num_draws), h_used=0.0
+    )
+
+
+def attempt(problem, kind, i, hbar, nu_weights=None):
+    """(line, transformed draws) of one scan attempt at step scale ``hbar``.
+
+    PMM kinds move toward the moments of ``nu_weights``.
+    """
+    if kind in PMM_KINDS:
+        line = apply_pmm(kind, i, problem, marginal_stats(problem.draws, nu_weights.normalized))
+    else:
+        line = apply_gradient_transform(kind, i, problem)
+    return line, apply_transform(TransformSpec(kind=kind, hbar=hbar, observation_index=i), problem, line)
 
 
 def gpd_inverse_cdf_sample(rng, k, sigma, size):

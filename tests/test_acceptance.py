@@ -47,11 +47,11 @@ from looadapt.oracle import (
     loo_probabilities,
     sample_grid_posterior,
 )
-from looadapt.transforms import TransformSpec, TransformedDraws, apply_gradient_transform
-
 from conftest import (
+    attempt,
     fd_divergence,
     gpd_inverse_cdf_sample,
+    identity_transform,
     logdet_at,
     make_grid_instance_2,
     make_logistic_toy,
@@ -81,15 +81,10 @@ def test_criterion_01_identity_transform_equivalence():
             model, dataset, prior, draws = make_logistic_toy(
                 seed=1000 + seed, n=4, p=2, num_draws=30
             )
-            identity = TransformedDraws(
-                phi=draws.values.copy(),
-                log_jac_det=np.zeros(draws.num_draws),
-                h_used=0.0,
-            )
             i = seed % dataset.n
             problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
             nu = raw_weights(problem.evaluation, problem.log_proposal, i)
-            eta = eta_weights(problem, identity, i)
+            eta = eta_weights(problem, identity_transform(problem), i)
             assert np.max(np.abs(eta.normalized - nu.normalized)) <= 1e-12
 
 
@@ -175,8 +170,7 @@ def _determinant_cell(kind, model, dataset, prior, draws, i, hbar, fd_step_scale
     """Check exact vs finite-difference log-determinants for one grid cell."""
     problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
     stats = problem.stats
-    spec = TransformSpec(kind=kind, hbar=hbar, observation_index=i)
-    out = apply_gradient_transform(spec, problem)
+    _, out = attempt(problem, kind, i, hbar)
     assert not out.degenerate
     ref = problem.evaluation.log_ref
 

@@ -1,6 +1,7 @@
 """Importance weights, the adaptation loop, and LOO summaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from looadapt import (
     LooProblem,
     PosteriorDraws,
     RunConfig,
-    TransformSpec,
     WeightVector,
     adapt_observation,
     eta_weights,
@@ -23,19 +23,11 @@ from looadapt import (
     sigmoid,
 )
 from looadapt.engine import ObservationResult, self_normalized_se, _loo_quantities
-from looadapt.models import log_posterior_unnorm
+from looadapt.models import evaluate_posterior, log_posterior_unnorm
 from looadapt.oracle import exact_loo_expectation, sample_grid_posterior
-from looadapt.transforms import TransformedDraws, apply_gradient_transform
+from looadapt.transforms import TransformedDraws
 
-from conftest import make_grid_instance_2, make_logistic_toy, make_relu_toy
-
-
-def _identity(draws):
-    return TransformedDraws(
-        phi=draws.values.copy(),
-        log_jac_det=np.zeros(draws.num_draws),
-        h_used=0.0,
-    )
+from conftest import attempt, identity_transform, make_grid_instance_2, make_logistic_toy, make_relu_toy
 
 
 def _raw(problem, i):
@@ -71,22 +63,17 @@ class TestEtaWeights:
         model, dataset, prior, draws = make_logistic_toy(seed=51)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         nu = _raw(problem, 2)
-        eta = eta_weights(problem, _identity(draws), 2)
+        eta = eta_weights(problem, identity_transform(problem), 2)
         np.testing.assert_allclose(eta.normalized, nu.normalized, atol=1e-12)
 
     def test_constant_posterior_shift_cancels(self):
         model, dataset, prior, draws = make_logistic_toy(seed=52)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-        spec = TransformSpec(kind="KL", hbar=0.25, observation_index=1)
-        td = apply_gradient_transform(spec, problem)
+        _, td = attempt(problem, "KL", 1, 0.25)
         base = eta_weights(problem, td, 1)
         # shifting every log weight by a constant is a no-op after
         # normalization; emulate by rescaling the jacobian column
-        shifted = TransformedDraws(
-            phi=td.phi,
-            log_jac_det=td.log_jac_det + 5.0,
-            h_used=td.h_used,
-        )
+        shifted = replace(td, log_jac_det=td.log_jac_det + 5.0)
         again = eta_weights(problem, shifted, 1)
         np.testing.assert_allclose(again.normalized, base.normalized, atol=1e-12)
 
@@ -94,10 +81,14 @@ class TestEtaWeights:
         model, dataset, prior, draws = make_logistic_toy(seed=53)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         bad = TransformedDraws(
-            phi=draws.values[:-1].copy(),
+            evaluation=problem.evaluation,
             log_jac_det=np.zeros(draws.num_draws - 1),
             h_used=0.0,
         )
+        with pytest.raises(DomainError):
+            eta_weights(problem, bad, 0)
+        fewer = evaluate_posterior(model, draws.values[:-1], dataset, prior, with_grad=False)
+        bad = TransformedDraws(evaluation=fewer, log_jac_det=np.zeros(draws.num_draws), h_used=0.0)
         with pytest.raises(DomainError):
             eta_weights(problem, bad, 0)
 
@@ -108,15 +99,14 @@ class TestEtaWeights:
         draws = PosteriorDraws(values=values, param_names=("b0", "b1"))
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         i = 4
-        spec = TransformSpec(kind="KL", hbar=0.25, observation_index=i)
-        td = apply_gradient_transform(spec, problem)
+        _, td = attempt(problem, "KL", i, 0.25)
         eta = eta_weights(problem, td, i)
 
         def f(nodes):
             return sigmoid(model.mu_batch(nodes, dataset.features[i][None, :])[:, 0])
 
         exact = exact_loo_expectation(grid, model, dataset, i, f)
-        values_at_phi = f(td.phi)
+        values_at_phi = sigmoid(td.evaluation.mu[:, i])
         estimate = float(eta.normalized @ values_at_phi)
         se = self_normalized_se(eta.normalized, values_at_phi)
         assert abs(estimate - exact) <= 3.0 * se
@@ -138,7 +128,7 @@ class TestChiWeights:
             return log_posterior_unnorm(model, theta, dataset, prior)
 
         problem = _variational_problem(model, draws, dataset, prior, variational)
-        chi = eta_weights(problem, _identity(draws), 3)
+        chi = eta_weights(problem, identity_transform(problem), 3)
         np.testing.assert_allclose(chi.normalized, nu.normalized, atol=1e-12)
         np.testing.assert_allclose(_raw(problem, 3).normalized, nu.normalized, atol=1e-12)
 
@@ -151,8 +141,10 @@ class TestChiWeights:
         def variational_scaled(theta):
             return variational(theta) + 11.5
 
-        a = eta_weights(_variational_problem(model, draws, dataset, prior, variational), _identity(draws), 0)
-        b = eta_weights(_variational_problem(model, draws, dataset, prior, variational_scaled), _identity(draws), 0)
+        pa = _variational_problem(model, draws, dataset, prior, variational)
+        pb = _variational_problem(model, draws, dataset, prior, variational_scaled)
+        a = eta_weights(pa, identity_transform(pa), 0)
+        b = eta_weights(pb, identity_transform(pb), 0)
         np.testing.assert_allclose(a.normalized, b.normalized, atol=1e-12)
 
     def test_crude_gaussian_proposal_within_three_se(self):
@@ -168,7 +160,7 @@ class TestChiWeights:
 
         i = 2
         problem = _variational_problem(model, draws, dataset, prior, variational)
-        chi = eta_weights(problem, _identity(draws), i)
+        chi = eta_weights(problem, identity_transform(problem), i)
 
         def f(nodes):
             return sigmoid(model.mu_batch(nodes, dataset.features[i][None, :])[:, 0])
@@ -233,6 +225,22 @@ class TestAdaptObservation:
             LooProblem.build(model, draws, dataset, prior, config)
         with pytest.raises(DomainError, match="no variational log density"):
             run_loo(model, draws, dataset, prior, config)
+
+    def test_density_without_flag_is_rejected(self):
+        # q passed without use_variational_correction used to be ignored
+        # silently: LOO-IC 11.42 with or without q, against 9.74 corrected
+        tau = 0.8
+        model, dataset, prior, draws = make_logistic_toy(seed=64, p=2, num_draws=400, draw_scale=tau)
+
+        def proposal_log_density(theta):
+            return float(-0.5 * np.sum((np.asarray(theta) / tau) ** 2))
+
+        for build in (LooProblem.build, run_loo):
+            with pytest.raises(DomainError, match="use_variational_correction is off"):
+                build(model, draws, dataset, prior, RunConfig(), variational_log_density=proposal_log_density)
+        corrected = run_loo(model, draws, dataset, prior, RunConfig(use_variational_correction=True),
+                            variational_log_density=proposal_log_density)
+        assert corrected.loo_ic == pytest.approx(9.74, abs=0.01)
 
     def test_variational_correction_drives_attempts(self):
         # draws from a Gaussian narrower than the posterior (the usual
@@ -430,3 +438,39 @@ class TestMetamorphic:
                     rb.winning_transform.kind, rb.winning_transform.hbar)
             assert abs(ra.loo_predictive_prob - rb.loo_predictive_prob) <= 1e-12
             assert abs(ra.loo_log_predictive_density - rb.loo_log_predictive_density) <= 1e-12
+
+
+class TestRunCost:
+    """One posterior evaluation per run; weighted moments at most once per flagged observation."""
+
+    @pytest.mark.parametrize("toy", ["logistic", "relu1"])
+    def test_one_evaluation_per_run(self, toy, monkeypatch):
+        from looadapt import engine, transforms
+
+        if toy == "logistic":
+            model, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
+        else:
+            model, dataset, prior, draws = make_relu_toy(seed=67, num_draws=60)
+        calls = {"evaluate_posterior": 0, "weighted_moments": 0}
+
+        def counted_evaluate(*args, **kwargs):
+            calls["evaluate_posterior"] += 1
+            return evaluate_posterior(*args, **kwargs)
+
+        def counted_moments(module):
+            original = module.marginal_stats
+
+            def wrapper(draws, weights=None):
+                calls["weighted_moments"] += weights is not None
+                return original(draws, weights)
+
+            return wrapper
+
+        monkeypatch.setattr(engine, "evaluate_posterior", counted_evaluate)
+        for module in (engine, transforms):
+            monkeypatch.setattr(module, "marginal_stats", counted_moments(module))
+        report = run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 2)))
+        flagged = sum(1 for r in report.per_observation if r.attempts)
+        assert flagged > 0
+        assert calls["evaluate_posterior"] == 1
+        assert 0 < calls["weighted_moments"] <= flagged

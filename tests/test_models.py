@@ -16,7 +16,7 @@ from looadapt import (
     log_posterior_unnorm,
     sigmoid,
 )
-from looadapt.models import ReluOneParams, bernoulli_log_likelihood, sigmoid_slope
+from looadapt.models import ReluOneParams, bernoulli_log_likelihood, evaluate_posterior, sigmoid_slope
 from looadapt.oracle import finite_difference_gradient, finite_difference_hessian
 
 from conftest import make_logistic_toy, make_relu_toy
@@ -242,7 +242,60 @@ class TestBatchConsistency:
                 )
 
 
+    @pytest.mark.parametrize("model_maker", [make_logistic_toy, make_relu_toy])
+    def test_evaluate_posterior_gradient_matches_looped(self, model_maker):
+        # one contraction over the observations against the per-draw loop
+        model, dataset, prior, draws = model_maker()
+        grad = evaluate_posterior(model, draws.values, dataset, prior).grad_log_post
+        for k in range(draws.num_draws):
+            np.testing.assert_allclose(
+                grad[k], grad_log_posterior(model, draws.values[k], dataset, prior), rtol=1e-12, atol=1e-12
+            )
+
+
+class TestMuLine:
+    """mu along theta + hbar * D from the model's line matches mu_batch at the moved draws."""
+
+    @pytest.mark.parametrize("model_maker", [make_logistic_toy, make_relu_toy])
+    def test_dense_and_shared_steps(self, model_maker, rng):
+        model, dataset, prior, draws = model_maker()
+        values = draws.values
+        origin = model.mu_line(values, dataset.features, model.mu_batch(values, dataset.features))
+        for step in (rng.normal(size=values.shape), rng.normal(size=values.shape[1])):
+            line = origin.along(step)
+            for hbar in (1.0, 0.25, 4.0**-5):
+                np.testing.assert_allclose(
+                    line.at(hbar), model.mu_batch(values + hbar * step, dataset.features), rtol=1e-12, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("model_maker", [make_logistic_toy, make_relu_toy])
+    def test_gradient_step(self, model_maker, rng):
+        model, dataset, prior, draws = model_maker()
+        values = draws.values
+        x = dataset.features[1]
+        coef = 0.1 * rng.normal(size=draws.num_draws)
+        step = coef[:, None] * model.grad_mu_batch(values, x)
+        origin = model.mu_line(values, dataset.features, model.mu_batch(values, dataset.features))
+        line = origin.along_gradient(values, x, coef)
+        for hbar in (1.0, 0.25, 4.0**-5):
+            np.testing.assert_allclose(
+                line.at(hbar), model.mu_batch(values + hbar * step, dataset.features), rtol=1e-12, atol=1e-12
+            )
+
+
 class TestGaussianPrior:
+    def test_line_coefficients_give_the_quadratic(self, rng):
+        prior = GaussianPrior(sd=np.array([0.5, 1.0, 2.0]))
+        values = rng.normal(size=(7, 3))
+        for step in (rng.normal(size=(7, 3)), rng.normal(size=3)):
+            slope, curvature = prior.line_coefficients(values, step)
+            for hbar in (1.0, 0.25, 4.0**-5):
+                np.testing.assert_allclose(
+                    prior.log_density_batch(values) - hbar * slope - 0.5 * hbar**2 * curvature,
+                    prior.log_density_batch(values + hbar * step),
+                    rtol=1e-13,
+                )
+
     def test_log_density_matches_formula(self):
         prior = GaussianPrior(sd=np.array([1.0, 2.0]))
         theta = np.array([0.5, -1.0])

@@ -16,14 +16,24 @@ from looadapt import (
     apply_gradient_transform,
     apply_pmm,
     finite_difference_jacobian,
-    gradient_logdet,
+    gradient_jacobian,
     marginal_stats,
 )
 from looadapt.data import Dataset
-from looadapt.models import GaussianPrior, LogisticModel, log_posterior_unnorm
-from looadapt.transforms import log_step_size
+from looadapt.engine import eta_weights, raw_weights
+from looadapt.gpd import pareto_smooth
+from looadapt.models import (
+    GaussianPrior,
+    LogisticModel,
+    evaluate_posterior,
+    grad_log_posterior,
+    log_posterior_unnorm,
+    sigmoid,
+    sigmoid_slope,
+)
+from looadapt.transforms import apply_transform, log_step_size
 
-from conftest import fd_divergence, logdet_at, make_logistic_toy, make_relu_toy, q_at
+from conftest import attempt, fd_divergence, logdet_at, make_logistic_toy, make_relu_toy, q_at
 
 
 def _toy_for_direction(x, y):
@@ -130,20 +140,21 @@ class TestApplyGradientTransform:
         rng = np.random.default_rng(0)
         draws = PosteriorDraws(values=rng.normal(size=(20, 2)), param_names=("a", "b"))
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-        spec = TransformSpec(kind="KL", hbar=0.5, observation_index=0)
-        out = apply_gradient_transform(spec, problem)
+        line, out = attempt(problem, "KL", 0, 0.5)
+        assert line.step is None
         assert out.degenerate
+        assert out.flags == ("zero-step",)
         assert out.h_used == 0.0
-        np.testing.assert_array_equal(out.phi, draws.values)
+        assert out.evaluation is problem.evaluation  # phi = theta
         np.testing.assert_array_equal(out.log_jac_det, 0.0)
 
     def test_gradient_only_for_kl_and_var(self):
         model, dataset, prior, draws = make_logistic_toy(seed=30)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig(transform_order=("PMM1", "LL")))
         assert problem.evaluation.grad_log_post is None
-        assert not apply_gradient_transform(TransformSpec(kind="LL", hbar=0.5, observation_index=0), problem).degenerate
+        assert not attempt(problem, "LL", 0, 0.5)[1].degenerate
         with pytest.raises(DomainError, match="needs the posterior gradient"):
-            apply_gradient_transform(TransformSpec(kind="KL", hbar=0.5, observation_index=0), problem)
+            apply_gradient_transform("KL", 0, problem)
 
     def test_step_bound_holds(self):
         model, dataset, prior, draws = make_logistic_toy(seed=31)
@@ -151,12 +162,11 @@ class TestApplyGradientTransform:
         stats = problem.stats
         for kind in ("KL", "Var", "LL"):
             for hbar in (1.0, 0.25):
-                spec = TransformSpec(kind=kind, hbar=hbar, observation_index=1)
-                out = apply_gradient_transform(spec, problem)
+                line, out = attempt(problem, kind, 1, hbar)
                 if out.degenerate:
                     continue
                 moving = stats.sd > 0
-                disp = np.abs(out.phi - draws.values)[:, moving] / stats.sd[moving]
+                disp = np.abs(hbar * line.step)[:, moving] / stats.sd[moving]
                 assert disp.max() <= hbar + 1e-9
                 assert out.max_step_sd <= hbar + 1e-9
 
@@ -165,8 +175,7 @@ class TestApplyGradientTransform:
         model, dataset, prior, draws = make_logistic_toy(seed=32, n=6, p=2)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         stats = problem.stats
-        spec = TransformSpec(kind=kind, hbar=0.25, observation_index=2)
-        out = apply_gradient_transform(spec, problem)
+        _, out = attempt(problem, kind, 2, 0.25)
         assert not out.degenerate
         ref = problem.evaluation.log_ref
 
@@ -185,8 +194,7 @@ class TestApplyGradientTransform:
         model, dataset, prior, draws = make_relu_toy(seed=33, d=2, p=2, n=5)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         stats = problem.stats
-        spec = TransformSpec(kind=kind, hbar=0.25, observation_index=1)
-        out = apply_gradient_transform(spec, problem)
+        _, out = attempt(problem, kind, 1, 0.25)
         assert not out.degenerate
         ref = problem.evaluation.log_ref
 
@@ -213,7 +221,7 @@ class _OtherModel(SigmoidalModel):
     """A sigmoidal model outside the two families with exact determinants."""
 
     param_dim = num_features = 3
-    mu = grad_mu = hessian_spectrum = mu_batch = grad_mu_batch = None
+    mu = grad_mu = hessian_spectrum = mu_batch = grad_mu_batch = weighted_grad_mu = mu_line = None
 
 
 class TestExactLogdetOps:
@@ -257,11 +265,11 @@ class TestExactLogdetOps:
     def test_model_kind_guards(self):
         model, dataset, prior, draws = make_logistic_toy(seed=38, p=3)
         values = draws.values[:1]
-        args = (dataset, 0, np.zeros(1), 0.0, np.zeros(1), np.zeros((1, 3)))
+        args = (dataset, 0, np.zeros(1), np.zeros(1), np.zeros((1, 3)))
         with pytest.raises(DomainError, match="no exact Jacobian determinant"):
-            gradient_logdet("KL", _OtherModel(), values, *args)
+            gradient_jacobian("KL", _OtherModel(), values, *args)
         with pytest.raises(DomainError, match="defined for"):
-            gradient_logdet("PMM1", model, values, *args)
+            gradient_jacobian("PMM1", model, values, *args)
 
 
 class TestFirstOrderLogdet:
@@ -280,9 +288,10 @@ class TestFirstOrderLogdet:
         # c = 1 and grad log post = -2 make the map exactly singular
         dataset = Dataset(features=np.ones((1, 1)), labels=np.array([0]), feature_names=("a",))
         model = LogisticModel(p=1)
-        logdet, flags = gradient_logdet(
-            "KL", model, np.zeros((1, 1)), dataset, 0, np.zeros(1), 0.0, np.zeros(1), np.array([[-2.0]])
+        jacobian = gradient_jacobian(
+            "KL", model, np.zeros((1, 1)), dataset, 0, np.zeros(1), np.zeros(1), np.array([[-2.0]])
         )
+        logdet, flags = jacobian.logdet(0.0)
         assert logdet[0] == -math.inf
         assert flags == ("singular-jacobian",)
 
@@ -312,31 +321,39 @@ class TestFirstOrderLogdet:
 
 
 class TestApplyPmm:
+    """The PMM maps as lines: phi = theta + hbar * line.step."""
+
+    def _problem(self, draws):
+        p = draws.values.shape[1]
+        dataset = Dataset(features=np.ones((1, p)), labels=np.array([1]), feature_names=draws.param_names)
+        model = LogisticModel(p=p)
+        return LooProblem.build(model, draws, dataset, GaussianPrior.isotropic(p, 1.0), RunConfig())
+
     def _setup(self, seed=40, num_draws=60, p=2):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(num_draws, p))
         draws = PosteriorDraws(values=values, param_names=tuple(f"b{j}" for j in range(p)))
-        stats = marginal_stats(draws)
         raw = rng.uniform(0.5, 2.0, size=num_draws)
         weights = WeightVector.from_log_weights(np.log(raw))
-        return draws, stats, weights
+        return self._problem(draws), weights
 
     def test_identity_when_weighted_mean_matches(self):
-        draws, stats, _ = self._setup()
-        uniform = WeightVector.from_log_weights(np.zeros(draws.num_draws))
-        spec = TransformSpec(kind="PMM1", hbar=1.0, observation_index=0)
-        out = apply_pmm(spec, draws, uniform, stats)
-        np.testing.assert_allclose(out.phi, draws.values, atol=1e-12)
+        problem, _ = self._setup()
+        uniform = WeightVector.from_log_weights(np.zeros(problem.draws.num_draws))
+        line, out = attempt(problem, "PMM1", 0, 1.0, uniform)
+        np.testing.assert_allclose(line.step, 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.evaluation.log_post, problem.evaluation.log_post, atol=1e-12)
         np.testing.assert_array_equal(out.log_jac_det, 0.0)
 
     def test_pmm1_shifts_every_draw_and_recenters(self):
-        draws, stats, weights = self._setup()
-        spec = TransformSpec(kind="PMM1", hbar=1.0, observation_index=0)
-        out = apply_pmm(spec, draws, weights, stats)
-        shift = out.phi - draws.values
+        problem, weights = self._setup()
+        draws = problem.draws
+        line, out = attempt(problem, "PMM1", 0, 1.0, weights)
+        phi = draws.values + line.step
+        shift = phi - draws.values
         assert np.ptp(shift, axis=0).max() < 1e-12  # same shift for every draw
         wstats = marginal_stats(draws, weights.normalized)
-        np.testing.assert_allclose(out.phi.mean(axis=0), wstats.weighted_mean, atol=1e-12)
+        np.testing.assert_allclose(phi.mean(axis=0), wstats.weighted_mean, atol=1e-12)
         np.testing.assert_array_equal(out.log_jac_det, 0.0)
 
     def test_pmm2_quadrupled_weighted_variance(self):
@@ -344,32 +361,28 @@ class TestApplyPmm:
         # v_w = a^2, so the sd ratio is exactly 2 in both components
         column = np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         values = np.stack([column, column], axis=1)
-        draws = PosteriorDraws(values=values, param_names=("a", "b"))
-        stats = marginal_stats(draws)
+        problem = self._problem(PosteriorDraws(values=values, param_names=("a", "b")))
         log_w = np.full(8, -np.inf)
         log_w[0] = log_w[-1] = math.log(0.5)
         weights = WeightVector.from_log_weights(log_w)
-        spec = TransformSpec(kind="PMM2", hbar=1.0, observation_index=0)
-        out = apply_pmm(spec, draws, weights, stats)
+        line, out = attempt(problem, "PMM2", 0, 1.0, weights)
         # log det = P log 2 with P = 2
         np.testing.assert_allclose(out.log_jac_det, 2.0 * math.log(2.0), atol=1e-12)
         # each centered coordinate doubled, recentered at the weighted mean (0)
-        np.testing.assert_allclose(out.phi, 2.0 * values, atol=1e-12)
+        np.testing.assert_allclose(values + line.step, 2.0 * values, atol=1e-12)
 
     def test_pmm2_unavailable_with_constant_column(self):
         values = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        draws = PosteriorDraws(values=values, param_names=("a", "b"))
-        stats = marginal_stats(draws)
+        problem = self._problem(PosteriorDraws(values=values, param_names=("a", "b")))
         weights = WeightVector.from_log_weights(np.zeros(3))
-        spec = TransformSpec(kind="PMM2", hbar=0.5, observation_index=0)
-        out = apply_pmm(spec, draws, weights, stats)
+        _, out = attempt(problem, "PMM2", 0, 0.5, weights)
         assert out.degenerate
         assert "pmm2-unavailable" in out.flags
 
     def test_kind_guard(self):
-        draws, stats, weights = self._setup()
+        problem, weights = self._setup()
         with pytest.raises(DomainError):
-            apply_pmm(TransformSpec(kind="KL", hbar=1.0, observation_index=0), draws, weights, stats)
+            apply_pmm("KL", 0, problem, marginal_stats(problem.draws, weights.normalized))
 
 
 class TestQDivergence:
@@ -392,3 +405,91 @@ class TestQDivergence:
         h = 1e-3
         div = math.expm1(logdet_at("LL", model, theta, dataset, prior, 0, h)) / h
         assert div == pytest.approx(fd_divergence("LL", model, theta, dataset, prior, 0), rel=1e-5)
+
+
+def _jacobian_of_q(kind, model, theta, dataset, prior, i, log_ref):
+    """Q(theta) and its dense Jacobian, from the single-draw closed forms.
+
+    KL/Var: Q = (-1)^y exp(log post - log_ref + c mu (1 - 2y)) grad_mu, so
+    dQ = Q_scale [hess_mu + grad_mu (grad log post + c (1 - 2y) grad_mu)^T];
+    LL: Q = (sigma - y) grad_mu, dQ = (sigma - y) hess_mu + sigma' grad_mu grad_mu^T.
+    """
+    x, y = dataset.features[i], int(dataset.labels[i])
+    mu = model.mu(theta, x)
+    grad = model.grad_mu(theta, x)
+    hess = sum((lam * np.outer(v, v) for lam, v in model.hessian_spectrum(theta, x)), np.zeros((len(theta),) * 2))
+    if kind == "LL":
+        factor = float(sigmoid(mu)) - y
+        return factor * grad, factor * hess + float(sigmoid_slope(mu)) * np.outer(grad, grad)
+    c = 1.0 if kind == "KL" else 2.0
+    factor = (-1.0) ** y * math.exp(log_posterior_unnorm(model, theta, dataset, prior) - log_ref + c * mu * (1 - 2 * y))
+    glp = grad_log_posterior(model, theta, dataset, prior)
+    return factor * grad, factor * (hess + np.outer(grad, glp + c * (1 - 2 * y) * grad))
+
+
+class TestStepLines:
+    """Every attempt of a step line against a from-scratch evaluation at
+    phi = theta + hbar * D: weights, log-determinant, step size and shift."""
+
+    HBARS = (1.0, 0.25, 4.0**-5)
+
+    def _problem(self, toy):
+        if toy == "logistic":
+            model, dataset, prior, draws = make_logistic_toy(seed=70, n=6, p=3, num_draws=60, draw_scale=2.0)
+        else:
+            model, dataset, prior, draws = make_relu_toy(seed=71, n=6, d=2, p=3, num_draws=40)
+        return LooProblem.build(model, draws, dataset, prior, RunConfig())
+
+    def _reference_gradient_step(self, problem, kind, i, hbar):
+        """h, max |step| / sd and per-draw log |det J| from dense single-draw Jacobians."""
+        model, dataset, prior, values = problem.model, problem.dataset, problem.prior, problem.draws.values
+        sd = problem.stats.sd
+        pieces = [_jacobian_of_q(kind, model, t, dataset, prior, i, problem.evaluation.log_ref) for t in values]
+        q = np.array([p[0] for p in pieces])
+        moving = q != 0
+        h = hbar * float(np.min(np.broadcast_to(sd, q.shape)[moving] / np.abs(q[moving])))
+        logdet = np.array([np.linalg.slogdet(np.eye(len(t)) + h * p[1])[1] for t, p in zip(values, pieces)])
+        return h, float(np.max(np.abs(h * q) / sd)), logdet
+
+    def _reference_pmm_logdet(self, problem, kind, hbar, nu):
+        if kind == "PMM1":
+            return 0.0
+        stats = problem.stats
+        ratio = np.sqrt(marginal_stats(problem.draws, nu.normalized).weighted_variance / stats.variance)
+        return float(np.log(np.abs(1.0 + hbar * (ratio - 1.0))).sum())
+
+    @pytest.mark.parametrize("toy", ["logistic", "relu1"])
+    @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
+    def test_line_matches_evaluation_at_phi(self, toy, kind):
+        problem = self._problem(toy)
+        model, dataset, prior, values = problem.model, problem.dataset, problem.prior, problem.draws.values
+        i = 2
+        nu, _ = pareto_smooth(raw_weights(problem.evaluation, problem.log_proposal, i))
+        for hbar in self.HBARS:
+            line, out = attempt(problem, kind, i, hbar, nu)
+            assert not out.degenerate
+            if kind in ("PMM1", "PMM2"):
+                h_ref, logdet_ref = hbar, self._reference_pmm_logdet(problem, kind, hbar, nu)
+                shift_ref = float(np.max(np.abs(hbar * np.broadcast_to(line.step, values.shape)) / problem.stats.sd))
+                np.testing.assert_array_equal(out.log_jac_det, logdet_ref)
+            else:
+                h_ref, shift_ref, logdet_ref = self._reference_gradient_step(problem, kind, i, hbar)
+                np.testing.assert_allclose(out.log_jac_det, logdet_ref, rtol=1e-10, atol=1e-13)
+            assert out.h_used == pytest.approx(h_ref, rel=1e-12)
+            assert out.max_step_sd == pytest.approx(shift_ref, rel=1e-12)
+
+            phi_eval = evaluate_posterior(model, values + hbar * line.step, dataset, prior, with_grad=False)
+            np.testing.assert_allclose(out.evaluation.mu, phi_eval.mu, rtol=1e-12, atol=1e-12)
+            reference = out.log_jac_det - phi_eval.log_lik[:, i] + (phi_eval.log_post - problem.log_proposal)
+            # a log weight sums O(1-10) terms and can cancel to near 0, so the
+            # error is also measured against the largest log weight
+            np.testing.assert_allclose(eta_weights(problem, out, i).log_weights, reference,
+                                       rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+    def test_spec_must_lie_on_the_line(self):
+        problem = self._problem("logistic")
+        line = apply_gradient_transform("LL", 2, problem)
+        for spec in (TransformSpec(kind="KL", hbar=1.0, observation_index=2),
+                     TransformSpec(kind="LL", hbar=1.0, observation_index=3)):
+            with pytest.raises(DomainError, match="is not on the LL line"):
+                apply_transform(spec, problem, line)
