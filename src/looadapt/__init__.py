@@ -65,8 +65,7 @@ from .transforms import (
     TransformedDraws,
     apply_gradient_transform,
     apply_pmm,
-    gradient_direction,
-    gradient_jacobian,
+    gradient_step,
 )
 
 __all__ = [
@@ -102,8 +101,7 @@ __all__ = [
     "exact_loo_expectation",
     "finite_difference_jacobian",
     "fit_gpd_tail",
-    "gradient_direction",
-    "gradient_jacobian",
+    "gradient_step",
     "grad_log_likelihood",
     "grad_log_posterior",
     "load_dataset_csv",

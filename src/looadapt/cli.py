@@ -191,7 +191,7 @@ def cmd_diagnose(args) -> int:
     writer.writerow(["observation_index", "raw_khat", "needs_adaptation"])
     for i in range(dataset.n):
         # The command line takes posterior draws only: the proposal is the posterior.
-        _, fit = pareto_smooth(raw_weights(evaluation, evaluation.log_post, i), config.tail_fraction_rule)
+        _, fit = pareto_smooth(raw_weights(evaluation, evaluation.log_post, i))
         khat = fit.khat
         writer.writerow([i, "inf" if math.isinf(khat) else f"{khat:.6f}", khat > config.khat_threshold])
     return EXIT_OK

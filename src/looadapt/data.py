@@ -8,9 +8,10 @@ locking.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,8 +24,6 @@ from .errors import DimensionError, DomainError, ValidationError
 TRANSFORM_KINDS = ("PMM1", "PMM2", "KL", "Var", "LL")
 PMM_KINDS = ("PMM1", "PMM2")
 GRADIENT_KINDS = ("KL", "Var", "LL")
-
-_TAIL_RULES = ("psis",)
 
 DEFAULT_KHAT_THRESHOLD = 0.7
 DEFAULT_HBAR_EXPONENTS = tuple(range(11))
@@ -121,8 +120,6 @@ class RunConfig:
     khat_threshold: float = DEFAULT_KHAT_THRESHOLD
     hbar_exponents: tuple[int, ...] = DEFAULT_HBAR_EXPONENTS
     transform_order: tuple[str, ...] = TRANSFORM_KINDS
-    tail_fraction_rule: str = "psis"
-    use_variational_correction: bool = False
 
     def __post_init__(self):
         if not self.khat_threshold > 0:
@@ -140,11 +137,8 @@ class RunConfig:
         unknown = [k for k in order if k not in TRANSFORM_KINDS]
         if unknown:
             raise DomainError(f"unknown transform kinds: {unknown}")
-        if self.tail_fraction_rule not in _TAIL_RULES:
-            raise DomainError(f"unknown tail rule {self.tail_fraction_rule!r}")
         object.__setattr__(self, "hbar_exponents", exps)
         object.__setattr__(self, "transform_order", order)
-        object.__setattr__(self, "use_variational_correction", bool(self.use_variational_correction))
 
     @property
     def hbar_values(self) -> tuple[float, ...]:
@@ -153,13 +147,7 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RunConfig":
-        known = {
-            "khat_threshold",
-            "hbar_exponents",
-            "transform_order",
-            "tail_fraction_rule",
-            "use_variational_correction",
-        }
+        known = {"khat_threshold", "hbar_exponents", "transform_order"}
         unknown = set(payload) - known
         if unknown:
             raise ValidationError([f"unknown config key {k!r}" for k in sorted(unknown)])
@@ -181,8 +169,6 @@ class RunConfig:
             "khat_threshold": self.khat_threshold,
             "hbar_exponents": list(self.hbar_exponents),
             "transform_order": list(self.transform_order),
-            "tail_fraction_rule": self.tail_fraction_rule,
-            "use_variational_correction": self.use_variational_correction,
         }
 
 
@@ -233,6 +219,61 @@ def marginal_stats(draws: PosteriorDraws, weights: np.ndarray | None = None) -> 
     return MarginalStats(mean, sd, weighted_mean, variance, weighted_variance)
 
 
+def _read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
+    """Header row and data rows of a CSV file; an empty file is a ValidationError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError([f"{what} file is empty"]) from None
+        return header, list(reader)
+
+
+def _float_matrix(rows, width: int) -> np.ndarray | None:
+    """Rows of ``width`` strings as one float matrix, in one np.array call.
+
+    Returns None when that call fails (a ragged row or a non-numeric cell),
+    so the caller can walk the cells to name every violation. Only strings,
+    as csv.reader yields them, take this path: np.array turns None into NaN
+    where float() raises.
+    """
+    if not rows or set(map(type, itertools.chain.from_iterable(rows))) != {str}:
+        return None
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        return None
+    return values if values.shape == (len(rows), width) else None
+
+
+def _walk_cells(rows, header, row_name: str, cell_fault=lambda j, value, cell: None):
+    """Parse cell by cell and name every ragged row, non-numeric cell and
+    cell that ``cell_fault`` rejects, in row-major order.
+
+    ``cell_fault(j, value, cell)`` returns the tail of the message for a
+    number out of column j's domain, or None. Row numbers are 1-based over
+    data rows. Returns the (rows, columns) values and the violations.
+    """
+    values = np.zeros((len(rows), len(header)))
+    violations: list[str] = []
+    for r, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            violations.append(f"{row_name} {r}: expected {len(header)} cells, got {len(row)}")
+            continue
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except (TypeError, ValueError):
+                violations.append(f"{row_name} {r}, column {header[j]!r}: non-numeric value {cell!r}")
+                continue
+            fault = cell_fault(j, value, cell)
+            if fault is not None:
+                violations.append(f"{row_name} {r}{fault}")
+            values[r - 1, j] = value
+    return values, violations
+
+
 def validate_dataset(
     rows: Sequence[Sequence[object]],
     header: Sequence[str],
@@ -240,12 +281,11 @@ def validate_dataset(
 ) -> Dataset:
     """Build a :class:`Dataset` from raw (string or numeric) cells.
 
-    Collects *every* violation (bad label, non-numeric feature, ragged row)
-    before rejecting, so callers see the full damage report at once. Row
-    numbers in messages are 1-based over data rows.
+    Collects *every* violation (bad label, non-numeric or non-finite
+    feature, ragged row) before rejecting, so callers see the full damage
+    report at once. Row numbers in messages are 1-based over data rows.
     """
     header = [str(h) for h in header]
-    violations: list[str] = []
     if label_column not in header:
         raise ValidationError([f"label column {label_column!r} not found in header"])
     label_idx = header.index(label_column)
@@ -256,73 +296,33 @@ def validate_dataset(
     if len(rows) < 1:
         raise ValidationError(["dataset has no data rows"])
 
-    features = np.zeros((len(rows), len(feature_names)))
-    labels = np.zeros(len(rows), dtype=int)
-    for r, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            violations.append(f"row {r}: expected {len(header)} cells, got {len(row)}")
-            continue
-        col = 0
-        for j, cell in enumerate(row):
-            name = header[j]
-            try:
-                value = float(cell)
-            except (TypeError, ValueError):
-                violations.append(f"row {r}, column {name!r}: non-numeric value {cell!r}")
-                if j != label_idx:
-                    col += 1
-                continue
-            if j == label_idx:
-                if value not in (0.0, 1.0):
-                    violations.append(f"row {r}: label {cell!r} not in {{0, 1}}")
-                else:
-                    labels[r - 1] = int(value)
-            else:
-                if not math.isfinite(value):
-                    violations.append(f"row {r}, column {name!r}: non-finite value {cell!r}")
-                else:
-                    features[r - 1, col] = value
-                col += 1
-    if violations:
-        raise ValidationError(violations)
-    return Dataset(features=features, labels=labels, feature_names=feature_names)
+    def cell_fault(j, value, cell):
+        if j == label_idx:
+            return None if value in (0.0, 1.0) else f": label {cell!r} not in {{0, 1}}"
+        return None if math.isfinite(value) else f", column {header[j]!r}: non-finite value {cell!r}"
+
+    values = _float_matrix(rows, len(header))
+    if values is None or not (np.isfinite(values).all() and np.isin(values[:, label_idx], (0.0, 1.0)).all()):
+        values, violations = _walk_cells(rows, header, "row", cell_fault)
+        if violations:
+            raise ValidationError(violations)
+    labels = values[:, label_idx].astype(int)
+    return Dataset(features=np.delete(values, label_idx, axis=1), labels=labels, feature_names=feature_names)
 
 
 def load_dataset_csv(path, label_column: str = "y", add_intercept: bool = False) -> Dataset:
     """Read a dataset CSV (header row, one designated label column)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(["dataset file is empty"]) from None
-        rows = list(reader)
+    header, rows = _read_csv(path, "dataset")
     dataset = validate_dataset(rows, header, label_column=label_column)
     return dataset.with_intercept() if add_intercept else dataset
 
 
 def load_draws_csv(path) -> PosteriorDraws:
     """Read a draws CSV (header row of parameter names, one row per draw)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(["draws file is empty"]) from None
-        rows = list(reader)
-    violations: list[str] = []
-    values = np.zeros((len(rows), len(header)))
-    for r, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            violations.append(f"draw row {r}: expected {len(header)} cells, got {len(row)}")
-            continue
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except (TypeError, ValueError):
-                violations.append(f"draw row {r}, column {header[j]!r}: non-numeric value {cell!r}")
-                continue
-            values[r - 1, j] = value
+    header, rows = _read_csv(path, "draws")
+    values, violations = _float_matrix(rows, len(header)), []
+    if values is None:
+        values, violations = _walk_cells(rows, header, "draw row")
     if len(rows) < 2:
         violations.append(f"need at least two draws, got {len(rows)}")
     if violations:

@@ -126,29 +126,23 @@ class LooProblem:
         config: RunConfig,
         variational_log_density: Callable[[np.ndarray], float] | None = None,
     ) -> "LooProblem":
-        """Evaluate the posterior and, in variational mode, q once per run.
+        """Evaluate the posterior and, when ``variational_log_density`` (q) is
+        given, q once per run.
 
-        ``variational_log_density`` is required exactly when the config sets
-        ``use_variational_correction``, and must be finite at every draw.
+        Passing q turns the variational correction on: the draws are taken
+        to come from q, which must be finite at every draw.
         """
-        if config.use_variational_correction and variational_log_density is None:
-            raise DomainError("variational correction requested but no variational log density supplied")
-        if variational_log_density is not None and not config.use_variational_correction:
-            raise DomainError(
-                "a variational log density was supplied but use_variational_correction is off; "
-                "set it in the config to correct for the proposal"
-            )
         with_grad = any(kind in ("KL", "Var") for kind in config.transform_order)
         evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=with_grad)
-        if config.use_variational_correction:
+        if variational_log_density is None:
+            log_proposal = evaluation.log_post
+        else:
             log_proposal = np.array([float(variational_log_density(theta)) for theta in draws.values])
             bad = np.flatnonzero(~np.isfinite(log_proposal))
             if bad.size:
                 raise DomainError(
                     f"variational log density is {log_proposal[bad[0]]} at draw {bad[0]}; it must be finite"
                 )
-        else:
-            log_proposal = evaluation.log_post
         return cls(
             model=model, dataset=dataset, prior=prior, draws=draws, config=config,
             evaluation=evaluation, stats=marginal_stats(draws), log_proposal=log_proposal,
@@ -226,7 +220,7 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     evaluation = problem.evaluation
     threshold = config.khat_threshold
     raw = raw_weights(evaluation, problem.log_proposal, i)
-    raw_smoothed, raw_fit = pareto_smooth(raw, config.tail_fraction_rule)
+    raw_smoothed, raw_fit = pareto_smooth(raw)
     raw_khat = raw_fit.khat
 
     y = int(problem.dataset.labels[i])
@@ -254,36 +248,25 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
         for hbar in config.hbar_values:
             spec = TransformSpec(kind=line.kind, hbar=hbar, observation_index=i)
             transformed = apply_transform(spec, problem, line)
-            if transformed.degenerate:
-                attempts.append(
-                    AttemptRecord(
-                        spec=spec, khat=math.inf, fittable=False, degenerate=True,
-                        flags=transformed.flags, h_used=transformed.h_used,
-                        max_step_sd=transformed.max_step_sd,
-                    )
-                )
-                continue
-            flags = transformed.flags
-            try:
-                weights = eta_weights(problem, transformed, i)
-            except DomainError:
-                attempts.append(
-                    AttemptRecord(
-                        spec=spec, khat=math.inf, fittable=False, degenerate=True,
-                        flags=flags + ("all-weights-zero",), h_used=transformed.h_used,
-                        max_step_sd=transformed.max_step_sd,
-                    )
-                )
-                continue
-            smoothed, fit = pareto_smooth(weights, config.tail_fraction_rule)
-            khat = fit.khat
+            flags, fit = transformed.flags, None
+            if not transformed.degenerate:
+                try:
+                    weights = eta_weights(problem, transformed, i)
+                except DomainError:
+                    flags += ("all-weights-zero",)
+                else:
+                    smoothed, fit = pareto_smooth(weights)
+            # without a fit (degenerate map or all-zero weights) the attempt is
+            # recorded with khat = inf and skipped, even under an infinite threshold
+            khat = math.inf if fit is None else fit.khat
             attempts.append(
                 AttemptRecord(
-                    spec=spec, khat=khat, fittable=fit.fittable, degenerate=False,
-                    flags=flags, h_used=transformed.h_used,
-                    max_step_sd=transformed.max_step_sd,
+                    spec=spec, khat=khat, fittable=fit is not None and fit.fittable, degenerate=fit is None,
+                    flags=flags, h_used=transformed.h_used, max_step_sd=transformed.max_step_sd,
                 )
             )
+            if fit is None:
+                continue
             if khat < best[0]:
                 best = (khat, spec, transformed, smoothed)
             if khat <= threshold:
@@ -336,8 +319,8 @@ def run_loo(
     a thread pool against the shared read-only :class:`LooProblem`. Results
     are ordered by observation index regardless of completion order, so the
     report is deterministic for fixed inputs. Draws from a variational
-    approximation are corrected by setting ``use_variational_correction`` in
-    the config and passing their log density as ``variational_log_density``.
+    approximation are corrected by passing their log density as
+    ``variational_log_density``.
     """
     problem = LooProblem.build(model, draws, dataset, prior, config, variational_log_density)
 

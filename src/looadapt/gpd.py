@@ -116,14 +116,12 @@ def gpd_quantile(p, khat: float, sigma: float):
     return sigma * np.expm1(-khat * np.log1p(-p)) / khat
 
 
-def tail_size(num_weights: int, rule: str = "psis") -> int:
-    """Number of weights treated as the tail: ceil(min(S/5, 3*sqrt(S)))."""
-    if rule != "psis":
-        raise DomainError(f"unknown tail rule {rule!r}")
+def tail_size(num_weights: int) -> int:
+    """Number of weights treated as the tail (the PSIS rule): ceil(min(S/5, 3*sqrt(S)))."""
     return int(math.ceil(min(0.2 * num_weights, 3.0 * math.sqrt(num_weights))))
 
 
-def pareto_smooth(weights: WeightVector, tail_size_rule: str = "psis") -> tuple[WeightVector, GpdFit]:
+def pareto_smooth(weights: WeightVector) -> tuple[WeightVector, GpdFit]:
     """Replace the largest weights with fitted GPD order statistics.
 
     The M largest weights (strictly above the cutoff order statistic) are
@@ -133,7 +131,7 @@ def pareto_smooth(weights: WeightVector, tail_size_rule: str = "psis") -> tuple[
     """
     lw = weights.log_weights - weights.log_weights.max()
     s = lw.size
-    m_rule = tail_size(s, tail_size_rule)
+    m_rule = tail_size(s)
     if m_rule < MIN_TAIL_SIZE or m_rule >= s:
         return weights, GpdFit.unfittable(m_rule)
 

@@ -1,11 +1,12 @@
 """Sigmoidal classifier models and their derivative structure.
 
 A model evaluates the mean function mu(theta, x) behind the outcome
-probability sigma(mu), together with grad_mu and the spectral form of the
-Hessian of mu, which is what the transformation Jacobians consume. Two
-concrete families are provided: linear (logistic regression) and a
-one-hidden-layer ReLU network. Batched variants over draw matrices back the
-importance-sampling engine.
+probability sigma(mu) and grad_mu, for one parameter vector or batched over
+a draw matrix. The batched Hessian of mu, in its eigenbasis, is what the
+gradient-step Jacobians consume: it vanishes for linear (logistic
+regression) means and has +-|x| eigenpairs on the active units of a
+one-hidden-layer ReLU network, the two concrete families. Only this module
+knows how a family lays out its flattened parameters.
 """
 
 from __future__ import annotations
@@ -118,20 +119,26 @@ class SigmoidalModel(abc.ABC):
         """Gradient of mu with respect to theta, length P."""
 
     @abc.abstractmethod
-    def hessian_spectrum(self, theta, x) -> list[tuple[float, np.ndarray]]:
-        """Non-zero (eigenvalue, unit eigenvector) pairs of the Hessian of mu.
-
-        An empty list means the Hessian vanishes identically; downstream
-        determinant products treat missing eigenvalues as factor 1.
-        """
-
-    @abc.abstractmethod
     def mu_batch(self, values, features) -> np.ndarray:
         """mu for every (draw, observation) pair: (S, P) x (n, p) -> (S, n)."""
 
     @abc.abstractmethod
     def grad_mu_batch(self, values, x) -> np.ndarray:
         """grad_mu for every draw at one observation: (S, P) x (p,) -> (S, P)."""
+
+    @abc.abstractmethod
+    def hessian_eigenbasis(self, grad, x, u, v):
+        """The Hessian H of mu at x for every draw, seen through u and v in its eigenbasis.
+
+        ``grad`` is :meth:`grad_mu_batch` at x, which fixes the active parts
+        of the model; ``u`` and ``v`` are (S, P). Returns None when H
+        vanishes identically, else ``(lam, plus, minus)``, each (S, K): the
+        eigenvalues are +-lam, and plus / minus are the products of the
+        projections of u and v onto the unit eigenvectors of +lam / -lam (0
+        where lam = 0). Hence u^T H v = sum_k lam (plus - minus) and
+        u^T (I + alpha H)^-1 v = u . v + sum_k [(1 / (1 + alpha lam) - 1) plus
+        + (1 / (1 - alpha lam) - 1) minus], with no P x P matrix formed.
+        """
 
     @abc.abstractmethod
     def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
@@ -142,7 +149,7 @@ class SigmoidalModel(abc.ABC):
         """mu at the draws as the origin of lines theta + hbar * D.
 
         ``mu`` is :meth:`mu_batch` at the draws. The result's ``along(D)``
-        and ``along_gradient(values, x, coef)`` fix a step and its ``at(hbar)``
+        and ``along_gradient(grad, x, coef)`` fix a step and its ``at(hbar)``
         gives mu at theta + hbar * D without forming the moved draws.
         """
 
@@ -171,14 +178,14 @@ class LogisticModel(SigmoidalModel):
     def grad_mu(self, theta, x) -> np.ndarray:
         return np.array(x, dtype=float)
 
-    def hessian_spectrum(self, theta, x) -> list[tuple[float, np.ndarray]]:
-        return []
-
     def mu_batch(self, values, features) -> np.ndarray:
         return values @ np.asarray(features, dtype=float).T
 
     def grad_mu_batch(self, values, x) -> np.ndarray:
         return np.tile(np.asarray(x, dtype=float), (values.shape[0], 1))
+
+    def hessian_eigenbasis(self, grad, x, u, v) -> None:
+        return None
 
     def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
         return np.asarray(weights, dtype=float) @ np.asarray(features, dtype=float)
@@ -264,31 +271,6 @@ class ReluOneModel(SigmoidalModel):
         grad[-1] = 1.0
         return grad
 
-    def hessian_spectrum(self, theta, x) -> list[tuple[float, np.ndarray]]:
-        """Eigenpairs of the Hessian of mu.
-
-        Each active unit k contributes the pair lambda = +-|x| with unit
-        eigenvectors supported on (W1 row k, W2 component k); inactive units
-        and x = 0 contribute nothing.
-        """
-        params = self.split(theta)
-        x = np.asarray(x, dtype=float)
-        xnorm = float(np.linalg.norm(x))
-        z1 = params.W1 @ x
-        pairs: list[tuple[float, np.ndarray]] = []
-        if xnorm == 0.0:
-            return pairs
-        d, p = self.d, self.p
-        for k in range(d):
-            if z1[k] <= 0:
-                continue
-            for sign in (+1.0, -1.0):
-                vec = np.zeros(self.param_dim)
-                vec[k * p : (k + 1) * p] = x / (math.sqrt(2.0) * xnorm)
-                vec[d * p + k] = sign / math.sqrt(2.0)
-                pairs.append((sign * xnorm, vec))
-        return pairs
-
     def _split_batch(self, values):
         d, p = self.d, self.p
         return (
@@ -296,14 +278,6 @@ class ReluOneModel(SigmoidalModel):
             values[:, d * p : d * p + d],
             values[:, -1],
         )
-
-    def forward_batch(self, values, x):
-        """Per-draw (mu, z1, mask) at one observation, vectorized over draws."""
-        w1, w2, b2 = self._split_batch(values)
-        z1 = np.einsum("sdp,p->sd", w1, np.asarray(x, dtype=float))
-        mask = (z1 > 0).astype(float)
-        mu = np.einsum("sd,sd->s", w2, z1 * mask) + b2
-        return mu, z1, mask
 
     def mu_batch(self, values, features) -> np.ndarray:
         w1, w2, b2 = self._split_batch(values)
@@ -322,6 +296,29 @@ class ReluOneModel(SigmoidalModel):
         grad[:, self.d * self.p : self.d * self.p + self.d] = z1 * mask
         grad[:, -1] = 1.0
         return grad
+
+    def _active_units(self, grad) -> np.ndarray:
+        """The activity mask 1[z1_sk > 0] at grad_mu's observation: its W2 block is relu(z1)."""
+        return (self._split_batch(grad)[1] > 0).astype(float)
+
+    def hessian_eigenbasis(self, grad, x, u, v):
+        """Each active unit k contributes the pair +-|x| with unit eigenvectors
+        (x / |x| on W1 row k, +-1 on W2_k) / sqrt(2); inactive units and x = 0
+        carry eigenvalue 0."""
+        x = np.asarray(x, dtype=float)
+        mask = self._active_units(grad)
+        lam = mask * float(np.linalg.norm(x))
+        denom = np.where(lam > 0, lam, 1.0)
+
+        def project(w):
+            # e_k+-^T w = (x . W1 row k of w) / (sqrt(2) |x|) +- (W2_k of w) / sqrt(2)
+            w1, w2, _ = self._split_batch(w)
+            a = np.where(lam > 0, np.einsum("sdp,p->sd", w1, x) * mask / (math.sqrt(2.0) * denom), 0.0)
+            b = w2 / math.sqrt(2.0)
+            return a + b, a - b
+
+        (up, um), (vp, vm) = project(u), project(v)
+        return lam, up * vp * mask, um * vm * mask
 
     def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
         """One contraction over the observations: the first-layer block is
@@ -361,7 +358,7 @@ class LinearMuLine:
         """The line with step D, (P,) or (S, P)."""
         return replace(self, dmu=step @ self.features.T)
 
-    def along_gradient(self, values, x, coef) -> "LinearMuLine":
+    def along_gradient(self, grad, x, coef) -> "LinearMuLine":
         """The line with step D_s = coef_s * grad_mu(theta_s, x) = coef_s * x: dmu is rank one."""
         return replace(self, dmu=coef[:, None] * (self.features @ x))
 
@@ -399,13 +396,13 @@ class ReluMuLine:
             dw2=step[..., d * p : d * p + d], db2=step[..., -1],
         )
 
-    def along_gradient(self, values, x, coef) -> "ReluMuLine":
-        """The line with step D_s = coef_s * grad_mu(theta_s, x):
-        dz_snk = coef_s W2_sk 1[z1_sk(x) > 0] (x . x_n)."""
-        _, z1x, mask = self.model.forward_batch(values, x)
+    def along_gradient(self, grad, x, coef) -> "ReluMuLine":
+        """The line with step D_s = coef_s * grad_s, grad = grad_mu_batch at x:
+        dz_snk = coef_s W2_sk 1[z1_sk(x) > 0] (x . x_n), dw2 = coef * relu(z1(x))."""
+        mask = self.model._active_units(grad)
         return replace(
             self, a=(coef[:, None] * self.w2 * mask)[:, None, :], g=(self.features @ x)[None, :, None],
-            dw2=coef[:, None] * (z1x * mask), db2=coef,
+            dw2=coef[:, None] * self.model._split_batch(grad)[1], db2=coef,
         )
 
     def at(self, hbar) -> np.ndarray:
@@ -483,25 +480,3 @@ def evaluate_posterior(
         resid = dataset.labels[None, :] - sigmoid(mu)
         grad = prior.grad_batch(values) + model.weighted_grad_mu(values, dataset.features, resid)
     return PosteriorEvaluation(mu=mu, log_lik=log_lik, log_post=log_post, grad_log_post=grad)
-
-
-@dataclass(frozen=True)
-class PosteriorLine:
-    """Posterior terms at phi = theta + hbar * D as functions of hbar.
-
-    The log prior is quadratic in hbar (:meth:`GaussianPrior.line_coefficients`)
-    and mu comes from the model's line, so a step scale costs O(S n) for the
-    logistic model and O(S n d) for relu1 instead of a full evaluation at phi.
-    """
-
-    mu: LinearMuLine | ReluMuLine
-    labels: np.ndarray           # (n,)
-    log_prior: np.ndarray        # (S,) at the draws
-    prior_slope: np.ndarray      # (S,)
-    prior_curvature: np.ndarray | float
-
-    def at(self, hbar) -> PosteriorEvaluation:
-        mu = self.mu.at(hbar)
-        log_lik = bernoulli_log_likelihood(mu, self.labels[None, :])
-        log_prior = self.log_prior - hbar * (self.prior_slope + 0.5 * hbar * self.prior_curvature)
-        return PosteriorEvaluation(mu=mu, log_lik=log_lik, log_post=log_prior + log_lik.sum(axis=1), grad_log_post=None)

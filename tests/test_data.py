@@ -160,6 +160,33 @@ class TestCsvLoaders:
         with pytest.raises(ValidationError):
             load_dataset_csv(data)
 
+    def test_every_bad_cell_named(self, tmp_path):
+        # cells that convert in bulk but fall outside their column's domain,
+        # and cells that stop the bulk conversion, are all named in row order
+        data = tmp_path / "d.csv"
+        data.write_text("a,y\n1.0,1\ninf,0\n2.0,2\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            load_dataset_csv(data)
+        assert list(err.value.violations) == [
+            "row 2, column 'a': non-finite value 'inf'", "row 3: label '2' not in {0, 1}",
+        ]
+        drw = tmp_path / "w.csv"
+        drw.write_text("b0,b1\n0.1,0.2\n0.3\n0.5,x\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            load_draws_csv(drw)
+        assert list(err.value.violations) == [
+            "draw row 2: expected 2 cells, got 1", "draw row 3, column 'b1': non-numeric value 'x'",
+        ]
+
+    def test_non_string_cells_are_parsed_one_by_one(self):
+        # np.array(..., dtype=float) would read None as NaN; float(None) raises
+        with pytest.raises(ValidationError) as err:
+            validate_dataset([["1.0", "0"], [None, "1"]], header=["f", "y"])
+        assert list(err.value.violations) == ["row 2, column 'f': non-numeric value None"]
+        ds = validate_dataset([[1.5, 0], [2.5, 1.0]], header=["f", "y"])
+        np.testing.assert_array_equal(ds.features[:, 0], [1.5, 2.5])
+        np.testing.assert_array_equal(ds.labels, [0, 1])
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -197,6 +224,14 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="unknown config key 'rng_seed'"):
             RunConfig.from_json('{"khat_threshold": 0.5, "rng_seed": 0}')
         assert "rng_seed" not in RunConfig().to_json_dict()
+
+    def test_removed_keys_are_unknown(self):
+        # variational mode follows from passing a variational log density,
+        # and the PSIS tail rule is the only one
+        for key, value in (("use_variational_correction", "true"), ("tail_fraction_rule", '"psis"')):
+            with pytest.raises(ValidationError, match=f"unknown config key '{key}'"):
+                RunConfig.from_json(f'{{"{key}": {value}}}')
+        assert set(RunConfig().to_json_dict()) == {"khat_threshold", "hbar_exponents", "transform_order"}
 
 
 class TestPosteriorDraws:

@@ -113,8 +113,7 @@ class TestEtaWeights:
 
 
 def _variational_problem(model, draws, dataset, prior, log_density, **config):
-    config = RunConfig(use_variational_correction=True, **config)
-    return LooProblem.build(model, draws, dataset, prior, config, variational_log_density=log_density)
+    return LooProblem.build(model, draws, dataset, prior, RunConfig(**config), variational_log_density=log_density)
 
 
 class TestChiWeights:
@@ -218,29 +217,18 @@ class TestAdaptObservation:
                 assert result.final_khat <= min(attempted) + 1e-12
                 assert result.final_khat <= result.raw_khat + 1e-12
 
-    def test_variational_flag_requires_density(self):
-        model, dataset, prior, draws = make_logistic_toy(seed=58)
-        config = RunConfig(use_variational_correction=True)
-        with pytest.raises(DomainError, match="no variational log density"):
-            LooProblem.build(model, draws, dataset, prior, config)
-        with pytest.raises(DomainError, match="no variational log density"):
-            run_loo(model, draws, dataset, prior, config)
-
-    def test_density_without_flag_is_rejected(self):
-        # q passed without use_variational_correction used to be ignored
-        # silently: LOO-IC 11.42 with or without q, against 9.74 corrected
+    def test_density_turns_the_correction_on(self):
+        # passing q alone corrects for the proposal: LOO-IC 9.74 with q,
+        # against 11.42 when the draws are taken for posterior draws
         tau = 0.8
         model, dataset, prior, draws = make_logistic_toy(seed=64, p=2, num_draws=400, draw_scale=tau)
 
         def proposal_log_density(theta):
             return float(-0.5 * np.sum((np.asarray(theta) / tau) ** 2))
 
-        for build in (LooProblem.build, run_loo):
-            with pytest.raises(DomainError, match="use_variational_correction is off"):
-                build(model, draws, dataset, prior, RunConfig(), variational_log_density=proposal_log_density)
-        corrected = run_loo(model, draws, dataset, prior, RunConfig(use_variational_correction=True),
-                            variational_log_density=proposal_log_density)
+        corrected = run_loo(model, draws, dataset, prior, RunConfig(), variational_log_density=proposal_log_density)
         assert corrected.loo_ic == pytest.approx(9.74, abs=0.01)
+        assert run_loo(model, draws, dataset, prior, RunConfig()).loo_ic == pytest.approx(11.42, abs=0.01)
 
     def test_variational_correction_drives_attempts(self):
         # draws from a Gaussian narrower than the posterior (the usual
@@ -370,8 +358,7 @@ class TestVariationalRun:
             d = np.asarray(theta) - mean
             return float(-0.5 * d @ precision @ d)
 
-        config = RunConfig(use_variational_correction=True)
-        report = run_loo(model, draws, dataset, prior, config, variational_log_density=q)
+        report = run_loo(model, draws, dataset, prior, RunConfig(), variational_log_density=q)
         for r in report.per_observation:
             x = dataset.features[r.index][None, :]
             exact = exact_loo_expectation(
@@ -441,16 +428,19 @@ class TestMetamorphic:
 
 
 class TestRunCost:
-    """One posterior evaluation per run; weighted moments at most once per flagged observation."""
+    """One posterior evaluation per run; weighted moments at most once per flagged observation;
+    one forward pass at the observation per gradient line."""
+
+    def _toy(self, toy):
+        if toy == "logistic":
+            return make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
+        return make_relu_toy(seed=67, num_draws=60)
 
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
     def test_one_evaluation_per_run(self, toy, monkeypatch):
         from looadapt import engine, transforms
 
-        if toy == "logistic":
-            model, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
-        else:
-            model, dataset, prior, draws = make_relu_toy(seed=67, num_draws=60)
+        model, dataset, prior, draws = self._toy(toy)
         calls = {"evaluate_posterior": 0, "weighted_moments": 0}
 
         def counted_evaluate(*args, **kwargs):
@@ -474,3 +464,26 @@ class TestRunCost:
         assert flagged > 0
         assert calls["evaluate_posterior"] == 1
         assert 0 < calls["weighted_moments"] <= flagged
+
+    @pytest.mark.parametrize("toy", ["logistic", "relu1"])
+    def test_one_grad_mu_batch_per_gradient_line(self, toy, monkeypatch):
+        from looadapt import transforms
+
+        model, dataset, prior, draws = self._toy(toy)
+        calls = {"grad_mu_batch": 0, "lines": 0}
+        grad_mu_batch = type(model).grad_mu_batch
+        apply_gradient_transform = transforms.apply_gradient_transform
+
+        def counted_grad(self, values, x):
+            calls["grad_mu_batch"] += 1
+            return grad_mu_batch(self, values, x)
+
+        def counted_line(*args, **kwargs):
+            calls["lines"] += 1
+            return apply_gradient_transform(*args, **kwargs)
+
+        monkeypatch.setattr(type(model), "grad_mu_batch", counted_grad)
+        monkeypatch.setattr(transforms, "apply_gradient_transform", counted_line)
+        run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 2), transform_order=("KL", "Var", "LL")))
+        assert calls["lines"] > 0
+        assert calls["grad_mu_batch"] == calls["lines"]

@@ -19,7 +19,7 @@ from looadapt import (
 from looadapt.models import ReluOneParams, bernoulli_log_likelihood, evaluate_posterior, sigmoid_slope
 from looadapt.oracle import finite_difference_gradient, finite_difference_hessian
 
-from conftest import make_logistic_toy, make_relu_toy
+from conftest import dense_hessian, hessian_factors, make_logistic_toy, make_relu_toy
 
 
 class TestSigmoid:
@@ -137,40 +137,66 @@ class TestReluGradMu:
 
 
 class TestReluHessianSpectrum:
+    """The batched eigen-factors of the Hessian of mu (``hessian_eigenbasis``)."""
+
     def test_inactive_means_empty(self):
         model = ReluOneModel(d=2, p=2)
         theta = np.concatenate([[-1.0, -1.0, -2.0, -2.0], [1.0, 1.0], [0.0]])
-        assert model.hessian_spectrum(theta, [1.0, 1.0]) == []
+        lam, plus, minus = hessian_factors(model, theta, [1.0, 1.0])
+        np.testing.assert_array_equal(lam, 0.0)
+        np.testing.assert_array_equal(plus, 0.0)
+        np.testing.assert_array_equal(minus, 0.0)
+        np.testing.assert_array_equal(dense_hessian(model, theta, [1.0, 1.0]), 0.0)
+
+    def test_zero_input_means_empty(self):
+        model = ReluOneModel(d=2, p=2)
+        theta = np.arange(1.0, 8.0)
+        lam, _, _ = hessian_factors(model, theta, [0.0, 0.0])
+        np.testing.assert_array_equal(lam, 0.0)
+        np.testing.assert_array_equal(dense_hessian(model, theta, [0.0, 0.0]), 0.0)
 
     def test_active_unit_eigenvalues_are_feature_norm(self):
         model = ReluOneModel(d=1, p=2)
         theta = np.array([1.0, 1.0, 2.0, 0.0])  # z1 = 3 + 4 = 7 > 0
-        pairs = model.hessian_spectrum(theta, [3.0, 4.0])
-        lams = sorted(lam for lam, _ in pairs)
-        assert lams == [-5.0, 5.0]
+        lam, _, _ = hessian_factors(model, theta, [3.0, 4.0])
+        np.testing.assert_array_equal(lam, 5.0)  # the pair +-5
+        np.testing.assert_allclose(np.linalg.eigvalsh(dense_hessian(model, theta, [3.0, 4.0])),
+                                   [-5.0, 0.0, 0.0, 5.0], atol=1e-12)
 
     def test_orthonormal_eigenvectors(self):
         model, dataset, prior, draws = make_relu_toy(seed=8)
-        theta = draws.values[0]
-        pairs = model.hessian_spectrum(theta, dataset.features[0])
-        vecs = np.array([v for _, v in pairs])
-        gram = vecs @ vecs.T
-        np.testing.assert_allclose(gram, np.eye(len(pairs)), atol=1e-10)
-        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
+        theta, x = draws.values[0], dataset.features[0]
+        p = model.param_dim
+        lam, plus, minus = hessian_factors(model, theta, x)
+        active = lam[0] > 0
+        assert active.any()
+        # |e_k+-|^2 = sum_a (e_k+- . e_a)^2 = 1 on every active unit
+        diagonal = np.arange(p) * (p + 1)
+        np.testing.assert_allclose(plus[diagonal].sum(axis=0), active, atol=1e-12)
+        np.testing.assert_allclose(minus[diagonal].sum(axis=0), active, atol=1e-12)
+        # an orthonormal eigenbasis inverts I + alpha H pair by pair
+        rng = np.random.default_rng(0)
+        u, v = rng.normal(size=(2, 1, p))
+        alpha = 0.1
+        grad = model.grad_mu_batch(theta[None, :], x)
+        lam, plus, minus = model.hessian_eigenbasis(grad, x, u, v)
+        resolvent = float(u[0] @ v[0]) + np.sum((1.0 / (1.0 + alpha * lam) - 1.0) * plus
+                                                + (1.0 / (1.0 - alpha * lam) - 1.0) * minus)
+        dense = u[0] @ np.linalg.solve(np.eye(p) + alpha * dense_hessian(model, theta, x), v[0])
+        assert resolvent == pytest.approx(dense, rel=1e-12)
 
     def test_reconstruction_matches_fd_hessian(self):
         model, dataset, prior, draws = make_relu_toy(seed=9, d=2, p=2, n=4)
         theta = draws.values[3]
         x = dataset.features[1]
-        pairs = model.hessian_spectrum(theta, x)
-        recon = sum(lam * np.outer(v, v) for lam, v in pairs)
         fd = finite_difference_hessian(lambda t: model.mu(t, x), theta, step=1e-4)
-        np.testing.assert_allclose(recon, fd, atol=1e-4)
+        np.testing.assert_allclose(dense_hessian(model, theta, x), fd, atol=1e-4)
 
     def test_logistic_spectrum_always_empty(self, rng):
         model = LogisticModel(p=4)
         for _ in range(5):
-            assert model.hessian_spectrum(rng.normal(size=4), rng.normal(size=4)) == []
+            assert hessian_factors(model, rng.normal(size=4), rng.normal(size=4)) is None
+            np.testing.assert_array_equal(dense_hessian(model, rng.normal(size=4), rng.normal(size=4)), 0.0)
 
 
 class TestLogPosterior:
@@ -274,9 +300,10 @@ class TestMuLine:
         values = draws.values
         x = dataset.features[1]
         coef = 0.1 * rng.normal(size=draws.num_draws)
-        step = coef[:, None] * model.grad_mu_batch(values, x)
+        grad = model.grad_mu_batch(values, x)
+        step = coef[:, None] * grad
         origin = model.mu_line(values, dataset.features, model.mu_batch(values, dataset.features))
-        line = origin.along_gradient(values, x, coef)
+        line = origin.along_gradient(grad, x, coef)
         for hbar in (1.0, 0.25, 4.0**-5):
             np.testing.assert_allclose(
                 line.at(hbar), model.mu_batch(values + hbar * step, dataset.features), rtol=1e-12, atol=1e-12

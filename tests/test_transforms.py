@@ -1,6 +1,7 @@
 """Transformations, step sizes and Jacobian determinants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from looadapt import (
     apply_gradient_transform,
     apply_pmm,
     finite_difference_jacobian,
-    gradient_jacobian,
+    gradient_step,
     marginal_stats,
 )
 from looadapt.data import Dataset
@@ -25,6 +26,7 @@ from looadapt.gpd import pareto_smooth
 from looadapt.models import (
     GaussianPrior,
     LogisticModel,
+    PosteriorEvaluation,
     evaluate_posterior,
     grad_log_posterior,
     log_posterior_unnorm,
@@ -33,7 +35,7 @@ from looadapt.models import (
 )
 from looadapt.transforms import apply_transform, log_step_size
 
-from conftest import attempt, fd_divergence, logdet_at, make_logistic_toy, make_relu_toy, q_at
+from conftest import attempt, dense_hessian, fd_divergence, logdet_at, make_logistic_toy, make_relu_toy, q_at
 
 
 def _toy_for_direction(x, y):
@@ -218,10 +220,22 @@ class TestApplyGradientTransform:
 
 
 class _OtherModel(SigmoidalModel):
-    """A sigmoidal model outside the two families with exact determinants."""
+    """A sigmoidal model outside the two built-in families: it wraps another
+    model and forwards only what a gradient step uses."""
 
-    param_dim = num_features = 3
-    mu = grad_mu = hessian_spectrum = mu_batch = grad_mu_batch = weighted_grad_mu = mu_line = None
+    mu = grad_mu = mu_batch = weighted_grad_mu = mu_line = None
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    param_dim = property(lambda self: self.inner.param_dim)
+    num_features = property(lambda self: self.inner.num_features)
+
+    def grad_mu_batch(self, values, x):
+        return self.inner.grad_mu_batch(values, x)
+
+    def hessian_eigenbasis(self, grad, x, u, v):
+        return self.inner.hessian_eigenbasis(grad, x, u, v)
 
 
 class TestExactLogdetOps:
@@ -263,13 +277,24 @@ class TestExactLogdetOps:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_model_kind_guards(self):
+        """A PMM kind, and KL without the posterior gradient, are rejected.
+        The model family is not guarded: any model steps through its own
+        grad_mu_batch and hessian_eigenbasis."""
         model, dataset, prior, draws = make_logistic_toy(seed=38, p=3)
-        values = draws.values[:1]
-        args = (dataset, 0, np.zeros(1), np.zeros(1), np.zeros((1, 3)))
-        with pytest.raises(DomainError, match="no exact Jacobian determinant"):
-            gradient_jacobian("KL", _OtherModel(), values, *args)
+        values = draws.values[:5]
+        ev = evaluate_posterior(model, values, dataset, prior)
         with pytest.raises(DomainError, match="defined for"):
-            gradient_jacobian("PMM1", model, values, *args)
+            gradient_step("PMM1", model, values, dataset, 0, ev, ev.log_ref)
+        with pytest.raises(DomainError, match="needs the posterior gradient"):
+            gradient_step("KL", model, values, dataset, 0, replace(ev, grad_log_post=None), ev.log_ref)
+        for toy in (make_logistic_toy(seed=38, p=3), make_relu_toy(seed=38)):
+            inner, toy_data, toy_prior, toy_draws = toy
+            toy_values = toy_draws.values[:5]
+            toy_ev = evaluate_posterior(inner, toy_values, toy_data, toy_prior)
+            for kind in ("KL", "Var", "LL"):
+                ours = gradient_step(kind, _OtherModel(inner), toy_values, toy_data, 0, toy_ev, toy_ev.log_ref)
+                theirs = gradient_step(kind, inner, toy_values, toy_data, 0, toy_ev, toy_ev.log_ref)
+                np.testing.assert_array_equal(ours.logdet(-1.0)[0], theirs.logdet(-1.0)[0])
 
 
 class TestFirstOrderLogdet:
@@ -288,10 +313,9 @@ class TestFirstOrderLogdet:
         # c = 1 and grad log post = -2 make the map exactly singular
         dataset = Dataset(features=np.ones((1, 1)), labels=np.array([0]), feature_names=("a",))
         model = LogisticModel(p=1)
-        jacobian = gradient_jacobian(
-            "KL", model, np.zeros((1, 1)), dataset, 0, np.zeros(1), np.zeros(1), np.array([[-2.0]])
-        )
-        logdet, flags = jacobian.logdet(0.0)
+        ev = PosteriorEvaluation(mu=np.zeros((1, 1)), log_lik=np.zeros((1, 1)), log_post=np.zeros(1),
+                                 grad_log_post=np.array([[-2.0]]))
+        logdet, flags = gradient_step("KL", model, np.zeros((1, 1)), dataset, 0, ev, 0.0).logdet(0.0)
         assert logdet[0] == -math.inf
         assert flags == ("singular-jacobian",)
 
@@ -417,7 +441,7 @@ def _jacobian_of_q(kind, model, theta, dataset, prior, i, log_ref):
     x, y = dataset.features[i], int(dataset.labels[i])
     mu = model.mu(theta, x)
     grad = model.grad_mu(theta, x)
-    hess = sum((lam * np.outer(v, v) for lam, v in model.hessian_spectrum(theta, x)), np.zeros((len(theta),) * 2))
+    hess = dense_hessian(model, theta, x)
     if kind == "LL":
         factor = float(sigmoid(mu)) - y
         return factor * grad, factor * hess + float(sigmoid_slope(mu)) * np.outer(grad, grad)
