@@ -8,7 +8,6 @@ locking.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -230,30 +229,14 @@ def _read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
         return header, list(reader)
 
 
-def _float_matrix(rows, width: int) -> np.ndarray | None:
-    """Rows of ``width`` strings as one float matrix, in one np.array call.
-
-    Returns None when that call fails (a ragged row or a non-numeric cell),
-    so the caller can walk the cells to name every violation. Only strings,
-    as csv.reader yields them, take this path: np.array turns None into NaN
-    where float() raises.
-    """
-    if not rows or set(map(type, itertools.chain.from_iterable(rows))) != {str}:
-        return None
-    try:
-        values = np.array(rows, dtype=float)
-    except ValueError:
-        return None
-    return values if values.shape == (len(rows), width) else None
-
-
-def _walk_cells(rows, header, row_name: str, cell_fault=lambda j, value, cell: None):
+def _walk_cells(rows, header, row_name: str, cell_fault=None):
     """Parse cell by cell and name every ragged row, non-numeric cell and
     cell that ``cell_fault`` rejects, in row-major order.
 
-    ``cell_fault(j, value, cell)`` returns the tail of the message for a
-    number out of column j's domain, or None. Row numbers are 1-based over
-    data rows. Returns the (rows, columns) values and the violations.
+    ``cell_fault(j, value, cell)``, if given, returns the tail of the
+    message for a number out of column j's domain, or None. Row numbers are
+    1-based over data rows. Returns the (rows, columns) values and the
+    violations.
     """
     values = np.zeros((len(rows), len(header)))
     violations: list[str] = []
@@ -261,16 +244,16 @@ def _walk_cells(rows, header, row_name: str, cell_fault=lambda j, value, cell: N
         if len(row) != len(header):
             violations.append(f"{row_name} {r}: expected {len(header)} cells, got {len(row)}")
             continue
+        out = values[r - 1]
         for j, cell in enumerate(row):
             try:
                 value = float(cell)
             except (TypeError, ValueError):
                 violations.append(f"{row_name} {r}, column {header[j]!r}: non-numeric value {cell!r}")
                 continue
-            fault = cell_fault(j, value, cell)
-            if fault is not None:
+            if cell_fault is not None and (fault := cell_fault(j, value, cell)) is not None:
                 violations.append(f"{row_name} {r}{fault}")
-            values[r - 1, j] = value
+            out[j] = value
     return values, violations
 
 
@@ -301,11 +284,9 @@ def validate_dataset(
             return None if value in (0.0, 1.0) else f": label {cell!r} not in {{0, 1}}"
         return None if math.isfinite(value) else f", column {header[j]!r}: non-finite value {cell!r}"
 
-    values = _float_matrix(rows, len(header))
-    if values is None or not (np.isfinite(values).all() and np.isin(values[:, label_idx], (0.0, 1.0)).all()):
-        values, violations = _walk_cells(rows, header, "row", cell_fault)
-        if violations:
-            raise ValidationError(violations)
+    values, violations = _walk_cells(rows, header, "row", cell_fault)
+    if violations:
+        raise ValidationError(violations)
     labels = values[:, label_idx].astype(int)
     return Dataset(features=np.delete(values, label_idx, axis=1), labels=labels, feature_names=feature_names)
 
@@ -320,9 +301,7 @@ def load_dataset_csv(path, label_column: str = "y", add_intercept: bool = False)
 def load_draws_csv(path) -> PosteriorDraws:
     """Read a draws CSV (header row of parameter names, one row per draw)."""
     header, rows = _read_csv(path, "draws")
-    values, violations = _float_matrix(rows, len(header)), []
-    if values is None:
-        values, violations = _walk_cells(rows, header, "draw row")
+    values, violations = _walk_cells(rows, header, "draw row")
     if len(rows) < 2:
         violations.append(f"need at least two draws, got {len(rows)}")
     if violations:

@@ -145,6 +145,15 @@ def dense_hessian(model, theta, x):
     return np.sum(lam * (plus - minus), axis=1).reshape(p, p)
 
 
+def pairwise_resolvent(model, theta, x, u, v, alpha):
+    """u^T (I + alpha H)^-1 v at one (theta, x), through the eigenbasis: each
+    eigenpair +-lam shifts u.v by (1 / (1 +- alpha lam) - 1) times its product."""
+    grad = model.grad_mu_batch(np.asarray(theta, dtype=float)[None, :], x)
+    lam, plus, minus = model.hessian_eigenbasis(grad, x, u[None, :], v[None, :])
+    return float(u @ v) + np.sum((1.0 / (1.0 + alpha * lam) - 1.0) * plus
+                                 + (1.0 / (1.0 - alpha * lam) - 1.0) * minus)
+
+
 def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6):
     """div Q at theta: the trace of the finite-difference Jacobian of Q."""
     jac = finite_difference_jacobian(

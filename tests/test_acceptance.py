@@ -59,6 +59,7 @@ from conftest import (
     make_logistic_toy,
     make_relu_toy,
     pair_count_auroc,
+    pairwise_resolvent,
     q_at,
 )
 
@@ -153,14 +154,26 @@ def test_criterion_03_relu_hessian_spectrum():
         np.testing.assert_array_equal(lam, 5.0)
 
         rmodel, rdataset, _, rdraws = make_relu_toy(seed=2303, n=5, d=2, p=2, num_draws=20)
+        dim = rmodel.param_dim
+        rng = np.random.default_rng(2303)
         for k in range(10):
             theta = rdraws.values[k]
             x = rdataset.features[k % rdataset.n]
             # the pair +-|x| on every active unit, eigenvalue 0 on the others
-            lam, _, _ = hessian_factors(rmodel, theta, x)
-            np.testing.assert_array_equal(lam[0], np.linalg.norm(x) * rmodel.relu_forward(theta, x)[2])
+            lam, plus, minus = hessian_factors(rmodel, theta, x)
+            active = rmodel.relu_forward(theta, x)[2]
+            np.testing.assert_array_equal(lam[0], np.linalg.norm(x) * active)
+            # unit eigenvectors on the active units
+            diagonal = np.arange(dim) * (dim + 1)
+            np.testing.assert_allclose(plus[diagonal].sum(axis=0), active, atol=1e-12)
+            np.testing.assert_allclose(minus[diagonal].sum(axis=0), active, atol=1e-12)
             fd = finite_difference_hessian(lambda t: rmodel.mu(t, x), theta, step=1e-4)
-            np.testing.assert_allclose(dense_hessian(rmodel, theta, x), fd, atol=1e-4)
+            dense = dense_hessian(rmodel, theta, x)
+            np.testing.assert_allclose(dense, fd, atol=1e-4)
+            # an orthonormal eigenbasis inverts I + alpha H, the determinants' term
+            u, v = rng.normal(size=(2, dim))
+            solved = u @ np.linalg.solve(np.eye(dim) + 0.1 * dense, v)
+            assert pairwise_resolvent(rmodel, theta, x, u, v, 0.1) == pytest.approx(solved, rel=1e-10)
 
 
 def _determinant_cell(kind, model, dataset, prior, draws, i, hbar, fd_step_scale):

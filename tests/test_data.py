@@ -161,8 +161,8 @@ class TestCsvLoaders:
             load_dataset_csv(data)
 
     def test_every_bad_cell_named(self, tmp_path):
-        # cells that convert in bulk but fall outside their column's domain,
-        # and cells that stop the bulk conversion, are all named in row order
+        # cells outside their column's domain, ragged rows and non-numeric
+        # cells are all named, in row order
         data = tmp_path / "d.csv"
         data.write_text("a,y\n1.0,1\ninf,0\n2.0,2\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
@@ -178,8 +178,8 @@ class TestCsvLoaders:
             "draw row 2: expected 2 cells, got 1", "draw row 3, column 'b1': non-numeric value 'x'",
         ]
 
-    def test_non_string_cells_are_parsed_one_by_one(self):
-        # np.array(..., dtype=float) would read None as NaN; float(None) raises
+    def test_non_string_cells(self):
+        # None is non-numeric (not NaN); numbers load as they are
         with pytest.raises(ValidationError) as err:
             validate_dataset([["1.0", "0"], [None, "1"]], header=["f", "y"])
         assert list(err.value.violations) == ["row 2, column 'f': non-numeric value None"]

@@ -19,7 +19,7 @@ from looadapt import (
 from looadapt.models import ReluOneParams, bernoulli_log_likelihood, evaluate_posterior, sigmoid_slope
 from looadapt.oracle import finite_difference_gradient, finite_difference_hessian
 
-from conftest import dense_hessian, hessian_factors, make_logistic_toy, make_relu_toy
+from conftest import dense_hessian, hessian_factors, make_logistic_toy, make_relu_toy, pairwise_resolvent
 
 
 class TestSigmoid:
@@ -176,14 +176,10 @@ class TestReluHessianSpectrum:
         np.testing.assert_allclose(minus[diagonal].sum(axis=0), active, atol=1e-12)
         # an orthonormal eigenbasis inverts I + alpha H pair by pair
         rng = np.random.default_rng(0)
-        u, v = rng.normal(size=(2, 1, p))
+        u, v = rng.normal(size=(2, p))
         alpha = 0.1
-        grad = model.grad_mu_batch(theta[None, :], x)
-        lam, plus, minus = model.hessian_eigenbasis(grad, x, u, v)
-        resolvent = float(u[0] @ v[0]) + np.sum((1.0 / (1.0 + alpha * lam) - 1.0) * plus
-                                                + (1.0 / (1.0 - alpha * lam) - 1.0) * minus)
-        dense = u[0] @ np.linalg.solve(np.eye(p) + alpha * dense_hessian(model, theta, x), v[0])
-        assert resolvent == pytest.approx(dense, rel=1e-12)
+        dense = u @ np.linalg.solve(np.eye(p) + alpha * dense_hessian(model, theta, x), v)
+        assert pairwise_resolvent(model, theta, x, u, v, alpha) == pytest.approx(dense, rel=1e-12)
 
     def test_reconstruction_matches_fd_hessian(self):
         model, dataset, prior, draws = make_relu_toy(seed=9, d=2, p=2, n=4)
