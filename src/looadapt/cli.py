@@ -123,24 +123,23 @@ def _build_model(args, dataset: Dataset) -> SigmoidalModel:
 
 
 def _build_prior(args, param_dim: int) -> GaussianPrior:
-    if args.prior_sd_file is not None:
-        with open(args.prior_sd_file, encoding="utf-8") as fh:
-            sds = [float(line) for line in fh if line.strip()]
-        if len(sds) != param_dim:
-            raise LooAdaptError(f"prior sd file has {len(sds)} entries, expected {param_dim}")
-        return GaussianPrior(sd=np.array(sds))
-    return GaussianPrior.isotropic(param_dim, args.prior_sd)
+    if args.prior_sd_file is None:
+        return GaussianPrior.isotropic(param_dim, args.prior_sd)
+    sds = []
+    with open(args.prior_sd_file, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    sds.append(float(line))
+                except ValueError:
+                    raise LooAdaptError(f"prior sd file line {number}: not a number: {line.strip()!r}") from None
+    return GaussianPrior(sd=np.array(sds))
 
 
 def _load_inputs(args):
     dataset = load_dataset_csv(args.data, label_column=args.label_column, add_intercept=args.add_intercept)
     draws = load_draws_csv(args.draws)
     model = _build_model(args, dataset)
-    if draws.param_dim != model.param_dim:
-        raise LooAdaptError(
-            f"draws file has {draws.param_dim} parameter columns but the "
-            f"{args.model} model expects {model.param_dim}"
-        )
     prior = _build_prior(args, model.param_dim)
     config = RunConfig()
     if args.config is not None:

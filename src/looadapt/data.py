@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -112,6 +113,18 @@ class PosteriorDraws:
         return self.values.shape[1]
 
 
+def _is_a(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _list_of(value, kind, key: str, what: str) -> tuple:
+    """The items of a list (or tuple or array) of ``kind``; anything else, a
+    string included, is a ValidationError naming ``key``."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or not all(_is_a(v, kind) for v in value):
+        raise ValidationError([f"{key} must be a list of {what}, got {value!r}"])
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs of the adaptation loop; every field has a usable default."""
@@ -121,14 +134,16 @@ class RunConfig:
     transform_order: tuple[str, ...] = TRANSFORM_KINDS
 
     def __post_init__(self):
+        if not _is_a(self.khat_threshold, numbers.Real):
+            raise ValidationError([f"khat_threshold must be a number, got {self.khat_threshold!r}"])
         if not self.khat_threshold > 0:
             raise DomainError("khat_threshold must be positive")
-        exps = tuple(int(r) for r in self.hbar_exponents)
+        exps = tuple(int(r) for r in _list_of(self.hbar_exponents, numbers.Integral, "hbar_exponents", "integers"))
         if len(exps) == 0:
             raise DomainError("hbar_exponents must be non-empty")
         if any(r < 0 for r in exps):
             raise DomainError("hbar_exponents must be non-negative")
-        order = tuple(str(k) for k in self.transform_order)
+        order = _list_of(self.transform_order, str, "transform_order", "transform kinds")
         if len(order) == 0:
             raise DomainError("transform_order must be non-empty")
         if len(set(order)) != len(order):

@@ -223,31 +223,14 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     raw_smoothed, raw_fit = pareto_smooth(raw)
     raw_khat = raw_fit.khat
 
-    y = int(problem.dataset.labels[i])
-    if raw_khat <= threshold:
-        prob, prob_se, lpd, lpd_se = _loo_quantities(raw_smoothed, evaluation.mu[:, i], y)
-        return ObservationResult(
-            index=i,
-            raw_khat=raw_khat,
-            adapted=True,
-            winning_transform=None,
-            final_khat=raw_khat,
-            final_weights=raw_smoothed,
-            loo_predictive_prob=prob,
-            loo_log_predictive_density=lpd,
-            loo_predictive_prob_se=prob_se,
-            loo_log_predictive_density_se=lpd_se,
-            attempts=(),
-        )
-
     attempts: list[AttemptRecord] = []
-    # Candidates for "best attempt" always include the raw weights.
+    # Candidates for "best attempt" always include the raw weights; when they
+    # are under the threshold already, the scan has no attempts.
     best = (raw_khat, None, None, raw_smoothed)  # (khat, spec, transformed, weights)
-    winner = None
-    for line in step_lines(i, problem, raw_smoothed):
+    for line in () if raw_khat <= threshold else step_lines(i, problem, raw_smoothed):
         for hbar in config.hbar_values:
             spec = TransformSpec(kind=line.kind, hbar=hbar, observation_index=i)
-            transformed = apply_transform(spec, problem, line)
+            transformed = apply_transform(line, hbar, problem)
             flags, fit = transformed.flags, None
             if not transformed.degenerate:
                 try:
@@ -267,22 +250,22 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
             )
             if fit is None:
                 continue
-            if khat < best[0]:
+            # an attempt under the threshold wins even over a NaN raw k-hat
+            if khat < best[0] or khat <= threshold:
                 best = (khat, spec, transformed, smoothed)
             if khat <= threshold:
-                winner = (khat, spec, transformed, smoothed)
                 break
-        if winner is not None:
+        if best[0] <= threshold:
             break
 
-    final_khat, win_spec, win_transformed, final_weights = winner if winner is not None else best
+    final_khat, win_spec, win_transformed, final_weights = best
     final_evaluation = evaluation if win_transformed is None else win_transformed.evaluation
+    y = int(problem.dataset.labels[i])
     prob, prob_se, lpd, lpd_se = _loo_quantities(final_weights, final_evaluation.mu[:, i], y)
-    adapted = final_khat <= threshold
     return ObservationResult(
         index=i,
         raw_khat=raw_khat,
-        adapted=adapted,
+        adapted=final_khat <= threshold,
         winning_transform=win_spec,
         final_khat=final_khat,
         final_weights=final_weights,

@@ -66,10 +66,6 @@ class WeightVector:
         normalized.flags.writeable = False
         return cls(log_weights=lw, normalized=normalized)
 
-    @property
-    def size(self) -> int:
-        return self.log_weights.size
-
 
 def fit_gpd_tail(sorted_tail_excesses) -> GpdFit:
     """Profile-posterior point estimate of the GPD shape and scale.

@@ -1,12 +1,14 @@
 """Sigmoidal classifier models and their derivative structure.
 
 A model evaluates the mean function mu(theta, x) behind the outcome
-probability sigma(mu) and grad_mu, for one parameter vector or batched over
-a draw matrix. The batched Hessian of mu, in its eigenbasis, is what the
-gradient-step Jacobians consume: it vanishes for linear (logistic
+probability sigma(mu) and grad_mu batched over a draw matrix, which is all
+a run uses; its single-draw mu and grad_mu are the reference behind
+:func:`grad_log_posterior`. The batched Hessian of mu, in its eigenbasis, is
+what the gradient-step Jacobians consume: it vanishes for linear (logistic
 regression) means and has +-|x| eigenpairs on the active units of a
 one-hidden-layer ReLU network, the two concrete families. Only this module
-knows how a family lays out its flattened parameters.
+knows how a family lays out its flattened parameters, and relu1 reads its
+layout in one place.
 """
 
 from __future__ import annotations
@@ -73,9 +75,6 @@ class GaussianPrior:
 
     def log_density(self, theta) -> float:
         return float(self.log_density_batch(np.asarray(theta, dtype=float)[None, :])[0])
-
-    def grad(self, theta) -> np.ndarray:
-        return -np.asarray(theta, dtype=float) / self.sd**2
 
     def log_density_batch(self, values) -> np.ndarray:
         z = values / self.sd
@@ -195,15 +194,6 @@ class LogisticModel(SigmoidalModel):
 
 
 @dataclass(frozen=True)
-class ReluOneParams:
-    """Unflattened one-hidden-layer parameters (W1, W2, b2)."""
-
-    W1: np.ndarray  # (d, p)
-    W2: np.ndarray  # (d,)
-    b2: float
-
-
-@dataclass(frozen=True)
 class ReluOneModel(SigmoidalModel):
     """One-hidden-layer ReLU network: mu = W2 . relu(W1 x) + b2.
 
@@ -228,28 +218,22 @@ class ReluOneModel(SigmoidalModel):
     def num_features(self) -> int:
         return self.p
 
-    def split(self, theta) -> ReluOneParams:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.param_dim,):
-            raise DimensionError(f"expected parameter vector of length {self.param_dim}")
+    def _split_batch(self, values):
+        """Views of W1 (..., d, p), W2 (..., d) and b2 (...) in parameter
+        vectors shaped (P,) or (S, P); the one reader of the flattened layout."""
         d, p = self.d, self.p
-        return ReluOneParams(
-            W1=theta[: d * p].reshape(d, p),
-            W2=theta[d * p : d * p + d],
-            b2=float(theta[-1]),
-        )
-
-    def flatten(self, params: ReluOneParams) -> np.ndarray:
-        return np.concatenate([params.W1.ravel(), params.W2, [params.b2]])
+        w1 = values[..., : d * p].reshape(values.shape[:-1] + (d, p))
+        return w1, values[..., d * p : d * p + d], values[..., -1]
 
     def relu_forward(self, theta, x) -> tuple[float, np.ndarray, np.ndarray]:
         """Forward pass returning (mu, pre-activations z1, activity mask)."""
-        params = self.split(theta)
-        x = np.asarray(x, dtype=float)
-        z1 = params.W1 @ x
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.param_dim,):
+            raise DimensionError(f"expected parameter vector of length {self.param_dim}")
+        w1, w2, b2 = self._split_batch(theta)
+        z1 = w1 @ np.asarray(x, dtype=float)
         mask = (z1 > 0).astype(float)
-        mu = float(params.W2 @ (z1 * mask) + params.b2)
-        return mu, z1, mask
+        return float(w2 @ (z1 * mask) + b2), z1, mask
 
     def mu(self, theta, x) -> float:
         return self.relu_forward(theta, x)[0]
@@ -261,23 +245,13 @@ class ReluOneModel(SigmoidalModel):
         d mu / d W2[k]    = relu(z1_k)
         d mu / d b2       = 1
         """
-        params = self.split(theta)
-        x = np.asarray(x, dtype=float)
-        z1 = params.W1 @ x
-        mask = (z1 > 0).astype(float)
-        grad = np.empty(self.param_dim)
-        grad[: self.d * self.p] = ((params.W2 * mask)[:, None] * x[None, :]).ravel()
-        grad[self.d * self.p : self.d * self.p + self.d] = z1 * mask
-        grad[-1] = 1.0
+        theta = np.asarray(theta, dtype=float)
+        _, z1, mask = self.relu_forward(theta, x)
+        grad = np.ones(self.param_dim)
+        g1, g2, _ = self._split_batch(grad)
+        g1[:] = (self._split_batch(theta)[1] * mask)[:, None] * np.asarray(x, dtype=float)
+        g2[:] = z1 * mask
         return grad
-
-    def _split_batch(self, values):
-        d, p = self.d, self.p
-        return (
-            values[:, : d * p].reshape(values.shape[0], d, p),
-            values[:, d * p : d * p + d],
-            values[:, -1],
-        )
 
     def mu_batch(self, values, features) -> np.ndarray:
         w1, w2, b2 = self._split_batch(values)
@@ -287,14 +261,13 @@ class ReluOneModel(SigmoidalModel):
 
     def grad_mu_batch(self, values, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        w1, w2, b2 = self._split_batch(values)
+        w1, w2, _ = self._split_batch(values)
         z1 = np.einsum("sdp,p->sd", w1, x)
         mask = (z1 > 0).astype(float)
-        s = values.shape[0]
-        grad = np.empty((s, self.param_dim))
-        grad[:, : self.d * self.p] = ((w2 * mask)[:, :, None] * x[None, None, :]).reshape(s, -1)
-        grad[:, self.d * self.p : self.d * self.p + self.d] = z1 * mask
-        grad[:, -1] = 1.0
+        grad = np.ones((values.shape[0], self.param_dim))
+        g1, g2, _ = self._split_batch(grad)
+        g1[:] = (w2 * mask)[:, :, None] * x
+        g2[:] = z1 * mask
         return grad
 
     def _active_units(self, grad) -> np.ndarray:
@@ -325,15 +298,15 @@ class ReluOneModel(SigmoidalModel):
         sum_n weights_sn W2_k 1[z1_snk > 0] x_n, the second sum_n weights_sn relu(z1_snk)."""
         features = np.asarray(features, dtype=float)
         w1, w2, _ = self._split_batch(values)
-        s, dp = values.shape[0], self.d * self.p
         z1 = np.einsum("sdp,np->snd", w1, features)
         active = np.asarray(weights, dtype=float)[:, :, None] * (z1 > 0)
-        grad = np.empty((s, self.param_dim))
-        grad[:, dp : dp + self.d] = np.einsum("snd,snd->sd", active, z1)
+        grad = np.empty((values.shape[0], self.param_dim))
+        g1, g2, gb = self._split_batch(grad)
+        g2[:] = np.einsum("snd,snd->sd", active, z1)
         del z1
         active *= w2[:, None, :]
-        grad[:, :dp] = np.einsum("snd,np->sdp", active, features).reshape(s, dp)
-        grad[:, -1] = np.sum(weights, axis=1)
+        g1[:] = np.einsum("snd,np->sdp", active, features)
+        gb[:] = np.sum(weights, axis=1)
         return grad
 
     def mu_line(self, values, features, mu) -> "ReluMuLine":
@@ -389,12 +362,8 @@ class ReluMuLine:
 
     def along(self, step) -> "ReluMuLine":
         """The line with step D, (P,) or (S, P); dz is one dense contraction."""
-        d, p = self.model.d, self.model.p
-        dw1 = step[..., : d * p].reshape(step.shape[:-1] + (d, p))
-        return replace(
-            self, a=np.einsum("...dp,np->...nd", dw1, self.features), g=1.0,
-            dw2=step[..., d * p : d * p + d], db2=step[..., -1],
-        )
+        dw1, dw2, db2 = self.model._split_batch(step)
+        return replace(self, a=np.einsum("...dp,np->...nd", dw1, self.features), g=1.0, dw2=dw2, db2=db2)
 
     def along_gradient(self, grad, x, coef) -> "ReluMuLine":
         """The line with step D_s = coef_s * grad_s, grad = grad_mu_batch at x:
@@ -412,34 +381,14 @@ class ReluMuLine:
         return np.einsum("snd,sd->sn", z, self.w2 + hbar * self.dw2) + (self.b2 + hbar * self.db2)[:, None]
 
 
-def log_likelihood(model: SigmoidalModel, theta, x, y) -> float:
-    """Bernoulli log likelihood of one observation at one parameter vector."""
-    return float(bernoulli_log_likelihood(model.mu(theta, x), y))
-
-
-def grad_log_likelihood(model: SigmoidalModel, theta, x, y) -> np.ndarray:
-    """Chain rule: [y (1 - sigma(mu)) - (1 - y) sigma(mu)] * grad_mu."""
-    mu = model.mu(theta, x)
-    return (float(y) - sigmoid(mu)) * model.grad_mu(theta, x)
-
-
-def log_posterior_unnorm(model: SigmoidalModel, theta, dataset: Dataset, prior: GaussianPrior) -> float:
-    """log prior + sum of log likelihoods; the normalization constant is dropped.
-
-    Differences of two such values exponentiate to exact posterior-density
-    ratios.
-    """
-    theta = np.asarray(theta, dtype=float)
-    mu = model.mu_batch(theta[None, :], dataset.features)[0]
-    return float(prior.log_density(theta) + bernoulli_log_likelihood(mu, dataset.labels).sum())
-
-
 def grad_log_posterior(model: SigmoidalModel, theta, dataset: Dataset, prior: GaussianPrior) -> np.ndarray:
-    """Gradient of the unnormalized log posterior (prior plus all data terms)."""
+    """Gradient of the unnormalized log posterior at one parameter vector: the
+    prior term plus, per observation, the chain rule [y - sigma(mu)] * grad_mu.
+    The single-draw reference for :func:`evaluate_posterior`'s batched gradient."""
     theta = np.asarray(theta, dtype=float)
-    grad = prior.grad(theta).copy()
-    for i in range(dataset.n):
-        grad += grad_log_likelihood(model, theta, dataset.features[i], dataset.labels[i])
+    grad = prior.grad_batch(theta)
+    for x, y in zip(dataset.features, dataset.labels):
+        grad += (float(y) - sigmoid(model.mu(theta, x))) * model.grad_mu(theta, x)
     return grad
 
 
@@ -471,7 +420,15 @@ def evaluate_posterior(
     with_grad: bool = True,
 ) -> PosteriorEvaluation:
     """Evaluate mu, log likelihood, log posterior (and optionally its gradient)
-    for a whole draw matrix in one pass."""
+    for a whole draw matrix in one pass. Draws, prior or dataset that do not
+    fit the model are a DimensionError, not a broadcast or misread columns."""
+    for what, got, want in (
+        ("parameter columns in the draws", values.shape[1], model.param_dim),
+        ("prior sds", prior.param_dim, model.param_dim),
+        ("dataset features", dataset.p, model.num_features),
+    ):
+        if got != want:
+            raise DimensionError(f"{got} {what}, but the model expects {want}")
     mu = model.mu_batch(values, dataset.features)
     log_lik = bernoulli_log_likelihood(mu, dataset.labels[None, :])
     log_post = prior.log_density_batch(values) + log_lik.sum(axis=1)

@@ -337,17 +337,14 @@ def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
             yield apply_gradient_transform(kind, i, problem)
 
 
-def apply_transform(spec: TransformSpec, problem: LooProblem, line: StepLine) -> TransformedDraws:
-    """Evaluate one step scale of ``line``: phi = theta + hbar * D.
+def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> TransformedDraws:
+    """Evaluate step scale ``hbar`` of ``line``: phi = theta + hbar * D.
 
     Costs O(S n) for the logistic model and O(S n d) for relu1, plus O(P)
     (PMM) or O(S) / O(S d) (gradient kinds) for the determinant.
     """
-    if (spec.kind, spec.observation_index) != (line.kind, line.observation_index):
-        raise DomainError(f"{spec} is not on the {line.kind} line of observation {line.observation_index}")
     if line.step is None:
         return _identity_transform(problem, line.flags)
-    hbar = spec.hbar
     if line.kind in PMM_KINDS:
         coef = 1.0 + hbar * line.jacobian
         if np.any(np.abs(coef) < SINGULAR_EPS):

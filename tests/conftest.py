@@ -7,24 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from looadapt import (
-    Dataset,
-    GaussianPrior,
-    LogisticModel,
-    PosteriorDraws,
-    ReluOneModel,
-    TransformSpec,
-    TransformedDraws,
-    apply_gradient_transform,
-    apply_pmm,
-    build_grid_posterior,
-    finite_difference_jacobian,
-    gradient_step,
-    marginal_stats,
-)
-from looadapt.data import PMM_KINDS
+from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, ReluOneModel, grad_log_posterior
+from looadapt.data import PMM_KINDS, marginal_stats
 from looadapt.models import evaluate_posterior
-from looadapt.transforms import apply_transform
+from looadapt.oracle import build_grid_posterior, finite_difference_jacobian
+from looadapt.transforms import TransformedDraws, apply_gradient_transform, apply_pmm, apply_transform, gradient_step
 
 
 def make_logistic_toy(seed=42, n=6, p=3, prior_sd=2.0, num_draws=50, draw_scale=1.0):
@@ -94,6 +81,21 @@ def make_grid_instance_2(seed=202, nodes_per_dim=81):
     prior = GaussianPrior.isotropic(2, 1.5)
     grid = build_grid_posterior(model, dataset, prior, bounds=[(-9.0, 9.0), (-9.0, 9.0)], nodes_per_dim=nodes_per_dim)
     return model, dataset, prior, grid
+
+
+def log_post(model, theta, dataset, prior):
+    """The unnormalized log posterior at one parameter vector, as a batch of one draw."""
+    values = np.asarray(theta, dtype=float)[None, :]
+    return float(evaluate_posterior(model, values, dataset, prior, with_grad=False).log_post[0])
+
+
+def grad_log_lik(model, theta, x, y):
+    """The gradient of one observation's log likelihood at one parameter vector:
+    grad_log_posterior on a one-row dataset minus the prior's gradient."""
+    theta, x = np.asarray(theta, dtype=float), np.asarray(x, dtype=float)
+    one = Dataset(features=x[None, :], labels=[y], feature_names=tuple(f"x{j}" for j in range(x.size)))
+    prior = GaussianPrior.isotropic(model.param_dim, 1.0)
+    return grad_log_posterior(model, theta, one, prior) - prior.grad_batch(theta)
 
 
 def _one_draw(kind, model, theta, dataset, prior, i, log_ref):
@@ -178,7 +180,7 @@ def attempt(problem, kind, i, hbar, nu_weights=None):
         line = apply_pmm(kind, i, problem, marginal_stats(problem.draws, nu_weights.normalized))
     else:
         line = apply_gradient_transform(kind, i, problem)
-    return line, apply_transform(TransformSpec(kind=kind, hbar=hbar, observation_index=i), problem, line)
+    return line, apply_transform(line, hbar, problem)
 
 
 def gpd_inverse_cdf_sample(rng, k, sigma, size):

@@ -20,30 +20,23 @@ from looadapt import (
     Dataset,
     GaussianPrior,
     LogisticModel,
-    LooProblem,
     PosteriorDraws,
     ReluOneModel,
     RunConfig,
-    adapt_observation,
-    auroc,
-    eta_weights,
-    exact_loo_expectation,
-    finite_difference_jacobian,
-    fit_gpd_tail,
-    grad_log_likelihood,
     grad_log_posterior,
-    log_likelihood,
-    log_posterior_unnorm,
-    raw_weights,
-    roc_curve,
     run_loo,
-    sigmoid,
 )
 from looadapt.cli import main as cli_main
 from looadapt.data import GRADIENT_KINDS
+from looadapt.engine import LooProblem, adapt_observation, eta_weights, raw_weights
+from looadapt.gpd import fit_gpd_tail
+from looadapt.metrics import auroc, roc_curve
+from looadapt.models import bernoulli_log_likelihood, sigmoid
 from looadapt.oracle import (
+    exact_loo_expectation,
     finite_difference_gradient,
     finite_difference_hessian,
+    finite_difference_jacobian,
     loo_probabilities,
     sample_grid_posterior,
 )
@@ -52,8 +45,10 @@ from conftest import (
     dense_hessian,
     fd_divergence,
     gpd_inverse_cdf_sample,
+    grad_log_lik,
     hessian_factors,
     identity_transform,
+    log_post,
     logdet_at,
     make_grid_instance_2,
     make_logistic_toy,
@@ -105,15 +100,13 @@ def test_criterion_02_derivative_oracles():
                 rtol=1e-4, atol=1e-8,
             )
             np.testing.assert_allclose(
-                grad_log_likelihood(model, theta, x, y),
-                finite_difference_gradient(lambda t: log_likelihood(model, t, x, y), theta),
+                grad_log_lik(model, theta, x, y),
+                finite_difference_gradient(lambda t: bernoulli_log_likelihood(model.mu(t, x), y), theta),
                 rtol=1e-4, atol=1e-8,
             )
             np.testing.assert_allclose(
                 grad_log_posterior(model, theta, dataset, prior),
-                finite_difference_gradient(
-                    lambda t: log_posterior_unnorm(model, t, dataset, prior), theta
-                ),
+                finite_difference_gradient(lambda t: log_post(model, t, dataset, prior), theta),
                 rtol=1e-4, atol=1e-8,
             )
             checked += 1
@@ -130,15 +123,13 @@ def test_criterion_02_derivative_oracles():
                 rtol=1e-4, atol=1e-8,
             )
             np.testing.assert_allclose(
-                grad_log_likelihood(rmodel, theta, x, y),
-                finite_difference_gradient(lambda t: log_likelihood(rmodel, t, x, y), theta),
+                grad_log_lik(rmodel, theta, x, y),
+                finite_difference_gradient(lambda t: bernoulli_log_likelihood(rmodel.mu(t, x), y), theta),
                 rtol=1e-4, atol=1e-8,
             )
             np.testing.assert_allclose(
                 grad_log_posterior(rmodel, theta, rdataset, rprior),
-                finite_difference_gradient(
-                    lambda t: log_posterior_unnorm(rmodel, t, rdataset, rprior), theta
-                ),
+                finite_difference_gradient(lambda t: log_post(rmodel, t, rdataset, rprior), theta),
                 rtol=1e-4, atol=1e-7,
             )
             checked += 1
@@ -224,7 +215,7 @@ def test_criterion_05_first_order_determinant_convergence():
         model, dataset, prior, draws = make_logistic_toy(seed=2501, n=6, p=3, num_draws=30)
         theta = draws.values[3]
         i = 1
-        ref = log_posterior_unnorm(model, theta, dataset, prior)
+        ref = log_post(model, theta, dataset, prior)
         # div Q is the trace of the finite-difference Jacobian of the batched Q map.
         div = fd_divergence("KL", model, theta, dataset, prior, i, log_ref=ref)
         assert abs(div) > 0.05
@@ -307,7 +298,7 @@ def adaptation_study():
     prior = GaussianPrior.isotropic(p, 0.3)
 
     opt = minimize(
-        lambda t: -log_posterior_unnorm(model, t, dataset, prior),
+        lambda t: -log_post(model, t, dataset, prior),
         np.zeros(p),
         jac=lambda t: -grad_log_posterior(model, t, dataset, prior),
         method="L-BFGS-B",

@@ -1,0 +1,36 @@
+"""The package root: exactly the documented API, and every name its users import."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import looadapt
+
+DOCUMENTED = {
+    "Dataset", "PosteriorDraws", "RunConfig", "load_dataset_csv", "load_draws_csv", "GaussianPrior",
+    "SigmoidalModel", "LogisticModel", "ReluOneModel",
+    "run_loo", "LooReport", "ObservationResult",
+    "LooAdaptError", "ValidationError", "DimensionError", "DomainError", "CurveUndefinedError",
+    "grad_log_posterior",
+}
+
+
+def test_root_exports_exactly_the_documented_names():
+    assert len(looadapt.__all__) == len(DOCUMENTED) == 18
+    assert set(looadapt.__all__) == DOCUMENTED
+    for name in looadapt.__all__:
+        assert getattr(looadapt, name) is not None, name
+    assert looadapt.__version__
+
+
+def test_every_name_the_benchmark_generator_imports_resolves():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "looadapt"
+        for alias in node.names
+    ]
+    assert ("looadapt", "grad_log_posterior") in imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

@@ -116,6 +116,33 @@ class TestCmdRun:
                      "--prior-sd-file", str(bad), "--out", str(out)])
         assert code == 1
 
+    @pytest.mark.parametrize("config_text, key", [
+        ('{"khat_threshold": "0.7"}', "khat_threshold"),
+        ('{"khat_threshold": null}', "khat_threshold"),
+        ('{"hbar_exponents": ["a"]}', "hbar_exponents"),
+        ('{"hbar_exponents": 5}', "hbar_exponents"),
+        ('{"hbar_exponents": [0.5]}', "hbar_exponents"),
+        ('{"transform_order": "PMM1"}', "transform_order"),
+    ])
+    def test_bad_config_value_is_an_error_line(self, toy_files, tmp_path, capsys, config_text, key):
+        data, draws = toy_files
+        config = tmp_path / "config.json"
+        config.write_text(config_text, encoding="utf-8")
+        code = main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
+                     "--config", str(config), "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a ")
+
+    def test_non_numeric_prior_sd_line_is_an_error_line(self, toy_files, tmp_path, capsys):
+        data, draws = toy_files
+        sd_file = tmp_path / "prior.txt"
+        sd_file.write_text("1.0\n\nabc\n0.5\n", encoding="utf-8")
+        code = main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
+                     "--prior-sd-file", str(sd_file), "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: prior sd file line 3: not a number: 'abc'\n"
+
     def test_intercept_and_label_column(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("outcome,x\n1,0.5\n0,-0.5\n", encoding="utf-8")

@@ -5,17 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looadapt import (
-    Dataset,
-    DimensionError,
-    DomainError,
-    PosteriorDraws,
-    RunConfig,
-    ValidationError,
-    marginal_stats,
-    validate_dataset,
-)
-from looadapt.data import load_dataset_csv, load_draws_csv
+from looadapt import Dataset, DimensionError, DomainError, PosteriorDraws, RunConfig, ValidationError
+from looadapt.data import load_dataset_csv, load_draws_csv, marginal_stats, validate_dataset
 
 
 def _draws(values):
@@ -219,6 +210,23 @@ class TestRunConfig:
             RunConfig(transform_order=("XX",))
         with pytest.raises(ValidationError):
             RunConfig.from_json('{"bogus": 1}')
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"khat_threshold": "0.7"}', "khat_threshold"),
+        ('{"khat_threshold": null}', "khat_threshold"),
+        ('{"hbar_exponents": ["a"]}', "hbar_exponents"),
+        ('{"hbar_exponents": 5}', "hbar_exponents"),
+        ('{"hbar_exponents": [0.5]}', "hbar_exponents"),
+        ('{"transform_order": "PMM1"}', "transform_order"),
+    ])
+    def test_values_of_the_wrong_type_name_their_key(self, text, key):
+        with pytest.raises(ValidationError, match=f"{key} must be a "):
+            RunConfig.from_json(text)
+
+    def test_valid_values_echo_unchanged(self):
+        config = RunConfig.from_json('{"khat_threshold": 1, "hbar_exponents": [3, 1], "transform_order": ["LL"]}')
+        assert config.to_json_dict() == {"khat_threshold": 1, "hbar_exponents": [3, 1], "transform_order": ["LL"]}
+        assert RunConfig(hbar_exponents=np.arange(3)).hbar_exponents == (0, 1, 2)
 
     def test_rng_seed_is_an_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown config key 'rng_seed'"):

@@ -8,26 +8,31 @@ import pytest
 
 from looadapt import (
     Dataset,
+    DimensionError,
     DomainError,
     GaussianPrior,
     LogisticModel,
-    LooProblem,
     PosteriorDraws,
+    ReluOneModel,
     RunConfig,
-    WeightVector,
+    run_loo,
+)
+from looadapt.engine import (
+    LooProblem,
+    ObservationResult,
+    _loo_quantities,
     adapt_observation,
     eta_weights,
     loo_ic,
     raw_weights,
-    run_loo,
-    sigmoid,
+    self_normalized_se,
 )
-from looadapt.engine import ObservationResult, self_normalized_se, _loo_quantities
-from looadapt.models import evaluate_posterior, log_posterior_unnorm
+from looadapt.gpd import WeightVector
+from looadapt.models import evaluate_posterior, sigmoid
 from looadapt.oracle import exact_loo_expectation, sample_grid_posterior
 from looadapt.transforms import TransformedDraws
 
-from conftest import attempt, identity_transform, make_grid_instance_2, make_logistic_toy, make_relu_toy
+from conftest import attempt, identity_transform, log_post, make_grid_instance_2, make_logistic_toy, make_relu_toy
 
 
 def _raw(problem, i):
@@ -124,7 +129,7 @@ class TestChiWeights:
         nu = _raw(LooProblem.build(model, draws, dataset, prior, RunConfig()), 3)
 
         def variational(theta):
-            return log_posterior_unnorm(model, theta, dataset, prior)
+            return log_post(model, theta, dataset, prior)
 
         problem = _variational_problem(model, draws, dataset, prior, variational)
         chi = eta_weights(problem, identity_transform(problem), 3)
@@ -135,7 +140,7 @@ class TestChiWeights:
         model, dataset, prior, draws = make_logistic_toy(seed=55)
 
         def variational(theta):
-            return log_posterior_unnorm(model, theta, dataset, prior)
+            return log_post(model, theta, dataset, prior)
 
         def variational_scaled(theta):
             return variational(theta) + 11.5
@@ -338,6 +343,39 @@ class TestRunLoo:
         report = run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 2)))
         for r in report.per_observation:
             assert 0.0 <= r.loo_predictive_prob <= 1.0
+
+
+class TestDimensionChecks:
+    """Inputs that do not fit the model are a DimensionError before any arithmetic."""
+
+    def test_draws_wider_than_relu1_parameters(self):
+        # P = 9: ten draw columns would be read as W1 / W2 / b2 from the wrong places
+        model, dataset, prior, draws = make_relu_toy(d=2, p=3)
+        wide = PosteriorDraws(values=np.hstack([draws.values, draws.values[:, :1]]),
+                              param_names=tuple(f"w{j}" for j in range(10)))
+        config = RunConfig(transform_order=("PMM1", "PMM2"))
+        with pytest.raises(DimensionError, match="10 parameter columns in the draws, but the model expects 9"):
+            run_loo(model, wide, dataset, GaussianPrior.isotropic(10, 1.5), config)
+
+    def test_logistic_model_wider_than_the_data(self):
+        _, dataset, prior, draws = make_logistic_toy(p=3)
+        with pytest.raises(DimensionError, match="3 parameter columns in the draws, but the model expects 7"):
+            run_loo(LogisticModel(p=7), draws, dataset, prior, RunConfig())
+
+    def test_prior_of_the_wrong_length(self):
+        model, dataset, _, draws = make_logistic_toy(p=3)
+        with pytest.raises(DimensionError, match="1 prior sds, but the model expects 3"):
+            run_loo(model, draws, dataset, GaussianPrior(sd=np.array([1.0])), RunConfig())
+
+    def test_dataset_features_of_the_wrong_width(self):
+        # draws and prior fit the model, the features do not
+        model = ReluOneModel(d=2, p=4)
+        _, dataset, _, _ = make_relu_toy(d=2, p=3)
+        draws = PosteriorDraws(values=np.random.default_rng(0).normal(size=(20, model.param_dim)),
+                               param_names=tuple(f"w{j}" for j in range(model.param_dim)))
+        prior = GaussianPrior.isotropic(model.param_dim, 1.0)
+        with pytest.raises(DimensionError, match="3 dataset features, but the model expects 4"):
+            LooProblem.build(model, draws, dataset, prior, RunConfig())
 
 
 class TestVariationalRun:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from looadapt import DomainError, WeightVector, fit_gpd_tail, pareto_smooth
-from looadapt.gpd import gpd_quantile, tail_size
+from looadapt import DomainError
+from looadapt.gpd import WeightVector, fit_gpd_tail, gpd_quantile, pareto_smooth, tail_size
 
 from conftest import gpd_inverse_cdf_sample
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looadapt import CurveUndefinedError, auprc, auroc, pr_curve, roc_curve
+from looadapt import CurveUndefinedError
+from looadapt.metrics import auprc, auroc, pr_curve, roc_curve
 
 from conftest import pair_count_auroc
 

@@ -5,21 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from looadapt import (
-    Dataset,
-    GaussianPrior,
-    LogisticModel,
-    ReluOneModel,
-    grad_log_likelihood,
-    grad_log_posterior,
-    log_likelihood,
-    log_posterior_unnorm,
-    sigmoid,
-)
-from looadapt.models import ReluOneParams, bernoulli_log_likelihood, evaluate_posterior, sigmoid_slope
+from looadapt import Dataset, GaussianPrior, LogisticModel, ReluOneModel, grad_log_posterior
+from looadapt.models import bernoulli_log_likelihood, evaluate_posterior, sigmoid, sigmoid_slope
 from looadapt.oracle import finite_difference_gradient, finite_difference_hessian
 
-from conftest import dense_hessian, hessian_factors, make_logistic_toy, make_relu_toy, pairwise_resolvent
+from conftest import (
+    dense_hessian,
+    grad_log_lik,
+    hessian_factors,
+    log_post,
+    make_logistic_toy,
+    make_relu_toy,
+    pairwise_resolvent,
+)
 
 
 class TestSigmoid:
@@ -45,13 +43,13 @@ class TestSigmoid:
 class TestLogLikelihood:
     def test_mu_zero(self):
         model = LogisticModel(p=1)
-        assert log_likelihood(model, [0.0], [1.0], 1) == pytest.approx(math.log(0.5))
-        assert log_likelihood(model, [0.0], [1.0], 0) == pytest.approx(math.log(0.5))
+        assert bernoulli_log_likelihood(model.mu([0.0], [1.0]), 1) == pytest.approx(math.log(0.5))
+        assert bernoulli_log_likelihood(model.mu([0.0], [1.0]), 0) == pytest.approx(math.log(0.5))
 
     def test_hand_evaluated(self):
         model = LogisticModel(p=2)
         # beta = [1, -1], x = [2, 1] -> mu = 1, log sigma(1) = -log(1 + e^-1)
-        value = log_likelihood(model, [1.0, -1.0], [2.0, 1.0], 1)
+        value = bernoulli_log_likelihood(model.mu([1.0, -1.0], [2.0, 1.0]), 1)
         assert value == pytest.approx(-math.log1p(math.exp(-1.0)))
         assert value == pytest.approx(-0.313262, abs=1e-6)
 
@@ -60,18 +58,17 @@ class TestGradLogLikelihood:
     def test_logistic_at_mu_zero(self):
         model = LogisticModel(p=2)
         np.testing.assert_allclose(
-            grad_log_likelihood(model, [0.0, 0.0], [1.0, 2.0], 1), [0.5, 1.0]
+            grad_log_lik(model, [0.0, 0.0], [1.0, 2.0], 1), [0.5, 1.0]
         )
         np.testing.assert_allclose(
-            grad_log_likelihood(model, [0.0, 0.0], [1.0, 2.0], 0), [-0.5, -1.0]
+            grad_log_lik(model, [0.0, 0.0], [1.0, 2.0], 0), [-0.5, -1.0]
         )
 
     def test_relu_inactive_units_kill_first_layer(self):
         model = ReluOneModel(d=2, p=2)
-        theta = model.flatten(
-            ReluOneParams(W1=np.array([[-1.0, -1.0], [-2.0, -2.0]]), W2=np.array([1.0, 1.0]), b2=0.5)
-        )
-        grad = grad_log_likelihood(model, theta, [1.0, 1.0], 1)
+        # W1 = [[-1, -1], [-2, -2]], W2 = [1, 1], b2 = 0.5
+        theta = np.concatenate([[-1.0, -1.0, -2.0, -2.0], [1.0, 1.0], [0.5]])
+        grad = grad_log_lik(model, theta, [1.0, 1.0], 1)
         np.testing.assert_array_equal(grad[: model.d * model.p], 0.0)
 
     def test_matches_finite_differences(self, rng):
@@ -80,8 +77,8 @@ class TestGradLogLikelihood:
             theta = draws.values[k]
             i = int(rng.integers(dataset.n))
             x, y = dataset.features[i], dataset.labels[i]
-            grad = grad_log_likelihood(model, theta, x, y)
-            fd = finite_difference_gradient(lambda t: log_likelihood(model, t, x, y), theta)
+            grad = grad_log_lik(model, theta, x, y)
+            fd = finite_difference_gradient(lambda t: bernoulli_log_likelihood(model.mu(t, x), y), theta)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
 
@@ -203,17 +200,17 @@ class TestLogPosterior:
         model = LogisticModel(p=2)
         prior = GaussianPrior.isotropic(2, 1e6)
         t1, t2 = rng.normal(size=2), rng.normal(size=2)
-        lhs = log_posterior_unnorm(model, t1, dataset, prior) - log_posterior_unnorm(
-            model, t2, dataset, prior
+        lhs = log_post(model, t1, dataset, prior) - log_post(model, t2, dataset, prior)
+        rhs = bernoulli_log_likelihood(model.mu(t1, features[0]), 1) - bernoulli_log_likelihood(
+            model.mu(t2, features[0]), 1
         )
-        rhs = log_likelihood(model, t1, features[0], 1) - log_likelihood(model, t2, features[0], 1)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_purity(self):
         model, dataset, prior, draws = make_logistic_toy(seed=10)
         theta = draws.values[0]
-        a = log_posterior_unnorm(model, theta, dataset, prior)
-        b = log_posterior_unnorm(model, theta, dataset, prior)
+        a = log_post(model, theta, dataset, prior)
+        b = log_post(model, theta, dataset, prior)
         assert a == b
 
     def test_gradient_zero_feature_reduces_to_prior(self):
@@ -227,9 +224,7 @@ class TestLogPosterior:
         for k in range(5):
             theta = draws.values[k]
             grad = grad_log_posterior(model, theta, dataset, prior)
-            fd = finite_difference_gradient(
-                lambda t: log_posterior_unnorm(model, t, dataset, prior), theta
-            )
+            fd = finite_difference_gradient(lambda t: log_post(model, t, dataset, prior), theta)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
     def test_relu_gradient_matches_finite_differences(self):
@@ -237,9 +232,7 @@ class TestLogPosterior:
         for k in range(5):
             theta = draws.values[k]
             grad = grad_log_posterior(model, theta, dataset, prior)
-            fd = finite_difference_gradient(
-                lambda t: log_posterior_unnorm(model, t, dataset, prior), theta
-            )
+            fd = finite_difference_gradient(lambda t: log_post(model, t, dataset, prior), theta)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
 
@@ -330,4 +323,4 @@ class TestGaussianPrior:
 
     def test_grad_is_negative_precision_scaled(self):
         prior = GaussianPrior(sd=np.array([1.0, 2.0]))
-        np.testing.assert_allclose(prior.grad([1.0, 2.0]), [-1.0, -0.5])
+        np.testing.assert_allclose(prior.grad_batch(np.array([[1.0, 2.0]])), [[-1.0, -0.5]])

@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from looadapt import (
-    Dataset,
-    DomainError,
-    GaussianPrior,
-    LogisticModel,
-    PosteriorDraws,
+from looadapt import Dataset, DomainError, GaussianPrior, LogisticModel
+from looadapt.engine import self_normalized_se
+from looadapt.models import bernoulli_log_likelihood, sigmoid
+from looadapt.oracle import (
     build_grid_posterior,
     exact_loo_expectation,
     finite_difference_jacobian,
-    sigmoid,
+    loo_probabilities,
+    sample_grid_posterior,
 )
-from looadapt.engine import self_normalized_se
-from looadapt.models import bernoulli_log_likelihood
-from looadapt.oracle import loo_probabilities, sample_grid_posterior
 
 from conftest import make_grid_instance_1, make_grid_instance_2
 
