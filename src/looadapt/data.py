@@ -143,6 +143,8 @@ class RunConfig:
             raise DomainError("hbar_exponents must be non-empty")
         if any(r < 0 for r in exps):
             raise DomainError("hbar_exponents must be non-negative")
+        if len(set(exps)) != len(exps):
+            raise DomainError("hbar_exponents contains duplicates")
         order = _list_of(self.transform_order, str, "transform_order", "transform kinds")
         if len(order) == 0:
             raise DomainError("transform_order must be non-empty")

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import Dataset, MarginalStats, PosteriorDraws, RunConfig, marginal_stats
 from .errors import DomainError
-from .gpd import WeightVector, pareto_smooth
+from .gpd import WeightVector, log_sum_exp, pareto_smooth
 from .metrics import auprc, auroc, pr_curve, roc_curve
 from .models import (
     GaussianPrior,
@@ -200,10 +199,11 @@ def _loo_quantities(weights: WeightVector, mu_at_phi: np.ndarray, y: int):
     # log sum_k w_k lik_k, computed in log space to dodge underflow.
     with np.errstate(divide="ignore"):
         log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
-    lpd = float(logsumexp(log_w + log_lik))
-    # Delta method on the ratio scale: se(log E) = se(E) / E.
-    ratio = np.exp(log_lik - lpd)
-    lpd_se = float(math.sqrt(np.sum((w * (ratio - 1.0)) ** 2)))
+    log_terms = log_w + log_lik
+    lpd = log_sum_exp(log_terms)
+    # Delta method on the ratio scale: se(log E) = se(E) / E, with each draw's
+    # share w_k lik_k / E <= 1 formed in log space so that w_k = 0 gives 0.
+    lpd_se = float(math.sqrt(np.sum((np.exp(log_terms - lpd) - w) ** 2)))
     return prob, prob_se, lpd, lpd_se
 
 

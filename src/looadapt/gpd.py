@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 
@@ -44,6 +43,15 @@ class GpdFit:
         return cls(khat=math.inf, sigma=math.nan, tail_size=tail_size, fittable=False)
 
 
+def log_sum_exp(values) -> float:
+    """log(sum(exp(values))) of a 1-d vector, shifted by its largest entry so
+    that nothing overflows; -inf when every entry is -inf."""
+    top = float(np.max(values))
+    if top == -math.inf:
+        return top
+    return top + math.log(np.sum(np.exp(values - top)))
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Un-normalized log weights together with their normalized counterpart."""
@@ -58,7 +66,7 @@ class WeightVector:
             raise DomainError("log weights must be a non-empty 1-d vector")
         if np.any(np.isnan(lw)) or np.any(lw == np.inf):
             raise DomainError("log weights must be < +inf and not NaN")
-        total = logsumexp(lw)
+        total = log_sum_exp(lw)
         if total == -np.inf:
             raise DomainError("all weights are zero")
         lw.flags.writeable = False

@@ -28,6 +28,7 @@ step scale of it without forming phi.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -59,6 +60,8 @@ if TYPE_CHECKING:
 #: A determinant factor smaller than this in magnitude is treated as an
 #: exact zero: the map is flagged non-invertible for that draw.
 SINGULAR_EPS = 1e-300
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -353,7 +356,8 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
         log_jac_det = np.full(problem.draws.num_draws, float(np.log(np.abs(coef)).sum()))
     else:
         log_h = math.log(hbar) + line.log_h
-        h_used = math.exp(log_h)
+        # the step is bounded by the posterior sd; only its size can overflow
+        h_used = math.exp(log_h) if log_h <= _LOG_FLOAT_MAX else math.inf
         log_jac_det, flags = line.jacobian.logdet(log_h)
     mu = line.mu.at(hbar)
     log_lik = bernoulli_log_likelihood(mu, problem.dataset.labels[None, :])

@@ -211,6 +211,13 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig.from_json('{"bogus": 1}')
 
+    def test_repeated_step_scales_rejected(self):
+        # a repeated exponent would evaluate the same step scale again on every line
+        with pytest.raises(DomainError, match="hbar_exponents contains duplicates"):
+            RunConfig(hbar_exponents=(3, 3, 3))
+        with pytest.raises(DomainError, match="hbar_exponents contains duplicates"):
+            RunConfig.from_json('{"hbar_exponents": [0, 2, 0]}')
+
     @pytest.mark.parametrize("text, key", [
         ('{"khat_threshold": "0.7"}', "khat_threshold"),
         ('{"khat_threshold": null}', "khat_threshold"),

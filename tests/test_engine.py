@@ -338,6 +338,24 @@ class TestRunLoo:
         scaled = WeightVector.from_log_weights(nu.log_weights + 123.4)
         np.testing.assert_allclose(scaled.normalized, nu.normalized, atol=1e-12)
 
+    def test_overflowing_step_size_is_reported_as_inf(self):
+        # draws a thousand times wider than the data support: the step is
+        # bounded by the posterior sd, but h = exp(log h) exceeds the float range
+        model, dataset, prior, draws = make_logistic_toy(seed=2, n=20, p=3, num_draws=400, draw_scale=1e3)
+        report = run_loo(model, draws, dataset, prior, RunConfig())
+        overflowed = [a for r in report.per_observation for a in r.attempts if a.h_used == math.inf]
+        assert overflowed
+        assert all(a.max_step_sd <= a.spec.hbar + 1e-9 for a in overflowed)
+
+    def test_zero_weight_draws_keep_the_se_finite(self):
+        # wide draws leave many final weights at exactly 0, where the
+        # draw's likelihood ratio to the LOO density can overflow
+        model, dataset, prior, draws = make_logistic_toy(seed=0, n=20, p=3, num_draws=400, draw_scale=1e3)
+        report = run_loo(model, draws, dataset, prior, RunConfig())
+        assert any(np.any(r.final_weights.normalized == 0.0) for r in report.per_observation)
+        assert all(math.isfinite(r.loo_log_predictive_density_se) for r in report.per_observation)
+        assert math.isfinite(report.loo_ic_se)
+
     def test_predictive_probs_in_unit_interval(self):
         model, dataset, prior, draws = make_logistic_toy(seed=63, num_draws=120, draw_scale=5.0)
         report = run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 2)))

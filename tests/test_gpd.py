@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from looadapt import DomainError
-from looadapt.gpd import WeightVector, fit_gpd_tail, gpd_quantile, pareto_smooth, tail_size
+from looadapt.gpd import WeightVector, fit_gpd_tail, gpd_quantile, log_sum_exp, pareto_smooth, tail_size
 
 from conftest import gpd_inverse_cdf_sample
 
@@ -133,6 +133,21 @@ class TestWeightVector:
         )
         assert weights.normalized.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(weights.normalized >= 0) and np.all(weights.normalized <= 1)
+
+    def test_wide_range_matches_scipy(self, rng):
+        # weights spanning 1e300 (log range ~690) with zero-weight entries;
+        # the all-zero vector is still an error
+        from scipy.special import logsumexp
+
+        lw = rng.uniform(-690.0, 0.0, size=200) + 300.0
+        lw[[3, 77, 150]] = -np.inf
+        weights = WeightVector.from_log_weights(lw)
+        np.testing.assert_allclose(weights.normalized, np.exp(lw - logsumexp(lw)), rtol=1e-12, atol=0)
+        assert weights.normalized[[3, 77, 150]].tolist() == [0.0, 0.0, 0.0]
+        assert log_sum_exp(lw) == pytest.approx(logsumexp(lw), rel=1e-14)
+        assert log_sum_exp(np.full(3, -np.inf)) == -np.inf
+        with pytest.raises(DomainError, match="all weights are zero"):
+            WeightVector.from_log_weights(np.full(5, -np.inf))
 
     def test_single_weight_is_one(self):
         assert WeightVector.from_log_weights([-5.0]).normalized[0] == 1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from looadapt import Dataset, GaussianPrior, LogisticModel, ReluOneModel, grad_log_posterior
-from looadapt.models import bernoulli_log_likelihood, evaluate_posterior, sigmoid, sigmoid_slope
+from looadapt.models import LINE_BLOCK_DRAWS, bernoulli_log_likelihood, evaluate_posterior, sigmoid, sigmoid_slope
 from looadapt.oracle import finite_difference_gradient, finite_difference_hessian
 
 from conftest import (
@@ -297,6 +297,28 @@ class TestMuLine:
             np.testing.assert_allclose(
                 line.at(hbar), model.mu_batch(values + hbar * step, dataset.features), rtol=1e-12, atol=1e-12
             )
+
+    @pytest.mark.parametrize("num_draws", [1, LINE_BLOCK_DRAWS, LINE_BLOCK_DRAWS + 1])
+    def test_relu1_line_across_block_boundaries(self, num_draws, rng):
+        # ReluMuLine.at walks the draws in blocks: one draw, exactly one full
+        # block, and a full block plus one
+        model, dataset, prior, draws = make_relu_toy(n=7, d=3, num_draws=LINE_BLOCK_DRAWS + 1)
+        values, features = draws.values[:num_draws], dataset.features
+        origin = model.mu_line(values, features, model.mu_batch(values, features))
+        x = features[2]
+        coef = 0.1 * rng.normal(size=num_draws)
+        grad = model.grad_mu_batch(values, x)
+        dense, shared = rng.normal(size=values.shape), rng.normal(size=values.shape[1])
+        lines = [
+            (origin.along(dense), dense),
+            (origin.along(shared), shared),
+            (origin.along_gradient(grad, x, coef), coef[:, None] * grad),
+        ]
+        for line, step in lines:
+            for hbar in (1.0, 0.25, 4.0**-5):
+                np.testing.assert_allclose(
+                    line.at(hbar), model.mu_batch(values + hbar * step, features), rtol=1e-12, atol=1e-12
+                )
 
 
 class TestGaussianPrior:
