@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, RunConfig, load_dataset_csv, load_draws_csv
-from .engine import LooReport, ObservationResult, raw_weights, run_loo
+from .engine import LooReport, ObservationResult, eta_weights, run_loo
 from .errors import LooAdaptError
 from .gpd import pareto_smooth
 from .models import GaussianPrior, LogisticModel, ReluOneModel, SigmoidalModel, evaluate_posterior
@@ -71,7 +71,7 @@ def _observation_dict(result: ObservationResult) -> dict:
         else {
             "kind": result.winning_transform.kind,
             "hbar": result.winning_transform.hbar,
-            "observation_index": result.winning_transform.observation_index,
+            "observation_index": result.index,
         },
         "final_khat": result.final_khat,
         "final_weights": {"normalized": result.final_weights.normalized},
@@ -81,8 +81,8 @@ def _observation_dict(result: ObservationResult) -> dict:
         "loo_log_predictive_density_se": result.loo_log_predictive_density_se,
         "attempts": [
             {
-                "kind": a.spec.kind,
-                "hbar": a.spec.hbar,
+                "kind": a.kind,
+                "hbar": a.hbar,
                 "khat": a.khat,
                 "fittable": a.fittable,
                 "degenerate": a.degenerate,
@@ -148,23 +148,11 @@ def _load_inputs(args):
     return dataset, draws, model, prior, config
 
 
-def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("LOO_ADAPT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise LooAdaptError(f"LOO_ADAPT_WORKERS is not an integer: {env!r}") from exc
-    return 1
-
-
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
     dataset, draws, model, prior, config = _load_inputs(args)
     t_ingest = time.perf_counter()
-    report = run_loo(model, draws, dataset, prior, config, workers=_resolve_workers(args))
+    report = run_loo(model, draws, dataset, prior, config, workers=args.workers)
     t_engine = time.perf_counter()
     envelope = {
         "tool_version": __version__,
@@ -190,7 +178,7 @@ def cmd_diagnose(args) -> int:
     writer.writerow(["observation_index", "raw_khat", "needs_adaptation"])
     for i in range(dataset.n):
         # The command line takes posterior draws only: the proposal is the posterior.
-        _, fit = pareto_smooth(raw_weights(evaluation, evaluation.log_post, i))
+        _, fit = pareto_smooth(eta_weights(evaluation, evaluation.log_post, i))
         khat = fit.khat
         writer.writerow([i, "inf" if math.isinf(khat) else f"{khat:.6f}", khat > config.khat_threshold])
     return EXIT_OK
@@ -235,7 +223,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="run configuration JSON")
     parser.add_argument("--label-column", default="y", help="name of the label column")
     parser.add_argument("--add-intercept", action="store_true", help="append a constant-1 feature")
-    parser.add_argument("--workers", type=int, default=None, help="engine parallelism (env LOO_ADAPT_WORKERS)")
+    parser.add_argument("--workers", type=int, default=1, help="engine parallelism")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,8 +6,10 @@ the diagnostic exceeds the configured threshold it walks the configured
 (transform kind x step scale) grid, recomputing transformed weights until
 one attempt brings k-hat under the threshold or the grid is exhausted, in
 which case the best attempt is kept and the observation is flagged as
-unreliable. The per-observation loops are independent and can run on a
-thread pool; results are always assembled in observation order.
+unreliable. Raw and transformed weights come from one formula,
+:func:`eta_weights`; the raw weights are its identity case. The
+per-observation loops are independent and can run on a thread pool;
+results are always assembled in observation order.
 
 The posterior is evaluated once per run, at the draws. Each (observation,
 kind) family of attempts lies on one line theta + hbar * D, built once
@@ -38,14 +40,15 @@ from .models import (
     evaluate_posterior,
     sigmoid,
 )
-from .transforms import TransformSpec, TransformedDraws, apply_transform, step_lines
+from .transforms import apply_transform, step_lines
 
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    """Diagnostics for one (transform, step-scale) attempt."""
+    """Diagnostics for one (transform kind, step scale) attempt."""
 
-    spec: TransformSpec
+    kind: str
+    hbar: float
     khat: float
     fittable: bool
     degenerate: bool
@@ -61,13 +64,14 @@ class ObservationResult:
     ``adapted`` is true exactly when ``final_khat`` is at or under the
     threshold; otherwise the reported quantities come from the best attempt
     (or the raw weights if those were best) and should be treated as
-    unreliable.
+    unreliable. ``winning_transform`` is the attempt that supplied them, or
+    None when the raw weights did.
     """
 
     index: int
     raw_khat: float
     adapted: bool
-    winning_transform: TransformSpec | None
+    winning_transform: AttemptRecord | None
     final_khat: float
     final_weights: WeightVector
     loo_predictive_prob: float
@@ -150,33 +154,20 @@ class LooProblem:
         )
 
 
-def raw_weights(evaluation: PosteriorEvaluation, log_proposal: np.ndarray, i: int) -> WeightVector:
-    """The weights of :func:`eta_weights` at the identity map.
-
-    log w = -log lik_i(theta) + [log post(theta) - log_proposal(theta)], read
-    from the cached evaluation; the bracket is exactly 0 for posterior draws.
-    """
-    return WeightVector.from_log_weights(-evaluation.log_lik[:, i] + (evaluation.log_post - log_proposal))
-
-
-def eta_weights(problem: LooProblem, transformed: TransformedDraws, i: int) -> WeightVector:
-    """Leave-one-out weights of transformed draws.
+def eta_weights(
+    evaluation: PosteriorEvaluation, log_proposal: np.ndarray, i: int, log_jac_det: np.ndarray | float = 0.0
+) -> WeightVector:
+    """Leave-one-out weights of the draws phi_k = T(theta_k).
 
     log eta_k = log |det J_k| - log lik(phi_k | d_i)
                 + [log post(phi_k) - log_proposal(theta_k)],
-    read from the transformed draws' evaluation. Any constant offset in the
+    read from ``evaluation``, the posterior at phi. The raw weights are the
+    identity map: the evaluation at the draws and log |det J| = 0, where the
+    bracket is exactly 0 for posterior draws. Any constant offset in the
     proposal density cancels under self-normalization. Draws with a
     non-finite contribution get weight zero.
     """
-    phi_eval = transformed.evaluation
-    shape = problem.log_proposal.shape
-    if transformed.log_jac_det.shape != shape or phi_eval.log_post.shape != shape:
-        raise DomainError("transformed draws are not aligned with the proposal draws")
-    log_eta = (
-        transformed.log_jac_det
-        - phi_eval.log_lik[:, i]
-        + (phi_eval.log_post - problem.log_proposal)
-    )
+    log_eta = log_jac_det - evaluation.log_lik[:, i] + (evaluation.log_post - log_proposal)
     log_eta = np.where(np.isnan(log_eta), -np.inf, log_eta)
     return WeightVector.from_log_weights(log_eta)
 
@@ -219,22 +210,20 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     config = problem.config
     evaluation = problem.evaluation
     threshold = config.khat_threshold
-    raw = raw_weights(evaluation, problem.log_proposal, i)
-    raw_smoothed, raw_fit = pareto_smooth(raw)
+    raw_smoothed, raw_fit = pareto_smooth(eta_weights(evaluation, problem.log_proposal, i))
     raw_khat = raw_fit.khat
 
     attempts: list[AttemptRecord] = []
     # Candidates for "best attempt" always include the raw weights; when they
     # are under the threshold already, the scan has no attempts.
-    best = (raw_khat, None, None, raw_smoothed)  # (khat, spec, transformed, weights)
+    best = (raw_khat, None, evaluation, raw_smoothed)  # (khat, attempt, evaluation at phi, weights)
     for line in () if raw_khat <= threshold else step_lines(i, problem, raw_smoothed):
         for hbar in config.hbar_values:
-            spec = TransformSpec(kind=line.kind, hbar=hbar, observation_index=i)
             transformed = apply_transform(line, hbar, problem)
             flags, fit = transformed.flags, None
             if not transformed.degenerate:
                 try:
-                    weights = eta_weights(problem, transformed, i)
+                    weights = eta_weights(transformed.evaluation, problem.log_proposal, i, transformed.log_jac_det)
                 except DomainError:
                     flags += ("all-weights-zero",)
                 else:
@@ -242,31 +231,29 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
             # without a fit (degenerate map or all-zero weights) the attempt is
             # recorded with khat = inf and skipped, even under an infinite threshold
             khat = math.inf if fit is None else fit.khat
-            attempts.append(
-                AttemptRecord(
-                    spec=spec, khat=khat, fittable=fit is not None and fit.fittable, degenerate=fit is None,
-                    flags=flags, h_used=transformed.h_used, max_step_sd=transformed.max_step_sd,
-                )
+            record = AttemptRecord(
+                kind=line.kind, hbar=hbar, khat=khat, fittable=fit is not None and fit.fittable,
+                degenerate=fit is None, flags=flags, h_used=transformed.h_used, max_step_sd=transformed.max_step_sd,
             )
+            attempts.append(record)
             if fit is None:
                 continue
             # an attempt under the threshold wins even over a NaN raw k-hat
             if khat < best[0] or khat <= threshold:
-                best = (khat, spec, transformed, smoothed)
+                best = (khat, record, transformed.evaluation, smoothed)
             if khat <= threshold:
                 break
         if best[0] <= threshold:
             break
 
-    final_khat, win_spec, win_transformed, final_weights = best
-    final_evaluation = evaluation if win_transformed is None else win_transformed.evaluation
+    final_khat, winner, final_evaluation, final_weights = best
     y = int(problem.dataset.labels[i])
     prob, prob_se, lpd, lpd_se = _loo_quantities(final_weights, final_evaluation.mu[:, i], y)
     return ObservationResult(
         index=i,
         raw_khat=raw_khat,
         adapted=final_khat <= threshold,
-        winning_transform=win_spec,
+        winning_transform=winner,
         final_khat=final_khat,
         final_weights=final_weights,
         loo_predictive_prob=prob,

@@ -117,7 +117,9 @@ def gpd_quantile(p, khat: float, sigma: float):
     p = np.asarray(p, dtype=float)
     if abs(khat) < 10 * np.finfo(float).eps:
         return -sigma * np.log1p(-p)
-    return sigma * np.expm1(-khat * np.log1p(-p)) / khat
+    # a large k-hat overflows to inf here; pareto_smooth caps it at the raw maximum
+    with np.errstate(over="ignore"):
+        return sigma * np.expm1(-khat * np.log1p(-p)) / khat
 
 
 def tail_size(num_weights: int) -> int:

@@ -39,7 +39,6 @@ from .data import (
     GRADIENT_KINDS,
     MarginalStats,
     PMM_KINDS,
-    TRANSFORM_KINDS,
     marginal_stats,
 )
 from .errors import DomainError
@@ -65,23 +64,6 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
-class TransformSpec:
-    """One (kind, step scale, observation) cell of the adaptation grid."""
-
-    kind: str
-    hbar: float
-    observation_index: int
-
-    def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise DomainError(f"unknown transform kind {self.kind!r}")
-        if not self.hbar > 0:
-            raise DomainError("hbar must be positive")
-        if self.observation_index < 0:
-            raise DomainError("observation index must be non-negative")
-
-
-@dataclass(frozen=True)
 class TransformedDraws:
     """One attempt: the posterior at the transformed draws and per-draw log |det J|.
 
@@ -89,17 +71,20 @@ class TransformedDraws:
     transformed draws phi (without the gradient); phi itself is never formed.
     ``log_jac_det`` entries are finite except for draws where the map is
     numerically singular, which carry -inf (their transformed weight is
-    zero). ``degenerate`` marks a transform that collapsed to the identity
-    (zero step or unavailable scaling); callers should treat it as a failed
-    attempt.
+    zero). A transform that collapsed to the identity (zero step or
+    unavailable scaling) is a failed attempt: its ``evaluation`` and
+    ``log_jac_det`` are None and its ``flags`` say why.
     """
 
-    evaluation: PosteriorEvaluation
-    log_jac_det: np.ndarray
+    evaluation: PosteriorEvaluation | None
+    log_jac_det: np.ndarray | None
     h_used: float
-    degenerate: bool = False
     flags: tuple[str, ...] = ()
     max_step_sd: float = 0.0
+
+    @property
+    def degenerate(self) -> bool:
+        return self.evaluation is None
 
 
 @dataclass(frozen=True)
@@ -131,18 +116,8 @@ class StepLine:
     flags: tuple[str, ...] = ()
 
 
-def _identity_transform(problem: LooProblem, flags: tuple[str, ...]) -> TransformedDraws:
-    return TransformedDraws(
-        evaluation=problem.evaluation,
-        log_jac_det=np.zeros(problem.draws.num_draws),
-        h_used=0.0,
-        degenerate=True,
-        flags=flags,
-    )
-
-
-def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray, hbar: float) -> float:
-    """log h for h = hbar * min over draws and components of |sd_alpha / Q_alpha|.
+def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray) -> float:
+    """log h for h = min over draws and components of |sd_alpha / Q_alpha|.
 
     Works on the factored Q = exp(scale) * direction, so huge density
     factors never overflow. Components with Q = 0 are excluded; an all-zero
@@ -155,9 +130,7 @@ def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray, hbar
     cand = log_sd[None, :] - scale[:, None] - log_absd
     cand[absd == 0] = np.inf
     smallest = float(cand.min())
-    if smallest == np.inf:
-        return -np.inf
-    return math.log(hbar) + smallest
+    return -np.inf if smallest == np.inf else smallest
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +264,7 @@ def apply_gradient_transform(kind: str, i: int, problem: LooProblem) -> StepLine
     grad_step = gradient_step(
         kind, problem.model, problem.draws.values, problem.dataset, i, evaluation, evaluation.log_ref
     )
-    log_h = log_step_size(grad_step.scale, grad_step.factor[:, None] * grad_step.grad, problem.stats.sd, 1.0)
+    log_h = log_step_size(grad_step.scale, grad_step.factor[:, None] * grad_step.grad, problem.stats.sd)
     if log_h == -np.inf:
         return StepLine(kind=kind, observation_index=i, step=None, flags=("zero-step",))
     coef = np.exp(log_h + grad_step.scale) * grad_step.factor
@@ -347,11 +320,11 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
     (PMM) or O(S) / O(S d) (gradient kinds) for the determinant.
     """
     if line.step is None:
-        return _identity_transform(problem, line.flags)
+        return TransformedDraws(evaluation=None, log_jac_det=None, h_used=0.0, flags=line.flags)
     if line.kind in PMM_KINDS:
         coef = 1.0 + hbar * line.jacobian
         if np.any(np.abs(coef) < SINGULAR_EPS):
-            return _identity_transform(problem, ("pmm2-singular",))
+            return TransformedDraws(evaluation=None, log_jac_det=None, h_used=0.0, flags=("pmm2-singular",))
         h_used, flags = hbar, ()
         log_jac_det = np.full(problem.draws.num_draws, float(np.log(np.abs(coef)).sum()))
     else:
@@ -368,7 +341,6 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
         ),
         log_jac_det=log_jac_det,
         h_used=h_used,
-        degenerate=False,
         flags=flags,
         max_step_sd=hbar * line.max_step_sd,
     )

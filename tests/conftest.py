@@ -10,8 +10,9 @@ import pytest
 from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, ReluOneModel, grad_log_posterior
 from looadapt.data import PMM_KINDS, marginal_stats
 from looadapt.models import evaluate_posterior
-from looadapt.oracle import build_grid_posterior, finite_difference_jacobian
-from looadapt.transforms import TransformedDraws, apply_gradient_transform, apply_pmm, apply_transform, gradient_step
+from looadapt.transforms import apply_gradient_transform, apply_pmm, apply_transform, gradient_step
+
+from oracle import build_grid_posterior, finite_difference_jacobian
 
 
 def make_logistic_toy(seed=42, n=6, p=3, prior_sd=2.0, num_draws=50, draw_scale=1.0):
@@ -162,13 +163,6 @@ def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6
         lambda t: q_at(kind, model, t, dataset, prior, i, log_ref), theta, step * np.ones(len(theta))
     )
     return float(np.trace(jac))
-
-
-def identity_transform(problem):
-    """The identity map as an attempt: the transformed draws are the draws."""
-    return TransformedDraws(
-        evaluation=problem.evaluation, log_jac_det=np.zeros(problem.draws.num_draws), h_used=0.0
-    )
 
 
 def attempt(problem, kind, i, hbar, nu_weights=None):

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import Dataset
-from .errors import DimensionError, DomainError
-from .models import GaussianPrior, SigmoidalModel, bernoulli_log_likelihood
+from looadapt.data import Dataset
+from looadapt.errors import DimensionError, DomainError
+from looadapt.models import GaussianPrior, SigmoidalModel, bernoulli_log_likelihood
 
 MAX_GRID_DIM = 3
 MIN_NODES_PER_DIM = 41

@@ -28,18 +28,11 @@ from looadapt import (
 )
 from looadapt.cli import main as cli_main
 from looadapt.data import GRADIENT_KINDS
-from looadapt.engine import LooProblem, adapt_observation, eta_weights, raw_weights
+from looadapt.engine import LooProblem, adapt_observation, eta_weights
 from looadapt.gpd import fit_gpd_tail
 from looadapt.metrics import auroc, roc_curve
 from looadapt.models import bernoulli_log_likelihood, sigmoid
-from looadapt.oracle import (
-    exact_loo_expectation,
-    finite_difference_gradient,
-    finite_difference_hessian,
-    finite_difference_jacobian,
-    loo_probabilities,
-    sample_grid_posterior,
-)
+
 from conftest import (
     attempt,
     dense_hessian,
@@ -47,7 +40,6 @@ from conftest import (
     gpd_inverse_cdf_sample,
     grad_log_lik,
     hessian_factors,
-    identity_transform,
     log_post,
     logdet_at,
     make_grid_instance_2,
@@ -56,6 +48,14 @@ from conftest import (
     pair_count_auroc,
     pairwise_resolvent,
     q_at,
+)
+from oracle import (
+    exact_loo_expectation,
+    finite_difference_gradient,
+    finite_difference_hessian,
+    finite_difference_jacobian,
+    loo_probabilities,
+    sample_grid_posterior,
 )
 
 
@@ -81,8 +81,8 @@ def test_criterion_01_identity_transform_equivalence():
             )
             i = seed % dataset.n
             problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-            nu = raw_weights(problem.evaluation, problem.log_proposal, i)
-            eta = eta_weights(problem, identity_transform(problem), i)
+            nu = eta_weights(problem.evaluation, problem.log_proposal, i)
+            eta = eta_weights(problem.evaluation, problem.log_proposal, i, np.zeros(draws.num_draws))
             assert np.max(np.abs(eta.normalized - nu.normalized)) <= 1e-12
 
 
@@ -342,10 +342,10 @@ def test_criterion_09_step_size_bound(adaptation_study):
         checked = 0
         for result in results:
             for attempt in result.attempts:
-                if attempt.spec.kind not in GRADIENT_KINDS or attempt.degenerate:
+                if attempt.kind not in GRADIENT_KINDS or attempt.degenerate:
                     continue
-                assert attempt.max_step_sd <= attempt.spec.hbar + 1e-9, (
-                    f"obs {result.index} {attempt.spec.kind} hbar={attempt.spec.hbar}: "
+                assert attempt.max_step_sd <= attempt.hbar + 1e-9, (
+                    f"obs {result.index} {attempt.kind} hbar={attempt.hbar}: "
                     f"displacement {attempt.max_step_sd}"
                 )
                 checked += 1

@@ -153,17 +153,6 @@ class TestCmdRun:
                      "--label-column", "outcome", "--add-intercept", "--out", str(out)])
         assert code in (0, 3)
 
-    def test_workers_env_fallback(self, toy_files, tmp_path, monkeypatch):
-        data, draws = toy_files
-        out = tmp_path / "report.json"
-        monkeypatch.setenv("LOO_ADAPT_WORKERS", "2")
-        code = main(["run", "--data", str(data), "--draws", str(draws),
-                     "--model", "logistic", "--out", str(out)])
-        assert code in (0, 3)
-        monkeypatch.setenv("LOO_ADAPT_WORKERS", "junk")
-        assert main(["run", "--data", str(data), "--draws", str(draws),
-                     "--model", "logistic", "--out", str(out)]) == 1
-
 
 class TestCmdDiagnose:
     def test_uniform_likelihood_all_unfittable(self, tmp_path, capsys):
@@ -189,6 +178,19 @@ class TestCmdDiagnose:
         assert len(rows) == 8
         parsed = [row.split(",") for row in rows]
         assert all(len(cells) == 3 for cells in parsed)
+
+    def test_raw_khat_matches_the_run_report(self, toy_files, capsys, tmp_path):
+        data, draws = toy_files
+        args = ["--data", str(data), "--draws", str(draws), "--model", "logistic"]
+        assert main(["diagnose", *args]) == 0
+        printed = [row.split(",")[1] for row in capsys.readouterr().out.strip().splitlines()[1:]]
+        out = tmp_path / "report.json"
+        assert main(["run", *args, "--out", str(out)]) in (0, 3)
+        with open(out, encoding="utf-8") as fh:
+            observations = json.load(fh)["report"]["per_observation"]
+        reported = ["inf" if r["raw_khat"] is None else f"{r['raw_khat']:.6f}" for r in observations]
+        assert len(printed) == 8
+        assert printed == reported
 
     def test_empty_dataset_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

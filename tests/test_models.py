@@ -7,7 +7,6 @@ import pytest
 
 from looadapt import Dataset, GaussianPrior, LogisticModel, ReluOneModel, grad_log_posterior
 from looadapt.models import LINE_BLOCK_DRAWS, bernoulli_log_likelihood, evaluate_posterior, sigmoid, sigmoid_slope
-from looadapt.oracle import finite_difference_gradient, finite_difference_hessian
 
 from conftest import (
     dense_hessian,
@@ -18,6 +17,7 @@ from conftest import (
     make_relu_toy,
     pairwise_resolvent,
 )
+from oracle import finite_difference_gradient, finite_difference_hessian
 
 
 class TestSigmoid:

@@ -9,15 +9,15 @@ from scipy.special import logsumexp
 from looadapt import Dataset, DomainError, GaussianPrior, LogisticModel
 from looadapt.engine import self_normalized_se
 from looadapt.models import bernoulli_log_likelihood, sigmoid
-from looadapt.oracle import (
+
+from conftest import make_grid_instance_1, make_grid_instance_2
+from oracle import (
     build_grid_posterior,
     exact_loo_expectation,
     finite_difference_jacobian,
     loo_probabilities,
     sample_grid_posterior,
 )
-
-from conftest import make_grid_instance_1, make_grid_instance_2
 
 
 class TestBuildGridPosterior:

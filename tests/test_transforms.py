@@ -8,7 +8,7 @@ import pytest
 
 from looadapt import DomainError, PosteriorDraws, RunConfig, SigmoidalModel
 from looadapt.data import Dataset, marginal_stats
-from looadapt.engine import LooProblem, eta_weights, raw_weights
+from looadapt.engine import LooProblem, eta_weights
 from looadapt.gpd import WeightVector, pareto_smooth
 from looadapt.models import (
     GaussianPrior,
@@ -19,7 +19,6 @@ from looadapt.models import (
     sigmoid,
     sigmoid_slope,
 )
-from looadapt.oracle import finite_difference_jacobian
 from looadapt.transforms import apply_gradient_transform, apply_pmm, gradient_step, log_step_size
 
 from conftest import (
@@ -32,6 +31,7 @@ from conftest import (
     make_relu_toy,
     q_at,
 )
+from oracle import finite_difference_jacobian
 
 
 def _toy_for_direction(x, y):
@@ -109,7 +109,7 @@ class TestStepSize:
 
     def _h(self, q, stats, hbar):
         q = np.asarray(q, dtype=float)
-        return math.exp(log_step_size(np.zeros(q.shape[0]), q, stats.sd, hbar))
+        return hbar * math.exp(log_step_size(np.zeros(q.shape[0]), q, stats.sd))
 
     def test_direct_evaluation(self):
         stats = self._stats([1.0, 1.0])
@@ -143,8 +143,7 @@ class TestApplyGradientTransform:
         assert out.degenerate
         assert out.flags == ("zero-step",)
         assert out.h_used == 0.0
-        assert out.evaluation is problem.evaluation  # phi = theta
-        np.testing.assert_array_equal(out.log_jac_det, 0.0)
+        assert out.evaluation is None and out.log_jac_det is None  # phi = theta, nothing to weigh
 
     def test_gradient_only_for_kl_and_var(self):
         model, dataset, prior, draws = make_logistic_toy(seed=30)
@@ -484,7 +483,7 @@ class TestStepLines:
         problem = self._problem(toy)
         model, dataset, prior, values = problem.model, problem.dataset, problem.prior, problem.draws.values
         i = 2
-        nu, _ = pareto_smooth(raw_weights(problem.evaluation, problem.log_proposal, i))
+        nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
         for hbar in self.HBARS:
             line, out = attempt(problem, kind, i, hbar, nu)
             assert not out.degenerate
@@ -503,5 +502,5 @@ class TestStepLines:
             reference = out.log_jac_det - phi_eval.log_lik[:, i] + (phi_eval.log_post - problem.log_proposal)
             # a log weight sums O(1-10) terms and can cancel to near 0, so the
             # error is also measured against the largest log weight
-            np.testing.assert_allclose(eta_weights(problem, out, i).log_weights, reference,
-                                       rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+            weights = eta_weights(out.evaluation, problem.log_proposal, i, out.log_jac_det)
+            np.testing.assert_allclose(weights.log_weights, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
