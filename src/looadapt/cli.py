@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -79,19 +80,7 @@ def _observation_dict(result: ObservationResult) -> dict:
         "loo_log_predictive_density": result.loo_log_predictive_density,
         "loo_predictive_prob_se": result.loo_predictive_prob_se,
         "loo_log_predictive_density_se": result.loo_log_predictive_density_se,
-        "attempts": [
-            {
-                "kind": a.kind,
-                "hbar": a.hbar,
-                "khat": a.khat,
-                "fittable": a.fittable,
-                "degenerate": a.degenerate,
-                "flags": list(a.flags),
-                "h_used": a.h_used,
-                "max_step_sd": a.max_step_sd,
-            }
-            for a in result.attempts
-        ],
+        "attempts": [asdict(a) for a in result.attempts],
     }
 
 
@@ -101,8 +90,8 @@ def _report_dict(report: LooReport) -> dict:
         "loo_ic": report.loo_ic,
         "loo_ic_se": report.loo_ic_se,
         "n_failed": report.n_failed,
-        "roc_points": [{"threshold": p.threshold, "x": p.x, "y": p.y} for p in report.roc_points],
-        "prc_points": [{"threshold": p.threshold, "x": p.x, "y": p.y} for p in report.prc_points],
+        "roc_points": [asdict(p) for p in report.roc_points],
+        "prc_points": [asdict(p) for p in report.prc_points],
         "auroc": report.auroc,
         "auprc": report.auprc,
     }
@@ -223,7 +212,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="run configuration JSON")
     parser.add_argument("--label-column", default="y", help="name of the label column")
     parser.add_argument("--add-intercept", action="store_true", help="append a constant-1 feature")
-    parser.add_argument("--workers", type=int, default=1, help="engine parallelism")
+    parser.add_argument("--workers", type=int, default=1, help="threads for the per-observation loop (at least 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

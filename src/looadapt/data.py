@@ -24,6 +24,8 @@ from .errors import DimensionError, DomainError, ValidationError
 TRANSFORM_KINDS = ("PMM1", "PMM2", "KL", "Var", "LL")
 PMM_KINDS = ("PMM1", "PMM2")
 GRADIENT_KINDS = ("KL", "Var", "LL")
+#: The gradient kinds whose step reads the gradient of the log posterior.
+POSTERIOR_GRADIENT_KINDS = ("KL", "Var")
 
 DEFAULT_KHAT_THRESHOLD = 0.7
 DEFAULT_HBAR_EXPONENTS = tuple(range(11))

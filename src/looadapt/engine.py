@@ -7,8 +7,9 @@ the diagnostic exceeds the configured threshold it walks the configured
 one attempt brings k-hat under the threshold or the grid is exhausted, in
 which case the best attempt is kept and the observation is flagged as
 unreliable. Raw and transformed weights come from one formula,
-:func:`eta_weights`; the raw weights are its identity case. The
-per-observation loops are independent and can run on a thread pool;
+:func:`eta_weights`; the raw weights are its identity case. With too few
+draws for a Pareto tail no attempt can be fitted, and the scan is skipped.
+The per-observation loops are independent and can run on a thread pool;
 results are always assembled in observation order.
 
 The posterior is evaluated once per run, at the draws. Each (observation,
@@ -26,9 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, MarginalStats, PosteriorDraws, RunConfig, marginal_stats
+from .data import POSTERIOR_GRADIENT_KINDS, Dataset, MarginalStats, PosteriorDraws, RunConfig, marginal_stats
 from .errors import DomainError
-from .gpd import WeightVector, log_sum_exp, pareto_smooth
+from .gpd import MIN_TAIL_SIZE, WeightVector, log_sum_exp, pareto_smooth, tail_size
 from .metrics import auprc, auroc, pr_curve, roc_curve
 from .models import (
     GaussianPrior,
@@ -36,7 +37,6 @@ from .models import (
     PosteriorEvaluation,
     ReluMuLine,
     SigmoidalModel,
-    bernoulli_log_likelihood,
     evaluate_posterior,
     sigmoid,
 )
@@ -99,13 +99,13 @@ class LooReport:
 class LooProblem:
     """Read-only inputs and per-run precomputes shared by every observation.
 
-    ``evaluation`` holds mu, log likelihood and log posterior at the draws
-    (with the gradient only when KL or Var is in the transform order).
-    ``log_proposal`` is the per-draw log density the draws came from, up to
-    a constant: the unnormalized log posterior for posterior draws, the
-    variational log density q for variational ones. ``log_prior`` and
-    ``mu_origin`` (mu at the draws, with the relu1 pre-activations) are where
-    every step line starts.
+    ``evaluation`` holds mu, log likelihood, log prior and log posterior at
+    the draws (with the gradient only when KL or Var is in the transform
+    order). ``log_proposal`` is the per-draw log density the draws came
+    from, up to a constant: the unnormalized log posterior for posterior
+    draws, the variational log density q for variational ones. The log
+    prior in ``evaluation`` and ``mu_origin`` (mu at the draws, with the
+    relu1 pre-activations) are where every step line starts.
     """
 
     model: SigmoidalModel
@@ -116,7 +116,6 @@ class LooProblem:
     evaluation: PosteriorEvaluation
     stats: MarginalStats
     log_proposal: np.ndarray
-    log_prior: np.ndarray
     mu_origin: LinearMuLine | ReluMuLine
 
     @classmethod
@@ -135,7 +134,7 @@ class LooProblem:
         Passing q turns the variational correction on: the draws are taken
         to come from q, which must be finite at every draw.
         """
-        with_grad = any(kind in ("KL", "Var") for kind in config.transform_order)
+        with_grad = any(kind in POSTERIOR_GRADIENT_KINDS for kind in config.transform_order)
         evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=with_grad)
         if variational_log_density is None:
             log_proposal = evaluation.log_post
@@ -149,7 +148,6 @@ class LooProblem:
         return cls(
             model=model, dataset=dataset, prior=prior, draws=draws, config=config,
             evaluation=evaluation, stats=marginal_stats(draws), log_proposal=log_proposal,
-            log_prior=prior.log_density_batch(draws.values),
             mu_origin=model.mu_line(draws.values, dataset.features, evaluation.mu),
         )
 
@@ -180,18 +178,22 @@ def self_normalized_se(normalized_weights: np.ndarray, values: np.ndarray) -> fl
     return float(math.sqrt(np.sum((w * (f - estimate)) ** 2)))
 
 
-def _loo_quantities(weights: WeightVector, mu_at_phi: np.ndarray, y: int):
-    """Predictive probability, log predictive density, and their MC errors."""
+def _loo_quantities(weights: WeightVector, mu: np.ndarray, log_lik: np.ndarray):
+    """Predictive probability, log predictive density, and their MC errors,
+    from mu and the held-out log likelihood at the weighted draws. The MC
+    errors are inf when fewer than two draws carry weight: one draw cannot
+    estimate them."""
     w = weights.normalized
-    probs = sigmoid(mu_at_phi)
+    probs = sigmoid(mu)
     prob = float(w @ probs)
-    prob_se = self_normalized_se(w, probs)
-    log_lik = bernoulli_log_likelihood(mu_at_phi, y)
     # log sum_k w_k lik_k, computed in log space to dodge underflow.
     with np.errstate(divide="ignore"):
         log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
     log_terms = log_w + log_lik
     lpd = log_sum_exp(log_terms)
+    if np.count_nonzero(w) < 2:
+        return prob, math.inf, lpd, math.inf
+    prob_se = self_normalized_se(w, probs)
     # Delta method on the ratio scale: se(log E) = se(E) / E, with each draw's
     # share w_k lik_k / E <= 1 formed in log space so that w_k = 0 gives 0.
     lpd_se = float(math.sqrt(np.sum((np.exp(log_terms - lpd) - w) ** 2)))
@@ -201,7 +203,8 @@ def _loo_quantities(weights: WeightVector, mu_at_phi: np.ndarray, y: int):
 def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     """Run the adaptation loop for one observation.
 
-    Raw weights are smoothed first; a sub-threshold k-hat short-circuits the
+    Raw weights are smoothed first; a sub-threshold k-hat, or too few draws
+    for the Pareto tail rule to reach ``MIN_TAIL_SIZE``, short-circuits the
     grid entirely. Otherwise transforms are tried in configuration order,
     each over the step-scale grid from largest to smallest, stopping at the
     first success. On exhaustion the lowest-k-hat candidate (including the
@@ -215,9 +218,11 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
 
     attempts: list[AttemptRecord] = []
     # Candidates for "best attempt" always include the raw weights; when they
-    # are under the threshold already, the scan has no attempts.
+    # are under the threshold already, or no attempt could be fitted, the
+    # scan has no attempts.
+    scan = raw_khat > threshold and tail_size(problem.draws.num_draws) >= MIN_TAIL_SIZE
     best = (raw_khat, None, evaluation, raw_smoothed)  # (khat, attempt, evaluation at phi, weights)
-    for line in () if raw_khat <= threshold else step_lines(i, problem, raw_smoothed):
+    for line in step_lines(i, problem, raw_smoothed) if scan else ():
         for hbar in config.hbar_values:
             transformed = apply_transform(line, hbar, problem)
             flags, fit = transformed.flags, None
@@ -247,8 +252,9 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
             break
 
     final_khat, winner, final_evaluation, final_weights = best
-    y = int(problem.dataset.labels[i])
-    prob, prob_se, lpd, lpd_se = _loo_quantities(final_weights, final_evaluation.mu[:, i], y)
+    prob, prob_se, lpd, lpd_se = _loo_quantities(
+        final_weights, final_evaluation.mu[:, i], final_evaluation.log_lik[:, i]
+    )
     return ObservationResult(
         index=i,
         raw_khat=raw_khat,
@@ -286,23 +292,25 @@ def run_loo(
     """Adapt every observation and assemble the aggregate report.
 
     Observations are independent; with ``workers > 1`` they are mapped over
-    a thread pool against the shared read-only :class:`LooProblem`. Results
+    a thread pool against the shared read-only :class:`LooProblem`, and with
+    1 they run in the calling thread; fewer than 1 is a DomainError. Results
     are ordered by observation index regardless of completion order, so the
     report is deterministic for fixed inputs. Draws from a variational
     approximation are corrected by passing their log density as
     ``variational_log_density``.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
     problem = LooProblem.build(model, draws, dataset, prior, config, variational_log_density)
-
-    def _one(i: int) -> ObservationResult:
-        return adapt_observation(i, problem)
-
     indices = range(dataset.n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(_one, indices))
+    if workers == 1:
+        # A pool thread allocates from a fresh glibc malloc arena instead of
+        # reusing what loading the inputs freed: one pool thread raised the
+        # logit-scan benchmark's peak RSS from 104 to 115 MB (Linux, 2 vCPUs).
+        results = tuple(adapt_observation(i, problem) for i in indices)
     else:
-        results = tuple(_one(i) for i in indices)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = tuple(pool.map(lambda i: adapt_observation(i, problem), indices))
 
     scores = np.array([r.loo_predictive_prob for r in results])
     labels = dataset.labels

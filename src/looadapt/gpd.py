@@ -79,8 +79,9 @@ def fit_gpd_tail(sorted_tail_excesses) -> GpdFit:
     """Profile-posterior point estimate of the GPD shape and scale.
 
     Expects excesses over the tail cutoff, sorted ascending and strictly
-    positive. Fewer than ``MIN_TAIL_SIZE`` values, or a tail with no
-    spread, yields an unfittable result instead of an estimate.
+    positive. Fewer than ``MIN_TAIL_SIZE`` values, a tail with no spread, or
+    one whose spread overflows the quadrature nodes yields an unfittable
+    result instead of an estimate.
     """
     x = np.asarray(sorted_tail_excesses, dtype=float)
     if x.ndim != 1:
@@ -95,7 +96,10 @@ def fit_gpd_tail(sorted_tail_excesses) -> GpdFit:
 
     m = QUADRATURE_NODES
     quartile = x[int(n / 4 + 0.5) - 1]
-    theta = 1.0 / x[-1] + (1.0 - np.sqrt(m / (np.arange(1.0, m + 1) - 0.5))) / (3.0 * quartile)
+    with np.errstate(over="ignore"):
+        theta = 1.0 / x[-1] + (1.0 - np.sqrt(m / (np.arange(1.0, m + 1) - 0.5))) / (3.0 * quartile)
+    if not np.all(np.isfinite(theta)):  # a quartile near the smallest float overflows the nodes
+        return GpdFit.unfittable(n)
     # Degenerate quadrature nodes at exactly zero would hit a 0/0 below.
     theta[theta == 0.0] = 1e-12 / x[-1]
 

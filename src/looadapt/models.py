@@ -1,14 +1,15 @@
 """Sigmoidal classifier models and their derivative structure.
 
 A model evaluates the mean function mu(theta, x) behind the outcome
-probability sigma(mu) and grad_mu batched over a draw matrix, which is all
-a run uses; its single-draw mu and grad_mu are the reference behind
-:func:`grad_log_posterior`. The batched Hessian of mu, in its eigenbasis, is
-what the gradient-step Jacobians consume: it vanishes for linear (logistic
-regression) means and has +-|x| eigenpairs on the active units of a
-one-hidden-layer ReLU network, the two concrete families. Only this module
-knows how a family lays out its flattened parameters, and relu1 reads its
-layout in one place.
+probability sigma(mu) and weighted sums of grad_mu, batched over a draw
+matrix, which is all a run uses; its single-draw mu and grad_mu are the
+reference behind :func:`grad_log_posterior`. The batched Hessian of mu, in
+its eigenbasis, is what the gradient-step Jacobians consume: it vanishes for
+linear (logistic regression) means and has +-|x| eigenpairs on the active
+units of a one-hidden-layer ReLU network, the two concrete families. Only
+this module knows how a family lays out its flattened parameters, and relu1
+reads its layout in one place. :meth:`PosteriorEvaluation.from_mu` turns mu
+at any draw set into log likelihood and log posterior.
 """
 
 from __future__ import annotations
@@ -122,10 +123,6 @@ class SigmoidalModel(abc.ABC):
         """mu for every (draw, observation) pair: (S, P) x (n, p) -> (S, n)."""
 
     @abc.abstractmethod
-    def grad_mu_batch(self, values, x) -> np.ndarray:
-        """grad_mu for every draw at one observation: (S, P) x (p,) -> (S, P)."""
-
-    @abc.abstractmethod
     def hessian_eigenbasis(self, grad, x, u, v):
         """The Hessian H of mu at x for every draw, seen through u and v in its eigenbasis.
 
@@ -142,6 +139,12 @@ class SigmoidalModel(abc.ABC):
     @abc.abstractmethod
     def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
         """sum_n weights[s, n] * grad_mu(theta_s, x_n) for every draw: (S, P)."""
+
+    def grad_mu_batch(self, values, x) -> np.ndarray:
+        """grad_mu for every draw at one observation: (S, P) x (p,) -> (S, P);
+        :meth:`weighted_grad_mu` over that one observation with unit weights."""
+        x = np.asarray(x, dtype=float)
+        return self.weighted_grad_mu(values, x[None, :], np.ones((values.shape[0], 1)))
 
     @abc.abstractmethod
     def mu_line(self, values, features, mu):
@@ -179,9 +182,6 @@ class LogisticModel(SigmoidalModel):
 
     def mu_batch(self, values, features) -> np.ndarray:
         return values @ np.asarray(features, dtype=float).T
-
-    def grad_mu_batch(self, values, x) -> np.ndarray:
-        return np.tile(np.asarray(x, dtype=float), (values.shape[0], 1))
 
     def hessian_eigenbasis(self, grad, x, u, v) -> None:
         return None
@@ -258,17 +258,6 @@ class ReluOneModel(SigmoidalModel):
         z1 = np.einsum("sdp,np->snd", w1, np.asarray(features, dtype=float))
         act = np.maximum(z1, 0.0)
         return np.einsum("snd,sd->sn", act, w2) + b2[:, None]
-
-    def grad_mu_batch(self, values, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        w1, w2, _ = self._split_batch(values)
-        z1 = np.einsum("sdp,p->sd", w1, x)
-        mask = (z1 > 0).astype(float)
-        grad = np.ones((values.shape[0], self.param_dim))
-        g1, g2, _ = self._split_batch(grad)
-        g1[:] = (w2 * mask)[:, :, None] * x
-        g2[:] = z1 * mask
-        return grad
 
     def _active_units(self, grad) -> np.ndarray:
         """The activity mask 1[z1_sk > 0] at grad_mu's observation: its W2 block is relu(z1)."""
@@ -415,15 +404,23 @@ def grad_log_posterior(model: SigmoidalModel, theta, dataset: Dataset, prior: Ga
 class PosteriorEvaluation:
     """Per-draw posterior quantities shared by weights and transformations.
 
-    ``mu`` and ``log_lik`` are (S, n); ``log_post`` is the unnormalized log
-    posterior per draw; ``grad_log_post`` is its gradient (None when not
-    requested).
+    ``mu`` and ``log_lik`` are (S, n); ``log_prior`` and ``log_post``, the
+    unnormalized log posterior, are per draw; ``grad_log_post`` is the
+    gradient of the log posterior (None when not requested). Build one with
+    :meth:`from_mu`.
     """
 
     mu: np.ndarray
     log_lik: np.ndarray
+    log_prior: np.ndarray
     log_post: np.ndarray
     grad_log_post: np.ndarray | None
+
+    @classmethod
+    def from_mu(cls, mu, labels, log_prior, grad_log_post=None) -> "PosteriorEvaluation":
+        """The posterior at a draw set from mu there, the 0/1 labels and the log prior."""
+        log_lik = bernoulli_log_likelihood(mu, labels[None, :])
+        return cls(mu, log_lik, log_prior, log_prior + log_lik.sum(axis=1), grad_log_post)
 
     @property
     def log_ref(self) -> float:
@@ -438,9 +435,10 @@ def evaluate_posterior(
     prior: GaussianPrior,
     with_grad: bool = True,
 ) -> PosteriorEvaluation:
-    """Evaluate mu, log likelihood, log posterior (and optionally its gradient)
-    for a whole draw matrix in one pass. Draws, prior or dataset that do not
-    fit the model are a DimensionError, not a broadcast or misread columns."""
+    """Evaluate mu, log likelihood, log prior, log posterior (and optionally
+    its gradient) for a whole draw matrix in one pass. Draws, prior or
+    dataset that do not fit the model are a DimensionError, not a broadcast
+    or misread columns."""
     for what, got, want in (
         ("parameter columns in the draws", values.shape[1], model.param_dim),
         ("prior sds", prior.param_dim, model.param_dim),
@@ -449,10 +447,8 @@ def evaluate_posterior(
         if got != want:
             raise DimensionError(f"{got} {what}, but the model expects {want}")
     mu = model.mu_batch(values, dataset.features)
-    log_lik = bernoulli_log_likelihood(mu, dataset.labels[None, :])
-    log_post = prior.log_density_batch(values) + log_lik.sum(axis=1)
     grad = None
     if with_grad:
         resid = dataset.labels[None, :] - sigmoid(mu)
         grad = prior.grad_batch(values) + model.weighted_grad_mu(values, dataset.features, resid)
-    return PosteriorEvaluation(mu=mu, log_lik=log_lik, log_post=log_post, grad_log_post=grad)
+    return PosteriorEvaluation.from_mu(mu, dataset.labels, prior.log_density_batch(values), grad)

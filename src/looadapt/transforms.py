@@ -39,6 +39,7 @@ from .data import (
     GRADIENT_KINDS,
     MarginalStats,
     PMM_KINDS,
+    POSTERIOR_GRADIENT_KINDS,
     marginal_stats,
 )
 from .errors import DomainError
@@ -48,7 +49,6 @@ from .models import (
     PosteriorEvaluation,
     ReluMuLine,
     SigmoidalModel,
-    bernoulli_log_likelihood,
     sigmoid,
     sigmoid_slope,
 )
@@ -67,8 +67,9 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class TransformedDraws:
     """One attempt: the posterior at the transformed draws and per-draw log |det J|.
 
-    ``evaluation`` holds mu, log likelihood and log posterior at the
-    transformed draws phi (without the gradient); phi itself is never formed.
+    ``evaluation`` holds mu, log likelihood, log prior and log posterior at
+    the transformed draws phi (without the gradient); phi itself is never
+    formed.
     ``log_jac_det`` entries are finite except for draws where the map is
     numerically singular, which carry -inf (their transformed weight is
     zero). A transform that collapsed to the identity (zero step or
@@ -214,7 +215,7 @@ def gradient_step(
     """
     if kind not in GRADIENT_KINDS:
         raise DomainError(f"gradient steps are defined for {GRADIENT_KINDS}, got {kind!r}")
-    if kind != "LL" and evaluation.grad_log_post is None:
+    if kind in POSTERIOR_GRADIENT_KINDS and evaluation.grad_log_post is None:
         raise DomainError(f"{kind} needs the posterior gradient, which this problem was built without")
     x = dataset.features[i]
     y = int(dataset.labels[i])
@@ -332,13 +333,9 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
         # the step is bounded by the posterior sd; only its size can overflow
         h_used = math.exp(log_h) if log_h <= _LOG_FLOAT_MAX else math.inf
         log_jac_det, flags = line.jacobian.logdet(log_h)
-    mu = line.mu.at(hbar)
-    log_lik = bernoulli_log_likelihood(mu, problem.dataset.labels[None, :])
-    log_prior = problem.log_prior - hbar * (line.prior_slope + 0.5 * hbar * line.prior_curvature)
+    log_prior = problem.evaluation.log_prior - hbar * (line.prior_slope + 0.5 * hbar * line.prior_curvature)
     return TransformedDraws(
-        evaluation=PosteriorEvaluation(
-            mu=mu, log_lik=log_lik, log_post=log_prior + log_lik.sum(axis=1), grad_log_post=None
-        ),
+        evaluation=PosteriorEvaluation.from_mu(line.mu.at(hbar), problem.dataset.labels, log_prior),
         log_jac_det=log_jac_det,
         h_used=h_used,
         flags=flags,

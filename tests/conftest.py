@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, ReluOneModel, grad_log_posterior
-from looadapt.data import PMM_KINDS, marginal_stats
+from looadapt.data import PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
 from looadapt.models import evaluate_posterior
 from looadapt.transforms import apply_gradient_transform, apply_pmm, apply_transform, gradient_step
 
@@ -101,7 +101,7 @@ def grad_log_lik(model, theta, x, y):
 
 def _one_draw(kind, model, theta, dataset, prior, i, log_ref):
     values = np.asarray(theta, dtype=float)[None, :]
-    ev = evaluate_posterior(model, values, dataset, prior, with_grad=kind != "LL")
+    ev = evaluate_posterior(model, values, dataset, prior, with_grad=kind in POSTERIOR_GRADIENT_KINDS)
     return gradient_step(kind, model, values, dataset, i, ev, ev.log_ref if log_ref is None else log_ref)
 
 

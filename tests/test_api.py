@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import looadapt
+from looadapt import SigmoidalModel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DOCUMENTED = {
     "Dataset", "PosteriorDraws", "RunConfig", "load_dataset_csv", "load_draws_csv", "GaussianPrior",
@@ -24,7 +28,7 @@ def test_root_exports_exactly_the_documented_names():
 
 
 def test_every_name_the_benchmark_generator_imports_resolves():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    path = ROOT / "perfbench" / "generate.py"
     imports = [
         (node.module, alias.name)
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -34,3 +38,17 @@ def test_every_name_the_benchmark_generator_imports_resolves():
     assert ("looadapt", "grad_log_posterior") in imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_a_new_model_implements_what_the_readme_lists():
+    """README's "Adding a model" names every abstract method, and of the
+    concrete ones only grad_mu_batch, which SigmoidalModel derives."""
+    assert SigmoidalModel.__abstractmethods__ == {
+        "param_dim", "num_features", "mu", "grad_mu", "mu_batch", "weighted_grad_mu", "mu_line",
+        "hessian_eigenbasis",
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Adding a model", 1)[1].split("\n#", 1)[0]
+    listed = {name for name in re.findall(r"`(\w+)`", section) if hasattr(SigmoidalModel, name)}
+    assert listed - SigmoidalModel.__abstractmethods__ == {"grad_mu_batch"}
+    assert SigmoidalModel.__abstractmethods__ <= listed

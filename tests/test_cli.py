@@ -96,6 +96,13 @@ class TestCmdRun:
         assert main(["run", *args, "--out", str(out2)]) in (0, 3)
         assert _strip_timings(out1) == _strip_timings(out2)
 
+    def test_zero_workers_is_an_error_line(self, toy_files, tmp_path, capsys):
+        data, draws = toy_files
+        code = main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
+                     "--workers", "0", "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: workers must be at least 1, got 0\n"
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(["run", "--data", str(tmp_path / "nope.csv"), "--draws", str(tmp_path / "nope2.csv"),
                      "--model", "logistic", "--out", str(tmp_path / "r.json")])

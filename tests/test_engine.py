@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looadapt import (
     Dataset,
@@ -11,6 +13,7 @@ from looadapt import (
     DomainError,
     GaussianPrior,
     LogisticModel,
+    LooAdaptError,
     PosteriorDraws,
     ReluOneModel,
     RunConfig,
@@ -25,7 +28,7 @@ from looadapt.engine import (
     loo_ic,
     self_normalized_se,
 )
-from looadapt.gpd import WeightVector
+from looadapt.gpd import WeightVector, pareto_smooth
 from looadapt.models import evaluate_posterior, sigmoid
 
 from conftest import attempt, log_post, make_grid_instance_2, make_logistic_toy, make_relu_toy
@@ -275,7 +278,7 @@ class TestLooIc:
     def test_uniform_weight_half_likelihood(self):
         # mu = 0 for every draw: lik = 1/2, lpd = log 1/2
         weights = WeightVector.from_log_weights(np.zeros(4))
-        prob, prob_se, lpd, lpd_se = _loo_quantities(weights, np.zeros(4), 1)
+        prob, prob_se, lpd, lpd_se = _loo_quantities(weights, np.zeros(4), np.full(4, math.log(0.5)))
         assert prob == pytest.approx(0.5)
         assert lpd == pytest.approx(math.log(0.5))
         assert prob_se == pytest.approx(0.0, abs=1e-15)
@@ -344,12 +347,50 @@ class TestRunLoo:
 
     def test_zero_weight_draws_keep_the_se_finite(self):
         # wide draws leave many final weights at exactly 0, where the
-        # draw's likelihood ratio to the LOO density can overflow
+        # draw's likelihood ratio to the LOO density can overflow; the SE
+        # stays finite wherever at least two draws carry weight
         model, dataset, prior, draws = make_logistic_toy(seed=0, n=20, p=3, num_draws=400, draw_scale=1e3)
         report = run_loo(model, draws, dataset, prior, RunConfig())
-        assert any(np.any(r.final_weights.normalized == 0.0) for r in report.per_observation)
-        assert all(math.isfinite(r.loo_log_predictive_density_se) for r in report.per_observation)
-        assert math.isfinite(report.loo_ic_se)
+        nonzero = [np.count_nonzero(r.final_weights.normalized) for r in report.per_observation]
+        assert any(2 <= k < draws.num_draws for k in nonzero)
+        for r, k in zip(report.per_observation, nonzero):
+            assert math.isfinite(r.loo_log_predictive_density_se) == (k >= 2)
+            assert math.isfinite(r.loo_predictive_prob_se) == (k >= 2)
+
+    @pytest.mark.parametrize("seed, draw_scale", [(0, 1e6), (2, 1e5)])
+    def test_weights_on_one_draw_have_an_infinite_se(self, seed, draw_scale):
+        # at huge draw scales the final weights collapse onto one draw; the MC
+        # error cannot be estimated from one draw, and 0 would claim an exact answer
+        model, dataset, prior, draws = make_logistic_toy(seed=seed, n=20, p=3, num_draws=400, draw_scale=draw_scale)
+        report = run_loo(model, draws, dataset, prior, RunConfig())
+        single = [np.count_nonzero(r.final_weights.normalized) < 2 for r in report.per_observation]
+        assert any(single)
+        for r, one in zip(report.per_observation, single):
+            assert math.isinf(r.loo_predictive_prob_se) == one
+            assert math.isinf(r.loo_log_predictive_density_se) == one
+            assert math.isfinite(r.loo_log_predictive_density)
+        assert report.loo_ic_se == math.inf
+
+    def test_too_few_draws_for_a_pareto_tail_skip_the_scan(self):
+        # S = 8 gives a PSIS tail of 2 draws, below MIN_TAIL_SIZE: no attempt
+        # could be fitted, so none is made and the raw weights are reported
+        model, dataset, prior, draws = make_logistic_toy(seed=42, n=20, p=3, num_draws=8)
+        report = run_loo(model, draws, dataset, prior, RunConfig())
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+        ev = problem.evaluation
+        for i, r in enumerate(report.per_observation):
+            assert r.attempts == ()
+            assert r.winning_transform is None and not r.adapted
+            raw, fit = pareto_smooth(_raw(problem, i))
+            assert not fit.fittable and r.raw_khat == r.final_khat == math.inf
+            np.testing.assert_array_equal(r.final_weights.normalized, raw.normalized)
+            assert (r.loo_predictive_prob, r.loo_predictive_prob_se, r.loo_log_predictive_density,
+                    r.loo_log_predictive_density_se) == _loo_quantities(raw, ev.mu[:, i], ev.log_lik[:, i])
+
+    def test_fewer_than_one_worker_is_a_domain_error(self):
+        model, dataset, prior, draws = make_logistic_toy(seed=60, num_draws=80)
+        with pytest.raises(DomainError, match="workers must be at least 1, got 0"):
+            run_loo(model, draws, dataset, prior, RunConfig(), workers=0)
 
     def test_predictive_probs_in_unit_interval(self):
         model, dataset, prior, draws = make_logistic_toy(seed=63, num_draws=120, draw_scale=5.0)
@@ -540,3 +581,54 @@ class TestRunCost:
         run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 2), transform_order=("KL", "Var", "LL")))
         assert calls["lines"] > 0
         assert calls["grad_mu_batch"] == calls["lines"]
+
+
+def _degenerate_instance(model_name, degeneracy, log10_scale, seed):
+    """A small instance (n = 6, p = 2, S = 40) with one degeneracy of the
+    inputs and draws of sd 10 ** log10_scale."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(6, 2))
+    labels = rng.integers(0, 2, size=6)
+    labels[0] = 1 - labels[1]
+    if degeneracy == "separable":
+        features[:, 0] = (2 * labels - 1) * (1.0 + np.abs(features[:, 0]))
+    elif degeneracy == "constant-feature":
+        features[:, 1] = 1.0
+    elif degeneracy == "single-class":
+        labels[:] = 1
+    dataset = Dataset(features=features, labels=labels, feature_names=("x0", "x1"))
+    model = LogisticModel(p=2) if model_name == "logistic" else ReluOneModel(d=2, p=2)
+    values = 10.0**log10_scale * rng.normal(size=(40, model.param_dim))
+    if degeneracy == "constant-draw-column":
+        values[:, 0] = values[0, 0]
+    draws = PosteriorDraws(values=values, param_names=tuple(f"t{j}" for j in range(model.param_dim)))
+    return model, dataset, GaussianPrior.isotropic(model.param_dim, 1.0), draws
+
+
+class TestDegenerateInputs:
+    """Degenerate inputs come back as a report or a LooAdaptError, never as
+    another exception or a NaN; an infinite k-hat is always flagged."""
+
+    @given(
+        model_name=st.sampled_from(["logistic", "relu1"]),
+        degeneracy=st.sampled_from(["none", "separable", "constant-feature", "constant-draw-column", "single-class"]),
+        log10_scale=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_report_or_package_error(self, model_name, degeneracy, log10_scale, seed):
+        model, dataset, prior, draws = _degenerate_instance(model_name, degeneracy, log10_scale, seed)
+        try:
+            report = run_loo(model, draws, dataset, prior, RunConfig())
+        except LooAdaptError:
+            return
+        numbers = [report.loo_ic, report.loo_ic_se]
+        numbers += [v for v in (report.auroc, report.auprc) if v is not None]
+        numbers += [v for pt in report.roc_points + report.prc_points for v in (pt.x, pt.y, pt.threshold)]
+        for r in report.per_observation:
+            numbers += [r.raw_khat, r.final_khat, r.loo_predictive_prob, r.loo_log_predictive_density,
+                        r.loo_predictive_prob_se, r.loo_log_predictive_density_se, *r.final_weights.normalized]
+            numbers += [v for a in r.attempts for v in (a.khat, a.h_used, a.max_step_sd)]
+            if math.isinf(r.final_khat):
+                assert not r.adapted
+        assert not np.isnan(numbers).any()

@@ -35,6 +35,12 @@ class TestFitGpdTail:
         fit = fit_gpd_tail(np.full(50, 2.5))
         assert not fit.fittable
 
+    def test_tail_spread_past_the_float_range_not_fittable(self):
+        # a quartile of 1e-310 overflows the quadrature nodes 1 / (3 * quartile)
+        fit = fit_gpd_tail(np.array([1e-310, 2e-310, 3e-310, 0.5, 1.0]))
+        assert not fit.fittable
+        assert fit.khat == math.inf
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             fit_gpd_tail(np.array([0.0, 1.0, 2.0, 3.0, 4.0]))

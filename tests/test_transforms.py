@@ -218,7 +218,7 @@ class _OtherModel(SigmoidalModel):
     """A sigmoidal model outside the two built-in families: it wraps another
     model and forwards only what a gradient step uses."""
 
-    mu = grad_mu = mu_batch = weighted_grad_mu = mu_line = None
+    mu = grad_mu = mu_batch = mu_line = None
 
     def __init__(self, inner):
         self.inner = inner
@@ -226,8 +226,8 @@ class _OtherModel(SigmoidalModel):
     param_dim = property(lambda self: self.inner.param_dim)
     num_features = property(lambda self: self.inner.num_features)
 
-    def grad_mu_batch(self, values, x):
-        return self.inner.grad_mu_batch(values, x)
+    def weighted_grad_mu(self, values, features, weights):
+        return self.inner.weighted_grad_mu(values, features, weights)
 
     def hessian_eigenbasis(self, grad, x, u, v):
         return self.inner.hessian_eigenbasis(grad, x, u, v)
@@ -274,7 +274,7 @@ class TestExactLogdetOps:
     def test_model_kind_guards(self):
         """A PMM kind, and KL without the posterior gradient, are rejected.
         The model family is not guarded: any model steps through its own
-        grad_mu_batch and hessian_eigenbasis."""
+        weighted_grad_mu and hessian_eigenbasis."""
         model, dataset, prior, draws = make_logistic_toy(seed=38, p=3)
         values = draws.values[:5]
         ev = evaluate_posterior(model, values, dataset, prior)
@@ -308,8 +308,8 @@ class TestFirstOrderLogdet:
         # c = 1 and grad log post = -2 make the map exactly singular
         dataset = Dataset(features=np.ones((1, 1)), labels=np.array([0]), feature_names=("a",))
         model = LogisticModel(p=1)
-        ev = PosteriorEvaluation(mu=np.zeros((1, 1)), log_lik=np.zeros((1, 1)), log_post=np.zeros(1),
-                                 grad_log_post=np.array([[-2.0]]))
+        ev = PosteriorEvaluation(mu=np.zeros((1, 1)), log_lik=np.zeros((1, 1)), log_prior=np.zeros(1),
+                                 log_post=np.zeros(1), grad_log_post=np.array([[-2.0]]))
         logdet, flags = gradient_step("KL", model, np.zeros((1, 1)), dataset, 0, ev, 0.0).logdet(0.0)
         assert logdet[0] == -math.inf
         assert flags == ("singular-jacobian",)
