@@ -165,7 +165,8 @@ def eta_weights(
     proposal density cancels under self-normalization. Draws with a
     non-finite contribution get weight zero.
     """
-    log_eta = log_jac_det - evaluation.log_lik[:, i] + (evaluation.log_post - log_proposal)
+    with np.errstate(invalid="ignore"):  # inf - inf where the held-out label has probability 0
+        log_eta = log_jac_det - evaluation.log_lik[:, i] + (evaluation.log_post - log_proposal)
     log_eta = np.where(np.isnan(log_eta), -np.inf, log_eta)
     return WeightVector.from_log_weights(log_eta)
 

@@ -9,7 +9,9 @@ linear (logistic regression) means and has +-|x| eigenpairs on the active
 units of a one-hidden-layer ReLU network, the two concrete families. Only
 this module knows how a family lays out its flattened parameters, and relu1
 reads its layout in one place. :meth:`PosteriorEvaluation.from_mu` turns mu
-at any draw set into log likelihood and log posterior.
+at any draw set into log likelihood and log posterior. No run calls the libm
+reference :func:`bernoulli_log_likelihood`; it stays bit-for-bit because
+``perfbench/generate.py`` builds both benchmark instances with it.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ def sigmoid(mu):
     return expit(mu)
 
 
-def log_sigmoid(mu):
-    """log sigma(mu) without underflow for very negative mu."""
-    return -np.logaddexp(0.0, -np.asarray(mu, dtype=float))
-
-
 def sigmoid_slope(mu):
     """sigma(mu) * (1 - sigma(mu)) computed as sigma(mu) * sigma(-mu).
 
@@ -46,9 +43,11 @@ def sigmoid_slope(mu):
 
 
 def bernoulli_log_likelihood(mu, y):
-    """log [ sigma(mu)^y (1 - sigma(mu))^(1-y) ]  =  log sigma((2y - 1) mu)."""
+    """log [ sigma(mu)^y (1 - sigma(mu))^(1-y) ]  =  log sigma((2y - 1) mu), the libm
+    reference for :meth:`PosteriorEvaluation.from_mu`. No run calls it; it stays
+    bit-for-bit because ``perfbench/generate.py`` builds both benchmark instances with it."""
     sign = 2.0 * np.asarray(y, dtype=float) - 1.0
-    return log_sigmoid(sign * np.asarray(mu, dtype=float))
+    return -np.logaddexp(0.0, -(sign * np.asarray(mu, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -418,8 +417,13 @@ class PosteriorEvaluation:
 
     @classmethod
     def from_mu(cls, mu, labels, log_prior, grad_log_post=None) -> "PosteriorEvaluation":
-        """The posterior at a draw set from mu there, the 0/1 labels and the log prior."""
-        log_lik = bernoulli_log_likelihood(mu, labels[None, :])
+        """The posterior at a draw set from mu there, the 0/1 labels and the log prior.
+        log sigma(m), m = (2y - 1) mu, is min(m, 0) - log1p(exp(-|m|)) on one scratch buffer."""
+        log_lik = (2.0 * labels - 1.0) * mu
+        scratch = np.abs(log_lik)
+        np.exp(np.negative(scratch, out=scratch), out=scratch)
+        np.minimum(log_lik, 0.0, out=log_lik)
+        log_lik -= np.log1p(scratch, out=scratch)
         return cls(mu, log_lik, log_prior, log_prior + log_lik.sum(axis=1), grad_log_post)
 
     @property

@@ -204,13 +204,14 @@ def gradient_step(
     i: int,
     evaluation: PosteriorEvaluation,
     log_ref,
+    grad: np.ndarray,
 ) -> GradientStep:
     """The Q rows of a batch of draws for observation i and their determinant factors.
 
     ``evaluation`` is the posterior at ``values``: mu and, for KL/Var, the
-    log posterior and its gradient. ``log_ref`` anchors the posterior-density
-    factor of KL/Var (the largest log posterior over the draw set in the
-    engine); LL ignores it. The step size h is left to
+    log posterior and its gradient; ``grad`` is grad_mu at observation i.
+    ``log_ref`` anchors the posterior-density factor of KL/Var (the largest
+    log posterior over the draw set in the engine); LL ignores it. The step size h is left to
     :func:`log_step_size` and :meth:`GradientStep.logdet`.
     """
     if kind not in GRADIENT_KINDS:
@@ -220,7 +221,6 @@ def gradient_step(
     x = dataset.features[i]
     y = int(dataset.labels[i])
     mu_col = evaluation.mu[:, i]
-    grad = model.grad_mu_batch(values, x)
     if kind == "LL":
         scale = np.zeros(values.shape[0])
         factor = sigmoid(mu_col) - y
@@ -253,18 +253,16 @@ def _line(kind, i, problem: LooProblem, step, mu_line, jacobian, log_h=0.0) -> S
     )
 
 
-def apply_gradient_transform(kind: str, i: int, problem: LooProblem) -> StepLine:
-    """The line of KL/Var/LL steps for observation i under the step-size rule.
+def apply_gradient_transform(kind: str, i: int, problem: LooProblem, grad: np.ndarray) -> StepLine:
+    """The line of KL/Var/LL steps for observation i along ``grad`` = grad_mu there, under the step-size rule.
 
     D is the hbar = 1 step; hbar scales the step size h, so every attempt
     is theta + hbar * D with an exact per-draw log-determinant. A zero step
     (all-zero Q or a zero posterior sd in a moving component) makes every
     attempt the identity with the ``zero-step`` flag.
     """
-    evaluation = problem.evaluation
-    grad_step = gradient_step(
-        kind, problem.model, problem.draws.values, problem.dataset, i, evaluation, evaluation.log_ref
-    )
+    ev = problem.evaluation
+    grad_step = gradient_step(kind, problem.model, problem.draws.values, problem.dataset, i, ev, ev.log_ref, grad)
     log_h = log_step_size(grad_step.scale, grad_step.factor[:, None] * grad_step.grad, problem.stats.sd)
     if log_h == -np.inf:
         return StepLine(kind=kind, observation_index=i, step=None, flags=("zero-step",))
@@ -302,16 +300,19 @@ def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
     """Yield the line of each configured kind for observation i, in order.
 
     PMM kinds move toward the moments of the smoothed raw weights
-    ``nu_weights``, computed once, when the first PMM line is needed.
+    ``nu_weights`` and gradient kinds along grad_mu at observation i; each is
+    computed once, when the first line that needs it is reached.
     """
-    weighted = None
+    weighted = grad = None
     for kind in problem.config.transform_order:
         if kind in PMM_KINDS:
             if weighted is None:
                 weighted = marginal_stats(problem.draws, nu_weights.normalized)
             yield apply_pmm(kind, i, problem, weighted)
         else:
-            yield apply_gradient_transform(kind, i, problem)
+            if grad is None:
+                grad = problem.model.grad_mu_batch(problem.draws.values, problem.dataset.features[i])
+            yield apply_gradient_transform(kind, i, problem, grad)
 
 
 def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> TransformedDraws:

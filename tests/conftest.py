@@ -102,7 +102,8 @@ def grad_log_lik(model, theta, x, y):
 def _one_draw(kind, model, theta, dataset, prior, i, log_ref):
     values = np.asarray(theta, dtype=float)[None, :]
     ev = evaluate_posterior(model, values, dataset, prior, with_grad=kind in POSTERIOR_GRADIENT_KINDS)
-    return gradient_step(kind, model, values, dataset, i, ev, ev.log_ref if log_ref is None else log_ref)
+    grad = model.grad_mu_batch(values, dataset.features[i])
+    return gradient_step(kind, model, values, dataset, i, ev, ev.log_ref if log_ref is None else log_ref, grad)
 
 
 def q_at(kind, model, theta, dataset, prior, i, log_ref=None):
@@ -165,6 +166,11 @@ def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6
     return float(np.trace(jac))
 
 
+def grad_mu_at(problem, i):
+    """grad_mu at observation i for every draw of ``problem``, as the scan shares it."""
+    return problem.model.grad_mu_batch(problem.draws.values, problem.dataset.features[i])
+
+
 def attempt(problem, kind, i, hbar, nu_weights=None):
     """(line, transformed draws) of one scan attempt at step scale ``hbar``.
 
@@ -173,7 +179,7 @@ def attempt(problem, kind, i, hbar, nu_weights=None):
     if kind in PMM_KINDS:
         line = apply_pmm(kind, i, problem, marginal_stats(problem.draws, nu_weights.normalized))
     else:
-        line = apply_gradient_transform(kind, i, problem)
+        line = apply_gradient_transform(kind, i, problem, grad_mu_at(problem, i))
     return line, apply_transform(line, hbar, problem)
 
 

@@ -29,7 +29,7 @@ from looadapt.engine import (
     self_normalized_se,
 )
 from looadapt.gpd import WeightVector, pareto_smooth
-from looadapt.models import evaluate_posterior, sigmoid
+from looadapt.models import PosteriorEvaluation, evaluate_posterior, sigmoid
 
 from conftest import attempt, log_post, make_grid_instance_2, make_logistic_toy, make_relu_toy
 from oracle import exact_loo_expectation, sample_grid_posterior
@@ -81,6 +81,22 @@ class TestEtaWeights:
         # normalization; emulate by rescaling the jacobian column
         again = eta_weights(td.evaluation, problem.log_proposal, 1, td.log_jac_det + 5.0)
         np.testing.assert_allclose(again.normalized, base.normalized, atol=1e-12)
+
+    def test_non_finite_mu_is_a_zero_weight(self):
+        """A NaN mu, or one where the label has probability 0, gives its draw
+        weight zero, never NaN; one where the label is certain keeps it."""
+        model, dataset, prior, draws = make_logistic_toy(seed=53)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+        mu = problem.evaluation.mu.copy()
+        sign = 2.0 * dataset.labels - 1.0
+        mu[3, 0] = np.nan
+        mu[5, 1] = -np.inf * sign[1]
+        mu[7, 2] = np.inf * sign[2]
+        evaluation = PosteriorEvaluation.from_mu(mu, dataset.labels, problem.evaluation.log_prior)
+        for i in (0, 1, 2):
+            w = eta_weights(evaluation, problem.log_proposal, i).normalized
+            assert np.all(np.isfinite(w))
+            assert w[3] == 0.0 and w[5] == 0.0 and w[7] > 0.0
 
     def test_grid_oracle_expectation_within_three_se(self):
         model, dataset, prior, grid = make_grid_instance_2()
@@ -560,11 +576,13 @@ class TestRunCost:
         assert 0 < calls["weighted_moments"] <= flagged
 
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
-    def test_one_grad_mu_batch_per_gradient_line(self, toy, monkeypatch):
+    def test_one_grad_mu_batch_per_observation(self, toy, monkeypatch):
+        """KL, Var and LL at one observation share one grad_mu_batch call."""
         from looadapt import transforms
 
         model, dataset, prior, draws = self._toy(toy)
         calls = {"grad_mu_batch": 0, "lines": 0}
+        observations = set()
         grad_mu_batch = type(model).grad_mu_batch
         apply_gradient_transform = transforms.apply_gradient_transform
 
@@ -572,15 +590,16 @@ class TestRunCost:
             calls["grad_mu_batch"] += 1
             return grad_mu_batch(self, values, x)
 
-        def counted_line(*args, **kwargs):
+        def counted_line(kind, i, *args):
             calls["lines"] += 1
-            return apply_gradient_transform(*args, **kwargs)
+            observations.add(i)
+            return apply_gradient_transform(kind, i, *args)
 
         monkeypatch.setattr(type(model), "grad_mu_batch", counted_grad)
         monkeypatch.setattr(transforms, "apply_gradient_transform", counted_line)
         run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 2), transform_order=("KL", "Var", "LL")))
-        assert calls["lines"] > 0
-        assert calls["grad_mu_batch"] == calls["lines"]
+        assert calls["lines"] > len(observations) > 0
+        assert calls["grad_mu_batch"] == len(observations)
 
 
 def _degenerate_instance(model_name, degeneracy, log10_scale, seed):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from looadapt import Dataset, GaussianPrior, LogisticModel, ReluOneModel, grad_log_posterior
-from looadapt.models import LINE_BLOCK_DRAWS, bernoulli_log_likelihood, evaluate_posterior, sigmoid, sigmoid_slope
+from looadapt.models import (
+    LINE_BLOCK_DRAWS,
+    PosteriorEvaluation,
+    bernoulli_log_likelihood,
+    evaluate_posterior,
+    sigmoid,
+    sigmoid_slope,
+)
 
 from conftest import (
     dense_hessian,
@@ -52,6 +59,43 @@ class TestLogLikelihood:
         value = bernoulli_log_likelihood(model.mu([1.0, -1.0], [2.0, 1.0]), 1)
         assert value == pytest.approx(-math.log1p(math.exp(-1.0)))
         assert value == pytest.approx(-0.313262, abs=1e-6)
+
+    #: Signed zeros, tiny, unit and exp-tail mu, exp's underflow edge, the
+    #: ends of the float range, infinities, NaN, and a dense stretch where
+    #: both terms of log sigma matter.
+    GRID = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 37.0, -37.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan],
+        np.linspace(-50.0, 50.0, 1001),
+    ])
+
+    def _grid(self):
+        """Every GRID value under label 0 (first column) and label 1 (second)."""
+        return np.repeat(self.GRID[:, None], 2, axis=1), np.array([0, 1])
+
+    def test_reference_is_the_libm_formula(self):
+        """perfbench/generate.py builds the benchmark instances with this
+        function; a last-bit change to it changes every generated draw."""
+        mu, labels = self._grid()
+        sign = 2.0 * labels - 1.0
+        with np.errstate(invalid="ignore"):  # logaddexp flags a NaN argument
+            expected = -np.logaddexp(0.0, -(sign * mu))
+            got = bernoulli_log_likelihood(mu, labels[None, :])
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_from_mu_matches_the_reference(self):
+        """The run's kernel agrees with the reference to 2e-15 relative, puts
+        infinities and NaNs in the same places and raises no invalid, divide or overflow flag."""
+        mu, labels = self._grid()
+        with np.errstate(invalid="ignore"):
+            expected = bernoulli_log_likelihood(mu, labels[None, :])
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            got = PosteriorEvaluation.from_mu(mu, labels, np.zeros(mu.shape[0])).log_lik
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+        infinite = np.isinf(expected)
+        np.testing.assert_array_equal(got[infinite], expected[infinite])
+        finite = np.isfinite(expected)
+        assert np.all(np.isfinite(got[finite]))
+        assert np.all(np.abs(got[finite] - expected[finite]) <= 2e-15 * np.abs(expected[finite]))
 
 
 class TestGradLogLikelihood:

@@ -25,6 +25,7 @@ from conftest import (
     attempt,
     dense_hessian,
     fd_divergence,
+    grad_mu_at,
     log_post,
     logdet_at,
     make_logistic_toy,
@@ -151,7 +152,7 @@ class TestApplyGradientTransform:
         assert problem.evaluation.grad_log_post is None
         assert not attempt(problem, "LL", 0, 0.5)[1].degenerate
         with pytest.raises(DomainError, match="needs the posterior gradient"):
-            apply_gradient_transform("KL", 0, problem)
+            apply_gradient_transform("KL", 0, problem, grad_mu_at(problem, 0))
 
     def test_step_bound_holds(self):
         model, dataset, prior, draws = make_logistic_toy(seed=31)
@@ -278,17 +279,21 @@ class TestExactLogdetOps:
         model, dataset, prior, draws = make_logistic_toy(seed=38, p=3)
         values = draws.values[:5]
         ev = evaluate_posterior(model, values, dataset, prior)
+        grad = model.grad_mu_batch(values, dataset.features[0])
         with pytest.raises(DomainError, match="defined for"):
-            gradient_step("PMM1", model, values, dataset, 0, ev, ev.log_ref)
+            gradient_step("PMM1", model, values, dataset, 0, ev, ev.log_ref, grad)
         with pytest.raises(DomainError, match="needs the posterior gradient"):
-            gradient_step("KL", model, values, dataset, 0, replace(ev, grad_log_post=None), ev.log_ref)
+            gradient_step("KL", model, values, dataset, 0, replace(ev, grad_log_post=None), ev.log_ref, grad)
         for toy in (make_logistic_toy(seed=38, p=3), make_relu_toy(seed=38)):
             inner, toy_data, toy_prior, toy_draws = toy
             toy_values = toy_draws.values[:5]
             toy_ev = evaluate_posterior(inner, toy_values, toy_data, toy_prior)
+            other, x = _OtherModel(inner), toy_data.features[0]
             for kind in ("KL", "Var", "LL"):
-                ours = gradient_step(kind, _OtherModel(inner), toy_values, toy_data, 0, toy_ev, toy_ev.log_ref)
-                theirs = gradient_step(kind, inner, toy_values, toy_data, 0, toy_ev, toy_ev.log_ref)
+                ours = gradient_step(kind, other, toy_values, toy_data, 0, toy_ev, toy_ev.log_ref,
+                                     other.grad_mu_batch(toy_values, x))
+                theirs = gradient_step(kind, inner, toy_values, toy_data, 0, toy_ev, toy_ev.log_ref,
+                                       inner.grad_mu_batch(toy_values, x))
                 np.testing.assert_array_equal(ours.logdet(-1.0)[0], theirs.logdet(-1.0)[0])
 
 
@@ -310,7 +315,9 @@ class TestFirstOrderLogdet:
         model = LogisticModel(p=1)
         ev = PosteriorEvaluation(mu=np.zeros((1, 1)), log_lik=np.zeros((1, 1)), log_prior=np.zeros(1),
                                  log_post=np.zeros(1), grad_log_post=np.array([[-2.0]]))
-        logdet, flags = gradient_step("KL", model, np.zeros((1, 1)), dataset, 0, ev, 0.0).logdet(0.0)
+        values = np.zeros((1, 1))
+        grad = model.grad_mu_batch(values, dataset.features[0])
+        logdet, flags = gradient_step("KL", model, values, dataset, 0, ev, 0.0, grad).logdet(0.0)
         assert logdet[0] == -math.inf
         assert flags == ("singular-jacobian",)
 
