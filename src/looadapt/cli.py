@@ -54,6 +54,8 @@ def _json_safe(value):
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()  # already plain floats, none to null
         return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -196,7 +196,10 @@ class MarginalStats:
 
     ``mean`` and ``variance`` use the population convention (divisor S).
     The weighted variance is taken about the *unweighted* mean, matching the
-    moment-matching update it feeds.
+    moment-matching update it feeds. ``centered`` (the draws minus ``mean``)
+    and its square ``centered_sq`` are the (S, P) arrays every weighted
+    call reads; they are computed once, by the unweighted call, and shared
+    (read-only) by every result derived from it.
     """
 
     mean: np.ndarray
@@ -204,27 +207,38 @@ class MarginalStats:
     weighted_mean: np.ndarray
     variance: np.ndarray
     weighted_variance: np.ndarray
+    centered: np.ndarray
+    centered_sq: np.ndarray
 
     def __post_init__(self):
         for name in ("mean", "sd", "weighted_mean", "variance", "weighted_variance"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
-def marginal_stats(draws: PosteriorDraws, weights: np.ndarray | None = None) -> MarginalStats:
+def marginal_stats(
+    draws: PosteriorDraws, weights: np.ndarray | None = None, plain: MarginalStats | None = None
+) -> MarginalStats:
     """Column means/variances of the draws, plus their weighted counterparts.
 
     ``weights``, when given, must be a normalized (sum 1) non-negative vector
     of length S. Omitting it makes the weighted statistics equal the plain
-    ones.
+    ones. ``plain``, the unweighted statistics of the same draws, makes a
+    weighted call two matvecs, w @ theta and w @ centered_sq, instead of
+    recomputing the centred draws.
     """
     values = draws.values
     s = draws.num_draws
-    mean = values.mean(axis=0)
-    centered = values - mean
-    variance = np.mean(centered**2, axis=0)
-    sd = np.sqrt(variance)
+    if plain is None:
+        mean = values.mean(axis=0)
+        centered = values - mean
+        centered_sq = centered**2
+        centered.flags.writeable = centered_sq.flags.writeable = False
+        variance = np.mean(centered_sq, axis=0)
+        plain = MarginalStats(mean, np.sqrt(variance), mean, variance, variance, centered, centered_sq)
+    elif plain.centered.shape != values.shape:
+        raise DimensionError(f"plain statistics of {plain.centered.shape} draws, got {values.shape}")
     if weights is None:
-        return MarginalStats(mean, sd, mean.copy(), variance, variance.copy())
+        return plain
     w = np.asarray(weights, dtype=float)
     if w.shape != (s,):
         raise DimensionError(f"expected {s} weights, got shape {w.shape}")
@@ -232,9 +246,7 @@ def marginal_stats(draws: PosteriorDraws, weights: np.ndarray | None = None) -> 
         raise DomainError("weights must be non-negative")
     if abs(w.sum() - 1.0) > 1e-9:
         raise DomainError(f"weights must sum to 1, got {w.sum()!r}")
-    weighted_mean = w @ values
-    weighted_variance = w @ centered**2
-    return MarginalStats(mean, sd, weighted_mean, variance, weighted_variance)
+    return replace(plain, weighted_mean=w @ values, weighted_variance=w @ plain.centered_sq)
 
 
 def _read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:

@@ -105,7 +105,9 @@ class LooProblem:
     from, up to a constant: the unnormalized log posterior for posterior
     draws, the variational log density q for variational ones. The log
     prior in ``evaluation`` and ``mu_origin`` (mu at the draws, with the
-    relu1 pre-activations) are where every step line starts.
+    relu1 pre-activations) are where every step line starts. ``stats``
+    holds the plain moments and the centred draws that every weighted-moment
+    call and PMM2 step reads.
     """
 
     model: SigmoidalModel

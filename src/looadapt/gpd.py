@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,10 +55,11 @@ def log_sum_exp(values) -> float:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Un-normalized log weights together with their normalized counterpart."""
+    """Un-normalized log weights, their log sum, and (on first read) the
+    normalized weights exp(log_weights - log_total)."""
 
     log_weights: np.ndarray
-    normalized: np.ndarray
+    log_total: float
 
     @classmethod
     def from_log_weights(cls, log_weights) -> "WeightVector":
@@ -70,9 +72,14 @@ class WeightVector:
         if total == -np.inf:
             raise DomainError("all weights are zero")
         lw.flags.writeable = False
-        normalized = np.exp(lw - total)
+        return cls(log_weights=lw, log_total=total)
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        # Most weight vectors only reach pareto_smooth, which reads log_weights.
+        normalized = np.exp(self.log_weights - self.log_total)
         normalized.flags.writeable = False
-        return cls(log_weights=lw, normalized=normalized)
+        return normalized
 
 
 def fit_gpd_tail(sorted_tail_excesses) -> GpdFit:

@@ -90,10 +90,14 @@ class GaussianPrior:
         ``step`` is D, shaped (P,) or (S, P). Along the line the log density
         is quadratic in hbar: log_density_batch(theta + hbar * D) =
         log_density_batch(theta) - hbar * slope - hbar^2 / 2 * curvature.
+        A shared D costs one matvec; a per-draw D two row dot products, with
+        no (S, P) temporary.
         """
-        slope = np.sum(values * (step / self.sd**2), axis=-1)
-        curvature = np.sum((step / self.sd) ** 2, axis=-1)
-        return slope, curvature
+        if np.ndim(step) == 1:
+            scaled = step / self.sd**2
+            return values @ scaled, float(step @ scaled)
+        precision = self.sd**-2.0
+        return np.einsum("sp,sp,p->s", values, step, precision), np.einsum("sp,sp,p->s", step, step, precision)
 
 
 class SigmoidalModel(abc.ABC):

@@ -117,21 +117,35 @@ class StepLine:
     flags: tuple[str, ...] = ()
 
 
-def log_step_size(scale: np.ndarray, direction: np.ndarray, sd: np.ndarray) -> float:
-    """log h for h = min over draws and components of |sd_alpha / Q_alpha|.
+def row_max_in_sd_units(grad: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """r_s = max over components of |grad_sp| / sd_p, per draw.
 
-    Works on the factored Q = exp(scale) * direction, so huge density
-    factors never overflow. Components with Q = 0 are excluded; an all-zero
-    Q, or a zero posterior sd in a moving component, gives -inf (h = 0).
+    Components where grad is 0 are excluded, also where sd is 0; a moving
+    component with zero sd gives r_s = inf.
     """
-    absd = np.abs(direction)
     with np.errstate(divide="ignore"):
-        log_sd = np.log(sd)
-        log_absd = np.log(absd, out=np.zeros_like(absd), where=absd > 0)
-    cand = log_sd[None, :] - scale[:, None] - log_absd
-    cand[absd == 0] = np.inf
-    smallest = float(cand.min())
-    return -np.inf if smallest == np.inf else smallest
+        inv_sd = 1.0 / sd
+    scaled = np.abs(grad)
+    with np.errstate(invalid="ignore"):  # 0 * inf: a resting component with zero sd
+        scaled *= inv_sd
+    return np.fmax.reduce(scaled, axis=1, initial=0.0)  # fmax skips those NaNs
+
+
+def log_step_size(scale: np.ndarray, factor: np.ndarray, r: np.ndarray) -> float:
+    """log h for h = min over draws and components of |sd_p / Q_sp|.
+
+    Works on the factored Q_s = exp(scale_s) * factor_s * grad_s, with
+    ``r`` = :func:`row_max_in_sd_units` of grad, so huge density factors
+    never overflow: log h = -max_s [scale_s + log|factor_s| + log r_s].
+    Draws with Q = 0 (factor 0, scale -inf or r 0) are excluded; an all-zero
+    Q, or a zero posterior sd in a moving component (r = inf), gives -inf
+    (h = 0).
+    """
+    moving = (factor != 0) & (scale > -np.inf) & (r > 0)
+    if not moving.any():
+        return -np.inf
+    largest = float(np.max(scale[moving] + np.log(np.abs(factor[moving])) + np.log(r[moving])))
+    return -largest
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +253,11 @@ def gradient_step(
 # Step lines: one per (observation, kind), evaluated per step scale
 # ---------------------------------------------------------------------------
 
-def _shift_in_sd_units(step: np.ndarray, sd: np.ndarray) -> float:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = np.abs(step) / np.where(sd > 0, sd, np.inf)
-    return float(scaled.max()) if scaled.size else 0.0
-
-
-def _line(kind, i, problem: LooProblem, step, mu_line, jacobian, log_h=0.0) -> StepLine:
+def _line(kind, i, problem: LooProblem, step, mu_line, jacobian, max_step_sd, log_h=0.0) -> StepLine:
     slope, curvature = problem.prior.line_coefficients(problem.draws.values, step)
     return StepLine(
         kind=kind, observation_index=i, step=step, mu=mu_line, prior_slope=slope, prior_curvature=curvature,
-        jacobian=jacobian, log_h=log_h, max_step_sd=_shift_in_sd_units(step, problem.stats.sd),
+        jacobian=jacobian, log_h=log_h, max_step_sd=max_step_sd,
     )
 
 
@@ -259,41 +267,47 @@ def apply_gradient_transform(kind: str, i: int, problem: LooProblem, grad: np.nd
     D is the hbar = 1 step; hbar scales the step size h, so every attempt
     is theta + hbar * D with an exact per-draw log-determinant. A zero step
     (all-zero Q or a zero posterior sd in a moving component) makes every
-    attempt the identity with the ``zero-step`` flag.
+    attempt the identity with the ``zero-step`` flag. The largest shift,
+    max_s |coef_s| r_s, is 1 up to rounding by the step-size rule.
     """
     ev = problem.evaluation
     grad_step = gradient_step(kind, problem.model, problem.draws.values, problem.dataset, i, ev, ev.log_ref, grad)
-    log_h = log_step_size(grad_step.scale, grad_step.factor[:, None] * grad_step.grad, problem.stats.sd)
+    r = row_max_in_sd_units(grad, problem.stats.sd)
+    log_h = log_step_size(grad_step.scale, grad_step.factor, r)
     if log_h == -np.inf:
         return StepLine(kind=kind, observation_index=i, step=None, flags=("zero-step",))
     coef = np.exp(log_h + grad_step.scale) * grad_step.factor
-    mu_line = problem.mu_origin.along_gradient(grad_step.grad, problem.dataset.features[i], coef)
-    return _line(kind, i, problem, coef[:, None] * grad_step.grad, mu_line, grad_step, log_h)
+    moving = coef != 0  # a resting draw may sit next to r = inf
+    max_step_sd = float(np.max(np.abs(coef[moving]) * r[moving], initial=0.0))
+    mu_line = problem.mu_origin.along_gradient(grad, problem.dataset.features[i], coef)
+    return _line(kind, i, problem, coef[:, None] * grad, mu_line, grad_step, max_step_sd, log_h)
 
 
 def apply_pmm(kind: str, i: int, problem: LooProblem, weighted: MarginalStats) -> StepLine:
     """The line of damped moment-matching maps toward ``weighted``'s moments.
 
-    PMM1 translates by hbar times the gap between weighted and plain means
-    (log-determinant exactly 0). PMM2 additionally rescales each centered
-    component by the weighted/plain sd ratio; a zero plain variance in any
-    component makes the rescaling unavailable and every attempt the
+    PMM1 translates by hbar times the gap delta between weighted and plain
+    means (log-determinant exactly 0). PMM2 additionally rescales each
+    centered component by the weighted/plain sd ratio: D = (ratio - 1) *
+    centered + delta, from the per-run centred draws. A zero plain variance
+    in any component makes the rescaling unavailable and every attempt the
     identity with the ``pmm2-unavailable`` flag.
     """
     if kind not in PMM_KINDS:
         raise DomainError(f"apply_pmm handles {PMM_KINDS}, got {kind!r}")
-    values = problem.draws.values
     stats = problem.stats
+    delta = weighted.weighted_mean - stats.mean
     if kind == "PMM1":
-        step = weighted.weighted_mean - stats.mean
-        diagonal = np.zeros(values.shape[1])
+        step, diagonal, extent = delta, np.zeros(delta.size), np.abs(delta)
     else:
         if np.any(stats.variance == 0):
             return StepLine(kind=kind, observation_index=i, step=None, flags=("pmm2-unavailable",))
-        ratio = np.sqrt(weighted.weighted_variance / stats.variance)
-        step = ratio * (values - stats.mean) + weighted.weighted_mean - values
-        diagonal = ratio - 1.0
-    return _line(kind, i, problem, step, problem.mu_origin.along(step), diagonal)
+        diagonal = np.sqrt(weighted.weighted_variance / stats.variance) - 1.0
+        step = stats.centered * diagonal
+        step += delta
+        extent = np.maximum(step.max(axis=0), -step.min(axis=0))  # max_s |D_sp|, no |D| temporary
+    max_step_sd = float(np.max(extent / np.where(stats.sd > 0, stats.sd, np.inf)))
+    return _line(kind, i, problem, step, problem.mu_origin.along(step), diagonal, max_step_sd)
 
 
 def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
@@ -307,7 +321,7 @@ def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
     for kind in problem.config.transform_order:
         if kind in PMM_KINDS:
             if weighted is None:
-                weighted = marginal_stats(problem.draws, nu_weights.normalized)
+                weighted = marginal_stats(problem.draws, nu_weights.normalized, problem.stats)
             yield apply_pmm(kind, i, problem, weighted)
         else:
             if grad is None:

@@ -247,6 +247,21 @@ class TestReportJson:
         payload = json.loads(text)
         assert payload == {"a": None, "b": [None, 1.5], "c": 2.0}
 
+    def test_arrays_convert_like_their_elements(self):
+        finite = np.array([0.1, -2.5e-300, 1e300, 0.0])
+        text = render_report_json({
+            "finite": finite, "inf": np.array([1.0, np.inf, -np.inf, np.nan]), "matrix": finite.reshape(2, 2),
+            "ints": np.array([3, 4]), "flags": np.array([True, False]),
+        })
+        assert json.loads(text) == {
+            "finite": finite.tolist(), "inf": [1.0, None, None, None], "matrix": [[0.1, -2.5e-300], [1e300, 0.0]],
+            "ints": [3, 4], "flags": [True, False],
+        }
+        assert text == render_report_json({
+            "finite": finite.tolist(), "inf": [1.0, None, None, None], "matrix": [[0.1, -2.5e-300], [1e300, 0.0]],
+            "ints": [3, 4], "flags": [True, False],
+        })
+
 
 class TestTracedRun:
     """The benchmark's traced run rebinds these call-time names; a rename or a

@@ -81,6 +81,42 @@ class TestMarginalStats:
         stats = marginal_stats(_draws([[1.0, 5.0], [2.0, 5.0]]))
         assert stats.sd[1] == 0.0
 
+    def test_weighted_against_dense_formula(self, rng):
+        values = rng.normal(size=(300, 4)) * [1.0, 10.0, 1e-3, 0.1] + [0.0, 100.0, -3.0, 1e3]
+        draws = _draws(values)
+        w = rng.uniform(size=300)
+        w /= w.sum()
+        mean = values.mean(axis=0)
+        plain = marginal_stats(draws)
+        alone, reused = marginal_stats(draws, w), marginal_stats(draws, w, plain)
+        for stats in (alone, reused):
+            np.testing.assert_allclose(stats.weighted_mean, np.sum(w[:, None] * values, axis=0), rtol=1e-12)
+            np.testing.assert_allclose(
+                stats.weighted_variance, np.sum(w[:, None] * (values - mean) ** 2, axis=0), rtol=1e-12
+            )
+            for name in ("mean", "sd", "variance"):
+                np.testing.assert_array_equal(getattr(stats, name), getattr(plain, name))
+        # reusing the per-run centred draws changes no bit
+        np.testing.assert_array_equal(reused.weighted_mean, alone.weighted_mean)
+        np.testing.assert_array_equal(reused.weighted_variance, alone.weighted_variance)
+
+    def test_centred_draws_are_shared_and_read_only(self, rng):
+        values = rng.normal(size=(20, 3))
+        draws = _draws(values)
+        plain = marginal_stats(draws)
+        np.testing.assert_array_equal(plain.centered, values - values.mean(axis=0))
+        np.testing.assert_array_equal(plain.centered_sq, plain.centered**2)
+        weighted = marginal_stats(draws, np.full(20, 0.05), plain)
+        assert weighted.centered is plain.centered and weighted.centered_sq is plain.centered_sq
+        for array in (plain.centered, plain.centered_sq):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_plain_statistics_of_other_draws_rejected(self, rng):
+        plain = marginal_stats(_draws(rng.normal(size=(5, 2))))
+        with pytest.raises(DimensionError):
+            marginal_stats(_draws(rng.normal(size=(5, 3))), np.full(5, 0.2), plain)
+
 
 class TestDatasetValidation:
     def test_minimal_well_formed(self):

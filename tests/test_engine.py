@@ -560,9 +560,9 @@ class TestRunCost:
         def counted_moments(module):
             original = module.marginal_stats
 
-            def wrapper(draws, weights=None):
+            def wrapper(draws, weights=None, plain=None):
                 calls["weighted_moments"] += weights is not None
-                return original(draws, weights)
+                return original(draws, weights, plain)
 
             return wrapper
 

@@ -155,6 +155,16 @@ class TestWeightVector:
         with pytest.raises(DomainError, match="all weights are zero"):
             WeightVector.from_log_weights(np.full(5, -np.inf))
 
+    def test_normalized_is_computed_on_first_read(self, rng):
+        lw = rng.normal(size=50) * 5
+        weights = WeightVector.from_log_weights(lw)
+        assert "normalized" not in vars(weights)
+        first = weights.normalized
+        np.testing.assert_array_equal(first, np.exp(lw - log_sum_exp(lw)))
+        assert weights.normalized is first
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
     def test_single_weight_is_one(self):
         assert WeightVector.from_log_weights([-5.0]).normalized[0] == 1.0
 

@@ -14,12 +14,19 @@ from looadapt.models import (
     GaussianPrior,
     LogisticModel,
     PosteriorEvaluation,
+    ReluOneModel,
     evaluate_posterior,
     grad_log_posterior,
     sigmoid,
     sigmoid_slope,
 )
-from looadapt.transforms import apply_gradient_transform, apply_pmm, gradient_step, log_step_size
+from looadapt.transforms import (
+    apply_gradient_transform,
+    apply_pmm,
+    gradient_step,
+    log_step_size,
+    row_max_in_sd_units,
+)
 
 from conftest import (
     attempt,
@@ -110,7 +117,8 @@ class TestStepSize:
 
     def _h(self, q, stats, hbar):
         q = np.asarray(q, dtype=float)
-        return hbar * math.exp(log_step_size(np.zeros(q.shape[0]), q, stats.sd))
+        rows = q.shape[0]
+        return hbar * math.exp(log_step_size(np.zeros(rows), np.ones(rows), row_max_in_sd_units(q, stats.sd)))
 
     def test_direct_evaluation(self):
         stats = self._stats([1.0, 1.0])
@@ -128,6 +136,30 @@ class TestStepSize:
         stats = self._stats([1.0, 1.0])
         h = self._h([[0.0, 2.0]], stats, 1.0)
         assert h == pytest.approx(0.5)
+
+    def test_row_max_excludes_resting_components(self):
+        sd = np.array([0.5, 0.0, 2.0])
+        grad = np.array([[1.0, 0.0, -4.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        # a component with zero sd counts only where it moves, and then is infinite
+        np.testing.assert_array_equal(row_max_in_sd_units(grad, sd), [2.0, 0.0, np.inf])
+
+    @pytest.mark.parametrize(
+        "scale, factor, r, expected",
+        [
+            ([0.0, 0.0], [0.0, 1.0], [np.inf, 2.0], -math.log(2.0)),  # factor 0 beside r = inf: excluded
+            ([-np.inf, 0.0], [1.0, 1.0], [np.inf, 2.0], -math.log(2.0)),  # scale -inf beside r = inf: excluded
+            ([-np.inf, 1.0], [1.0, -0.5], [3.0, 4.0], -(1.0 + math.log(2.0))),
+            ([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], -np.inf),  # all-zero Q
+            ([0.0, -np.inf], [0.0, 1.0], [1.0, 1.0], -np.inf),  # every row excluded
+            ([0.0, 0.0], [1.0, 0.5], [np.inf, 1.0], -np.inf),  # zero sd in a moving component
+            ([np.inf, 0.0], [1.0, 1.0], [1.0, 1.0], -np.inf),
+        ],
+    )
+    def test_edge_rows_give_finite_or_minus_inf(self, scale, factor, r, expected):
+        # RuntimeWarnings are errors in this suite, so none is raised either
+        log_h = log_step_size(np.array(scale), np.array(factor), np.array(r))
+        assert not math.isnan(log_h)
+        assert log_h == pytest.approx(expected, rel=1e-15)
 
 
 class TestApplyGradientTransform:
@@ -511,3 +543,116 @@ class TestStepLines:
             # error is also measured against the largest log weight
             weights = eta_weights(out.evaluation, problem.log_proposal, i, out.log_jac_det)
             np.testing.assert_allclose(weights.log_weights, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+
+def _dense_log_step_size(scale, direction, sd):
+    """min over draws and moving components of log sd_p - scale_s - log |direction_sp|, from
+    the (S, P) candidate matrix; -inf (h = 0) when nothing moves."""
+    absd = np.abs(direction)
+    with np.errstate(divide="ignore"):
+        cand = np.log(sd)[None, :] - scale[:, None] - np.log(np.where(absd > 0, absd, 1.0))
+    cand[absd == 0] = np.inf
+    smallest = float(cand.min())
+    return -np.inf if smallest == np.inf else smallest
+
+
+def _assert_close(actual, desired, floor=0.0, rtol=1e-12):
+    """|actual - desired| <= rtol * (|desired| + floor), elementwise; ``floor`` is the
+    size of the terms a sum cancels, so a near-zero sum is held to their rounding."""
+    actual, desired = np.asarray(actual, dtype=float), np.asarray(desired, dtype=float)
+    assert np.all(np.abs(actual - desired) <= rtol * (np.abs(desired) + floor)), (actual, desired)
+
+
+class TestLineQuantities:
+    """Each line's step size, largest shift in sd units and prior coefficients, built
+    from per-run precomputes and per-draw row reductions, against dense (S, P) references."""
+
+    def _problem(self, toy):
+        if toy == "logistic":
+            model, dataset, prior, draws = make_logistic_toy(seed=72, n=6, p=4, num_draws=80, draw_scale=2.0)
+            prior = GaussianPrior(sd=np.array([0.5, 1.0, 2.0, 3.0]))
+        else:
+            model, dataset, prior, draws = make_relu_toy(seed=73, n=6, d=3, p=3, num_draws=60)
+        return LooProblem.build(model, draws, dataset, prior, RunConfig())
+
+    @pytest.mark.parametrize("toy", ["logistic", "relu1"])
+    @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
+    def test_against_dense_references(self, toy, kind):
+        problem = self._problem(toy)
+        values, sd, prior_sd = problem.draws.values, problem.stats.sd, problem.prior.sd
+        for i in range(problem.dataset.n):
+            nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
+            line, _ = attempt(problem, kind, i, 1.0, nu)
+            assert line.step is not None
+            step = np.broadcast_to(line.step, values.shape)
+            terms = values * (step / prior_sd**2)
+            _assert_close(line.prior_slope, terms.sum(axis=1), floor=np.abs(terms).sum(axis=1))
+            _assert_close(line.prior_curvature, np.sum((line.step / prior_sd) ** 2, axis=-1))
+            _assert_close(line.max_step_sd, np.max(np.abs(step) / sd))
+            if kind in ("KL", "Var", "LL"):
+                gs = line.jacobian
+                dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * gs.grad, sd)
+                _assert_close(line.log_h, dense, floor=1.0)
+                assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
+
+    def test_saturated_ll_row_rests(self):
+        """A draw whose held-out probability rounds to 1 has LL factor exactly 0: it
+        does not move and does not limit the step size of the others."""
+        model, dataset, prior, draws = make_logistic_toy(seed=74, n=4, p=2, num_draws=30)
+        i = int(np.flatnonzero(dataset.labels == 1)[0])
+        values = draws.values.copy()
+        values[0] = 80.0 * dataset.features[i] / (dataset.features[i] @ dataset.features[i])
+        draws = PosteriorDraws(values=values, param_names=draws.param_names)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+        line = apply_gradient_transform("LL", i, problem, grad_mu_at(problem, i))
+        assert line.jacobian.factor[0] == 0.0
+        np.testing.assert_array_equal(line.step[0], 0.0)
+        gs = line.jacobian
+        dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * gs.grad, problem.stats.sd)
+        assert math.isfinite(line.log_h)
+        _assert_close(line.log_h, dense, floor=1.0)
+
+    def test_saturated_row_beside_a_constant_moving_component(self):
+        """relu1, W1[0, 0] constant over the draws: it moves (r = inf) only where unit 0
+        is active, and there the held-out probability rounds to 1 (LL factor 0). Those
+        draws rest, and the others set a finite step and a largest shift of one sd."""
+        model = ReluOneModel(d=2, p=2)
+        dataset = Dataset(features=np.array([[1.0, 1.0]]), labels=np.array([1]), feature_names=("a", "b"))
+        rng = np.random.default_rng(76)
+        values = rng.normal(size=(40, model.param_dim))
+        active = np.arange(40) % 2 == 0
+        values[:, 0] = 0.5  # W1[0, 0]
+        values[:, 1] = np.where(active, 2.0, -2.0)  # W1[0, 1]: z_0 = 2.5 or -1.5
+        values[:, 4] = np.where(active, 20.0, values[:, 4])  # W2[0]: mu >= 50 where active
+        draws = PosteriorDraws(values=values, param_names=tuple(f"w{j}" for j in range(model.param_dim)))
+        problem = LooProblem.build(model, draws, dataset, GaussianPrior.isotropic(model.param_dim, 1.0), RunConfig())
+        grad = grad_mu_at(problem, 0)
+        assert problem.stats.sd[0] == 0.0
+        np.testing.assert_array_equal(row_max_in_sd_units(grad, problem.stats.sd)[active], np.inf)
+        line = apply_gradient_transform("LL", 0, problem, grad)
+        np.testing.assert_array_equal(line.jacobian.factor[active], 0.0)
+        assert math.isfinite(line.log_h)
+        assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
+        np.testing.assert_array_equal(line.step[active], 0.0)
+
+    def test_constant_draw_column(self):
+        """A zero-sd component stops every gradient line that moves it and is ignored
+        by one that does not; PMM2 is unavailable."""
+        model, dataset, prior, draws = make_logistic_toy(seed=75, n=4, p=3, num_draws=30)
+        values = draws.values.copy()
+        values[:, 1] = 0.75  # exact in binary, so the sd is exactly 0
+        draws = PosteriorDraws(values=values, param_names=draws.param_names)
+        features = dataset.features.copy()
+        features[0, 1] = 0.0  # observation 0 does not move the constant component
+        dataset = Dataset(features=features, labels=dataset.labels, feature_names=dataset.feature_names)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+        for kind in ("KL", "Var", "LL"):
+            assert apply_gradient_transform(kind, 1, problem, grad_mu_at(problem, 1)).flags == ("zero-step",)
+            line = apply_gradient_transform(kind, 0, problem, grad_mu_at(problem, 0))
+            assert math.isfinite(line.log_h)
+            assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
+        nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, 0))
+        assert attempt(problem, "PMM2", 0, 1.0, nu)[0].flags == ("pmm2-unavailable",)
+        line = attempt(problem, "PMM1", 0, 1.0, nu)[0]
+        moving = problem.stats.sd > 0
+        _assert_close(line.max_step_sd, np.max(np.abs(line.step[moving]) / problem.stats.sd[moving]))
