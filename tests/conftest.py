@@ -84,6 +84,37 @@ def make_grid_instance_2(seed=202, nodes_per_dim=81):
     return model, dataset, prior, grid
 
 
+def make_relu_grid_instance(seed=5, n=12, nodes_per_dim=61):
+    """Fixed relu1 grid instance with d = 1, p = 1 (P = 3, the grid oracle's
+    limit) and labels drawn from the net W1 = 1.5, W2 = 2, b2 = -0.5."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, 1))
+    probs = 1.0 / (1.0 + np.exp(-(2.0 * np.maximum(1.5 * features[:, 0], 0.0) - 0.5)))
+    labels = (rng.uniform(size=n) < probs).astype(int)
+    dataset = Dataset(features=features, labels=labels, feature_names=("x0",))
+    model = ReluOneModel(d=1, p=1)
+    prior = GaussianPrior.isotropic(model.param_dim, 1.5)
+    grid = build_grid_posterior(model, dataset, prior, bounds=[(-4.51, 4.51)] * 3, nodes_per_dim=nodes_per_dim)
+    return model, dataset, prior, grid
+
+
+def gaussian_proposal(grid, cov_scale, num_draws, rng):
+    """Draws from the Gaussian at the grid posterior's mean with ``cov_scale``
+    times its covariance, and that Gaussian's log density up to a constant."""
+    w = grid.probabilities
+    mean = w @ grid.nodes
+    centered = grid.nodes - mean
+    cov = cov_scale * (centered.T @ (centered * w[:, None]))
+    values = mean + rng.standard_normal((num_draws, mean.size)) @ np.linalg.cholesky(cov).T
+    precision = np.linalg.inv(cov)
+
+    def log_density(theta):
+        d = np.asarray(theta) - mean
+        return float(-0.5 * d @ precision @ d)
+
+    return values, log_density
+
+
 def log_post(model, theta, dataset, prior):
     """The unnormalized log posterior at one parameter vector, as a batch of one draw."""
     values = np.asarray(theta, dtype=float)[None, :]

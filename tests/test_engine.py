@@ -29,9 +29,17 @@ from looadapt.engine import (
     self_normalized_se,
 )
 from looadapt.gpd import WeightVector, pareto_smooth
-from looadapt.models import PosteriorEvaluation, evaluate_posterior, sigmoid
+from looadapt.models import PosteriorEvaluation, bernoulli_log_likelihood, evaluate_posterior, sigmoid
 
-from conftest import attempt, log_post, make_grid_instance_2, make_logistic_toy, make_relu_toy
+from conftest import (
+    attempt,
+    gaussian_proposal,
+    log_post,
+    make_grid_instance_2,
+    make_logistic_toy,
+    make_relu_grid_instance,
+    make_relu_toy,
+)
 from oracle import exact_loo_expectation, sample_grid_posterior
 
 
@@ -453,19 +461,8 @@ class TestVariationalRun:
         # Gaussian proposal at the grid posterior's mean with 1.5x its
         # covariance: every raw weight needs the q correction to be right
         model, dataset, prior, grid = make_grid_instance_2()
-        w = grid.probabilities
-        mean = w @ grid.nodes
-        centered = grid.nodes - mean
-        cov = 1.5 * (centered.T @ (centered * w[:, None]))
-        rng = np.random.default_rng(7)
-        values = mean + rng.standard_normal((4000, 2)) @ np.linalg.cholesky(cov).T
+        values, q = gaussian_proposal(grid, 1.5, 4000, np.random.default_rng(7))
         draws = PosteriorDraws(values=values, param_names=("b0", "b1"))
-        precision = np.linalg.inv(cov)
-
-        def q(theta):
-            d = np.asarray(theta) - mean
-            return float(-0.5 * d @ precision @ d)
-
         report = run_loo(model, draws, dataset, prior, RunConfig(), variational_log_density=q)
         for r in report.per_observation:
             x = dataset.features[r.index][None, :]
@@ -473,6 +470,41 @@ class TestVariationalRun:
                 grid, model, dataset, r.index, lambda nodes: sigmoid(model.mu_batch(nodes, x)[:, 0])
             )
             assert abs(r.loo_predictive_prob - exact) <= 3.0 * r.loo_predictive_prob_se, r.index
+
+
+@pytest.fixture(scope="module")
+def relu_grid_run():
+    """The relu1 grid instance with 3000 draws from a Gaussian q at 0.6x the
+    posterior covariance. q is narrower than the posterior, so the weights
+    p / q have heavy tails and the raw k-hat exceeds 0.7 on 10 of the 12
+    observations: every kind gets flagged observations to adapt."""
+    model, dataset, prior, grid = make_relu_grid_instance()
+    values, q = gaussian_proposal(grid, 0.6, 3000, np.random.default_rng(1))
+    draws = PosteriorDraws(values=values, param_names=("w1", "w2", "b2"))
+    exact = []
+    for i in range(dataset.n):
+        mu_i = lambda nodes: model.mu_batch(nodes, dataset.features[i][None, :])[:, 0]
+        prob = exact_loo_expectation(grid, model, dataset, i, lambda nodes: sigmoid(mu_i(nodes)))
+        lik = exact_loo_expectation(
+            grid, model, dataset, i, lambda nodes: np.exp(bernoulli_log_likelihood(mu_i(nodes), dataset.labels[i]))
+        )
+        exact.append((prob, math.log(lik)))
+    return model, dataset, prior, draws, q, exact
+
+
+class TestReluGridOracle:
+    @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
+    def test_adapted_estimates_within_three_se(self, kind, relu_grid_run):
+        # one kind per run, so each kind's adapted answers are checked on their own
+        model, dataset, prior, draws, q, exact = relu_grid_run
+        report = run_loo(model, draws, dataset, prior, RunConfig(transform_order=(kind,)), variational_log_density=q)
+        assert sum(1 for r in report.per_observation if r.adapted and r.winning_transform is not None) >= 1
+        for r in report.per_observation:
+            if not r.adapted:
+                continue
+            prob, lpd = exact[r.index]
+            assert abs(r.loo_predictive_prob - prob) <= 3.0 * r.loo_predictive_prob_se, r.index
+            assert abs(r.loo_log_predictive_density - lpd) <= 3.0 * r.loo_log_predictive_density_se, r.index
 
 
 def _winner(result):
