@@ -15,7 +15,10 @@ results are always assembled in observation order.
 The posterior is evaluated once per run, at the draws. Each (observation,
 kind) family of attempts lies on one line theta + hbar * D, built once
 (:func:`~looadapt.transforms.step_lines`); a step scale then costs O(S n)
-for the logistic model and O(S n d) for relu1.
+for the logistic model and O(S n + flips) for relu1, where flips counts the
+pre-activations that change sign on the line. A flagged relu1 observation
+pays one O(S d n) pass for its gradient kinds, shared by KL, Var and LL,
+and a PMM line one of its own.
 """
 
 from __future__ import annotations
@@ -224,7 +227,9 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     # are under the threshold already, or no attempt could be fitted, the
     # scan has no attempts.
     scan = raw_khat > threshold and tail_size(problem.draws.num_draws) >= MIN_TAIL_SIZE
-    best = (raw_khat, None, evaluation, raw_smoothed)  # (khat, attempt, evaluation at phi, weights)
+    # (khat, attempt, held-out mu and log likelihood at phi, weights): only the
+    # columns of the best attempt's evaluation are kept
+    best = (raw_khat, None, evaluation.mu[:, i], evaluation.log_lik[:, i], raw_smoothed)
     for line in step_lines(i, problem, raw_smoothed) if scan else ():
         for hbar in config.hbar_values:
             transformed = apply_transform(line, hbar, problem)
@@ -244,20 +249,18 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
                 degenerate=fit is None, flags=flags, h_used=transformed.h_used, max_step_sd=transformed.max_step_sd,
             )
             attempts.append(record)
-            if fit is None:
-                continue
             # an attempt under the threshold wins even over a NaN raw k-hat
-            if khat < best[0] or khat <= threshold:
-                best = (khat, record, transformed.evaluation, smoothed)
-            if khat <= threshold:
+            if fit is not None and (khat < best[0] or khat <= threshold):
+                at_phi = transformed.evaluation
+                best = (khat, record, at_phi.mu[:, i].copy(), at_phi.log_lik[:, i].copy(), smoothed)
+            del transformed  # free this attempt's (S, n) arrays before the next is evaluated
+            if fit is not None and khat <= threshold:
                 break
         if best[0] <= threshold:
             break
 
-    final_khat, winner, final_evaluation, final_weights = best
-    prob, prob_se, lpd, lpd_se = _loo_quantities(
-        final_weights, final_evaluation.mu[:, i], final_evaluation.log_lik[:, i]
-    )
+    final_khat, winner, mu_i, log_lik_i, final_weights = best
+    prob, prob_se, lpd, lpd_se = _loo_quantities(final_weights, mu_i, log_lik_i)
     return ObservationResult(
         index=i,
         raw_khat=raw_khat,

@@ -3,12 +3,14 @@
 A model evaluates the mean function mu(theta, x) behind the outcome
 probability sigma(mu) and weighted sums of grad_mu, batched over a draw
 matrix, which is all a run uses; its single-draw mu and grad_mu are the
-reference behind :func:`grad_log_posterior`. The batched Hessian of mu, in
-its eigenbasis, is what the gradient-step Jacobians consume: it vanishes for
-linear (logistic regression) means and has +-|x| eigenpairs on the active
-units of a one-hidden-layer ReLU network, the two concrete families. Only
-this module knows how a family lays out its flattened parameters, and relu1
-reads its layout in one place. :meth:`PosteriorEvaluation.from_mu` turns mu
+reference behind :func:`grad_log_posterior`. The batched Hessian of mu,
+with vectors projected onto its eigenvectors, is what the gradient-step
+Jacobians consume: it vanishes for linear (logistic regression) means and
+has +-|x| eigenpairs on the active units of a one-hidden-layer ReLU network,
+the two concrete families. A model's mu line gives mu along theta + hbar * D
+without forming the moved draws; relu1's is piecewise quadratic in hbar.
+Only this module knows how a family lays out its flattened parameters, and
+relu1 reads its layout in one place. :meth:`PosteriorEvaluation.from_mu` turns mu
 at any draw set into log likelihood and log posterior. No run calls the libm
 reference :func:`bernoulli_log_likelihood`; it stays bit-for-bit because
 ``perfbench/generate.py`` builds both benchmark instances with it.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -100,6 +103,23 @@ class GaussianPrior:
         return np.einsum("sp,sp,p->s", values, step, precision), np.einsum("sp,sp,p->s", step, step, precision)
 
 
+def eigen_products(u, v):
+    """u^T H v and u^T (I + alpha H)^-1 v in the eigenbasis of H, from the
+    :meth:`SigmoidalModel.hessian_projection` of u and of v.
+
+    Returns None where H vanishes identically, else ``(lam, plus, minus)``,
+    each (S, K), with plus / minus the products of the projections onto the
+    unit eigenvectors of +lam / -lam. Hence u^T H v = sum_k lam (plus - minus)
+    and u^T (I + alpha H)^-1 v = u . v + sum_k [(1 / (1 + alpha lam) - 1) plus
+    + (1 / (1 - alpha lam) - 1) minus], with no P x P matrix formed.
+    """
+    if u is None:
+        return None
+    lam, u_plus, u_minus = u
+    _, v_plus, v_minus = v
+    return lam, u_plus * v_plus, u_minus * v_minus
+
+
 class SigmoidalModel(abc.ABC):
     """Evaluator bundle for a classifier with outcome probability sigma(mu)."""
 
@@ -126,17 +146,15 @@ class SigmoidalModel(abc.ABC):
         """mu for every (draw, observation) pair: (S, P) x (n, p) -> (S, n)."""
 
     @abc.abstractmethod
-    def hessian_eigenbasis(self, grad, x, u, v):
-        """The Hessian H of mu at x for every draw, seen through u and v in its eigenbasis.
+    def hessian_projection(self, grad, x, w):
+        """The Hessian H of mu at x for every draw, and ``w`` seen in its eigenbasis.
 
         ``grad`` is :meth:`grad_mu_batch` at x, which fixes the active parts
-        of the model; ``u`` and ``v`` are (S, P). Returns None when H
-        vanishes identically, else ``(lam, plus, minus)``, each (S, K): the
-        eigenvalues are +-lam, and plus / minus are the products of the
-        projections of u and v onto the unit eigenvectors of +lam / -lam (0
-        where lam = 0). Hence u^T H v = sum_k lam (plus - minus) and
-        u^T (I + alpha H)^-1 v = u . v + sum_k [(1 / (1 + alpha lam) - 1) plus
-        + (1 / (1 - alpha lam) - 1) minus], with no P x P matrix formed.
+        of the model; ``w`` is (S, P). Returns None when H vanishes
+        identically, else ``(lam, plus, minus)``, each (S, K): the
+        eigenvalues are +-lam, and plus / minus are the projections of w onto
+        the unit eigenvectors of +lam / -lam (0 where lam = 0).
+        :func:`eigen_products` combines the projections of two vector sets.
         """
 
     @abc.abstractmethod
@@ -154,8 +172,11 @@ class SigmoidalModel(abc.ABC):
         """mu at the draws as the origin of lines theta + hbar * D.
 
         ``mu`` is :meth:`mu_batch` at the draws. The result's ``along(D)``
-        and ``along_gradient(grad, x, coef)`` fix a step and its ``at(hbar)``
-        gives mu at theta + hbar * D without forming the moved draws.
+        fixes a step, and its ``gradient_fan(grad, x, bound)`` the lines
+        along D_s = coef_s * grad_s, grad = :meth:`grad_mu_batch` at x, for
+        every coef between 0 and ``bound`` per draw; the fan's ``line(coef)``
+        fixes one of them. A line's ``at(hbar)`` gives mu at theta + hbar * D,
+        0 <= hbar <= 1, without forming the moved draws.
         """
 
 
@@ -186,7 +207,7 @@ class LogisticModel(SigmoidalModel):
     def mu_batch(self, values, features) -> np.ndarray:
         return values @ np.asarray(features, dtype=float).T
 
-    def hessian_eigenbasis(self, grad, x, u, v) -> None:
+    def hessian_projection(self, grad, x, w) -> None:
         return None
 
     def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
@@ -266,7 +287,7 @@ class ReluOneModel(SigmoidalModel):
         """The activity mask 1[z1_sk > 0] at grad_mu's observation: its W2 block is relu(z1)."""
         return (self._split_batch(grad)[1] > 0).astype(float)
 
-    def hessian_eigenbasis(self, grad, x, u, v):
+    def hessian_projection(self, grad, x, w):
         """Each active unit k contributes the pair +-|x| with unit eigenvectors
         (x / |x| on W1 row k, +-1 on W2_k) / sqrt(2); inactive units and x = 0
         carry eigenvalue 0."""
@@ -274,16 +295,11 @@ class ReluOneModel(SigmoidalModel):
         mask = self._active_units(grad)
         lam = mask * float(np.linalg.norm(x))
         denom = np.where(lam > 0, lam, 1.0)
-
-        def project(w):
-            # e_k+-^T w = (x . W1 row k of w) / (sqrt(2) |x|) +- (W2_k of w) / sqrt(2)
-            w1, w2, _ = self._split_batch(w)
-            a = np.where(lam > 0, np.einsum("sdp,p->sd", w1, x) * mask / (math.sqrt(2.0) * denom), 0.0)
-            b = w2 / math.sqrt(2.0)
-            return a + b, a - b
-
-        (up, um), (vp, vm) = project(u), project(v)
-        return lam, up * vp * mask, um * vm * mask
+        # e_k+-^T w = (x . W1 row k of w) / (sqrt(2) |x|) +- (W2_k of w) / sqrt(2)
+        w1, w2, _ = self._split_batch(w)
+        a = np.where(lam > 0, np.einsum("sdp,p->sd", w1, x) * mask / (math.sqrt(2.0) * denom), 0.0)
+        b = w2 / math.sqrt(2.0)
+        return lam, (a + b) * mask, (a - b) * mask
 
     def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
         """One contraction over the observations: the first-layer block is
@@ -303,8 +319,8 @@ class ReluOneModel(SigmoidalModel):
 
     def mu_line(self, values, features, mu) -> "ReluMuLine":
         features = np.asarray(features, dtype=float)
-        w1, w2, b2 = self._split_batch(values)
-        return ReluMuLine(model=self, z1=np.einsum("sdp,np->sdn", w1, features), w2=w2, b2=b2, features=features)
+        w1, w2, _ = self._split_batch(values)
+        return ReluMuLine(model=self, z1=np.einsum("sdp,np->sdn", w1, features), w2=w2, mu=mu, features=features)
 
 
 @dataclass(frozen=True)
@@ -312,7 +328,8 @@ class LinearMuLine:
     """mu(theta + hbar * D) = mu + hbar * dmu for a mean linear in theta.
 
     ``dmu`` = D X^T broadcasts to (S, n); it is 0 at the origin that
-    :meth:`LogisticModel.mu_line` builds.
+    :meth:`LogisticModel.mu_line` builds, and X x, the direction of every
+    gradient line at x, on a :meth:`gradient_fan`.
     """
 
     mu: np.ndarray        # (S, n) at the draws
@@ -323,72 +340,188 @@ class LinearMuLine:
         """The line with step D, (P,) or (S, P)."""
         return replace(self, dmu=step @ self.features.T)
 
-    def along_gradient(self, grad, x, coef) -> "LinearMuLine":
-        """The line with step D_s = coef_s * grad_mu(theta_s, x) = coef_s * x: dmu is rank one."""
-        return replace(self, dmu=coef[:, None] * (self.features @ x))
+    def gradient_fan(self, grad, x, bound) -> "LinearMuLine":
+        """The lines along D_s = coef_s * grad_mu(theta_s, x) = coef_s * x, for any coef."""
+        return replace(self, dmu=self.features @ x)
+
+    def line(self, coef) -> "LinearMuLine":
+        """The fan's line with per-draw coefficient coef: dmu is rank one."""
+        return replace(self, dmu=coef[:, None] * self.dmu)
 
     def at(self, hbar) -> np.ndarray:
         return self.mu + hbar * self.dmu
 
 
-#: Draws per block in :meth:`ReluMuLine.at`: with d = 8 and n = 100 a block's
-#: (draws, d, n) scratch buffer is 400 KB and stays in cache across the passes.
+#: Draws per block in :meth:`ReluFan.build`, the one O(S d n) pass of a line
+#: or of an observation's gradient lines: with d = 8 and n = 100 a block's
+#: (draws, d, n) temporaries are 400 KB each and stay in cache.
 LINE_BLOCK_DRAWS = 64
+
+#: Relative slack on a fan's bound when it collects the elements that can
+#: change activity, so that a coefficient a few roundings past the bound
+#: still finds all of its elements there.
+FLIP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class ReluMuLine:
-    """mu(theta + hbar * D) for the one-hidden-layer network.
+    """mu at the draws of the one-hidden-layer network, as the origin of lines.
 
-    The first-layer pre-activations z1 + hbar * dz and the output weights
-    w2 + hbar * dw2 and bias b2 + hbar * db2 are affine in hbar, so each step
-    scale costs O(S n d). The pre-activations are stored d-major, (S, d, n),
-    so every elementwise pass runs over the long observation axis. dz = a * g
-    is kept factored: a is (S, d, n), (d, n) for a step shared by all draws
-    or (S, d, 1) for a gradient step, whose first-layer block is a_sk * x,
-    and g is 1 or the (n,) vector X x. :meth:`at` walks the draws in blocks
-    of ``LINE_BLOCK_DRAWS`` through one cache-resident scratch buffer, so no
-    (S, d, n) temporary is formed.
+    Holds the first-layer pre-activations z1, stored d-major, (S, d, n), so
+    that every elementwise pass runs over the long observation axis.
+    :meth:`along` and :meth:`gradient_fan` build the lines; a step scale of
+    one costs O(S n + flips) (see :class:`ReluFan`).
     """
 
     model: ReluOneModel
     z1: np.ndarray        # (S, d, n) at the draws
     w2: np.ndarray        # (S, d)
-    b2: np.ndarray        # (S,)
+    mu: np.ndarray        # (S, n) at the draws
     features: np.ndarray  # (n, p)
-    a: np.ndarray | float = 0.0
-    g: np.ndarray | float = 1.0
-    dw2: np.ndarray | float = 0.0
-    db2: np.ndarray | float = 0.0
 
-    def along(self, step) -> "ReluMuLine":
+    def along(self, step) -> "ReluLine":
         """The line with step D, (P,) or (S, P); dz is one dense contraction."""
         dw1, dw2, db2 = self.model._split_batch(step)
-        return replace(self, a=np.einsum("...dp,np->...dn", dw1, self.features), g=1.0, dw2=dw2, db2=db2)
+        dz = np.einsum("...dp,np->...dn", dw1, self.features)
+        unit = np.ones(self.z1.shape[0])
+        return ReluFan.build(self, dz, 1.0, dw2, np.asarray(db2)[..., None], unit).line(unit)
 
-    def along_gradient(self, grad, x, coef) -> "ReluMuLine":
-        """The line with step D_s = coef_s * grad_s, grad = grad_mu_batch at x:
-        dz_skn = coef_s W2_sk 1[z1_sk(x) > 0] (x . x_n), dw2 = coef * relu(z1(x))."""
+    def gradient_fan(self, grad, x, bound) -> "ReluFan":
+        """The lines along D_s = coef_s * grad_s, grad = grad_mu_batch at x, for
+        coef_s between 0 and bound_s: dz_skn = coef_s W2_sk 1[z1_sk(x) > 0]
+        (x . x_n), dw2 = coef * relu(z1(x)) and db2 = coef."""
         mask = self.model._active_units(grad)
-        return replace(
-            self, a=(coef[:, None] * self.w2 * mask)[:, :, None], g=self.features @ x,
-            dw2=coef[:, None] * self.model._split_batch(grad)[1], db2=coef,
-        )
+        relu_x = self.model._split_batch(grad)[1]
+        return ReluFan.build(self, (self.w2 * mask)[:, :, None], self.features @ x, relu_x, 1.0, bound)
 
-    def at(self, hbar) -> np.ndarray:
-        num_draws, d, n = self.z1.shape
-        w2 = (self.w2 + hbar * self.dw2)[:, None, :]
-        mu = np.empty((num_draws, n))
-        buf = np.empty((min(LINE_BLOCK_DRAWS, num_draws), d, n))
+
+class _Elements(NamedTuple):
+    """Elements (s, k, n) of the pre-activations, with what a line reads of them."""
+
+    cell: np.ndarray  # s * n + j, the flat index of (s, j) in mu
+    z1: np.ndarray
+    a: np.ndarray     # dz = a * g
+    g: np.ndarray
+    w2: np.ndarray
+    dw2: np.ndarray
+
+
+@dataclass(frozen=True)
+class ReluFan:
+    """The lines theta + hbar * coef_s * D from a :class:`ReluMuLine`, for
+    every per-draw coef between 0 and ``bound`` (sign included).
+
+    D moves the pre-activations by dz = a * g, kept factored: a is (S, d, 1)
+    with g the (n,) vector X x for a gradient step, or (S, d, n) or (d, n)
+    with g = 1 for a dense or shared one. It moves the output weights by dw2
+    and the bias by db2. With m0 = 1[z1 > 0] the activity at the draws,
+    mu(theta + t D) = mu + t c1 + t^2 c2, where
+
+        c1 = sum_k m0 (dw2 z1 + w2 dz) + db2,    c2 = sum_k m0 dw2 dz,
+
+    holds exactly while no element changes activity; an element that does
+    adds (turns on) or subtracts (turns off) its term (w2 + t dw2)(z1 + t dz).
+    Each element's rounded pre-activation (t a) g + z1 is monotone in t, so
+    every element that changes activity on a line of the fan, at
+    0 <= hbar <= 1, has changed it by t = bound. ``candidates`` are the flat
+    (s, k, n) indices of those, found at bound (1 + FLIP_SLACK). c1, c2 and
+    the candidates cost one O(S d n) pass, a line O(candidates), and a step
+    scale O(S n + flips), where flips are the candidates that change
+    activity on its line by hbar = 1.
+    """
+
+    origin: ReluMuLine
+    a: np.ndarray
+    g: np.ndarray | float
+    dw2: np.ndarray
+    reach: np.ndarray       # (S,) bound * (1 + FLIP_SLACK)
+    c1: np.ndarray          # (S, n)
+    c2: np.ndarray          # (S, n)
+    candidates: np.ndarray  # flat indices into (S, d, n)
+
+    @classmethod
+    def build(cls, origin: ReluMuLine, a, g, dw2, db2, bound) -> "ReluFan":
+        """c1, c2 and the candidates in one pass over blocks of ``LINE_BLOCK_DRAWS`` draws."""
+        z1, w2 = origin.z1, origin.w2
+        num_draws, d, n = z1.shape
+        reach = bound * (1.0 + FLIP_SLACK)
+        per_draw = np.ndim(a) == 3
+        dw2_rows = np.broadcast_to(dw2, (num_draws, d))
+        c1, c2 = np.empty((num_draws, n)), np.empty((num_draws, n))
+        found = []
         for start in range(0, num_draws, LINE_BLOCK_DRAWS):
             stop = min(start + LINE_BLOCK_DRAWS, num_draws)
-            z = buf[: stop - start]
-            a = self.a[start:stop] if np.ndim(self.a) == 3 else self.a
-            np.multiply(hbar * a, self.g, out=z)
-            np.add(z, self.z1[start:stop], out=z)
-            np.maximum(z, 0.0, out=z)
-            np.matmul(w2[start:stop], z, out=mu[start:stop, None, :])
-        mu += (self.b2 + hbar * self.db2)[:, None]
+            z, u = z1[start:stop], dw2_rows[start:stop, None, :]
+            block_a = a[start:stop] if per_draw else a
+            active = z > 0
+            moved = np.multiply(reach[start:stop, None, None] * block_a, g)
+            moved += z
+            found.append(np.flatnonzero((moved > 0) != active) + start * d * n)
+            dz = np.multiply(block_a, g, out=moved)
+            dz *= active
+            np.matmul(u, dz, out=c2[start:stop, None, :])
+            np.matmul(u, np.maximum(z, 0.0), out=c1[start:stop, None, :])
+            c1[start:stop] += np.matmul(w2[start:stop, None, :], dz)[:, 0]
+        c1 += db2
+        return cls(origin, a, g, dw2, reach, c1, c2, np.concatenate(found))
+
+    def line(self, coef) -> "ReluLine":
+        """The line with per-draw coefficient ``coef``, (S,), and its flips. A
+        draw whose coef lies outside the fan (past its reach, or of the other
+        sign) has all of its elements checked."""
+        num_draws, d, n = self.origin.z1.shape
+        index = self.candidates
+        inside = (coef == 0) | ((np.sign(coef) == np.sign(self.reach)) & (np.abs(coef) <= np.abs(self.reach)))
+        if not inside.all():
+            every = (np.flatnonzero(~inside)[:, None] * (d * n) + np.arange(d * n)).ravel()
+            index = np.concatenate((index[inside[index // (d * n)]], every))
+        s, k, j = np.unravel_index(index, (num_draws, d, n))
+        z1 = self.origin.z1[s, k, j]
+        c = coef[s]
+        a = c * np.broadcast_to(self.a, self.origin.z1.shape)[s, k, j]
+        g = np.broadcast_to(self.g, (n,))[j]
+        moved = np.flatnonzero((a * g + z1 > 0) != (z1 > 0))
+        s, k = s[moved], k[moved]
+        dw2 = c[moved] * np.broadcast_to(self.dw2, (num_draws, d))[s, k]
+        return ReluLine(
+            mu=self.origin.mu, scale=coef[:, None], c1=self.c1, c2=self.c2,
+            flips=_Elements(s * n + j[moved], z1[moved], a[moved], g[moved], self.origin.w2[s, k], dw2),
+        )
+
+
+@dataclass(frozen=True)
+class ReluLine:
+    """mu(theta + hbar * D) for the one-hidden-layer network: one line of a :class:`ReluFan`.
+
+    With t = hbar * ``scale``, mu + t c1 + t^2 c2 plus the terms of the
+    ``flips`` (whose a and dw2 already carry the line's coefficient) that
+    have changed activity at hbar. Each flip's activity is decided by
+    (hbar * a) * g + z1 > 0, the rounded pre-activation at the moved draw.
+    """
+
+    mu: np.ndarray        # (S, n) at the draws
+    scale: np.ndarray     # (S, 1), the coefficient of each draw
+    c1: np.ndarray
+    c2: np.ndarray
+    flips: _Elements
+
+    def at(self, hbar) -> np.ndarray:
+        if not 0.0 <= hbar <= 1.0:
+            raise DomainError(f"a relu1 line is evaluated at step scales in [0, 1], got {hbar}")
+        t = hbar * self.scale
+        mu = self.c2 * t
+        mu += self.c1
+        mu *= t
+        mu += self.mu
+        e = self.flips
+        z = hbar * e.a
+        z *= e.g
+        z += e.z1
+        on = z > 0
+        moved = on != (e.z1 > 0)
+        term = (e.w2[moved] + hbar * e.dw2[moved]) * z[moved]
+        np.negative(term, out=term, where=~on[moved])
+        np.add.at(mu.reshape(-1), e.cell[moved], term)
         return mu
 
 

@@ -47,8 +47,9 @@ from .gpd import WeightVector
 from .models import (
     LinearMuLine,
     PosteriorEvaluation,
-    ReluMuLine,
+    ReluLine,
     SigmoidalModel,
+    eigen_products,
     sigmoid,
     sigmoid_slope,
 )
@@ -96,25 +97,34 @@ class StepLine:
     attempt on the step-scale grid is a point on one line. The line is built
     once, by :func:`apply_pmm` or :func:`apply_gradient_transform`, with
     everything that does not depend on hbar; :func:`apply_transform` then
-    evaluates one step scale. ``step`` is D, the hbar = 1 step, shaped (P,)
-    or (S, P); it is None for a family that is the identity at every step
-    scale, whose ``flags`` say why. ``mu`` is the model's image of the line
-    and the log prior along it is log_prior - hbar * (``prior_slope`` +
-    hbar / 2 * ``prior_curvature``). ``jacobian`` is the diagonal of
-    dD/dtheta for PMM kinds and the :class:`GradientStep` for gradient kinds,
-    whose step size at hbar = 1 is exp(``log_h``).
+    evaluates one step scale. ``mu`` is the model's image of the line; it is
+    None for a family that is the identity at every step scale, whose
+    ``flags`` say why. The log prior along the line is log_prior - hbar *
+    (``prior_slope`` + hbar / 2 * ``prior_curvature``). ``jacobian`` is the
+    diagonal of dD/dtheta for PMM kinds and the :class:`GradientStep` for
+    gradient kinds, whose step size at hbar = 1 is exp(``log_h``).
+    ``pmm_step`` is a PMM line's D.
     """
 
     kind: str
     observation_index: int
-    step: np.ndarray | None
-    mu: LinearMuLine | ReluMuLine | None = None
+    mu: LinearMuLine | ReluLine | None = None
     prior_slope: np.ndarray | float = 0.0
     prior_curvature: np.ndarray | float = 0.0
     jacobian: np.ndarray | GradientStep | None = None
     log_h: float = 0.0
     max_step_sd: float = 0.0
     flags: tuple[str, ...] = ()
+    pmm_step: np.ndarray | None = None
+
+    @property
+    def step(self) -> np.ndarray | None:
+        """D, the hbar = 1 step, shaped (P,) or (S, P); None for an identity
+        family. A gradient line's D = coef * grad_mu is formed on each read, so
+        that a line holds no (S, P) step of its own."""
+        if self.mu is not None and isinstance(self.jacobian, GradientStep):
+            return self.jacobian.coef(self.log_h)[:, None] * self.jacobian.grad
+        return self.pmm_step
 
 
 def row_max_in_sd_units(grad: np.ndarray, sd: np.ndarray) -> np.ndarray:
@@ -173,8 +183,8 @@ class GradientStep:
 
     ``grad`` is grad_mu at the observation; the sign of Q lives in
     ``factor``. ``base`` is grad_mu . v per draw and ``eigen`` is the
-    model's :meth:`~looadapt.models.SigmoidalModel.hessian_eigenbasis` seen
-    through grad_mu and v, or None where the Hessian of mu vanishes.
+    Hessian of mu seen through grad_mu and v
+    (:func:`~looadapt.models.eigen_products`), or None where it vanishes.
     """
 
     scale: np.ndarray
@@ -183,6 +193,10 @@ class GradientStep:
     uvec_factor: np.ndarray | float
     base: np.ndarray
     eigen: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+    def coef(self, log_h: float) -> np.ndarray:
+        """Per-draw coef with h Q = coef * grad at step size exp(log_h)."""
+        return np.exp(log_h + self.scale) * self.factor
 
     def logdet(self, log_h: float):
         """Per-draw log |det J| at step size exp(log_h), and its flags."""
@@ -219,11 +233,13 @@ def gradient_step(
     evaluation: PosteriorEvaluation,
     log_ref,
     grad: np.ndarray,
+    grad_projection,
 ) -> GradientStep:
     """The Q rows of a batch of draws for observation i and their determinant factors.
 
     ``evaluation`` is the posterior at ``values``: mu and, for KL/Var, the
-    log posterior and its gradient; ``grad`` is grad_mu at observation i.
+    log posterior and its gradient; ``grad`` is grad_mu at observation i and
+    ``grad_projection`` the model's Hessian projection of it there.
     ``log_ref`` anchors the posterior-density factor of KL/Var (the largest
     log posterior over the draw set in the engine); LL ignores it. The step size h is left to
     :func:`log_step_size` and :meth:`GradientStep.logdet`.
@@ -246,23 +262,82 @@ def gradient_step(
         factor = uvec_factor = np.full(values.shape[0], (-1.0) ** y)
         v = evaluation.grad_log_post + expo * (1.0 - 2.0 * y) * grad
     base = np.einsum("sp,sp->s", grad, v)
-    return GradientStep(scale, factor, grad, uvec_factor, base, model.hessian_eigenbasis(grad, x, grad, v))
+    eigen = eigen_products(grad_projection, model.hessian_projection(grad, x, v))
+    return GradientStep(scale, factor, grad, uvec_factor, base, eigen)
 
 
 # ---------------------------------------------------------------------------
 # Step lines: one per (observation, kind), evaluated per step scale
 # ---------------------------------------------------------------------------
 
-def _line(kind, i, problem: LooProblem, step, mu_line, jacobian, max_step_sd, log_h=0.0) -> StepLine:
-    slope, curvature = problem.prior.line_coefficients(problem.draws.values, step)
-    return StepLine(
-        kind=kind, observation_index=i, step=step, mu=mu_line, prior_slope=slope, prior_curvature=curvature,
-        jacobian=jacobian, log_h=log_h, max_step_sd=max_step_sd,
-    )
+class _computed_once:
+    """An attribute computed on first read and then stored on the instance.
+
+    functools.cached_property before Python 3.12 holds one lock per attribute
+    across all instances while it computes, which would make the engine's
+    worker threads wait on each other's observations.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
-def apply_gradient_transform(kind: str, i: int, problem: LooProblem, grad: np.ndarray) -> StepLine:
-    """The line of KL/Var/LL steps for observation i along ``grad`` = grad_mu there, under the step-size rule.
+class ObservationGradient:
+    """grad_mu at observation i for every draw, and what the KL, Var and LL lines there share.
+
+    The three kinds step along D_s = coef_s * grad_s and differ only in coef,
+    so each of these is computed once per observation, on first read, inside
+    the first :func:`apply_gradient_transform` call that needs it.
+    """
+
+    def __init__(self, i: int, problem: LooProblem):
+        self.i = i
+        self.problem = problem
+        self.x = problem.dataset.features[i]
+
+    @_computed_once
+    def grad(self) -> np.ndarray:
+        return self.problem.model.grad_mu_batch(self.problem.draws.values, self.x)
+
+    @_computed_once
+    def r(self) -> np.ndarray:
+        """:func:`row_max_in_sd_units` of grad."""
+        return row_max_in_sd_units(self.grad, self.problem.stats.sd)
+
+    @_computed_once
+    def prior_dots(self):
+        """(theta . grad / sd^2, |grad / sd|^2) per draw: coef times the first and
+        coef^2 times the second are the prior's slope and curvature on a line."""
+        return self.problem.prior.line_coefficients(self.problem.draws.values, self.grad)
+
+    @_computed_once
+    def projection(self):
+        """The model's Hessian projection of grad."""
+        return self.problem.model.hessian_projection(self.grad, self.x, self.grad)
+
+    @_computed_once
+    def mu_fan(self):
+        """mu along every line of this observation. Every kind's nonzero coef_s has
+        the sign (-1)^y, and the step-size rule keeps |coef_s| <= 1 / r_s."""
+        sign = -1.0 if self.problem.dataset.labels[self.i] else 1.0
+        r = self.r
+        with np.errstate(over="ignore"):  # a subnormal r gives an infinite bound
+            bound = np.divide(sign, r, out=np.zeros_like(r), where=(r > 0) & (r < np.inf))
+        return self.problem.mu_origin.gradient_fan(self.grad, self.x, bound)
+
+
+def apply_gradient_transform(kind: str, i: int, problem: LooProblem, shared: ObservationGradient) -> StepLine:
+    """The line of KL/Var/LL steps for observation i along ``shared.grad`` = grad_mu there, under the step-size rule.
 
     D is the hbar = 1 step; hbar scales the step size h, so every attempt
     is theta + hbar * D with an exact per-draw log-determinant. A zero step
@@ -271,16 +346,22 @@ def apply_gradient_transform(kind: str, i: int, problem: LooProblem, grad: np.nd
     max_s |coef_s| r_s, is 1 up to rounding by the step-size rule.
     """
     ev = problem.evaluation
-    grad_step = gradient_step(kind, problem.model, problem.draws.values, problem.dataset, i, ev, ev.log_ref, grad)
-    r = row_max_in_sd_units(grad, problem.stats.sd)
+    grad = shared.grad
+    grad_step = gradient_step(
+        kind, problem.model, problem.draws.values, problem.dataset, i, ev, ev.log_ref, grad, shared.projection
+    )
+    r = shared.r
     log_h = log_step_size(grad_step.scale, grad_step.factor, r)
     if log_h == -np.inf:
-        return StepLine(kind=kind, observation_index=i, step=None, flags=("zero-step",))
-    coef = np.exp(log_h + grad_step.scale) * grad_step.factor
+        return StepLine(kind=kind, observation_index=i, flags=("zero-step",))
+    coef = grad_step.coef(log_h)
     moving = coef != 0  # a resting draw may sit next to r = inf
     max_step_sd = float(np.max(np.abs(coef[moving]) * r[moving], initial=0.0))
-    mu_line = problem.mu_origin.along_gradient(grad, problem.dataset.features[i], coef)
-    return _line(kind, i, problem, coef[:, None] * grad, mu_line, grad_step, max_step_sd, log_h)
+    dot, square = shared.prior_dots
+    return StepLine(
+        kind=kind, observation_index=i, mu=shared.mu_fan.line(coef), prior_slope=coef * dot,
+        prior_curvature=coef * coef * square, jacobian=grad_step, log_h=log_h, max_step_sd=max_step_sd,
+    )
 
 
 def apply_pmm(kind: str, i: int, problem: LooProblem, weighted: MarginalStats) -> StepLine:
@@ -301,41 +382,47 @@ def apply_pmm(kind: str, i: int, problem: LooProblem, weighted: MarginalStats) -
         step, diagonal, extent = delta, np.zeros(delta.size), np.abs(delta)
     else:
         if np.any(stats.variance == 0):
-            return StepLine(kind=kind, observation_index=i, step=None, flags=("pmm2-unavailable",))
+            return StepLine(kind=kind, observation_index=i, flags=("pmm2-unavailable",))
         diagonal = np.sqrt(weighted.weighted_variance / stats.variance) - 1.0
         step = stats.centered * diagonal
         step += delta
         extent = np.maximum(step.max(axis=0), -step.min(axis=0))  # max_s |D_sp|, no |D| temporary
     max_step_sd = float(np.max(extent / np.where(stats.sd > 0, stats.sd, np.inf)))
-    return _line(kind, i, problem, step, problem.mu_origin.along(step), diagonal, max_step_sd)
+    slope, curvature = problem.prior.line_coefficients(problem.draws.values, step)
+    return StepLine(
+        kind=kind, observation_index=i, mu=problem.mu_origin.along(step), prior_slope=slope,
+        prior_curvature=curvature, jacobian=diagonal, max_step_sd=max_step_sd, pmm_step=step,
+    )
 
 
 def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
     """Yield the line of each configured kind for observation i, in order.
 
     PMM kinds move toward the moments of the smoothed raw weights
-    ``nu_weights`` and gradient kinds along grad_mu at observation i; each is
-    computed once, when the first line that needs it is reached.
+    ``nu_weights``, computed when the first PMM line is reached, and
+    gradient kinds along grad_mu at observation i, sharing one
+    :class:`ObservationGradient`.
     """
-    weighted = grad = None
+    weighted = None
+    shared = ObservationGradient(i, problem)
     for kind in problem.config.transform_order:
         if kind in PMM_KINDS:
             if weighted is None:
                 weighted = marginal_stats(problem.draws, nu_weights.normalized, problem.stats)
             yield apply_pmm(kind, i, problem, weighted)
         else:
-            if grad is None:
-                grad = problem.model.grad_mu_batch(problem.draws.values, problem.dataset.features[i])
-            yield apply_gradient_transform(kind, i, problem, grad)
+            yield apply_gradient_transform(kind, i, problem, shared)
 
 
 def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> TransformedDraws:
     """Evaluate step scale ``hbar`` of ``line``: phi = theta + hbar * D.
 
-    Costs O(S n) for the logistic model and O(S n d) for relu1, plus O(P)
-    (PMM) or O(S) / O(S d) (gradient kinds) for the determinant.
+    Costs O(S n) for the logistic model and O(S n + flips) for relu1, where
+    flips counts the pre-activations that change sign on the line (see
+    :class:`~looadapt.models.ReluFan`), plus O(P) (PMM) or O(S) / O(S d)
+    (gradient kinds) for the determinant.
     """
-    if line.step is None:
+    if line.mu is None:
         return TransformedDraws(evaluation=None, log_jac_det=None, h_used=0.0, flags=line.flags)
     if line.kind in PMM_KINDS:
         coef = 1.0 + hbar * line.jacobian

@@ -9,8 +9,14 @@ import pytest
 
 from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, ReluOneModel, grad_log_posterior
 from looadapt.data import PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
-from looadapt.models import evaluate_posterior
-from looadapt.transforms import apply_gradient_transform, apply_pmm, apply_transform, gradient_step
+from looadapt.models import eigen_products, evaluate_posterior
+from looadapt.transforms import (
+    ObservationGradient,
+    apply_gradient_transform,
+    apply_pmm,
+    apply_transform,
+    gradient_step,
+)
 
 from oracle import build_grid_posterior, finite_difference_jacobian
 
@@ -133,8 +139,10 @@ def grad_log_lik(model, theta, x, y):
 def _one_draw(kind, model, theta, dataset, prior, i, log_ref):
     values = np.asarray(theta, dtype=float)[None, :]
     ev = evaluate_posterior(model, values, dataset, prior, with_grad=kind in POSTERIOR_GRADIENT_KINDS)
-    grad = model.grad_mu_batch(values, dataset.features[i])
-    return gradient_step(kind, model, values, dataset, i, ev, ev.log_ref if log_ref is None else log_ref, grad)
+    x = dataset.features[i]
+    grad = model.grad_mu_batch(values, x)
+    log_ref = ev.log_ref if log_ref is None else log_ref
+    return gradient_step(kind, model, values, dataset, i, ev, log_ref, grad, model.hessian_projection(grad, x, grad))
 
 
 def q_at(kind, model, theta, dataset, prior, i, log_ref=None):
@@ -166,7 +174,9 @@ def hessian_factors(model, theta, x):
     values = np.tile(np.asarray(theta, dtype=float), (p * p, 1))
     eye = np.eye(p)
     grad = model.grad_mu_batch(values, x)
-    return model.hessian_eigenbasis(grad, x, np.repeat(eye, p, axis=0), np.tile(eye, (p, 1)))
+    return eigen_products(
+        model.hessian_projection(grad, x, np.repeat(eye, p, axis=0)), model.hessian_projection(grad, x, np.tile(eye, (p, 1)))
+    )
 
 
 def dense_hessian(model, theta, x):
@@ -184,7 +194,7 @@ def pairwise_resolvent(model, theta, x, u, v, alpha):
     """u^T (I + alpha H)^-1 v at one (theta, x), through the eigenbasis: each
     eigenpair +-lam shifts u.v by (1 / (1 +- alpha lam) - 1) times its product."""
     grad = model.grad_mu_batch(np.asarray(theta, dtype=float)[None, :], x)
-    lam, plus, minus = model.hessian_eigenbasis(grad, x, u[None, :], v[None, :])
+    lam, plus, minus = eigen_products(model.hessian_projection(grad, x, u[None, :]), model.hessian_projection(grad, x, v[None, :]))
     return float(u @ v) + np.sum((1.0 / (1.0 + alpha * lam) - 1.0) * plus
                                  + (1.0 / (1.0 - alpha * lam) - 1.0) * minus)
 
@@ -197,11 +207,6 @@ def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6
     return float(np.trace(jac))
 
 
-def grad_mu_at(problem, i):
-    """grad_mu at observation i for every draw of ``problem``, as the scan shares it."""
-    return problem.model.grad_mu_batch(problem.draws.values, problem.dataset.features[i])
-
-
 def attempt(problem, kind, i, hbar, nu_weights=None):
     """(line, transformed draws) of one scan attempt at step scale ``hbar``.
 
@@ -210,7 +215,7 @@ def attempt(problem, kind, i, hbar, nu_weights=None):
     if kind in PMM_KINDS:
         line = apply_pmm(kind, i, problem, marginal_stats(problem.draws, nu_weights.normalized))
     else:
-        line = apply_gradient_transform(kind, i, problem, grad_mu_at(problem, i))
+        line = apply_gradient_transform(kind, i, problem, ObservationGradient(i, problem))
     return line, apply_transform(line, hbar, problem)
 
 

@@ -634,6 +634,42 @@ class TestRunCost:
         assert calls["grad_mu_batch"] == len(observations)
 
 
+    @pytest.mark.parametrize("toy", ["logistic", "relu1"])
+    def test_line_quantities_once_per_observation(self, toy, monkeypatch):
+        """KL, Var and LL at one observation share its row maxima r, the
+        prior's row dots and the mu fan; the Hessian projection of grad_mu is
+        made once there and that of v once per line."""
+        from looadapt import models, transforms
+
+        model, dataset, prior, draws = self._toy(toy)
+        calls = {"lines": 0, "r": 0, "dots": 0, "fan": 0, "projection": 0}
+        observations = set()
+        line_type = models.LinearMuLine if toy == "logistic" else models.ReluMuLine
+        originals = {
+            "r": (transforms, "row_max_in_sd_units"), "dots": (GaussianPrior, "line_coefficients"),
+            "fan": (line_type, "gradient_fan"), "projection": (type(model), "hessian_projection"),
+            "lines": (transforms, "apply_gradient_transform"),
+        }
+
+        def counted(name, owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args):
+                calls[name] += 1
+                if name == "lines":
+                    observations.add(args[1])
+                return original(*args)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for name, (owner, attr) in originals.items():
+            counted(name, owner, attr)
+        run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 2), transform_order=("KL", "Var", "LL")))
+        assert calls["lines"] > len(observations) > 0
+        assert calls["r"] == calls["dots"] == calls["fan"] == len(observations)
+        assert calls["projection"] == len(observations) + calls["lines"]
+
+
 def _degenerate_instance(model_name, degeneracy, log10_scale, seed):
     """A small instance (n = 6, p = 2, S = 40) with one degeneracy of the
     inputs and draws of sd 10 ** log10_scale."""

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from looadapt import Dataset, GaussianPrior, LogisticModel, ReluOneModel, grad_log_posterior
+from looadapt import Dataset, DomainError, GaussianPrior, LogisticModel, ReluOneModel, RunConfig, grad_log_posterior
+from looadapt.engine import LooProblem, eta_weights
+from looadapt.gpd import pareto_smooth
 from looadapt.models import (
     LINE_BLOCK_DRAWS,
     PosteriorEvaluation,
@@ -16,6 +18,7 @@ from looadapt.models import (
 )
 
 from conftest import (
+    attempt,
     dense_hessian,
     grad_log_lik,
     hessian_factors,
@@ -312,8 +315,44 @@ class TestBatchConsistency:
             )
 
 
+def _edge_case_relu(num_draws, rng):
+    """A relu1 instance (d = 2, p = 3, n = 4) whose first draws pin the edge
+    cases of a line, with per-draw gradient coefficients and a dense step.
+
+    x0 is the observation the gradient lines step at; x2 is orthogonal to it
+    (g = 0). Draw 0: z1 = -0.25 exactly for unit 0 at x1, which coef W2 = 1
+    (and the dense step's dz = 1) brings to exactly 0 at hbar = 1/4, and
+    W2 = 0 for unit 1. Draws 1 and 2: z1 = 0 exactly for unit 0 at x1,
+    moving up on draw 1 and down on draw 2. Draw 3 has coef = 0. The other
+    draws, steps and coefficients are random.
+    """
+    model = ReluOneModel(d=2, p=3)
+    features = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    pinned = np.array([
+        [0.5, -0.75, 0.3, 1.0, -1.0, 0.5, 2.0, 0.0, 0.1],
+        [1.0, -1.0, 0.2, -0.5, 0.25, 1.0, 1.5, -1.0, -0.2],
+        [1.0, -1.0, 0.2, -0.5, 0.25, 1.0, 1.5, -1.0, -0.2],
+        [0.7, 0.2, -0.4, 0.3, 0.9, -0.6, 1.1, 0.8, 0.0],
+    ])
+    values = rng.normal(size=(num_draws, model.param_dim))
+    values[: min(4, num_draws)] = pinned[:num_draws]
+    coef = 0.3 * rng.normal(size=num_draws)
+    coef[: min(4, num_draws)] = [0.5, 0.3, -0.3, 0.0][:num_draws]
+    dense = rng.normal(size=values.shape)
+    dense[: min(4, num_draws), :3] = [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.2, 0.1, 0.0]][:num_draws]
+    return model, features, values, coef, dense
+
+
 class TestMuLine:
     """mu along theta + hbar * D from the model's line matches mu_batch at the moved draws."""
+
+    HBARS = (1.0, 0.25, 4.0**-5)
+
+    def _check(self, model, line, values, step, features):
+        for hbar in self.HBARS:
+            np.testing.assert_allclose(
+                line.at(hbar), model.mu_batch(values + hbar * step, features), rtol=1e-12, atol=1e-12
+            )
 
     @pytest.mark.parametrize("model_maker", [make_logistic_toy, make_relu_toy])
     def test_dense_and_shared_steps(self, model_maker, rng):
@@ -321,11 +360,7 @@ class TestMuLine:
         values = draws.values
         origin = model.mu_line(values, dataset.features, model.mu_batch(values, dataset.features))
         for step in (rng.normal(size=values.shape), rng.normal(size=values.shape[1])):
-            line = origin.along(step)
-            for hbar in (1.0, 0.25, 4.0**-5):
-                np.testing.assert_allclose(
-                    line.at(hbar), model.mu_batch(values + hbar * step, dataset.features), rtol=1e-12, atol=1e-12
-                )
+            self._check(model, origin.along(step), values, step, dataset.features)
 
     @pytest.mark.parametrize("model_maker", [make_logistic_toy, make_relu_toy])
     def test_gradient_step(self, model_maker, rng):
@@ -334,35 +369,64 @@ class TestMuLine:
         x = dataset.features[1]
         coef = 0.1 * rng.normal(size=draws.num_draws)
         grad = model.grad_mu_batch(values, x)
-        step = coef[:, None] * grad
         origin = model.mu_line(values, dataset.features, model.mu_batch(values, dataset.features))
-        line = origin.along_gradient(grad, x, coef)
-        for hbar in (1.0, 0.25, 4.0**-5):
-            np.testing.assert_allclose(
-                line.at(hbar), model.mu_batch(values + hbar * step, dataset.features), rtol=1e-12, atol=1e-12
-            )
+        line = origin.gradient_fan(grad, x, coef).line(coef)
+        self._check(model, line, values, coef[:, None] * grad, dataset.features)
 
-    @pytest.mark.parametrize("num_draws", [1, LINE_BLOCK_DRAWS, LINE_BLOCK_DRAWS + 1])
+    @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
+    def test_every_kind_on_the_relu_toy(self, kind):
+        """The scan's own lines, gradient lines read from one shared fan,
+        with some pre-activations changing sign."""
+        model, dataset, prior, draws = make_relu_toy(seed=11, n=8, num_draws=120)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+        flipped = 0
+        for i in range(dataset.n):
+            nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
+            line = attempt(problem, kind, i, 1.0, nu)[0]
+            self._check(model, line.mu, draws.values, line.step, dataset.features)
+            flipped += line.mu.flips.cell.size
+        assert flipped > 0
+
+    @pytest.mark.parametrize("num_draws", [1, LINE_BLOCK_DRAWS, LINE_BLOCK_DRAWS + 1, 2 * LINE_BLOCK_DRAWS + 3])
     def test_relu1_line_across_block_boundaries(self, num_draws, rng):
-        # ReluMuLine.at walks the draws in blocks: one draw, exactly one full
-        # block, and a full block plus one
-        model, dataset, prior, draws = make_relu_toy(n=7, d=3, num_draws=LINE_BLOCK_DRAWS + 1)
-        values, features = draws.values[:num_draws], dataset.features
+        """The fan's pass walks the draws in blocks: one draw, exactly one
+        block, a block plus one, and a draw count no block size divides, over
+        the edge cases of :func:`_edge_case_relu`."""
+        model, features, values, coef, dense = _edge_case_relu(num_draws, rng)
         origin = model.mu_line(values, features, model.mu_batch(values, features))
-        x = features[2]
-        coef = 0.1 * rng.normal(size=num_draws)
+        x = features[0]
         grad = model.grad_mu_batch(values, x)
-        dense, shared = rng.normal(size=values.shape), rng.normal(size=values.shape[1])
+        shared = rng.normal(size=values.shape[1])
         lines = [
             (origin.along(dense), dense),
             (origin.along(shared), shared),
-            (origin.along_gradient(grad, x, coef), coef[:, None] * grad),
+            (origin.gradient_fan(grad, x, coef).line(coef), coef[:, None] * grad),
         ]
         for line, step in lines:
-            for hbar in (1.0, 0.25, 4.0**-5):
-                np.testing.assert_allclose(
-                    line.at(hbar), model.mu_batch(values + hbar * step, features), rtol=1e-12, atol=1e-12
-                )
+            self._check(model, line, values, step, features)
+        if num_draws > 1:
+            # draw 0, unit 0 at x1 reaches exactly 0 at hbar = 1/4 and turns on by hbar = 1
+            for line, _ in (lines[0], lines[2]):
+                assert 1 in line.flips.cell
+
+    def test_coefficients_outside_the_fan(self, rng):
+        """A draw whose coef is past the fan's bound, or of the other sign,
+        is evaluated over all of its elements."""
+        model, features, values, coef, _ = _edge_case_relu(2 * LINE_BLOCK_DRAWS + 3, rng)
+        origin = model.mu_line(values, features, model.mu_batch(values, features))
+        x = features[0]
+        grad = model.grad_mu_batch(values, x)
+        bound = coef.copy()
+        bound[::3] *= 0.5
+        bound[1::3] *= -1.0
+        self._check(model, origin.gradient_fan(grad, x, bound).line(coef), values, coef[:, None] * grad, features)
+
+    def test_step_scale_outside_the_unit_interval(self, rng):
+        model, dataset, prior, draws = make_relu_toy()
+        origin = model.mu_line(draws.values, dataset.features, model.mu_batch(draws.values, dataset.features))
+        line = origin.along(rng.normal(size=draws.values.shape))
+        with pytest.raises(DomainError, match="step scales in"):
+            line.at(2.0)
 
 
 class TestGaussianPrior:

@@ -21,6 +21,7 @@ from looadapt.models import (
     sigmoid_slope,
 )
 from looadapt.transforms import (
+    ObservationGradient,
     apply_gradient_transform,
     apply_pmm,
     gradient_step,
@@ -32,7 +33,6 @@ from conftest import (
     attempt,
     dense_hessian,
     fd_divergence,
-    grad_mu_at,
     log_post,
     logdet_at,
     make_logistic_toy,
@@ -184,7 +184,7 @@ class TestApplyGradientTransform:
         assert problem.evaluation.grad_log_post is None
         assert not attempt(problem, "LL", 0, 0.5)[1].degenerate
         with pytest.raises(DomainError, match="needs the posterior gradient"):
-            apply_gradient_transform("KL", 0, problem, grad_mu_at(problem, 0))
+            apply_gradient_transform("KL", 0, problem, ObservationGradient(0, problem))
 
     def test_step_bound_holds(self):
         model, dataset, prior, draws = make_logistic_toy(seed=31)
@@ -262,8 +262,8 @@ class _OtherModel(SigmoidalModel):
     def weighted_grad_mu(self, values, features, weights):
         return self.inner.weighted_grad_mu(values, features, weights)
 
-    def hessian_eigenbasis(self, grad, x, u, v):
-        return self.inner.hessian_eigenbasis(grad, x, u, v)
+    def hessian_projection(self, grad, x, w):
+        return self.inner.hessian_projection(grad, x, w)
 
 
 class TestExactLogdetOps:
@@ -307,25 +307,27 @@ class TestExactLogdetOps:
     def test_model_kind_guards(self):
         """A PMM kind, and KL without the posterior gradient, are rejected.
         The model family is not guarded: any model steps through its own
-        weighted_grad_mu and hessian_eigenbasis."""
+        weighted_grad_mu and hessian_projection."""
         model, dataset, prior, draws = make_logistic_toy(seed=38, p=3)
         values = draws.values[:5]
         ev = evaluate_posterior(model, values, dataset, prior)
         grad = model.grad_mu_batch(values, dataset.features[0])
         with pytest.raises(DomainError, match="defined for"):
-            gradient_step("PMM1", model, values, dataset, 0, ev, ev.log_ref, grad)
+            gradient_step("PMM1", model, values, dataset, 0, ev, ev.log_ref, grad, None)
         with pytest.raises(DomainError, match="needs the posterior gradient"):
-            gradient_step("KL", model, values, dataset, 0, replace(ev, grad_log_post=None), ev.log_ref, grad)
+            gradient_step("KL", model, values, dataset, 0, replace(ev, grad_log_post=None), ev.log_ref, grad, None)
         for toy in (make_logistic_toy(seed=38, p=3), make_relu_toy(seed=38)):
             inner, toy_data, toy_prior, toy_draws = toy
             toy_values = toy_draws.values[:5]
             toy_ev = evaluate_posterior(inner, toy_values, toy_data, toy_prior)
             other, x = _OtherModel(inner), toy_data.features[0]
             for kind in ("KL", "Var", "LL"):
+                grad = other.grad_mu_batch(toy_values, x)
                 ours = gradient_step(kind, other, toy_values, toy_data, 0, toy_ev, toy_ev.log_ref,
-                                     other.grad_mu_batch(toy_values, x))
+                                     grad, other.hessian_projection(grad, x, grad))
+                grad = inner.grad_mu_batch(toy_values, x)
                 theirs = gradient_step(kind, inner, toy_values, toy_data, 0, toy_ev, toy_ev.log_ref,
-                                       inner.grad_mu_batch(toy_values, x))
+                                       grad, inner.hessian_projection(grad, x, grad))
                 np.testing.assert_array_equal(ours.logdet(-1.0)[0], theirs.logdet(-1.0)[0])
 
 
@@ -349,7 +351,7 @@ class TestFirstOrderLogdet:
                                  log_post=np.zeros(1), grad_log_post=np.array([[-2.0]]))
         values = np.zeros((1, 1))
         grad = model.grad_mu_batch(values, dataset.features[0])
-        logdet, flags = gradient_step("KL", model, values, dataset, 0, ev, 0.0, grad).logdet(0.0)
+        logdet, flags = gradient_step("KL", model, values, dataset, 0, ev, 0.0, grad, None).logdet(0.0)
         assert logdet[0] == -math.inf
         assert flags == ("singular-jacobian",)
 
@@ -604,7 +606,7 @@ class TestLineQuantities:
         values[0] = 80.0 * dataset.features[i] / (dataset.features[i] @ dataset.features[i])
         draws = PosteriorDraws(values=values, param_names=draws.param_names)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-        line = apply_gradient_transform("LL", i, problem, grad_mu_at(problem, i))
+        line = apply_gradient_transform("LL", i, problem, ObservationGradient(i, problem))
         assert line.jacobian.factor[0] == 0.0
         np.testing.assert_array_equal(line.step[0], 0.0)
         gs = line.jacobian
@@ -626,10 +628,10 @@ class TestLineQuantities:
         values[:, 4] = np.where(active, 20.0, values[:, 4])  # W2[0]: mu >= 50 where active
         draws = PosteriorDraws(values=values, param_names=tuple(f"w{j}" for j in range(model.param_dim)))
         problem = LooProblem.build(model, draws, dataset, GaussianPrior.isotropic(model.param_dim, 1.0), RunConfig())
-        grad = grad_mu_at(problem, 0)
+        shared = ObservationGradient(0, problem)
         assert problem.stats.sd[0] == 0.0
-        np.testing.assert_array_equal(row_max_in_sd_units(grad, problem.stats.sd)[active], np.inf)
-        line = apply_gradient_transform("LL", 0, problem, grad)
+        np.testing.assert_array_equal(row_max_in_sd_units(shared.grad, problem.stats.sd)[active], np.inf)
+        line = apply_gradient_transform("LL", 0, problem, shared)
         np.testing.assert_array_equal(line.jacobian.factor[active], 0.0)
         assert math.isfinite(line.log_h)
         assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
@@ -647,8 +649,8 @@ class TestLineQuantities:
         dataset = Dataset(features=features, labels=dataset.labels, feature_names=dataset.feature_names)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         for kind in ("KL", "Var", "LL"):
-            assert apply_gradient_transform(kind, 1, problem, grad_mu_at(problem, 1)).flags == ("zero-step",)
-            line = apply_gradient_transform(kind, 0, problem, grad_mu_at(problem, 0))
+            assert apply_gradient_transform(kind, 1, problem, ObservationGradient(1, problem)).flags == ("zero-step",)
+            line = apply_gradient_transform(kind, 0, problem, ObservationGradient(0, problem))
             assert math.isfinite(line.log_h)
             assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
         nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, 0))
