@@ -181,7 +181,7 @@ class TestReluGradMu:
 
 
 class TestReluHessianSpectrum:
-    """The batched eigen-factors of the Hessian of mu (``hessian_eigenbasis``)."""
+    """The batched eigen-factors of the Hessian of mu (``hessian_projection``, combined by ``eigen_products``)."""
 
     def test_inactive_means_empty(self):
         model = ReluOneModel(d=2, p=2)
