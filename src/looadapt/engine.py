@@ -14,11 +14,14 @@ results are always assembled in observation order.
 
 The posterior is evaluated once per run, at the draws. Each (observation,
 kind) family of attempts lies on one line theta + hbar * D, built once
-(:func:`~looadapt.transforms.step_lines`); a step scale then costs O(S n)
-for the logistic model and O(S n + flips) for relu1, where flips counts the
-pre-activations that change sign on the line. A flagged relu1 observation
-pays one O(S d n) pass for its gradient kinds, shared by KL, Var and LL,
-and a PMM line one of its own.
+(:func:`~looadapt.transforms.step_lines`). The lines of a flagged
+observation share one :class:`~looadapt.transforms.Observation`, which
+computes the PMM kinds' target moments, and grad_mu with what KL, Var and
+LL derive from it, once. A step scale then costs O(S n) for the logistic
+model and O(S n + flips) for relu1, where flips counts the pre-activations
+that change sign on the line. A flagged relu1 observation pays one O(S d n)
+pass for its gradient kinds, shared by KL, Var and LL, and a PMM line one
+of its own.
 """
 
 from __future__ import annotations

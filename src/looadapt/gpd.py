@@ -154,24 +154,24 @@ def pareto_smooth(weights: WeightVector) -> tuple[WeightVector, GpdFit]:
 
     order = np.argsort(lw, kind="stable")
     log_cutoff = lw[order[s - m_rule - 1]]
-    tail_idx = np.flatnonzero(lw > log_cutoff)
-    if tail_idx.size < MIN_TAIL_SIZE:
-        return weights, GpdFit.unfittable(tail_idx.size)
+    # The weights strictly above the cutoff end the ascending order, ties in index order.
+    top_lw = lw[order[s - m_rule:]]
+    m_t = m_rule - int(np.searchsorted(top_lw, log_cutoff, side="right"))
+    if m_t < MIN_TAIL_SIZE:
+        return weights, GpdFit.unfittable(m_t)
 
     cutoff = math.exp(log_cutoff)
-    tail_lw = lw[tail_idx]
-    excesses = np.sort(np.exp(tail_lw) - cutoff)
+    excesses = np.sort(np.exp(top_lw[m_rule - m_t:]) - cutoff)
     if excesses[0] <= 0:  # tail weights underflow to the cutoff: no spread to fit
-        return weights, GpdFit.unfittable(tail_idx.size)
+        return weights, GpdFit.unfittable(m_t)
     fit = fit_gpd_tail(excesses)
     if not fit.fittable:
         return weights, fit
 
-    m_t = tail_idx.size
     ranks = (np.arange(m_t) + 0.5) / m_t
     smoothed = np.log(gpd_quantile(ranks, fit.khat, fit.sigma) + cutoff)
     smoothed = np.minimum(smoothed, 0.0)  # never exceed the raw maximum
 
     new_lw = lw.copy()
-    new_lw[tail_idx[np.argsort(tail_lw, kind="stable")]] = smoothed
+    new_lw[order[s - m_t:]] = smoothed
     return WeightVector.from_log_weights(new_lw), fit

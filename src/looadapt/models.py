@@ -2,12 +2,12 @@
 
 A model evaluates the mean function mu(theta, x) behind the outcome
 probability sigma(mu) and weighted sums of grad_mu, batched over a draw
-matrix, which is all a run uses; its single-draw mu and grad_mu are the
-reference behind :func:`grad_log_posterior`. The batched Hessian of mu,
-with vectors projected onto its eigenvectors, is what the gradient-step
-Jacobians consume: it vanishes for linear (logistic regression) means and
-has +-|x| eigenpairs on the active units of a one-hidden-layer ReLU network,
-the two concrete families. A model's mu line gives mu along theta + hbar * D
+matrix, which is all a run uses; the two concrete families also keep a
+single-draw mu and grad_mu, the reference behind :func:`grad_log_posterior`.
+The batched Hessian of mu, with vectors projected onto its eigenvectors, is
+what the gradient-step Jacobians consume: it has no eigenpairs (K = 0) for
+linear (logistic regression) means and +-|x| pairs on the active units of a
+one-hidden-layer ReLU network. A model's mu line gives mu along theta + hbar * D
 without forming the moved draws; relu1's is piecewise quadratic in hbar.
 Only this module knows how a family lays out its flattened parameters, and
 relu1 reads its layout in one place. :meth:`PosteriorEvaluation.from_mu` turns mu
@@ -107,14 +107,12 @@ def eigen_products(u, v):
     """u^T H v and u^T (I + alpha H)^-1 v in the eigenbasis of H, from the
     :meth:`SigmoidalModel.hessian_projection` of u and of v.
 
-    Returns None where H vanishes identically, else ``(lam, plus, minus)``,
-    each (S, K), with plus / minus the products of the projections onto the
-    unit eigenvectors of +lam / -lam. Hence u^T H v = sum_k lam (plus - minus)
+    Returns ``(lam, plus, minus)``, each (S, K), with plus / minus the
+    products of the projections onto the unit eigenvectors of +lam / -lam
+    (K = 0 where H vanishes). Hence u^T H v = sum_k lam (plus - minus)
     and u^T (I + alpha H)^-1 v = u . v + sum_k [(1 / (1 + alpha lam) - 1) plus
     + (1 / (1 - alpha lam) - 1) minus], with no P x P matrix formed.
     """
-    if u is None:
-        return None
     lam, u_plus, u_minus = u
     _, v_plus, v_minus = v
     return lam, u_plus * v_plus, u_minus * v_minus
@@ -134,14 +132,6 @@ class SigmoidalModel(abc.ABC):
         """Length p of a feature vector."""
 
     @abc.abstractmethod
-    def mu(self, theta, x) -> float:
-        """Mean function at a single parameter vector and observation."""
-
-    @abc.abstractmethod
-    def grad_mu(self, theta, x) -> np.ndarray:
-        """Gradient of mu with respect to theta, length P."""
-
-    @abc.abstractmethod
     def mu_batch(self, values, features) -> np.ndarray:
         """mu for every (draw, observation) pair: (S, P) x (n, p) -> (S, n)."""
 
@@ -150,10 +140,10 @@ class SigmoidalModel(abc.ABC):
         """The Hessian H of mu at x for every draw, and ``w`` seen in its eigenbasis.
 
         ``grad`` is :meth:`grad_mu_batch` at x, which fixes the active parts
-        of the model; ``w`` is (S, P). Returns None when H vanishes
-        identically, else ``(lam, plus, minus)``, each (S, K): the
-        eigenvalues are +-lam, and plus / minus are the projections of w onto
-        the unit eigenvectors of +lam / -lam (0 where lam = 0).
+        of the model; ``w`` is (S, P). Returns ``(lam, plus, minus)``, each
+        (S, K): the eigenvalues are +-lam, and plus / minus are the
+        projections of w onto the unit eigenvectors of +lam / -lam (0 where
+        lam = 0). A mean linear in theta has K = 0.
         :func:`eigen_products` combines the projections of two vector sets.
         """
 
@@ -182,7 +172,7 @@ class SigmoidalModel(abc.ABC):
 
 @dataclass(frozen=True)
 class LogisticModel(SigmoidalModel):
-    """Linear mean function mu = x . beta; the Hessian of mu vanishes."""
+    """Linear mean function mu = x . beta; the Hessian of mu vanishes, so it has no eigenpairs."""
 
     p: int
 
@@ -207,8 +197,8 @@ class LogisticModel(SigmoidalModel):
     def mu_batch(self, values, features) -> np.ndarray:
         return values @ np.asarray(features, dtype=float).T
 
-    def hessian_projection(self, grad, x, w) -> None:
-        return None
+    def hessian_projection(self, grad, x, w):
+        return (np.zeros((w.shape[0], 0)),) * 3
 
     def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
         return np.asarray(weights, dtype=float) @ np.asarray(features, dtype=float)
@@ -525,7 +515,7 @@ class ReluLine:
         return mu
 
 
-def grad_log_posterior(model: SigmoidalModel, theta, dataset: Dataset, prior: GaussianPrior) -> np.ndarray:
+def grad_log_posterior(model: LogisticModel | ReluOneModel, theta, dataset: Dataset, prior: GaussianPrior) -> np.ndarray:
     """Gradient of the unnormalized log posterior at one parameter vector: the
     prior term plus, per observation, the chain rule [y - sigma(mu)] * grad_mu.
     The single-draw reference for :func:`evaluate_posterior`'s batched gradient."""

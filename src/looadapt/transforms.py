@@ -20,9 +20,11 @@ the posterior-density factor never overflows; the same h and scale feed the
 determinant formulas, ensuring step and Jacobian describe the same map.
 
 For one observation and kind every step scale moves the draws along one
-line, phi = theta + hbar * D. A :class:`StepLine` holds D and everything
-else that does not depend on hbar; :func:`apply_transform` evaluates one
-step scale of it without forming phi.
+line, phi = theta + hbar * D. A :class:`StepLine` holds the model's image of
+D and everything else that does not depend on hbar; :func:`apply_transform`
+evaluates one step scale of it without forming phi. The lines of one
+observation share an :class:`Observation`, which computes what they have in
+common once.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ class StepLine:
     (``prior_slope`` + hbar / 2 * ``prior_curvature``). ``jacobian`` is the
     diagonal of dD/dtheta for PMM kinds and the :class:`GradientStep` for
     gradient kinds, whose step size at hbar = 1 is exp(``log_h``).
-    ``pmm_step`` is a PMM line's D.
     """
 
     kind: str
@@ -115,16 +116,6 @@ class StepLine:
     log_h: float = 0.0
     max_step_sd: float = 0.0
     flags: tuple[str, ...] = ()
-    pmm_step: np.ndarray | None = None
-
-    @property
-    def step(self) -> np.ndarray | None:
-        """D, the hbar = 1 step, shaped (P,) or (S, P); None for an identity
-        family. A gradient line's D = coef * grad_mu is formed on each read, so
-        that a line holds no (S, P) step of its own."""
-        if self.mu is not None and isinstance(self.jacobian, GradientStep):
-            return self.jacobian.coef(self.log_h)[:, None] * self.jacobian.grad
-        return self.pmm_step
 
 
 def row_max_in_sd_units(grad: np.ndarray, sd: np.ndarray) -> np.ndarray:
@@ -173,7 +164,7 @@ def log_step_size(scale: np.ndarray, factor: np.ndarray, r: np.ndarray) -> float
 # Writing e = exp(log h + scale), alpha = e * factor (the factor of Q) and
 # uvec = e * uvec_factor * v with v free of h, every projection of grad_mu
 # and v is computed once per (observation, kind); a step scale then costs
-# O(S) scalars (no Hessian) or O(S K) (K eigenvalue pairs).
+# O(S K) for K eigenvalue pairs per draw (K = 0 where the Hessian vanishes).
 
 
 @dataclass(frozen=True)
@@ -184,7 +175,8 @@ class GradientStep:
     ``grad`` is grad_mu at the observation; the sign of Q lives in
     ``factor``. ``base`` is grad_mu . v per draw and ``eigen`` is the
     Hessian of mu seen through grad_mu and v
-    (:func:`~looadapt.models.eigen_products`), or None where it vanishes.
+    (:func:`~looadapt.models.eigen_products`), with K = 0 eigenpairs where
+    it vanishes.
     """
 
     scale: np.ndarray
@@ -192,7 +184,7 @@ class GradientStep:
     grad: np.ndarray
     uvec_factor: np.ndarray | float
     base: np.ndarray
-    eigen: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    eigen: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def coef(self, log_h: float) -> np.ndarray:
         """Per-draw coef with h Q = coef * grad at step size exp(log_h)."""
@@ -201,25 +193,19 @@ class GradientStep:
     def logdet(self, log_h: float):
         """Per-draw log |det J| at step size exp(log_h), and its flags."""
         e = np.exp(log_h + self.scale)
-        c = e * self.uvec_factor
-        rank_one = 1.0 + c * self.base
-        if self.eigen is None:
-            singular = np.abs(rank_one) < SINGULAR_EPS
-            logdet = np.log(np.maximum(np.abs(rank_one), SINGULAR_EPS))
-        else:
-            lam, plus, minus = self.eigen
-            alpha = (e * self.factor)[:, None]
-            fplus = 1.0 + alpha * lam
-            fminus = 1.0 - alpha * lam
-            # grad_mu^T A^{-1} uvec; components outside the eigenbasis pass through.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                corr = (1.0 / fplus - 1.0) * plus + (1.0 / fminus - 1.0) * minus
-            rank_one = rank_one + c * corr.sum(axis=1)
-            eig_factors = np.abs(fplus * fminus)  # per pair |1 - alpha^2 lam^2|
-            singular = (eig_factors < SINGULAR_EPS).any(axis=1) | (np.abs(rank_one) < SINGULAR_EPS)
-            logdet = np.log(np.maximum(eig_factors, SINGULAR_EPS)).sum(axis=1) + np.log(
-                np.maximum(np.abs(rank_one), SINGULAR_EPS)
-            )
+        lam, plus, minus = self.eigen
+        alpha = (e * self.factor)[:, None]
+        fplus = 1.0 + alpha * lam
+        fminus = 1.0 - alpha * lam
+        # grad_mu^T A^{-1} uvec; components outside the eigenbasis pass through.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = (1.0 / fplus - 1.0) * plus + (1.0 / fminus - 1.0) * minus
+        rank_one = 1.0 + e * self.uvec_factor * (self.base + corr.sum(axis=1))
+        eig_factors = np.abs(fplus * fminus)  # per pair |1 - alpha^2 lam^2|
+        singular = (eig_factors < SINGULAR_EPS).any(axis=1) | (np.abs(rank_one) < SINGULAR_EPS)
+        logdet = np.log(np.maximum(eig_factors, SINGULAR_EPS)).sum(axis=1) + np.log(
+            np.maximum(np.abs(rank_one), SINGULAR_EPS)
+        )
         logdet = np.where(singular, -np.inf, logdet)
         return logdet, ("singular-jacobian",) if singular.any() else ()
 
@@ -292,18 +278,25 @@ class _computed_once:
         return value
 
 
-class ObservationGradient:
-    """grad_mu at observation i for every draw, and what the KL, Var and LL lines there share.
+class Observation:
+    """Observation i of a run, and what its step lines share.
 
-    The three kinds step along D_s = coef_s * grad_s and differ only in coef,
-    so each of these is computed once per observation, on first read, inside
-    the first :func:`apply_gradient_transform` call that needs it.
+    The PMM kinds move toward the moments of ``nu_weights``, the smoothed
+    raw weights at i. KL, Var and LL step along D_s = coef_s * grad_s, grad
+    = grad_mu at i, and differ only in coef. Each attribute below is
+    computed once, on first read, inside the first line that needs it.
     """
 
-    def __init__(self, i: int, problem: LooProblem):
+    def __init__(self, i: int, problem: LooProblem, nu_weights: WeightVector):
         self.i = i
         self.problem = problem
+        self.nu_weights = nu_weights
         self.x = problem.dataset.features[i]
+
+    @_computed_once
+    def weighted(self) -> MarginalStats:
+        """The plain moments with the ``nu_weights``-weighted ones, the PMM kinds' target."""
+        return marginal_stats(self.problem.draws, self.nu_weights.normalized, self.problem.stats)
 
     @_computed_once
     def grad(self) -> np.ndarray:
@@ -336,8 +329,8 @@ class ObservationGradient:
         return self.problem.mu_origin.gradient_fan(self.grad, self.x, bound)
 
 
-def apply_gradient_transform(kind: str, i: int, problem: LooProblem, shared: ObservationGradient) -> StepLine:
-    """The line of KL/Var/LL steps for observation i along ``shared.grad`` = grad_mu there, under the step-size rule.
+def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
+    """The line of KL/Var/LL steps for ``obs`` along ``obs.grad`` = grad_mu there, under the step-size rule.
 
     D is the hbar = 1 step; hbar scales the step size h, so every attempt
     is theta + hbar * D with an exact per-draw log-determinant. A zero step
@@ -345,27 +338,27 @@ def apply_gradient_transform(kind: str, i: int, problem: LooProblem, shared: Obs
     attempt the identity with the ``zero-step`` flag. The largest shift,
     max_s |coef_s| r_s, is 1 up to rounding by the step-size rule.
     """
+    problem, i = obs.problem, obs.i
     ev = problem.evaluation
-    grad = shared.grad
     grad_step = gradient_step(
-        kind, problem.model, problem.draws.values, problem.dataset, i, ev, ev.log_ref, grad, shared.projection
+        kind, problem.model, problem.draws.values, problem.dataset, i, ev, ev.log_ref, obs.grad, obs.projection
     )
-    r = shared.r
+    r = obs.r
     log_h = log_step_size(grad_step.scale, grad_step.factor, r)
     if log_h == -np.inf:
         return StepLine(kind=kind, observation_index=i, flags=("zero-step",))
     coef = grad_step.coef(log_h)
     moving = coef != 0  # a resting draw may sit next to r = inf
     max_step_sd = float(np.max(np.abs(coef[moving]) * r[moving], initial=0.0))
-    dot, square = shared.prior_dots
+    dot, square = obs.prior_dots
     return StepLine(
-        kind=kind, observation_index=i, mu=shared.mu_fan.line(coef), prior_slope=coef * dot,
+        kind=kind, observation_index=i, mu=obs.mu_fan.line(coef), prior_slope=coef * dot,
         prior_curvature=coef * coef * square, jacobian=grad_step, log_h=log_h, max_step_sd=max_step_sd,
     )
 
 
-def apply_pmm(kind: str, i: int, problem: LooProblem, weighted: MarginalStats) -> StepLine:
-    """The line of damped moment-matching maps toward ``weighted``'s moments.
+def apply_pmm(kind: str, obs: Observation) -> StepLine:
+    """The line of damped moment-matching maps for ``obs`` toward ``obs.weighted``'s moments.
 
     PMM1 translates by hbar times the gap delta between weighted and plain
     means (log-determinant exactly 0). PMM2 additionally rescales each
@@ -376,6 +369,7 @@ def apply_pmm(kind: str, i: int, problem: LooProblem, weighted: MarginalStats) -
     """
     if kind not in PMM_KINDS:
         raise DomainError(f"apply_pmm handles {PMM_KINDS}, got {kind!r}")
+    problem, i, weighted = obs.problem, obs.i, obs.weighted
     stats = problem.stats
     delta = weighted.weighted_mean - stats.mean
     if kind == "PMM1":
@@ -391,27 +385,16 @@ def apply_pmm(kind: str, i: int, problem: LooProblem, weighted: MarginalStats) -
     slope, curvature = problem.prior.line_coefficients(problem.draws.values, step)
     return StepLine(
         kind=kind, observation_index=i, mu=problem.mu_origin.along(step), prior_slope=slope,
-        prior_curvature=curvature, jacobian=diagonal, max_step_sd=max_step_sd, pmm_step=step,
+        prior_curvature=curvature, jacobian=diagonal, max_step_sd=max_step_sd,
     )
 
 
 def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
-    """Yield the line of each configured kind for observation i, in order.
-
-    PMM kinds move toward the moments of the smoothed raw weights
-    ``nu_weights``, computed when the first PMM line is reached, and
-    gradient kinds along grad_mu at observation i, sharing one
-    :class:`ObservationGradient`.
-    """
-    weighted = None
-    shared = ObservationGradient(i, problem)
+    """Yield the line of each configured kind for observation i, in order,
+    all sharing one :class:`Observation` with the smoothed raw weights ``nu_weights``."""
+    obs = Observation(i, problem, nu_weights)
     for kind in problem.config.transform_order:
-        if kind in PMM_KINDS:
-            if weighted is None:
-                weighted = marginal_stats(problem.draws, nu_weights.normalized, problem.stats)
-            yield apply_pmm(kind, i, problem, weighted)
-        else:
-            yield apply_gradient_transform(kind, i, problem, shared)
+        yield (apply_pmm if kind in PMM_KINDS else apply_gradient_transform)(kind, obs)
 
 
 def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> TransformedDraws:

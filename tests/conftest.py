@@ -9,9 +9,11 @@ import pytest
 
 from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, ReluOneModel, grad_log_posterior
 from looadapt.data import PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
+from looadapt.engine import eta_weights
+from looadapt.gpd import pareto_smooth
 from looadapt.models import eigen_products, evaluate_posterior
 from looadapt.transforms import (
-    ObservationGradient,
+    Observation,
     apply_gradient_transform,
     apply_pmm,
     apply_transform,
@@ -167,8 +169,8 @@ def hessian_factors(model, theta, x):
     """The batched eigen-factors of the Hessian of mu at one (theta, x), seen
     through every pair of unit vectors: row a * P + b holds (e_a, e_b).
 
-    Returns ``(lam, plus, minus)`` with P * P rows, or None where the
-    Hessian vanishes identically.
+    Returns ``(lam, plus, minus)`` with P * P rows; K = 0 where the Hessian
+    vanishes identically.
     """
     p = len(theta)
     values = np.tile(np.asarray(theta, dtype=float), (p * p, 1))
@@ -183,10 +185,7 @@ def dense_hessian(model, theta, x):
     """The Hessian of mu at (theta, x) rebuilt from its eigen-factors:
     H[a, b] = e_a^T H e_b = sum_k lam_k (plus_k - minus_k)."""
     p = len(theta)
-    factors = hessian_factors(model, theta, x)
-    if factors is None:
-        return np.zeros((p, p))
-    lam, plus, minus = factors
+    lam, plus, minus = hessian_factors(model, theta, x)
     return np.sum(lam * (plus - minus), axis=1).reshape(p, p)
 
 
@@ -207,16 +206,41 @@ def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6
     return float(np.trace(jac))
 
 
+def observation(problem, i, nu_weights=None):
+    """The :class:`Observation` the scan builds at i: PMM kinds move toward the
+    moments of ``nu_weights``, by default the smoothed raw weights there."""
+    if nu_weights is None:
+        nu_weights, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
+    return Observation(i, problem, nu_weights)
+
+
 def attempt(problem, kind, i, hbar, nu_weights=None):
     """(line, transformed draws) of one scan attempt at step scale ``hbar``.
 
-    PMM kinds move toward the moments of ``nu_weights``.
+    PMM kinds move toward the moments of ``nu_weights`` (see :func:`observation`).
     """
-    if kind in PMM_KINDS:
-        line = apply_pmm(kind, i, problem, marginal_stats(problem.draws, nu_weights.normalized))
-    else:
-        line = apply_gradient_transform(kind, i, problem, ObservationGradient(i, problem))
+    build = apply_pmm if kind in PMM_KINDS else apply_gradient_transform
+    line = build(kind, observation(problem, i, nu_weights))
     return line, apply_transform(line, hbar, problem)
+
+
+def line_step(line, problem, nu_weights=None):
+    """The reference D of ``line``, formed from scratch: coef * grad_mu for a
+    gradient kind, with coef read from its Jacobian; for PMM1 the gap delta
+    between the ``nu_weights``-weighted and plain means, and for PMM2
+    (ratio - 1) * C + delta, C the centred draws and ratio the weighted / plain
+    sd ratio. (S, P) or, for PMM1, (P,)."""
+    values = problem.draws.values
+    if line.kind not in PMM_KINDS:
+        x = problem.dataset.features[line.observation_index]
+        coef = line.jacobian.coef(line.log_h)
+        return coef[:, None] * problem.model.grad_mu_batch(values, x)
+    plain, weighted = marginal_stats(problem.draws), marginal_stats(problem.draws, nu_weights.normalized)
+    delta = weighted.weighted_mean - plain.mean
+    if line.kind == "PMM1":
+        return delta
+    ratio = np.sqrt(weighted.weighted_variance / plain.variance)
+    return (ratio - 1.0) * (values - plain.mean) + delta
 
 
 def gpd_inverse_cdf_sample(rng, k, sigma, size):

@@ -622,10 +622,10 @@ class TestRunCost:
             calls["grad_mu_batch"] += 1
             return grad_mu_batch(self, values, x)
 
-        def counted_line(kind, i, *args):
+        def counted_line(kind, obs):
             calls["lines"] += 1
-            observations.add(i)
-            return apply_gradient_transform(kind, i, *args)
+            observations.add(obs.i)
+            return apply_gradient_transform(kind, obs)
 
         monkeypatch.setattr(type(model), "grad_mu_batch", counted_grad)
         monkeypatch.setattr(transforms, "apply_gradient_transform", counted_line)
@@ -657,7 +657,7 @@ class TestRunCost:
             def wrapper(*args):
                 calls[name] += 1
                 if name == "lines":
-                    observations.add(args[1])
+                    observations.add(args[1].i)
                 return original(*args)
 
             monkeypatch.setattr(owner, attr, wrapper)

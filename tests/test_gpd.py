@@ -118,6 +118,24 @@ class TestParetoSmooth:
         direct = fit_gpd_tail(np.sort(np.exp(tail) - math.exp(cutoff)))
         assert fit.khat == pytest.approx(direct.khat, abs=1e-12)
 
+    def test_ties_at_and_above_the_cutoff(self, rng):
+        """Weights tied with the cutoff order statistic stay in the body, and two
+        tied tail weights take their smoothed order statistics in index order."""
+        s = 200
+        cut = s - tail_size(s) - 1  # rank of the cutoff
+        ranked = np.linspace(-6.0, 0.0, s)
+        ranked[cut - 1 : cut + 3] = ranked[cut]
+        ranked[180] = ranked[181]
+        perm = rng.permutation(s)
+        lw = np.empty(s)
+        lw[perm] = ranked
+        smoothed, fit = pareto_smooth(WeightVector.from_log_weights(lw))
+        assert fit.fittable and fit.tail_size == s - (cut + 3)
+        at_cutoff = perm[cut - 1 : cut + 3]
+        np.testing.assert_array_equal(smoothed.log_weights[at_cutoff], lw[at_cutoff])
+        first, second = sorted(perm[[180, 181]])
+        assert smoothed.log_weights[first] < smoothed.log_weights[second]
+
     def test_underflowed_tail_is_unfittable(self):
         # every tail weight but three underflows to the cutoff: the excesses
         # hit zero, which is an unfittable tail, not an error

@@ -22,6 +22,7 @@ from conftest import (
     dense_hessian,
     grad_log_lik,
     hessian_factors,
+    line_step,
     log_post,
     make_logistic_toy,
     make_relu_toy,
@@ -235,7 +236,8 @@ class TestReluHessianSpectrum:
     def test_logistic_spectrum_always_empty(self, rng):
         model = LogisticModel(p=4)
         for _ in range(5):
-            assert hessian_factors(model, rng.normal(size=4), rng.normal(size=4)) is None
+            for factor in hessian_factors(model, rng.normal(size=4), rng.normal(size=4)):
+                assert factor.shape == (16, 0)  # P * P rows, K = 0 eigenpairs
             np.testing.assert_array_equal(dense_hessian(model, rng.normal(size=4), rng.normal(size=4)), 0.0)
 
 
@@ -383,7 +385,7 @@ class TestMuLine:
         for i in range(dataset.n):
             nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
             line = attempt(problem, kind, i, 1.0, nu)[0]
-            self._check(model, line.mu, draws.values, line.step, dataset.features)
+            self._check(model, line.mu, draws.values, line_step(line, problem, nu), dataset.features)
             flipped += line.mu.flips.cell.size
         assert flipped > 0
 

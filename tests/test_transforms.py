@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from looadapt import DomainError, PosteriorDraws, RunConfig, SigmoidalModel
+from looadapt import DomainError, PosteriorDraws, RunConfig, SigmoidalModel, run_loo
 from looadapt.data import Dataset, marginal_stats
 from looadapt.engine import LooProblem, eta_weights
 from looadapt.gpd import WeightVector, pareto_smooth
@@ -21,7 +21,6 @@ from looadapt.models import (
     sigmoid_slope,
 )
 from looadapt.transforms import (
-    ObservationGradient,
     apply_gradient_transform,
     apply_pmm,
     gradient_step,
@@ -33,10 +32,12 @@ from conftest import (
     attempt,
     dense_hessian,
     fd_divergence,
+    line_step,
     log_post,
     logdet_at,
     make_logistic_toy,
     make_relu_toy,
+    observation,
     q_at,
 )
 from oracle import finite_difference_jacobian
@@ -172,7 +173,7 @@ class TestApplyGradientTransform:
         draws = PosteriorDraws(values=rng.normal(size=(20, 2)), param_names=("a", "b"))
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         line, out = attempt(problem, "KL", 0, 0.5)
-        assert line.step is None
+        assert line.mu is None
         assert out.degenerate
         assert out.flags == ("zero-step",)
         assert out.h_used == 0.0
@@ -184,7 +185,7 @@ class TestApplyGradientTransform:
         assert problem.evaluation.grad_log_post is None
         assert not attempt(problem, "LL", 0, 0.5)[1].degenerate
         with pytest.raises(DomainError, match="needs the posterior gradient"):
-            apply_gradient_transform("KL", 0, problem, ObservationGradient(0, problem))
+            apply_gradient_transform("KL", observation(problem, 0))
 
     def test_step_bound_holds(self):
         model, dataset, prior, draws = make_logistic_toy(seed=31)
@@ -196,7 +197,7 @@ class TestApplyGradientTransform:
                 if out.degenerate:
                     continue
                 moving = stats.sd > 0
-                disp = np.abs(hbar * line.step)[:, moving] / stats.sd[moving]
+                disp = np.abs(hbar * line_step(line, problem))[:, moving] / stats.sd[moving]
                 assert disp.max() <= hbar + 1e-9
                 assert out.max_step_sd <= hbar + 1e-9
 
@@ -249,9 +250,8 @@ class TestApplyGradientTransform:
 
 class _OtherModel(SigmoidalModel):
     """A sigmoidal model outside the two built-in families: it wraps another
-    model and forwards only what a gradient step uses."""
-
-    mu = grad_mu = mu_batch = mu_line = None
+    model and forwards only the six members of the contract, with no
+    single-draw mu or grad_mu."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -259,11 +259,44 @@ class _OtherModel(SigmoidalModel):
     param_dim = property(lambda self: self.inner.param_dim)
     num_features = property(lambda self: self.inner.num_features)
 
+    def mu_batch(self, values, features):
+        return self.inner.mu_batch(values, features)
+
     def weighted_grad_mu(self, values, features, weights):
         return self.inner.weighted_grad_mu(values, features, weights)
 
+    def mu_line(self, values, features, mu):
+        return self.inner.mu_line(values, features, mu)
+
     def hessian_projection(self, grad, x, w):
         return self.inner.hessian_projection(grad, x, w)
+
+
+def _report_fields(report):
+    """Everything a report holds, as plain values that compare with ==."""
+    per_observation = [
+        (r.index, r.raw_khat, r.adapted, r.winning_transform, r.final_khat, r.final_weights.log_weights.tolist(),
+         r.loo_predictive_prob, r.loo_log_predictive_density, r.loo_predictive_prob_se,
+         r.loo_log_predictive_density_se, r.attempts)
+        for r in report.per_observation
+    ]
+    return per_observation, report.loo_ic, report.loo_ic_se, report.n_failed, report.auroc, report.auprc
+
+
+class TestModelContract:
+    @pytest.mark.parametrize("toy", ["logistic", "relu1"])
+    def test_a_model_of_the_six_members_runs(self, toy):
+        """run_loo on a model that implements only the contract's six members
+        gives the wrapped model's report, value for value, over every kind."""
+        if toy == "logistic":
+            inner, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
+        else:
+            inner, dataset, prior, draws = make_relu_toy(seed=67, num_draws=60)
+        config = RunConfig(hbar_exponents=(0, 1, 2))
+        theirs = run_loo(inner, draws, dataset, prior, config)
+        ours = run_loo(_OtherModel(inner), draws, dataset, prior, config)
+        assert any(r.attempts for r in theirs.per_observation)
+        assert _report_fields(ours) == _report_fields(theirs)
 
 
 class TestExactLogdetOps:
@@ -309,13 +342,14 @@ class TestExactLogdetOps:
         The model family is not guarded: any model steps through its own
         weighted_grad_mu and hessian_projection."""
         model, dataset, prior, draws = make_logistic_toy(seed=38, p=3)
-        values = draws.values[:5]
+        values, x = draws.values[:5], dataset.features[0]
         ev = evaluate_posterior(model, values, dataset, prior)
-        grad = model.grad_mu_batch(values, dataset.features[0])
+        grad = model.grad_mu_batch(values, x)
+        projection = model.hessian_projection(grad, x, grad)
         with pytest.raises(DomainError, match="defined for"):
-            gradient_step("PMM1", model, values, dataset, 0, ev, ev.log_ref, grad, None)
+            gradient_step("PMM1", model, values, dataset, 0, ev, ev.log_ref, grad, projection)
         with pytest.raises(DomainError, match="needs the posterior gradient"):
-            gradient_step("KL", model, values, dataset, 0, replace(ev, grad_log_post=None), ev.log_ref, grad, None)
+            gradient_step("KL", model, values, dataset, 0, replace(ev, grad_log_post=None), ev.log_ref, grad, projection)
         for toy in (make_logistic_toy(seed=38, p=3), make_relu_toy(seed=38)):
             inner, toy_data, toy_prior, toy_draws = toy
             toy_values = toy_draws.values[:5]
@@ -351,7 +385,8 @@ class TestFirstOrderLogdet:
                                  log_post=np.zeros(1), grad_log_post=np.array([[-2.0]]))
         values = np.zeros((1, 1))
         grad = model.grad_mu_batch(values, dataset.features[0])
-        logdet, flags = gradient_step("KL", model, values, dataset, 0, ev, 0.0, grad, None).logdet(0.0)
+        projection = model.hessian_projection(grad, dataset.features[0], grad)
+        logdet, flags = gradient_step("KL", model, values, dataset, 0, ev, 0.0, grad, projection).logdet(0.0)
         assert logdet[0] == -math.inf
         assert flags == ("singular-jacobian",)
 
@@ -381,7 +416,7 @@ class TestFirstOrderLogdet:
 
 
 class TestApplyPmm:
-    """The PMM maps as lines: phi = theta + hbar * line.step."""
+    """The PMM maps as lines: phi = theta + hbar * D, D formed by :func:`line_step`."""
 
     def _problem(self, draws):
         p = draws.values.shape[1]
@@ -401,7 +436,8 @@ class TestApplyPmm:
         problem, _ = self._setup()
         uniform = WeightVector.from_log_weights(np.zeros(problem.draws.num_draws))
         line, out = attempt(problem, "PMM1", 0, 1.0, uniform)
-        np.testing.assert_allclose(line.step, 0.0, atol=1e-12)
+        np.testing.assert_allclose(line_step(line, problem, uniform), 0.0, atol=1e-12)
+        assert line.max_step_sd < 1e-12
         np.testing.assert_allclose(out.evaluation.log_post, problem.evaluation.log_post, atol=1e-12)
         np.testing.assert_array_equal(out.log_jac_det, 0.0)
 
@@ -409,7 +445,8 @@ class TestApplyPmm:
         problem, weights = self._setup()
         draws = problem.draws
         line, out = attempt(problem, "PMM1", 0, 1.0, weights)
-        phi = draws.values + line.step
+        phi = draws.values + line_step(line, problem, weights)
+        np.testing.assert_allclose(out.evaluation.mu, problem.model.mu_batch(phi, problem.dataset.features), atol=1e-12)
         shift = phi - draws.values
         assert np.ptp(shift, axis=0).max() < 1e-12  # same shift for every draw
         wstats = marginal_stats(draws, weights.normalized)
@@ -429,7 +466,9 @@ class TestApplyPmm:
         # log det = P log 2 with P = 2
         np.testing.assert_allclose(out.log_jac_det, 2.0 * math.log(2.0), atol=1e-12)
         # each centered coordinate doubled, recentered at the weighted mean (0)
-        np.testing.assert_allclose(values + line.step, 2.0 * values, atol=1e-12)
+        np.testing.assert_allclose(values + line_step(line, problem, weights), 2.0 * values, atol=1e-12)
+        np.testing.assert_allclose(out.evaluation.mu, problem.model.mu_batch(2.0 * values, problem.dataset.features),
+                                   atol=1e-12)
 
     def test_pmm2_unavailable_with_constant_column(self):
         values = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
@@ -442,7 +481,7 @@ class TestApplyPmm:
     def test_kind_guard(self):
         problem, weights = self._setup()
         with pytest.raises(DomainError):
-            apply_pmm("KL", 0, problem, marginal_stats(problem.draws, weights.normalized))
+            apply_pmm("KL", observation(problem, 0, weights))
 
 
 class TestQDivergence:
@@ -528,9 +567,10 @@ class TestStepLines:
         for hbar in self.HBARS:
             line, out = attempt(problem, kind, i, hbar, nu)
             assert not out.degenerate
+            step = line_step(line, problem, nu)
             if kind in ("PMM1", "PMM2"):
                 h_ref, logdet_ref = hbar, self._reference_pmm_logdet(problem, kind, hbar, nu)
-                shift_ref = float(np.max(np.abs(hbar * np.broadcast_to(line.step, values.shape)) / problem.stats.sd))
+                shift_ref = float(np.max(np.abs(hbar * np.broadcast_to(step, values.shape)) / problem.stats.sd))
                 np.testing.assert_array_equal(out.log_jac_det, logdet_ref)
             else:
                 h_ref, shift_ref, logdet_ref = self._reference_gradient_step(problem, kind, i, hbar)
@@ -538,7 +578,7 @@ class TestStepLines:
             assert out.h_used == pytest.approx(h_ref, rel=1e-12)
             assert out.max_step_sd == pytest.approx(shift_ref, rel=1e-12)
 
-            phi_eval = evaluate_posterior(model, values + hbar * line.step, dataset, prior, with_grad=False)
+            phi_eval = evaluate_posterior(model, values + hbar * step, dataset, prior, with_grad=False)
             np.testing.assert_allclose(out.evaluation.mu, phi_eval.mu, rtol=1e-12, atol=1e-12)
             reference = out.log_jac_det - phi_eval.log_lik[:, i] + (phi_eval.log_post - problem.log_proposal)
             # a log weight sums O(1-10) terms and can cancel to near 0, so the
@@ -585,11 +625,12 @@ class TestLineQuantities:
         for i in range(problem.dataset.n):
             nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
             line, _ = attempt(problem, kind, i, 1.0, nu)
-            assert line.step is not None
-            step = np.broadcast_to(line.step, values.shape)
+            assert line.mu is not None
+            step = line_step(line, problem, nu)
             terms = values * (step / prior_sd**2)
             _assert_close(line.prior_slope, terms.sum(axis=1), floor=np.abs(terms).sum(axis=1))
-            _assert_close(line.prior_curvature, np.sum((line.step / prior_sd) ** 2, axis=-1))
+            _assert_close(line.prior_curvature, np.sum((step / prior_sd) ** 2, axis=-1))
+            step = np.broadcast_to(step, values.shape)
             _assert_close(line.max_step_sd, np.max(np.abs(step) / sd))
             if kind in ("KL", "Var", "LL"):
                 gs = line.jacobian
@@ -606,9 +647,9 @@ class TestLineQuantities:
         values[0] = 80.0 * dataset.features[i] / (dataset.features[i] @ dataset.features[i])
         draws = PosteriorDraws(values=values, param_names=draws.param_names)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-        line = apply_gradient_transform("LL", i, problem, ObservationGradient(i, problem))
+        line = apply_gradient_transform("LL", observation(problem, i))
         assert line.jacobian.factor[0] == 0.0
-        np.testing.assert_array_equal(line.step[0], 0.0)
+        np.testing.assert_array_equal(line_step(line, problem)[0], 0.0)
         gs = line.jacobian
         dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * gs.grad, problem.stats.sd)
         assert math.isfinite(line.log_h)
@@ -628,14 +669,14 @@ class TestLineQuantities:
         values[:, 4] = np.where(active, 20.0, values[:, 4])  # W2[0]: mu >= 50 where active
         draws = PosteriorDraws(values=values, param_names=tuple(f"w{j}" for j in range(model.param_dim)))
         problem = LooProblem.build(model, draws, dataset, GaussianPrior.isotropic(model.param_dim, 1.0), RunConfig())
-        shared = ObservationGradient(0, problem)
+        obs = observation(problem, 0)
         assert problem.stats.sd[0] == 0.0
-        np.testing.assert_array_equal(row_max_in_sd_units(shared.grad, problem.stats.sd)[active], np.inf)
-        line = apply_gradient_transform("LL", 0, problem, shared)
+        np.testing.assert_array_equal(row_max_in_sd_units(obs.grad, problem.stats.sd)[active], np.inf)
+        line = apply_gradient_transform("LL", obs)
         np.testing.assert_array_equal(line.jacobian.factor[active], 0.0)
         assert math.isfinite(line.log_h)
         assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
-        np.testing.assert_array_equal(line.step[active], 0.0)
+        np.testing.assert_array_equal(line_step(line, problem)[active], 0.0)
 
     def test_constant_draw_column(self):
         """A zero-sd component stops every gradient line that moves it and is ignored
@@ -649,12 +690,13 @@ class TestLineQuantities:
         dataset = Dataset(features=features, labels=dataset.labels, feature_names=dataset.feature_names)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         for kind in ("KL", "Var", "LL"):
-            assert apply_gradient_transform(kind, 1, problem, ObservationGradient(1, problem)).flags == ("zero-step",)
-            line = apply_gradient_transform(kind, 0, problem, ObservationGradient(0, problem))
+            assert apply_gradient_transform(kind, observation(problem, 1)).flags == ("zero-step",)
+            line = apply_gradient_transform(kind, observation(problem, 0))
             assert math.isfinite(line.log_h)
             assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
         nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, 0))
         assert attempt(problem, "PMM2", 0, 1.0, nu)[0].flags == ("pmm2-unavailable",)
         line = attempt(problem, "PMM1", 0, 1.0, nu)[0]
         moving = problem.stats.sd > 0
-        _assert_close(line.max_step_sd, np.max(np.abs(line.step[moving]) / problem.stats.sd[moving]))
+        step = line_step(line, problem, nu)
+        _assert_close(line.max_step_sd, np.max(np.abs(step[moving]) / problem.stats.sd[moving]))
