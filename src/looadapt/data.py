@@ -29,6 +29,9 @@ POSTERIOR_GRADIENT_KINDS = ("KL", "Var")
 
 DEFAULT_KHAT_THRESHOLD = 0.7
 DEFAULT_HBAR_EXPONENTS = tuple(range(11))
+#: 4**-537 = 2**-1074 is the smallest positive float; a larger exponent
+#: would give the step scale 0.
+MAX_HBAR_EXPONENT = 537
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -47,7 +50,7 @@ class Dataset:
 
     def __post_init__(self):
         features = _frozen(self.features)
-        labels = _frozen(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise DimensionError("features must be a 2-d matrix")
         n, p = features.shape
@@ -57,8 +60,9 @@ class Dataset:
             raise DimensionError(f"expected {n} labels, got {labels.shape}")
         if not np.all(np.isfinite(features)):
             raise DomainError("features contain NaN or infinite values")
-        if not np.all((labels == 0) | (labels == 1)):
+        if not np.all((labels == 0) | (labels == 1)):  # as given: casting first would truncate 0.7 to 0
             raise DomainError("labels must all be 0 or 1")
+        labels = _frozen(labels, dtype=int)
         names = tuple(str(s) for s in self.feature_names)
         if len(names) != p:
             raise DimensionError(f"expected {p} feature names, got {len(names)}")
@@ -145,6 +149,8 @@ class RunConfig:
             raise DomainError("hbar_exponents must be non-empty")
         if any(r < 0 for r in exps):
             raise DomainError("hbar_exponents must be non-negative")
+        if any(r > MAX_HBAR_EXPONENT for r in exps):
+            raise DomainError(f"hbar_exponents must be at most {MAX_HBAR_EXPONENT}; beyond it 4**-r underflows to 0")
         if len(set(exps)) != len(exps):
             raise DomainError("hbar_exponents contains duplicates")
         order = _list_of(self.transform_order, str, "transform_order", "transform kinds")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +52,29 @@ def log_sum_exp(values) -> float:
     return top + math.log(np.sum(np.exp(values - top)))
 
 
+class computed_once:
+    """An attribute computed on first read and then stored on the instance.
+
+    functools.cached_property before Python 3.12 holds one lock per attribute
+    across all instances while it computes, which would make the engine's
+    worker threads wait on each other. Used here and by
+    :class:`~looadapt.transforms.Observation`.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Un-normalized log weights, their log sum, and (on first read) the
@@ -74,7 +96,7 @@ class WeightVector:
         lw.flags.writeable = False
         return cls(log_weights=lw, log_total=total)
 
-    @cached_property
+    @computed_once
     def normalized(self) -> np.ndarray:
         # Most weight vectors only reach pareto_smooth, which reads log_weights.
         normalized = np.exp(self.log_weights - self.log_total)

@@ -18,6 +18,8 @@ constant rescaling of Q.
 Internally every Q row is factored as sign * exp(scale) * direction so that
 the posterior-density factor never overflows; the same h and scale feed the
 determinant formulas, ensuring step and Jacobian describe the same map.
+:func:`gradient_step` builds that factorisation for one kind from the
+:class:`Observation` its lines share.
 
 For one observation and kind every step scale moves the draws along one
 line, phi = theta + hbar * D. A :class:`StepLine` holds the model's image of
@@ -36,21 +38,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    GRADIENT_KINDS,
-    MarginalStats,
-    PMM_KINDS,
-    POSTERIOR_GRADIENT_KINDS,
-    marginal_stats,
-)
+from .data import GRADIENT_KINDS, MarginalStats, PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
 from .errors import DomainError
-from .gpd import WeightVector
+from .gpd import WeightVector, computed_once
 from .models import (
     LinearMuLine,
     PosteriorEvaluation,
     ReluLine,
-    SigmoidalModel,
     eigen_products,
     sigmoid,
     sigmoid_slope,
@@ -162,17 +156,18 @@ def log_step_size(scale: np.ndarray, factor: np.ndarray, r: np.ndarray) -> float
 # so |det J| = prod_j (1 + alpha lambda_j) * (1 + grad_mu^T A^{-1} uvec)
 # with A = I + alpha * hessian(mu), diagonal in the Hessian eigenbasis.
 # Writing e = exp(log h + scale), alpha = e * factor (the factor of Q) and
-# uvec = e * uvec_factor * v with v free of h, every projection of grad_mu
+# uvec = e * v with v free of h (for KL/Var v = (-1)^y (grad log posterior
+# + g * grad_mu), the sign folded into the sum), every projection of grad_mu
 # and v is computed once per (observation, kind); a step scale then costs
 # O(S K) for K eigenvalue pairs per draw (K = 0 where the Hessian vanishes).
 
 
 @dataclass(frozen=True)
 class GradientStep:
-    """Q = exp(scale) * factor * grad per draw, and the h-independent factors
+    """Q = exp(scale) * factor * grad_mu per draw, and the h-independent factors
     of the exact log |det J| of theta + h Q.
 
-    ``grad`` is grad_mu at the observation; the sign of Q lives in
+    grad_mu is the :class:`Observation`'s ``grad``; the sign of Q lives in
     ``factor``. ``base`` is grad_mu . v per draw and ``eigen`` is the
     Hessian of mu seen through grad_mu and v
     (:func:`~looadapt.models.eigen_products`), with K = 0 eigenpairs where
@@ -181,13 +176,11 @@ class GradientStep:
 
     scale: np.ndarray
     factor: np.ndarray
-    grad: np.ndarray
-    uvec_factor: np.ndarray | float
     base: np.ndarray
     eigen: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def coef(self, log_h: float) -> np.ndarray:
-        """Per-draw coef with h Q = coef * grad at step size exp(log_h)."""
+        """Per-draw coef with h Q = coef * grad_mu at step size exp(log_h)."""
         return np.exp(log_h + self.scale) * self.factor
 
     def logdet(self, log_h: float):
@@ -197,10 +190,10 @@ class GradientStep:
         alpha = (e * self.factor)[:, None]
         fplus = 1.0 + alpha * lam
         fminus = 1.0 - alpha * lam
-        # grad_mu^T A^{-1} uvec; components outside the eigenbasis pass through.
+        # grad_mu^T A^{-1} v; components outside the eigenbasis pass through.
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = (1.0 / fplus - 1.0) * plus + (1.0 / fminus - 1.0) * minus
-        rank_one = 1.0 + e * self.uvec_factor * (self.base + corr.sum(axis=1))
+        rank_one = 1.0 + e * (self.base + corr.sum(axis=1))
         eig_factors = np.abs(fplus * fminus)  # per pair |1 - alpha^2 lam^2|
         singular = (eig_factors < SINGULAR_EPS).any(axis=1) | (np.abs(rank_one) < SINGULAR_EPS)
         logdet = np.log(np.maximum(eig_factors, SINGULAR_EPS)).sum(axis=1) + np.log(
@@ -210,81 +203,50 @@ class GradientStep:
         return logdet, ("singular-jacobian",) if singular.any() else ()
 
 
-def gradient_step(
-    kind: str,
-    model: SigmoidalModel,
-    values: np.ndarray,
-    dataset: Dataset,
-    i: int,
-    evaluation: PosteriorEvaluation,
-    log_ref,
-    grad: np.ndarray,
-    grad_projection,
-) -> GradientStep:
-    """The Q rows of a batch of draws for observation i and their determinant factors.
+def gradient_step(kind: str, obs: Observation) -> GradientStep:
+    """The Q rows of every draw for ``obs`` under ``kind``, and their determinant factors.
 
-    ``evaluation`` is the posterior at ``values``: mu and, for KL/Var, the
-    log posterior and its gradient; ``grad`` is grad_mu at observation i and
-    ``grad_projection`` the model's Hessian projection of it there.
-    ``log_ref`` anchors the posterior-density factor of KL/Var (the largest
-    log posterior over the draw set in the engine); LL ignores it. The step size h is left to
+    Everything is read from ``obs``: the run's posterior evaluation (mu and,
+    for KL/Var, the log posterior and its gradient), the label and x, and
+    ``obs.grad`` = grad_mu with its Hessian projection. The posterior-density
+    factor of KL/Var is anchored at the evaluation's ``log_ref``, the largest
+    log posterior over the draws. The step size h is left to
     :func:`log_step_size` and :meth:`GradientStep.logdet`.
     """
     if kind not in GRADIENT_KINDS:
         raise DomainError(f"gradient steps are defined for {GRADIENT_KINDS}, got {kind!r}")
+    evaluation = obs.problem.evaluation
     if kind in POSTERIOR_GRADIENT_KINDS and evaluation.grad_log_post is None:
         raise DomainError(f"{kind} needs the posterior gradient, which this problem was built without")
-    x = dataset.features[i]
-    y = int(dataset.labels[i])
-    mu_col = evaluation.mu[:, i]
+    grad, y = obs.grad, obs.y
+    mu_col = evaluation.mu[:, obs.i]
     if kind == "LL":
-        scale = np.zeros(values.shape[0])
+        scale = np.zeros(mu_col.size)
         factor = sigmoid(mu_col) - y
-        uvec_factor = 1.0
         v = sigmoid_slope(mu_col)[:, None] * grad
     else:
         expo = 1.0 if kind == "KL" else 2.0
-        scale = (evaluation.log_post - log_ref) + expo * mu_col * (1.0 - 2.0 * y)
-        factor = uvec_factor = np.full(values.shape[0], (-1.0) ** y)
-        v = evaluation.grad_log_post + expo * (1.0 - 2.0 * y) * grad
+        scale = (evaluation.log_post - evaluation.log_ref) + expo * mu_col * (1.0 - 2.0 * y)
+        factor = np.full(mu_col.size, obs.sign)
+        v = expo * grad - evaluation.grad_log_post if y else evaluation.grad_log_post + expo * grad
     base = np.einsum("sp,sp->s", grad, v)
-    eigen = eigen_products(grad_projection, model.hessian_projection(grad, x, v))
-    return GradientStep(scale, factor, grad, uvec_factor, base, eigen)
+    eigen = eigen_products(obs.projection, obs.problem.model.hessian_projection(grad, obs.x, v))
+    return GradientStep(scale, factor, base, eigen)
 
 
 # ---------------------------------------------------------------------------
 # Step lines: one per (observation, kind), evaluated per step scale
 # ---------------------------------------------------------------------------
 
-class _computed_once:
-    """An attribute computed on first read and then stored on the instance.
-
-    functools.cached_property before Python 3.12 holds one lock per attribute
-    across all instances while it computes, which would make the engine's
-    worker threads wait on each other's observations.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
 class Observation:
     """Observation i of a run, and what its step lines share.
 
     The PMM kinds move toward the moments of ``nu_weights``, the smoothed
     raw weights at i. KL, Var and LL step along D_s = coef_s * grad_s, grad
-    = grad_mu at i, and differ only in coef. Each attribute below is
-    computed once, on first read, inside the first line that needs it.
+    = grad_mu at i, and differ only in coef (see :func:`gradient_step`); every
+    nonzero coef_s has the label sign ``sign`` = (-1)^y. Each attribute below
+    the constructor is computed once, on first read, inside the first line
+    that needs it.
     """
 
     def __init__(self, i: int, problem: LooProblem, nu_weights: WeightVector):
@@ -292,40 +254,41 @@ class Observation:
         self.problem = problem
         self.nu_weights = nu_weights
         self.x = problem.dataset.features[i]
+        self.y = int(problem.dataset.labels[i])
+        self.sign = -1.0 if self.y else 1.0  # (-1)^y
 
-    @_computed_once
+    @computed_once
     def weighted(self) -> MarginalStats:
         """The plain moments with the ``nu_weights``-weighted ones, the PMM kinds' target."""
         return marginal_stats(self.problem.draws, self.nu_weights.normalized, self.problem.stats)
 
-    @_computed_once
+    @computed_once
     def grad(self) -> np.ndarray:
         return self.problem.model.grad_mu_batch(self.problem.draws.values, self.x)
 
-    @_computed_once
+    @computed_once
     def r(self) -> np.ndarray:
         """:func:`row_max_in_sd_units` of grad."""
         return row_max_in_sd_units(self.grad, self.problem.stats.sd)
 
-    @_computed_once
+    @computed_once
     def prior_dots(self):
         """(theta . grad / sd^2, |grad / sd|^2) per draw: coef times the first and
         coef^2 times the second are the prior's slope and curvature on a line."""
         return self.problem.prior.line_coefficients(self.problem.draws.values, self.grad)
 
-    @_computed_once
+    @computed_once
     def projection(self):
         """The model's Hessian projection of grad."""
         return self.problem.model.hessian_projection(self.grad, self.x, self.grad)
 
-    @_computed_once
+    @computed_once
     def mu_fan(self):
         """mu along every line of this observation. Every kind's nonzero coef_s has
-        the sign (-1)^y, and the step-size rule keeps |coef_s| <= 1 / r_s."""
-        sign = -1.0 if self.problem.dataset.labels[self.i] else 1.0
+        the sign ``sign``, and the step-size rule keeps |coef_s| <= 1 / r_s."""
         r = self.r
         with np.errstate(over="ignore"):  # a subnormal r gives an infinite bound
-            bound = np.divide(sign, r, out=np.zeros_like(r), where=(r > 0) & (r < np.inf))
+            bound = np.divide(self.sign, r, out=np.zeros_like(r), where=(r > 0) & (r < np.inf))
         return self.problem.mu_origin.gradient_fan(self.grad, self.x, bound)
 
 
@@ -338,21 +301,17 @@ def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
     attempt the identity with the ``zero-step`` flag. The largest shift,
     max_s |coef_s| r_s, is 1 up to rounding by the step-size rule.
     """
-    problem, i = obs.problem, obs.i
-    ev = problem.evaluation
-    grad_step = gradient_step(
-        kind, problem.model, problem.draws.values, problem.dataset, i, ev, ev.log_ref, obs.grad, obs.projection
-    )
+    grad_step = gradient_step(kind, obs)
     r = obs.r
     log_h = log_step_size(grad_step.scale, grad_step.factor, r)
     if log_h == -np.inf:
-        return StepLine(kind=kind, observation_index=i, flags=("zero-step",))
+        return StepLine(kind=kind, observation_index=obs.i, flags=("zero-step",))
     coef = grad_step.coef(log_h)
     moving = coef != 0  # a resting draw may sit next to r = inf
     max_step_sd = float(np.max(np.abs(coef[moving]) * r[moving], initial=0.0))
     dot, square = obs.prior_dots
     return StepLine(
-        kind=kind, observation_index=i, mu=obs.mu_fan.line(coef), prior_slope=coef * dot,
+        kind=kind, observation_index=obs.i, mu=obs.mu_fan.line(coef), prior_slope=coef * dot,
         prior_curvature=coef * coef * square, jacobian=grad_step, log_h=log_h, max_step_sd=max_step_sd,
     )
 

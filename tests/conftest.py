@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, ReluOneModel, grad_log_posterior
+from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, ReluOneModel, RunConfig, grad_log_posterior
 from looadapt.data import PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
-from looadapt.engine import eta_weights
-from looadapt.gpd import pareto_smooth
+from looadapt.engine import LooProblem, eta_weights
+from looadapt.gpd import WeightVector, pareto_smooth
 from looadapt.models import eigen_products, evaluate_posterior
 from looadapt.transforms import (
     Observation,
@@ -138,30 +139,40 @@ def grad_log_lik(model, theta, x, y):
     return grad_log_posterior(model, theta, one, prior) - prior.grad_batch(theta)
 
 
+def one_draw_observation(model, theta, dataset, prior, i, config=None):
+    """The :class:`Observation` at i of a run whose draws are theta twice (a
+    run needs two), so every row of its gradient steps is theta's."""
+    values = np.tile(np.asarray(theta, dtype=float), (2, 1))
+    draws = PosteriorDraws(values=values, param_names=tuple(f"t{j}" for j in range(values.shape[1])))
+    problem = LooProblem.build(model, draws, dataset, prior, config or RunConfig())
+    return Observation(i, problem, WeightVector.from_log_weights(np.zeros(2)))
+
+
 def _one_draw(kind, model, theta, dataset, prior, i, log_ref):
-    values = np.asarray(theta, dtype=float)[None, :]
-    ev = evaluate_posterior(model, values, dataset, prior, with_grad=kind in POSTERIOR_GRADIENT_KINDS)
-    x = dataset.features[i]
-    grad = model.grad_mu_batch(values, x)
-    log_ref = ev.log_ref if log_ref is None else log_ref
-    return gradient_step(kind, model, values, dataset, i, ev, log_ref, grad, model.hessian_projection(grad, x, grad))
+    """The gradient step at theta and grad_mu there, the density factor of KL/Var
+    anchored at ``log_ref`` (at theta itself when it is None)."""
+    obs = one_draw_observation(model, theta, dataset, prior, i)
+    step = gradient_step(kind, obs)
+    if log_ref is not None and kind in POSTERIOR_GRADIENT_KINDS:
+        step = replace(step, scale=step.scale + (obs.problem.evaluation.log_ref - log_ref))
+    return step, obs.grad
 
 
 def q_at(kind, model, theta, dataset, prior, i, log_ref=None):
-    """Q(theta) through the batched gradient step on a batch of one draw.
+    """Q(theta) through the batched gradient step at a run whose draws are theta.
 
     ``log_ref`` anchors the posterior-density factor (pass the maximum log
     posterior over the draw set); omitting it anchors at theta itself,
     making the density factor exactly 1.
     """
-    step = _one_draw(kind, model, theta, dataset, prior, i, log_ref)
-    return np.exp(step.scale[0]) * (step.factor[0] * step.grad[0])
+    step, grad = _one_draw(kind, model, theta, dataset, prior, i, log_ref)
+    return np.exp(step.scale[0]) * (step.factor[0] * grad[0])
 
 
 def logdet_at(kind, model, theta, dataset, prior, i, h, log_ref=None):
-    """Exact log |det J| of theta -> theta + h Q(theta) on a batch of one draw."""
+    """Exact log |det J| of theta -> theta + h Q(theta) at a run whose draws are theta."""
     log_h = math.log(h) if h > 0 else -math.inf
-    logdet, _ = _one_draw(kind, model, theta, dataset, prior, i, log_ref).logdet(log_h)
+    logdet, _ = _one_draw(kind, model, theta, dataset, prior, i, log_ref)[0].logdet(log_h)
     return float(logdet[0])
 
 

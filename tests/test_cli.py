@@ -141,6 +141,17 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be a ")
 
+    def test_vanishing_step_scale_is_an_error_line(self, toy_files, tmp_path, capsys):
+        data, draws = toy_files
+        config = tmp_path / "config.json"
+        config.write_text('{"hbar_exponents": [0, 600], "transform_order": ["KL"]}', encoding="utf-8")
+        code = main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
+                     "--config", str(config), "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: hbar_exponents must be at most 537")
+        assert err.count("\n") == 1
+
     def test_non_numeric_prior_sd_line_is_an_error_line(self, toy_files, tmp_path, capsys):
         data, draws = toy_files
         sd_file = tmp_path / "prior.txt"
@@ -287,15 +298,19 @@ class TestTracedRun:
                 module = getattr(looadapt, mod_name)
                 for attr, *_ in points:
                     assert hasattr(getattr(module, attr), "__wrapped__"), f"{mod_name}.{attr}"
-            with tracer.root("cli.main"):
-                code = main(["run", "--data", str(data), "--draws", str(draws),
-                             "--model", "logistic", "--out", str(tmp_path / "report.json")])
+            # the default order reaches the PMM lines, the gradient-only one the gradient lines
+            config = tmp_path / "gradient.json"
+            config.write_text('{"transform_order": ["KL", "Var", "LL"]}', encoding="utf-8")
+            codes = []
+            for extra in ([], ["--config", str(config)]):
+                with tracer.root("cli.main"):
+                    codes.append(main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
+                                       *extra, "--out", str(tmp_path / "report.json")]))
         finally:
             tracer.uninstall()
-        assert code in (0, 3)
+        assert all(code in (0, 3) for code in codes)
         names = {s.name for s in tracer.spans}
-        for name in ("engine.adapt_observation", "transforms.apply_transform",
-                     "engine.eta_weights", "models.evaluate_posterior"):
-            assert name in names, name
+        installed = {name for points in tracing._POINTS.values() for _, name, *_ in points}
+        assert installed | {"models.mu_batch", "gpd.from_log_weights"} <= names, sorted(installed - names)
         assert all(s.obs is not None for s in tracer.spans if s.name == "engine.eta_weights")
         assert not hasattr(looadapt.engine.adapt_observation, "__wrapped__")

@@ -146,6 +146,10 @@ class TestDatasetValidation:
     def test_label_domain_enforced_in_constructor(self):
         with pytest.raises(DomainError):
             Dataset(features=np.ones((2, 1)), labels=np.array([0, 2]), feature_names=("f",))
+        # checked as given: cast first, 0.7 would become 0 and NaN a bare ValueError
+        for labels in ([0.7, 1.0], [np.nan, 1.0]):
+            with pytest.raises(DomainError, match="labels must all be 0 or 1"):
+                Dataset(features=np.ones((2, 1)), labels=labels, feature_names=("f",))
         with pytest.raises(DomainError):
             Dataset(features=np.array([[np.nan]]), labels=np.array([0]), feature_names=("f",))
 
@@ -253,6 +257,14 @@ class TestRunConfig:
             RunConfig(hbar_exponents=(3, 3, 3))
         with pytest.raises(DomainError, match="hbar_exponents contains duplicates"):
             RunConfig.from_json('{"hbar_exponents": [0, 2, 0]}')
+
+    def test_step_scales_stay_positive(self):
+        # 4**-537 = 2**-1074 is the smallest positive float; a larger exponent
+        # would make a step scale 0, and 10**400 overflows the float power
+        assert RunConfig(hbar_exponents=(0, 537)).hbar_values == (1.0, 2.0**-1074)
+        for r in (538, 10**400):
+            with pytest.raises(DomainError, match="hbar_exponents must be at most 537"):
+                RunConfig(hbar_exponents=(0, r))
 
     @pytest.mark.parametrize("text, key", [
         ('{"khat_threshold": "0.7"}', "khat_threshold"),

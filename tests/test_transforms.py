@@ -1,7 +1,6 @@
 """Transformations, step sizes and Jacobian determinants."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from looadapt.gpd import WeightVector, pareto_smooth
 from looadapt.models import (
     GaussianPrior,
     LogisticModel,
-    PosteriorEvaluation,
     ReluOneModel,
     evaluate_posterior,
     grad_log_posterior,
@@ -21,6 +19,7 @@ from looadapt.models import (
     sigmoid_slope,
 )
 from looadapt.transforms import (
+    Observation,
     apply_gradient_transform,
     apply_pmm,
     gradient_step,
@@ -38,6 +37,7 @@ from conftest import (
     make_logistic_toy,
     make_relu_toy,
     observation,
+    one_draw_observation,
     q_at,
 )
 from oracle import finite_difference_jacobian
@@ -342,27 +342,22 @@ class TestExactLogdetOps:
         The model family is not guarded: any model steps through its own
         weighted_grad_mu and hessian_projection."""
         model, dataset, prior, draws = make_logistic_toy(seed=38, p=3)
-        values, x = draws.values[:5], dataset.features[0]
-        ev = evaluate_posterior(model, values, dataset, prior)
-        grad = model.grad_mu_batch(values, x)
-        projection = model.hessian_projection(grad, x, grad)
+        theta = draws.values[0]
         with pytest.raises(DomainError, match="defined for"):
-            gradient_step("PMM1", model, values, dataset, 0, ev, ev.log_ref, grad, projection)
+            gradient_step("PMM1", one_draw_observation(model, theta, dataset, prior, 0))
+        without_grad = one_draw_observation(model, theta, dataset, prior, 0, RunConfig(transform_order=("LL",)))
         with pytest.raises(DomainError, match="needs the posterior gradient"):
-            gradient_step("KL", model, values, dataset, 0, replace(ev, grad_log_post=None), ev.log_ref, grad, projection)
+            gradient_step("KL", without_grad)
         for toy in (make_logistic_toy(seed=38, p=3), make_relu_toy(seed=38)):
             inner, toy_data, toy_prior, toy_draws = toy
-            toy_values = toy_draws.values[:5]
-            toy_ev = evaluate_posterior(inner, toy_values, toy_data, toy_prior)
-            other, x = _OtherModel(inner), toy_data.features[0]
+            toy_draws = PosteriorDraws(values=toy_draws.values[:5], param_names=toy_draws.param_names)
+            nu = WeightVector.from_log_weights(np.zeros(5))
+            ours, theirs = (
+                LooProblem.build(m, toy_draws, toy_data, toy_prior, RunConfig()) for m in (_OtherModel(inner), inner)
+            )
             for kind in ("KL", "Var", "LL"):
-                grad = other.grad_mu_batch(toy_values, x)
-                ours = gradient_step(kind, other, toy_values, toy_data, 0, toy_ev, toy_ev.log_ref,
-                                     grad, other.hessian_projection(grad, x, grad))
-                grad = inner.grad_mu_batch(toy_values, x)
-                theirs = gradient_step(kind, inner, toy_values, toy_data, 0, toy_ev, toy_ev.log_ref,
-                                       grad, inner.hessian_projection(grad, x, grad))
-                np.testing.assert_array_equal(ours.logdet(-1.0)[0], theirs.logdet(-1.0)[0])
+                np.testing.assert_array_equal(gradient_step(kind, Observation(0, ours, nu)).logdet(-1.0)[0],
+                                              gradient_step(kind, Observation(0, theirs, nu)).logdet(-1.0)[0])
 
 
 class TestFirstOrderLogdet:
@@ -377,16 +372,14 @@ class TestFirstOrderLogdet:
             assert logdet_at(kind, rmodel, rdraws.values[0], rdataset, rprior, 0, 0.0) == 0.0
 
     def test_forced_singularity(self):
-        # logistic KL with y = 0 and x = [1]: det = 1 + c (grad log post + 1);
-        # c = 1 and grad log post = -2 make the map exactly singular
+        # logistic KL with y = 0 and x = [1]: det = 1 + c (grad log post + 1).
+        # At theta = 64, sigma(mu) rounds to 1 and the prior sd 8 gives
+        # grad log post = -1 - 64 / 64 = -2; the step size h = exp(-64)
+        # cancels the density factor exp(mu), so c = 1 and the map is exactly singular
         dataset = Dataset(features=np.ones((1, 1)), labels=np.array([0]), feature_names=("a",))
-        model = LogisticModel(p=1)
-        ev = PosteriorEvaluation(mu=np.zeros((1, 1)), log_lik=np.zeros((1, 1)), log_prior=np.zeros(1),
-                                 log_post=np.zeros(1), grad_log_post=np.array([[-2.0]]))
-        values = np.zeros((1, 1))
-        grad = model.grad_mu_batch(values, dataset.features[0])
-        projection = model.hessian_projection(grad, dataset.features[0], grad)
-        logdet, flags = gradient_step("KL", model, values, dataset, 0, ev, 0.0, grad, projection).logdet(0.0)
+        obs = one_draw_observation(LogisticModel(p=1), [64.0], dataset, GaussianPrior.isotropic(1, 8.0), 0)
+        np.testing.assert_array_equal(obs.problem.evaluation.grad_log_post, -2.0)
+        logdet, flags = gradient_step("KL", obs).logdet(-64.0)
         assert logdet[0] == -math.inf
         assert flags == ("singular-jacobian",)
 
@@ -634,7 +627,8 @@ class TestLineQuantities:
             _assert_close(line.max_step_sd, np.max(np.abs(step) / sd))
             if kind in ("KL", "Var", "LL"):
                 gs = line.jacobian
-                dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * gs.grad, sd)
+                grad = problem.model.grad_mu_batch(values, problem.dataset.features[i])
+                dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * grad, sd)
                 _assert_close(line.log_h, dense, floor=1.0)
                 assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
 
@@ -647,11 +641,12 @@ class TestLineQuantities:
         values[0] = 80.0 * dataset.features[i] / (dataset.features[i] @ dataset.features[i])
         draws = PosteriorDraws(values=values, param_names=draws.param_names)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-        line = apply_gradient_transform("LL", observation(problem, i))
+        obs = observation(problem, i)
+        line = apply_gradient_transform("LL", obs)
         assert line.jacobian.factor[0] == 0.0
         np.testing.assert_array_equal(line_step(line, problem)[0], 0.0)
         gs = line.jacobian
-        dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * gs.grad, problem.stats.sd)
+        dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * obs.grad, problem.stats.sd)
         assert math.isfinite(line.log_h)
         _assert_close(line.log_h, dense, floor=1.0)
 
