@@ -8,9 +8,11 @@ locking.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -255,25 +257,44 @@ def marginal_stats(
     return replace(plain, weighted_mean=w @ values, weighted_variance=w @ plain.centered_sq)
 
 
+def _csv_header(fh, what: str) -> list[str]:
+    try:
+        return next(csv.reader(fh))
+    except StopIteration:
+        raise ValidationError([f"{what} file is empty"]) from None
+
+
 def _read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
     """Header row and data rows of a CSV file; an empty file is a ValidationError."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError([f"{what} file is empty"]) from None
-        return header, list(reader)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return _csv_header(fh, what), list(csv.reader(fh))
 
 
-def _walk_cells(rows, header, row_name: str, cell_fault=None):
+def _check_header(header: list[str], label_column: str | None) -> int | None:
+    """Check a CSV header and return the label column's index (None without one).
+
+    Column names must be distinct. A dataset header (``label_column`` given)
+    must hold the label column and at least one feature column besides it.
+    """
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise ValidationError([f"header repeats column names {', '.join(map(repr, repeated))}"])
+    if label_column is None:
+        return None
+    if label_column not in header:
+        raise ValidationError([f"label column {label_column!r} not found in header"])
+    if len(header) < 2:
+        raise ValidationError(["need at least one feature column besides the label"])
+    return header.index(label_column)
+
+
+def _walk_cells(rows, header, row_name: str, label: int | None):
     """Parse cell by cell and name every ragged row, non-numeric cell and
-    cell that ``cell_fault`` rejects, in row-major order.
+    number outside its column's domain, in row-major order.
 
-    ``cell_fault(j, value, cell)``, if given, returns the tail of the
-    message for a number out of column j's domain, or None. Row numbers are
-    1-based over data rows. Returns the (rows, columns) values and the
-    violations.
+    Column ``label`` (None for no label column) must hold 0 or 1; every
+    other column must be finite. Row numbers are 1-based over data rows.
+    Returns the (rows, columns) values and the violations.
     """
     values = np.zeros((len(rows), len(header)))
     violations: list[str] = []
@@ -288,10 +309,87 @@ def _walk_cells(rows, header, row_name: str, cell_fault=None):
             except (TypeError, ValueError):
                 violations.append(f"{row_name} {r}, column {header[j]!r}: non-numeric value {cell!r}")
                 continue
-            if cell_fault is not None and (fault := cell_fault(j, value, cell)) is not None:
-                violations.append(f"{row_name} {r}{fault}")
+            if j == label:
+                if value not in (0.0, 1.0):
+                    violations.append(f"{row_name} {r}: label {cell!r} not in {{0, 1}}")
+            elif not math.isfinite(value):
+                violations.append(f"{row_name} {r}, column {header[j]!r}: non-finite value {cell!r}")
             out[j] = value
     return values, violations
+
+
+def _in_domain(values: np.ndarray, label: int | None) -> bool:
+    """``_walk_cells``' domain rule over a whole table at once."""
+    ok = np.isfinite(values)
+    if label is not None:
+        ok[:, label] = (values[:, label] == 0) | (values[:, label] == 1)
+    return bool(ok.all())
+
+
+def _loadtxt_body(fh, width: int, label: int | None) -> np.ndarray | None:
+    """The data rows left in ``fh``, parsed in C by ``np.loadtxt``.
+
+    Returns None, so that ``_walk_cells`` decides and words the faults,
+    wherever the parse could differ from the walk's:
+
+    - no data line (``np.loadtxt`` would warn);
+    - a blank line, which ``np.loadtxt`` skips and the walk names as a row
+      of 0 cells;
+    - a parse error. Every cell that ``float()`` accepts and ``np.loadtxt``
+      does not, such as ``1_000`` or a Unicode digit, makes it raise;
+    - any shape but one row of ``width`` cells per line, as when a quoted
+      line break joins two lines into one row;
+    - a value outside its column's domain.
+    """
+    first = next(fh, None)
+    if first is None:
+        return None
+    lines = 0
+
+    def counted():
+        nonlocal lines
+        for line in itertools.chain((first,), fh):
+            if line in ("\n", "\r", "\r\n"):
+                raise ValueError("blank line")
+            lines += 1
+            yield line
+
+    try:
+        values = np.loadtxt(counted(), delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (lines, width) or not _in_domain(values, label):
+        return None
+    return values
+
+
+def _read_cells(path, what: str, row_name: str, label_column: str | None = None):
+    """Header, label index, (rows, columns) values and violations of a CSV file.
+
+    The body is parsed by ``_loadtxt_body``. Where that declines, the file is
+    read again with the csv module and walked cell by cell, so only
+    ``_walk_cells`` words a violation.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = _csv_header(fh, what)
+        label = _check_header(header, label_column)
+        values = _loadtxt_body(fh, len(header), label)
+    if values is not None:
+        return header, label, values, []
+    rows = _read_csv(path, what)[1]
+    return header, label, *_walk_cells(rows, header, row_name, label)
+
+
+def _dataset(header: list[str], label: int, values: np.ndarray, violations: list[str]) -> Dataset:
+    if len(values) < 1:
+        raise ValidationError(["dataset has no data rows"])
+    if violations:
+        raise ValidationError(violations)
+    return Dataset(
+        features=np.delete(values, label, axis=1),
+        labels=values[:, label].astype(int),
+        feature_names=tuple(h for j, h in enumerate(header) if j != label),
+    )
 
 
 def validate_dataset(
@@ -306,41 +404,21 @@ def validate_dataset(
     report at once. Row numbers in messages are 1-based over data rows.
     """
     header = [str(h) for h in header]
-    if label_column not in header:
-        raise ValidationError([f"label column {label_column!r} not found in header"])
-    label_idx = header.index(label_column)
-    feature_names = tuple(h for j, h in enumerate(header) if j != label_idx)
-    if len(feature_names) < 1:
-        raise ValidationError(["need at least one feature column besides the label"])
-    rows = list(rows)
-    if len(rows) < 1:
-        raise ValidationError(["dataset has no data rows"])
-
-    def cell_fault(j, value, cell):
-        if j == label_idx:
-            return None if value in (0.0, 1.0) else f": label {cell!r} not in {{0, 1}}"
-        return None if math.isfinite(value) else f", column {header[j]!r}: non-finite value {cell!r}"
-
-    values, violations = _walk_cells(rows, header, "row", cell_fault)
-    if violations:
-        raise ValidationError(violations)
-    labels = values[:, label_idx].astype(int)
-    return Dataset(features=np.delete(values, label_idx, axis=1), labels=labels, feature_names=feature_names)
+    label = _check_header(header, label_column)
+    return _dataset(header, label, *_walk_cells(list(rows), header, "row", label))
 
 
 def load_dataset_csv(path, label_column: str = "y", add_intercept: bool = False) -> Dataset:
     """Read a dataset CSV (header row, one designated label column)."""
-    header, rows = _read_csv(path, "dataset")
-    dataset = validate_dataset(rows, header, label_column=label_column)
+    dataset = _dataset(*_read_cells(path, "dataset", "row", label_column))
     return dataset.with_intercept() if add_intercept else dataset
 
 
 def load_draws_csv(path) -> PosteriorDraws:
     """Read a draws CSV (header row of parameter names, one row per draw)."""
-    header, rows = _read_csv(path, "draws")
-    values, violations = _walk_cells(rows, header, "draw row")
-    if len(rows) < 2:
-        violations.append(f"need at least two draws, got {len(rows)}")
+    header, _, values, violations = _read_cells(path, "draws", "draw row")
+    if len(values) < 2:
+        violations.append(f"need at least two draws, got {len(values)}")
     if violations:
         raise ValidationError(violations)
     return PosteriorDraws(values=values, param_names=tuple(header))

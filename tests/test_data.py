@@ -1,11 +1,15 @@
 """Container validation and marginal statistics."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from looadapt import Dataset, DimensionError, DomainError, PosteriorDraws, RunConfig, ValidationError
+from looadapt import data
 from looadapt.data import load_dataset_csv, load_draws_csv, marginal_stats, validate_dataset
 
 
@@ -217,6 +221,139 @@ class TestCsvLoaders:
         ds = validate_dataset([[1.5, 0], [2.5, 1.0]], header=["f", "y"])
         np.testing.assert_array_equal(ds.features[:, 0], [1.5, 2.5])
         np.testing.assert_array_equal(ds.labels, [0, 1])
+
+    def test_repeated_column_names_rejected(self, tmp_path):
+        # the second 'y' used to load as a feature named 'y'
+        path = tmp_path / "d.csv"
+        path.write_text("y,f,y,f,g\n1,2,0,3,4\n", encoding="utf-8")
+        message = ["header repeats column names 'y', 'f'"]
+        with pytest.raises(ValidationError) as err:
+            load_dataset_csv(path)
+        assert list(err.value.violations) == message
+        with pytest.raises(ValidationError) as err:
+            validate_dataset([["1", "2", "0", "3", "4"]], header=["y", "f", "y", "f", "g"])
+        assert list(err.value.violations) == message
+        path.write_text("a,a\n1,2\n3,4\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            load_draws_csv(path)
+        assert list(err.value.violations) == ["header repeats column names 'a'"]
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        data_csv, draws_csv = tmp_path / "d.csv", tmp_path / "w.csv"
+        data_csv.write_text("y,a\n1,2.5\n0,-1\n", encoding="utf-8-sig")
+        draws_csv.write_text("y,b\n0.1,0.2\n0.3,0.4\n", encoding="utf-8-sig")
+        assert data_csv.read_bytes().startswith(b"\xef\xbb\xbfy,")
+        ds = load_dataset_csv(data_csv)
+        assert ds.feature_names == ("a",)
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+        assert load_draws_csv(draws_csv).param_names == ("y", "b")
+
+    def test_non_finite_draw_cells_named(self, tmp_path):
+        # the PosteriorDraws constructor alone would raise a bare DomainError
+        drw = tmp_path / "w.csv"
+        drw.write_text("b0,b1\n0.1,nan\ninf,0.2\n0.3,1e400\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            load_draws_csv(drw)
+        assert list(err.value.violations) == [
+            "draw row 1, column 'b1': non-finite value 'nan'",
+            "draw row 2, column 'b0': non-finite value 'inf'",
+            "draw row 3, column 'b1': non-finite value '1e400'",
+        ]
+
+    def test_a_well_formed_file_is_never_walked(self, tmp_path, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("the cell walk ran on a well-formed file")
+
+        monkeypatch.setattr(data, "_walk_cells", walk)
+        data_csv, draws_csv = tmp_path / "d.csv", tmp_path / "w.csv"
+        data_csv.write_text('a,y\n1.5,1\r\n"-2",0\n-0,1', encoding="utf-8")
+        draws_csv.write_text("b0,b1\n0.1,1e-3\n-0.0, 2 \n", encoding="utf-8")
+        ds = load_dataset_csv(data_csv)
+        np.testing.assert_array_equal(ds.features[:, 0].view(np.int64), np.array([1.5, -2.0, -0.0]).view(np.int64))
+        np.testing.assert_array_equal(ds.labels, [1, 0, 1])
+        np.testing.assert_array_equal(load_draws_csv(draws_csv).values, [[0.1, 1e-3], [-0.0, 2.0]])
+
+    def test_header_only_file(self, tmp_path):
+        # np.loadtxt warns on input without data; the loaders never show it
+        data_csv, draws_csv = tmp_path / "d.csv", tmp_path / "w.csv"
+        data_csv.write_text("a,y\n", encoding="utf-8")
+        draws_csv.write_text("b0,b1", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                load_dataset_csv(data_csv)
+            assert list(err.value.violations) == ["dataset has no data rows"]
+            with pytest.raises(ValidationError) as err:
+                load_draws_csv(draws_csv)
+            assert list(err.value.violations) == ["need at least two draws, got 0"]
+
+
+# Cells on either side of what float() and np.loadtxt accept, and of the
+# columns' domains.
+_TRAP_CELLS = (
+    "", " ", "\t", "x", "٣", "1_000", " 1 ", "\t0\t", "\x0c1", "1\u2003", "1.", ".5", ".", "-0", "+1",
+    "1e400", "-1e400", "1e-400", "-1e-400", "2", "0.5", "nan", "-NaN", "inf", "-Infinity", "+INF", "0x1",
+    '"1"', '"0"', '"1,5"', '"1\n0"', '"0\r\n"', '"1"5', '1"5', '" 1"', '"1" ', '""', '"', '"""1"""',
+)
+_CELLS = st.one_of(
+    st.sampled_from(("0", "1")),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(_TRAP_CELLS),
+    st.text(alphabet='01.-+e_ ,"\t\n\r٣', max_size=4),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    names = draw(st.permutations(["y", "a", "b"]))[: draw(st.integers(1, 3))]
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 4))):
+        width = draw(st.sampled_from([len(names)] * 3 + [0, len(names) - 1, len(names) + 1]))
+        lines.append(",".join(draw(st.lists(_CELLS, min_size=width, max_size=width))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if draw(st.booleans()) else text
+
+
+def _outcome(load, path):
+    """Bit patterns of the loaded arrays and names, or the violations."""
+    try:
+        loaded = load(path)
+    except ValidationError as err:
+        return list(err.violations)
+    if isinstance(loaded, Dataset):
+        return loaded.feature_names, loaded.features.view(np.int64).tolist(), loaded.labels.tolist()
+    return loaded.param_names, loaded.values.view(np.int64).tolist()
+
+
+class TestLoadtxtAgreesWithTheWalk:
+    """The np.loadtxt parse either gives the cell walk's arrays bit for bit or
+    leaves the file to the walk, which words the same violations."""
+
+    @given(_csv_texts())
+    @settings(max_examples=300, deadline=None)
+    @example("y,a\n1,2\n\n0,3\n")                     # blank line in the middle
+    @example("y,a\r\n1,2\r\n0,3\r\n\r\n")             # CRLF and a trailing blank line
+    @example("y,a\n1,2\n0,3")                          # no newline after the last line
+    @example("y,a\r1,2\r0,3\r")                        # bare carriage returns
+    @example("y,a\n1,1_000\n0, 3\t\n")                 # underscores, spaces and tabs
+    @example('y,a\n"1","2"\n"0","3,5"\n1,"4\n5"\n')      # quoted cells, with a comma or a line break
+    @example('y,a\n1,"2\n"\n0,3\n')                     # a quoted line break float() strips
+    @example("y,a\n1,nan\n0,Infinity\n1,-inf\n0,1e400\n")  # non-finite spellings
+    @example("y,a\n1,٣\n0,2\n")                        # a Unicode digit
+    @example("y,a\n1,2,\n0,3\n1\n")                     # trailing comma, ragged row
+    @example("y,a\n")                                  # header only
+    @example("y,a\n1,-0\n-0,-1e-400\n")                 # negative zeros
+    def test_same_arrays_or_same_violations(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "agree.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        for load in (load_dataset_csv, load_draws_csv):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fast = _outcome(load, path)
+            with mock.patch.object(data, "_loadtxt_body", return_value=None):
+                walked = _outcome(load, path)
+            assert fast == walked
 
 
 class TestRunConfig:
