@@ -24,7 +24,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .data import Dataset, RunConfig, load_dataset_csv, load_draws_csv
+from .data import Dataset, RunConfig, load_dataset_csv, load_draws_csv, open_input
 from .engine import LooReport, ObservationResult, eta_weights, run_loo
 from .errors import LooAdaptError
 from .gpd import pareto_smooth
@@ -117,7 +117,7 @@ def _build_prior(args, param_dim: int) -> GaussianPrior:
     if args.prior_sd_file is None:
         return GaussianPrior.isotropic(param_dim, args.prior_sd)
     sds = []
-    with open(args.prior_sd_file, encoding="utf-8") as fh:
+    with open_input(args.prior_sd_file) as fh:
         for number, line in enumerate(fh, start=1):
             if line.strip():
                 try:
@@ -134,7 +134,7 @@ def _load_inputs(args):
     prior = _build_prior(args, model.param_dim)
     config = RunConfig()
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
+        with open_input(args.config) as fh:
             config = RunConfig.from_json(fh.read())
     return dataset, draws, model, prior, config
 
@@ -184,14 +184,28 @@ def _write_curve_csv(path: str, points: list[dict]) -> None:
             writer.writerow(["inf" if thr is None else repr(float(thr)), repr(float(pt["x"])), repr(float(pt["y"]))])
 
 
+def _curve_points(report: dict, key: str) -> list[dict]:
+    """The point list ``key`` of a report, checked before any file is written."""
+    def number(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    points = report[key]
+    if not isinstance(points, list):
+        raise ValueError(f"{key} must be a list, got {points!r}")
+    for i, pt in enumerate(points):
+        if not (isinstance(pt, dict) and number(pt.get("x")) and number(pt.get("y"))
+                and "threshold" in pt and (pt["threshold"] is None or number(pt["threshold"]))):
+            raise ValueError(f"{key}[{i}] needs numeric x and y and a numeric or null threshold, got {pt!r}")
+    return points
+
+
 def cmd_curves(args) -> int:
     try:
-        with open(args.report, encoding="utf-8") as fh:
-            envelope = json.load(fh)
-        report = envelope["report"]
-        roc_points = report["roc_points"]
-        prc_points = report["prc_points"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        with open_input(args.report) as fh:
+            report = json.load(fh)["report"]
+        roc_points = _curve_points(report, "roc_points")
+        prc_points = _curve_points(report, "prc_points")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out_dir = args.out_dir

@@ -14,7 +14,6 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -257,17 +256,15 @@ def marginal_stats(
     return replace(plain, weighted_mean=w @ values, weighted_variance=w @ plain.centered_sq)
 
 
-def _csv_header(fh, what: str) -> list[str]:
-    try:
-        return next(csv.reader(fh))
-    except StopIteration:
-        raise ValidationError([f"{what} file is empty"]) from None
+def open_input(path, newline: str | None = None):
+    """Open an input file as UTF-8 text, with or without a byte-order mark.
 
-
-def _read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
-    """Header row and data rows of a CSV file; an empty file is a ValidationError."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        return _csv_header(fh, what), list(csv.reader(fh))
+    A byte that is not UTF-8 decodes to a lone surrogate (``surrogateescape``),
+    so the check of the cell, line or JSON value that holds it names it like
+    any other bad input. ``newline`` is ``open``'s; the CSV readers pass ``""``
+    so that the csv module sees line ends as they are in the file.
+    """
+    return open(path, newline=newline, encoding="utf-8-sig", errors="surrogateescape")
 
 
 def _check_header(header: list[str], label_column: str | None) -> int | None:
@@ -306,7 +303,7 @@ def _walk_cells(rows, header, row_name: str, label: int | None):
         for j, cell in enumerate(row):
             try:
                 value = float(cell)
-            except (TypeError, ValueError):
+            except ValueError:
                 violations.append(f"{row_name} {r}, column {header[j]!r}: non-numeric value {cell!r}")
                 continue
             if j == label:
@@ -366,51 +363,35 @@ def _loadtxt_body(fh, width: int, label: int | None) -> np.ndarray | None:
 def _read_cells(path, what: str, row_name: str, label_column: str | None = None):
     """Header, label index, (rows, columns) values and violations of a CSV file.
 
-    The body is parsed by ``_loadtxt_body``. Where that declines, the file is
-    read again with the csv module and walked cell by cell, so only
-    ``_walk_cells`` words a violation.
+    The body is parsed by ``_loadtxt_body``. Where that declines, the same
+    handle is rewound and read with the csv module, and walked cell by cell,
+    so only ``_walk_cells`` words a violation.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = _csv_header(fh, what)
+    with open_input(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValidationError([f"{what} file is empty"])
         label = _check_header(header, label_column)
         values = _loadtxt_body(fh, len(header), label)
-    if values is not None:
-        return header, label, values, []
-    rows = _read_csv(path, what)[1]
+        if values is not None:
+            return header, label, values, []
+        fh.seek(0)
+        rows = list(csv.reader(fh))[1:]
     return header, label, *_walk_cells(rows, header, row_name, label)
-
-
-def _dataset(header: list[str], label: int, values: np.ndarray, violations: list[str]) -> Dataset:
-    if len(values) < 1:
-        raise ValidationError(["dataset has no data rows"])
-    if violations:
-        raise ValidationError(violations)
-    return Dataset(
-        features=np.delete(values, label, axis=1),
-        labels=values[:, label].astype(int),
-        feature_names=tuple(h for j, h in enumerate(header) if j != label),
-    )
-
-
-def validate_dataset(
-    rows: Sequence[Sequence[object]],
-    header: Sequence[str],
-    label_column: str = "y",
-) -> Dataset:
-    """Build a :class:`Dataset` from raw (string or numeric) cells.
-
-    Collects *every* violation (bad label, non-numeric or non-finite
-    feature, ragged row) before rejecting, so callers see the full damage
-    report at once. Row numbers in messages are 1-based over data rows.
-    """
-    header = [str(h) for h in header]
-    label = _check_header(header, label_column)
-    return _dataset(header, label, *_walk_cells(list(rows), header, "row", label))
 
 
 def load_dataset_csv(path, label_column: str = "y", add_intercept: bool = False) -> Dataset:
     """Read a dataset CSV (header row, one designated label column)."""
-    dataset = _dataset(*_read_cells(path, "dataset", "row", label_column))
+    header, label, values, violations = _read_cells(path, "dataset", "row", label_column)
+    if len(values) < 1:
+        raise ValidationError(["dataset has no data rows"])
+    if violations:
+        raise ValidationError(violations)
+    dataset = Dataset(
+        features=np.delete(values, label, axis=1),
+        labels=values[:, label].astype(int),
+        feature_names=tuple(h for j, h in enumerate(header) if j != label),
+    )
     return dataset.with_intercept() if add_intercept else dataset
 
 

@@ -219,6 +219,12 @@ class TestCmdDiagnose:
         assert code == 1
 
 
+def _curves_report(**points):
+    report = {"roc_points": [{"threshold": None, "x": 0.0, "y": 0.0}, {"threshold": 0.4, "x": 1.0, "y": 1.0}],
+              "prc_points": [{"threshold": None, "x": 0.0, "y": 1.0}, {"threshold": 0.4, "x": 1.0, "y": 0.5}]}
+    return json.dumps({"report": {**report, **points}}).encode("utf-8")
+
+
 class TestCmdCurves:
     def _run(self, toy_files, tmp_path):
         data, draws = toy_files
@@ -250,6 +256,81 @@ class TestCmdCurves:
         assert main(["curves", str(path), "--out-dir", str(tmp_path / "c")]) == 0
         assert "warning" in capsys.readouterr().err
         assert not (tmp_path / "c" / "roc.csv").exists()
+
+    @pytest.mark.parametrize("points, message", [
+        ({"prc_points": [{"x": 0.0, "y": 1.0}]},
+         "prc_points[0] needs numeric x and y and a numeric or null threshold, got {'x': 0.0, 'y': 1.0}"),
+        ({"prc_points": [{"threshold": 0.5, "x": "a", "y": 1.0}]},
+         "prc_points[0] needs numeric x and y and a numeric or null threshold, "
+         "got {'threshold': 0.5, 'x': 'a', 'y': 1.0}"),
+        ({"roc_points": 5}, "roc_points must be a list, got 5"),
+    ], ids=["no-threshold", "text-x", "not-a-list"])
+    def test_bad_points_write_nothing(self, tmp_path, capsys, points, message):
+        path = tmp_path / "r.json"
+        path.write_bytes(_curves_report(**points))
+        out_dir = tmp_path / "curves"
+        assert main(["curves", str(path), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: cannot read report: {message}\n"
+        assert list(tmp_path.rglob("*.csv")) == []
+
+
+class TestInputEncoding:
+    """Every input file is UTF-8, with or without a byte-order mark; a byte
+    that is not UTF-8 is named like any other bad cell, line or value."""
+
+    _FILES = {
+        "data": b"x,y\n0.5,1\n-0.5,0\n",
+        "draws": b"b\n0.1\n0.2\n0.3\n",
+        "config": b'{"khat_threshold": 0.5}',
+        "prior": b"2.0\n",
+        "report": _curves_report(),
+    }
+
+    def _argv(self, command, paths, out_dir):
+        if command == "curves":
+            return ["curves", str(paths["report"]), "--out-dir", str(out_dir)]
+        argv = [command, "--data", str(paths["data"]), "--draws", str(paths["draws"]), "--model", "logistic",
+                "--config", str(paths["config"]), "--prior-sd-file", str(paths["prior"])]
+        return argv + (["--out", str(out_dir / "report.json")] if command == "run" else [])
+
+    def _paths(self, tmp_path, **contents):
+        paths = {}
+        for name, default in self._FILES.items():
+            paths[name] = tmp_path / name
+            paths[name].write_bytes(contents.get(name, default))
+        return paths
+
+    @pytest.mark.parametrize("command, name, contents, message", [
+        ("run", "data", b"x,y\n0.5,1\n\xff,0\n", "row 2, column 'x': non-numeric value '\\udcff'"),
+        ("diagnose", "data", b"x,y\n0.5,1\n-0.5,\xff\n", "row 2, column 'y': non-numeric value '\\udcff'"),
+        ("run", "draws", b"b\n0.1\n0.2\xff\n", "draw row 2, column 'b': non-numeric value '0.2\\udcff'"),
+        ("run", "config", b'{"khat_threshold": \xff}',
+         "config is not valid JSON: Expecting value: line 1 column 20 (char 19)"),
+        ("run", "prior", b"\xff2.0\n", "prior sd file line 1: not a number: '\\udcff2.0'"),
+        ("curves", "report", b'{"report": \xff}', "cannot read report: Expecting value: line 1 column 12 (char 11)"),
+    ], ids=["dataset", "dataset-diagnose", "draws", "config", "prior-sd", "report"])
+    def test_undecodable_byte_is_one_error_line(self, tmp_path, capsys, command, name, contents, message):
+        paths = self._paths(tmp_path, **{name: contents})
+        assert b"\xff" in paths[name].read_bytes()
+        assert main(self._argv(command, paths, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["config", "prior", "report"])
+    def test_byte_order_mark_changes_nothing(self, tmp_path, name):
+        command = "curves" if name == "report" else "run"
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            run_dir = tmp_path / f"bom{len(bom)}"
+            run_dir.mkdir()
+            paths = self._paths(run_dir, **{name: bom + self._FILES[name]})
+            assert main(self._argv(command, paths, run_dir)) in (0, 3)
+            if command == "curves":
+                outputs.append([(run_dir / f).read_bytes() for f in ("roc.csv", "prc.csv")])
+            else:
+                outputs.append(_strip_timings(run_dir / "report.json"))
+        assert outputs[0] == outputs[1]
 
 
 class TestReportJson:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from looadapt import Dataset, DimensionError, DomainError, PosteriorDraws, RunConfig, ValidationError
 from looadapt import data
-from looadapt.data import load_dataset_csv, load_draws_csv, marginal_stats, validate_dataset
+from looadapt.data import load_dataset_csv, load_draws_csv, marginal_stats
 
 
 def _draws(values):
@@ -122,29 +122,32 @@ class TestMarginalStats:
             marginal_stats(_draws(rng.normal(size=(5, 3))), np.full(5, 0.2), plain)
 
 
+def _dataset_file(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestDatasetValidation:
-    def test_minimal_well_formed(self):
-        ds = validate_dataset([["1.0", "0"], ["2.0", "1"]], header=["f", "y"])
+    def test_minimal_well_formed(self, tmp_path):
+        ds = load_dataset_csv(_dataset_file(tmp_path, "f,y\n1.0,0\n2.0,1\n"))
         assert ds.n == 2 and ds.p == 1
         np.testing.assert_allclose(ds.features[:, 0], [1.0, 2.0])
         np.testing.assert_array_equal(ds.labels, [0, 1])
 
-    def test_bad_label_names_row(self):
-        rows = [["1.0", "0"], ["2.0", "1"], ["3.0", "2"]]
+    def test_bad_label_names_row(self, tmp_path):
         with pytest.raises(ValidationError) as err:
-            validate_dataset(rows, header=["f", "y"])
+            load_dataset_csv(_dataset_file(tmp_path, "f,y\n1.0,0\n2.0,1\n3.0,2\n"))
         assert any("row 3" in v and "label" in v for v in err.value.violations)
 
-    def test_non_numeric_feature_names_cell(self):
-        rows = [["1.0", "0"], ["abc", "1"]]
+    def test_non_numeric_feature_names_cell(self, tmp_path):
         with pytest.raises(ValidationError) as err:
-            validate_dataset(rows, header=["gene", "y"])
+            load_dataset_csv(_dataset_file(tmp_path, "gene,y\n1.0,0\nabc,1\n"))
         assert any("row 2" in v and "gene" in v for v in err.value.violations)
 
-    def test_all_violations_collected(self):
-        rows = [["x", "0"], ["1.0", "5"], ["2.0"]]
+    def test_all_violations_collected(self, tmp_path):
         with pytest.raises(ValidationError) as err:
-            validate_dataset(rows, header=["f", "y"])
+            load_dataset_csv(_dataset_file(tmp_path, "f,y\nx,0\n1.0,5\n2.0\n"))
         assert len(err.value.violations) == 3
 
     def test_label_domain_enforced_in_constructor(self):
@@ -213,15 +216,6 @@ class TestCsvLoaders:
             "draw row 2: expected 2 cells, got 1", "draw row 3, column 'b1': non-numeric value 'x'",
         ]
 
-    def test_non_string_cells(self):
-        # None is non-numeric (not NaN); numbers load as they are
-        with pytest.raises(ValidationError) as err:
-            validate_dataset([["1.0", "0"], [None, "1"]], header=["f", "y"])
-        assert list(err.value.violations) == ["row 2, column 'f': non-numeric value None"]
-        ds = validate_dataset([[1.5, 0], [2.5, 1.0]], header=["f", "y"])
-        np.testing.assert_array_equal(ds.features[:, 0], [1.5, 2.5])
-        np.testing.assert_array_equal(ds.labels, [0, 1])
-
     def test_repeated_column_names_rejected(self, tmp_path):
         # the second 'y' used to load as a feature named 'y'
         path = tmp_path / "d.csv"
@@ -230,8 +224,10 @@ class TestCsvLoaders:
         with pytest.raises(ValidationError) as err:
             load_dataset_csv(path)
         assert list(err.value.violations) == message
+        # the header is checked before the body, so even a header-only file says so
+        path.write_text("y,f,y,f,g\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
-            validate_dataset([["1", "2", "0", "3", "4"]], header=["y", "f", "y", "f", "g"])
+            load_dataset_csv(path)
         assert list(err.value.violations) == message
         path.write_text("a,a\n1,2\n3,4\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
@@ -273,6 +269,27 @@ class TestCsvLoaders:
         np.testing.assert_array_equal(ds.labels, [1, 0, 1])
         np.testing.assert_array_equal(load_draws_csv(draws_csv).values, [[0.1, 1e-3], [-0.0, 2.0]])
 
+    @pytest.mark.parametrize("last_row", ["3,0", "x,0"], ids=["loadtxt", "walk"])
+    def test_each_loader_opens_its_file_once(self, tmp_path, monkeypatch, last_row):
+        # the walk rewinds the handle that the np.loadtxt parse read from
+        opened, walked = [], []
+        open_input, walk_cells = data.open_input, data._walk_cells
+        monkeypatch.setattr(data, "open_input", lambda *a, **k: opened.append(a[0]) or open_input(*a, **k))
+        monkeypatch.setattr(data, "_walk_cells", lambda *a, **k: walked.append(a[0]) or walk_cells(*a, **k))
+        path = tmp_path / "t.csv"
+        path.write_text(f"\ufeffa,y\n1,0\n2,1\n{last_row}\n", encoding="utf-8")
+        for load, row in ((load_dataset_csv, "row"), (load_draws_csv, "draw row")):
+            opened.clear()
+            walked.clear()
+            if last_row == "3,0":
+                load(path)
+                assert walked == []
+            else:
+                with pytest.raises(ValidationError, match=f"^{row} 3, column 'a': non-numeric value 'x'$"):
+                    load(path)
+                assert walked == [[["1", "0"], ["2", "1"], ["x", "0"]]]
+            assert opened == [path]
+
     def test_header_only_file(self, tmp_path):
         # np.loadtxt warns on input without data; the loaders never show it
         data_csv, draws_csv = tmp_path / "d.csv", tmp_path / "w.csv"
@@ -294,12 +311,14 @@ _TRAP_CELLS = (
     "", " ", "\t", "x", "٣", "1_000", " 1 ", "\t0\t", "\x0c1", "1\u2003", "1.", ".5", ".", "-0", "+1",
     "1e400", "-1e400", "1e-400", "-1e-400", "2", "0.5", "nan", "-NaN", "inf", "-Infinity", "+INF", "0x1",
     '"1"', '"0"', '"1,5"', '"1\n0"', '"0\r\n"', '"1"5', '1"5', '" 1"', '"1" ', '""', '"', '"""1"""',
+    # bytes that are not UTF-8, as the surrogates that surrogateescape maps them to
+    "\udcff", "1\udcfe", "\udc80", "0\udce2\udc82",
 )
 _CELLS = st.one_of(
     st.sampled_from(("0", "1")),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(_TRAP_CELLS),
-    st.text(alphabet='01.-+e_ ,"\t\n\r٣', max_size=4),
+    st.text(alphabet='01.-+e_ ,"\t\n\r٣\udcff', max_size=4),
 )
 
 
@@ -312,7 +331,8 @@ def _csv_texts(draw):
         lines.append(",".join(draw(st.lists(_CELLS, min_size=width, max_size=width))))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
-    return text[: -len(ends[-1])] if draw(st.booleans()) else text
+    text = text[: -len(ends[-1])] if draw(st.booleans()) else text
+    return "\ufeff" + text if draw(st.booleans()) else text
 
 
 def _outcome(load, path):
@@ -328,7 +348,11 @@ def _outcome(load, path):
 
 class TestLoadtxtAgreesWithTheWalk:
     """The np.loadtxt parse either gives the cell walk's arrays bit for bit or
-    leaves the file to the walk, which words the same violations."""
+    leaves the file to the walk, which words the same violations.
+
+    Files are written as bytes: a leading U+FEFF becomes a byte-order mark,
+    and a lone surrogate U+DC80..U+DCFF the byte that is not UTF-8.
+    """
 
     @given(_csv_texts())
     @settings(max_examples=300, deadline=None)
@@ -344,9 +368,12 @@ class TestLoadtxtAgreesWithTheWalk:
     @example("y,a\n1,2,\n0,3\n1\n")                     # trailing comma, ragged row
     @example("y,a\n")                                  # header only
     @example("y,a\n1,-0\n-0,-1e-400\n")                 # negative zeros
+    @example("\ufeffy,a\n1,2\n0,3\n")                    # a byte-order mark
+    @example("\ufeffy,a\n1,2\n0,\udcff\n")               # a byte-order mark and a bad byte
+    @example("y,a\udcff\n1,2\n0,3")                      # a bad byte in a column name
     def test_same_arrays_or_same_violations(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "agree.csv"
-        path.write_text(text, encoding="utf-8", newline="")
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         for load in (load_dataset_csv, load_draws_csv):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
