@@ -46,13 +46,8 @@ def _sha256(path: str) -> str:
 def _json_safe(value):
     """Recursively convert to JSON-encodable values; non-finite floats
     become null (documented in the report schema)."""
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
+    if isinstance(value, float):  # np.float64 is a float
         return value if math.isfinite(value) else None
-    if isinstance(value, (np.integer, int)):
-        return int(value)
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f" and np.isfinite(value).all():
             return value.tolist()  # already plain floats, none to null
@@ -106,11 +101,9 @@ def render_report_json(envelope: dict) -> str:
 def _build_model(args, dataset: Dataset) -> SigmoidalModel:
     if args.model == "logistic":
         return LogisticModel(p=dataset.p)
-    if args.model == "relu1":
-        if args.hidden is None:
-            raise LooAdaptError("--hidden is required for the relu1 model")
-        return ReluOneModel(d=args.hidden, p=dataset.p)
-    raise LooAdaptError(f"unknown model {args.model!r}")
+    if args.hidden is None:
+        raise LooAdaptError("--hidden is required for the relu1 model")
+    return ReluOneModel(d=args.hidden, p=dataset.p)
 
 
 def _build_prior(args, param_dim: int) -> GaussianPrior:
@@ -147,7 +140,7 @@ def cmd_run(args) -> int:
     t_engine = time.perf_counter()
     envelope = {
         "tool_version": __version__,
-        "config_echo": config.to_json_dict(),
+        "config_echo": asdict(config),
         "dataset_fingerprint": _sha256(args.data),
         "draws_fingerprint": _sha256(args.draws),
         "report": _report_dict(report),

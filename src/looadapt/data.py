@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -134,7 +134,11 @@ def _list_of(value, kind, key: str, what: str) -> tuple:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs of the adaptation loop; every field has a usable default."""
+    """Knobs of the adaptation loop; every field has a usable default.
+
+    ``hbar_exponents`` may be given in any order and is stored sorted
+    ascending, so ``hbar_values`` runs from the largest step scale down.
+    """
 
     khat_threshold: float = DEFAULT_KHAT_THRESHOLD
     hbar_exponents: tuple[int, ...] = DEFAULT_HBAR_EXPONENTS
@@ -145,7 +149,8 @@ class RunConfig:
             raise ValidationError([f"khat_threshold must be a number, got {self.khat_threshold!r}"])
         if not self.khat_threshold > 0:
             raise DomainError("khat_threshold must be positive")
-        exps = tuple(int(r) for r in _list_of(self.hbar_exponents, numbers.Integral, "hbar_exponents", "integers"))
+        exps = _list_of(self.hbar_exponents, numbers.Integral, "hbar_exponents", "integers")
+        exps = tuple(sorted(int(r) for r in exps))
         if len(exps) == 0:
             raise DomainError("hbar_exponents must be non-empty")
         if any(r < 0 for r in exps):
@@ -171,15 +176,6 @@ class RunConfig:
         return tuple(4.0 ** (-r) for r in self.hbar_exponents)
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "RunConfig":
-        known = {"khat_threshold", "hbar_exponents", "transform_order"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValidationError([f"unknown config key {k!r}" for k in sorted(unknown)])
-        kwargs = {k: payload[k] for k in known if k in payload}
-        return cls(**kwargs)
-
-    @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         try:
             payload = json.loads(text)
@@ -187,14 +183,10 @@ class RunConfig:
             raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
         if not isinstance(payload, dict):
             raise ValidationError(["config JSON must be an object"])
-        return cls.from_json_dict(payload)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "khat_threshold": self.khat_threshold,
-            "hbar_exponents": list(self.hbar_exponents),
-            "transform_order": list(self.transform_order),
-        }
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValidationError([f"unknown config key {k!r}" for k in sorted(unknown)])
+        return cls(**payload)
 
 
 @dataclass(frozen=True)

@@ -196,9 +196,7 @@ def _loo_quantities(weights: WeightVector, mu: np.ndarray, log_lik: np.ndarray):
     probs = sigmoid(mu)
     prob = float(w @ probs)
     # log sum_k w_k lik_k, computed in log space to dodge underflow.
-    with np.errstate(divide="ignore"):
-        log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
-    log_terms = log_w + log_lik
+    log_terms = (weights.log_weights - weights.log_total) + log_lik
     lpd = log_sum_exp(log_terms)
     if np.count_nonzero(w) < 2:
         return prob, math.inf, lpd, math.inf
@@ -233,33 +231,32 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     # (khat, attempt, held-out mu and log likelihood at phi, weights): only the
     # columns of the best attempt's evaluation are kept
     best = (raw_khat, None, evaluation.mu[:, i], evaluation.log_lik[:, i], raw_smoothed)
-    for line in step_lines(i, problem, raw_smoothed) if scan else ():
-        for hbar in config.hbar_values:
-            transformed = apply_transform(line, hbar, problem)
-            flags, fit = transformed.flags, None
-            if not transformed.degenerate:
-                try:
-                    weights = eta_weights(transformed.evaluation, problem.log_proposal, i, transformed.log_jac_det)
-                except DomainError:
-                    flags += ("all-weights-zero",)
-                else:
-                    smoothed, fit = pareto_smooth(weights)
-            # without a fit (degenerate map or all-zero weights) the attempt is
-            # recorded with khat = inf and skipped, even under an infinite threshold
-            khat = math.inf if fit is None else fit.khat
-            record = AttemptRecord(
-                kind=line.kind, hbar=hbar, khat=khat, fittable=fit is not None and fit.fittable,
-                degenerate=fit is None, flags=flags, h_used=transformed.h_used, max_step_sd=transformed.max_step_sd,
-            )
-            attempts.append(record)
-            # an attempt under the threshold wins even over a NaN raw k-hat
-            if fit is not None and (khat < best[0] or khat <= threshold):
-                at_phi = transformed.evaluation
-                best = (khat, record, at_phi.mu[:, i].copy(), at_phi.log_lik[:, i].copy(), smoothed)
-            del transformed  # free this attempt's (S, n) arrays before the next is evaluated
-            if fit is not None and khat <= threshold:
-                break
-        if best[0] <= threshold:
+    # (line, hbar) in scan order; each kind's line is built when the scan reaches it
+    grid = ((line, hbar) for line in step_lines(i, problem, raw_smoothed) for hbar in config.hbar_values)
+    for line, hbar in grid if scan else ():
+        transformed = apply_transform(line, hbar, problem)
+        flags, fit = transformed.flags, None
+        if not transformed.degenerate:
+            try:
+                weights = eta_weights(transformed.evaluation, problem.log_proposal, i, transformed.log_jac_det)
+            except DomainError:
+                flags += ("all-weights-zero",)
+            else:
+                smoothed, fit = pareto_smooth(weights)
+        # without a fit (degenerate map or all-zero weights) the attempt is
+        # recorded with khat = inf and skipped, even under an infinite threshold
+        khat = math.inf if fit is None else fit.khat
+        record = AttemptRecord(
+            kind=line.kind, hbar=hbar, khat=khat, fittable=fit is not None and fit.fittable,
+            degenerate=fit is None, flags=flags, h_used=transformed.h_used, max_step_sd=transformed.max_step_sd,
+        )
+        attempts.append(record)
+        # an attempt under the threshold wins even over a NaN raw k-hat
+        if fit is not None and (khat < best[0] or khat <= threshold):
+            at_phi = transformed.evaluation
+            best = (khat, record, at_phi.mu[:, i].copy(), at_phi.log_lik[:, i].copy(), smoothed)
+        del transformed  # free this attempt's (S, n) arrays before the next is evaluated
+        if fit is not None and khat <= threshold:
             break
 
     final_khat, winner, mu_i, log_lik_i, final_weights = best

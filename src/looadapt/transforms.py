@@ -218,17 +218,17 @@ def gradient_step(kind: str, obs: Observation) -> GradientStep:
     evaluation = obs.problem.evaluation
     if kind in POSTERIOR_GRADIENT_KINDS and evaluation.grad_log_post is None:
         raise DomainError(f"{kind} needs the posterior gradient, which this problem was built without")
-    grad, y = obs.grad, obs.y
+    grad = obs.grad
     mu_col = evaluation.mu[:, obs.i]
     if kind == "LL":
         scale = np.zeros(mu_col.size)
-        factor = sigmoid(mu_col) - y
+        factor = sigmoid(mu_col) - obs.y
         v = sigmoid_slope(mu_col)[:, None] * grad
     else:
         expo = 1.0 if kind == "KL" else 2.0
-        scale = (evaluation.log_post - evaluation.log_ref) + expo * mu_col * (1.0 - 2.0 * y)
+        scale = (evaluation.log_post - evaluation.log_ref) + expo * obs.sign * mu_col
         factor = np.full(mu_col.size, obs.sign)
-        v = expo * grad - evaluation.grad_log_post if y else evaluation.grad_log_post + expo * grad
+        v = expo * grad + obs.sign * evaluation.grad_log_post
     base = np.einsum("sp,sp->s", grad, v)
     eigen = eigen_products(obs.projection, obs.problem.model.hessian_projection(grad, obs.x, v))
     return GradientStep(scale, factor, base, eigen)

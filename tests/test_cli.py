@@ -141,6 +141,26 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be a ")
 
+    @pytest.mark.parametrize("files, flags, message", [
+        ({"data": ""}, [], "dataset file is empty"),
+        ({"draws": ""}, [], "draws file is empty"),
+        ({"config": "[]"}, [], "config JSON must be an object"),
+        ({}, ["--model", "relu1"], "--hidden is required for the relu1 model"),
+        ({"config": '{"hbar_exponents": [-1]}'}, [], "hbar_exponents must be non-negative"),
+    ])
+    def test_bad_input_is_an_error_line(self, toy_files, tmp_path, capsys, files, flags, message):
+        paths = dict(zip(("data", "draws"), toy_files))
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.input"
+            paths[name].write_text(text, encoding="utf-8")
+        argv = ["run", "--model", "logistic", "--out", str(tmp_path / "report.json")]
+        argv += [arg for name, path in paths.items() for arg in (f"--{name}", str(path))]
+        code = main(argv + flags)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.out + captured.err
+
     def test_vanishing_step_scale_is_an_error_line(self, toy_files, tmp_path, capsys):
         data, draws = toy_files
         config = tmp_path / "config.json"

@@ -1,6 +1,8 @@
 """Container validation and marginal statistics."""
 
+import json
 import warnings
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -396,7 +398,7 @@ class TestRunConfig:
         config = RunConfig.from_json('{"khat_threshold": 0.5, "transform_order": ["KL"]}')
         assert config.khat_threshold == 0.5
         assert config.transform_order == ("KL",)
-        again = RunConfig.from_json_dict(config.to_json_dict())
+        again = RunConfig.from_json(json.dumps(asdict(config)))
         assert again == config
 
     def test_infinite_threshold_allowed(self):
@@ -444,13 +446,18 @@ class TestRunConfig:
 
     def test_valid_values_echo_unchanged(self):
         config = RunConfig.from_json('{"khat_threshold": 1, "hbar_exponents": [3, 1], "transform_order": ["LL"]}')
-        assert config.to_json_dict() == {"khat_threshold": 1, "hbar_exponents": [3, 1], "transform_order": ["LL"]}
+        assert asdict(config) == {"khat_threshold": 1, "hbar_exponents": (1, 3), "transform_order": ("LL",)}
         assert RunConfig(hbar_exponents=np.arange(3)).hbar_exponents == (0, 1, 2)
+
+    def test_step_scales_run_largest_first(self):
+        # the scan stops at the first success, so it must try the largest step first
+        assert RunConfig(hbar_exponents=(3, 0)).hbar_values == (1.0, 4.0**-3)
+        assert RunConfig(hbar_exponents=(3, 0, 1)) == RunConfig(hbar_exponents=(0, 1, 3))
 
     def test_rng_seed_is_an_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown config key 'rng_seed'"):
             RunConfig.from_json('{"khat_threshold": 0.5, "rng_seed": 0}')
-        assert "rng_seed" not in RunConfig().to_json_dict()
+        assert "rng_seed" not in asdict(RunConfig())
 
     def test_removed_keys_are_unknown(self):
         # variational mode follows from passing a variational log density,
@@ -458,7 +465,7 @@ class TestRunConfig:
         for key, value in (("use_variational_correction", "true"), ("tail_fraction_rule", '"psis"')):
             with pytest.raises(ValidationError, match=f"unknown config key '{key}'"):
                 RunConfig.from_json(f'{{"{key}": {value}}}')
-        assert set(RunConfig().to_json_dict()) == {"khat_threshold", "hbar_exponents", "transform_order"}
+        assert set(asdict(RunConfig())) == {"khat_threshold", "hbar_exponents", "transform_order"}
 
 
 class TestPosteriorDraws:

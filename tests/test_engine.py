@@ -1,6 +1,7 @@
 """Importance weights, the adaptation loop, and LOO summaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from looadapt import (
     RunConfig,
     run_loo,
 )
+from looadapt import engine
 from looadapt.engine import (
     LooProblem,
     ObservationResult,
@@ -30,6 +32,7 @@ from looadapt.engine import (
 )
 from looadapt.gpd import WeightVector, pareto_smooth
 from looadapt.models import PosteriorEvaluation, bernoulli_log_likelihood, evaluate_posterior, sigmoid
+from looadapt.transforms import apply_transform
 
 from conftest import (
     attempt,
@@ -281,6 +284,46 @@ class TestAdaptObservation:
                 adapted += int(result.adapted)
         assert flagged > 0
         assert adapted > 0
+
+    def test_step_scales_run_largest_first_in_any_order(self):
+        # the scan keeps its first success, so a grid listed smallest first
+        # must still try hbar = 1 before 4**-1 and 4**-3
+        model, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
+        a = run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(3, 0, 1)))
+        b = run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 3)))
+        assert any(r.adapted and r.attempts for r in a.per_observation)
+        for ra, rb in zip(a.per_observation, b.per_observation):
+            assert ra.attempts == rb.attempts
+            assert (ra.loo_predictive_prob, ra.loo_log_predictive_density) == (
+                rb.loo_predictive_prob, rb.loo_log_predictive_density)
+            for kind in RunConfig().transform_order:
+                hbars = [at.hbar for at in ra.attempts if at.kind == kind]
+                assert hbars == [1.0, 0.25, 4.0**-3][:len(hbars)]
+
+    def test_all_zero_weights_are_a_degenerate_attempt(self, monkeypatch):
+        # a map whose Jacobian is singular at every draw leaves no weight:
+        # the attempt is recorded and passed over, and the scan goes on
+        model, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+        i = next(i for i in range(dataset.n) if pareto_smooth(_raw(problem, i))[1].khat > 0.7)
+        calls = []
+
+        def singular_first(line, hbar, problem):
+            out = apply_transform(line, hbar, problem)
+            calls.append(hbar)
+            if len(calls) == 1:
+                out = replace(out, log_jac_det=np.full(problem.draws.num_draws, -np.inf))
+            return out
+
+        monkeypatch.setattr(engine, "apply_transform", singular_first)
+        result = adapt_observation(i, problem)
+        first = result.attempts[0]
+        assert (first.kind, first.hbar) == ("PMM1", 1.0)
+        assert first.degenerate and not first.fittable
+        assert first.flags == ("all-weights-zero",)
+        assert first.khat == math.inf
+        assert result.winning_transform is not first
+        assert (result.attempts[1].kind, result.attempts[1].hbar) == ("PMM1", 0.25)
 
 
 class TestLooIc:
@@ -567,6 +610,22 @@ class TestMetamorphic:
             assert _winner(ra) == _winner(rb)
             assert abs(ra.loo_predictive_prob - rb.loo_predictive_prob) <= 1e-12
             assert abs(ra.loo_log_predictive_density - rb.loo_log_predictive_density) <= 1e-12
+
+    @pytest.mark.parametrize("order", [RunConfig().transform_order, ("KL", "Var", "LL")])
+    def test_relu_hidden_unit_permutation_invariance(self, order):
+        # permuting the hidden units (rows of W1 with their W2 entries, b2
+        # fixed) leaves mu and an isotropic prior unchanged; sums over units
+        # change order, so numbers agree to rounding
+        model, dataset, prior, draws = make_relu_toy(seed=3, n=10, d=3, p=3, num_draws=300)
+        d, p = model.d, model.p
+        perm = np.array([2, 0, 1])
+        columns = np.concatenate([(perm[:, None] * p + np.arange(p)).ravel(), d * p + perm, [d * p + d]])
+        permuted = PosteriorDraws(values=draws.values[:, columns], param_names=draws.param_names)
+        config = RunConfig(transform_order=order)
+        a = run_loo(model, draws, dataset, prior, config)
+        b = run_loo(model, permuted, dataset, prior, config)
+        assert any(r.attempts for r in a.per_observation)
+        _assert_same_results(a.per_observation, b.per_observation)
 
 
 class TestRunCost:

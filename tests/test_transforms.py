@@ -471,6 +471,24 @@ class TestApplyPmm:
         assert out.degenerate
         assert "pmm2-unavailable" in out.flags
 
+    def test_pmm2_singular_when_a_column_collapses(self):
+        # column 0 is 0, +-1 ... +-24, 0: its plain mean is exactly 0, and all
+        # weight on a draw at 0 gives it weighted variance 0, so at hbar = 1
+        # PMM2 maps the whole column to 0; a smaller step keeps it invertible
+        column = np.concatenate([[0.0], np.arange(1.0, 25.0).repeat(2) * np.tile([1.0, -1.0], 24), [0.0]])
+        values = np.stack([column, np.random.default_rng(41).normal(size=column.size)], axis=1)
+        problem = self._problem(PosteriorDraws(values=values, param_names=("a", "b")))
+        assert problem.stats.mean[0] == 0.0
+        log_w = np.full(column.size, -np.inf)
+        log_w[0] = 0.0
+        weights = WeightVector.from_log_weights(log_w)
+        _, out = attempt(problem, "PMM2", 0, 1.0, weights)
+        assert out.degenerate
+        assert out.flags == ("pmm2-singular",)
+        _, out = attempt(problem, "PMM2", 0, 0.25, weights)
+        assert not out.degenerate and out.flags == ()
+        assert np.all(np.isfinite(out.log_jac_det))
+
     def test_kind_guard(self):
         problem, weights = self._setup()
         with pytest.raises(DomainError):
