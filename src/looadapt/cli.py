@@ -19,13 +19,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from . import __version__
 from .data import Dataset, RunConfig, load_dataset_csv, load_draws_csv, open_input
-from .engine import LooReport, ObservationResult, eta_weights, run_loo
+from .engine import ObservationResult, eta_weights, run_loo
 from .errors import LooAdaptError
 from .gpd import pareto_smooth
 from .models import GaussianPrior, LogisticModel, ReluOneModel, SigmoidalModel, evaluate_posterior
@@ -43,9 +43,16 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _fields(record) -> dict:
+    """A dataclass instance's fields by name; unlike ``vars``, without the
+    attributes computed on first read, such as ``WeightVector.normalized``."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _json_safe(value):
-    """Recursively convert to JSON-encodable values; non-finite floats
-    become null (documented in the report schema)."""
+    """Recursively convert to JSON-encodable values: a dataclass instance
+    becomes an object of its fields, and non-finite floats become null
+    (documented in the report schema)."""
     if isinstance(value, float):  # np.float64 is a float
         return value if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
@@ -56,41 +63,22 @@ def _json_safe(value):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return _json_safe(_fields(value))
     return value
 
 
 def _observation_dict(result: ObservationResult) -> dict:
+    """The record as the report writes it, except in two forms: the winner is
+    its kind and hbar with the observation's index, and the final weights are
+    only their normalized values."""
+    win = result.winning_transform
+    if win is not None:
+        win = {"kind": win.kind, "hbar": win.hbar, "observation_index": result.index}
     return {
-        "index": result.index,
-        "raw_khat": result.raw_khat,
-        "adapted": result.adapted,
-        "winning_transform": None
-        if result.winning_transform is None
-        else {
-            "kind": result.winning_transform.kind,
-            "hbar": result.winning_transform.hbar,
-            "observation_index": result.index,
-        },
-        "final_khat": result.final_khat,
+        **_fields(result),
+        "winning_transform": win,
         "final_weights": {"normalized": result.final_weights.normalized},
-        "loo_predictive_prob": result.loo_predictive_prob,
-        "loo_log_predictive_density": result.loo_log_predictive_density,
-        "loo_predictive_prob_se": result.loo_predictive_prob_se,
-        "loo_log_predictive_density_se": result.loo_log_predictive_density_se,
-        "attempts": [asdict(a) for a in result.attempts],
-    }
-
-
-def _report_dict(report: LooReport) -> dict:
-    return {
-        "per_observation": [_observation_dict(r) for r in report.per_observation],
-        "loo_ic": report.loo_ic,
-        "loo_ic_se": report.loo_ic_se,
-        "n_failed": report.n_failed,
-        "roc_points": [asdict(p) for p in report.roc_points],
-        "prc_points": [asdict(p) for p in report.prc_points],
-        "auroc": report.auroc,
-        "auprc": report.auprc,
     }
 
 
@@ -140,10 +128,10 @@ def cmd_run(args) -> int:
     t_engine = time.perf_counter()
     envelope = {
         "tool_version": __version__,
-        "config_echo": asdict(config),
+        "config_echo": config,
         "dataset_fingerprint": _sha256(args.data),
         "draws_fingerprint": _sha256(args.draws),
-        "report": _report_dict(report),
+        "report": {**_fields(report), "per_observation": [_observation_dict(r) for r in report.per_observation]},
         "timings": {
             "ingest_ms": round(1e3 * (t_ingest - t0), 3),
             "engine_ms": round(1e3 * (t_engine - t_ingest), 3),

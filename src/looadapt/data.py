@@ -132,6 +132,14 @@ def _list_of(value, kind, key: str, what: str) -> tuple:
     return tuple(value)
 
 
+def _object_without_repeats(pairs: list) -> dict:
+    """A config JSON object, whose keys must be distinct."""
+    repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+    if repeated:
+        raise ValidationError([f"config repeats key {key!r}" for key in repeated])
+    return dict(pairs)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs of the adaptation loop; every field has a usable default.
@@ -178,7 +186,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, object_pairs_hook=_object_without_repeats)
         except json.JSONDecodeError as exc:
             raise ValidationError([f"config is not valid JSON: {exc}"]) from exc
         if not isinstance(payload, dict):

@@ -244,15 +244,14 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
             else:
                 smoothed, fit = pareto_smooth(weights)
         # without a fit (degenerate map or all-zero weights) the attempt is
-        # recorded with khat = inf and skipped, even under an infinite threshold
+        # recorded with khat = inf and skipped
         khat = math.inf if fit is None else fit.khat
         record = AttemptRecord(
             kind=line.kind, hbar=hbar, khat=khat, fittable=fit is not None and fit.fittable,
             degenerate=fit is None, flags=flags, h_used=transformed.h_used, max_step_sd=transformed.max_step_sd,
         )
         attempts.append(record)
-        # an attempt under the threshold wins even over a NaN raw k-hat
-        if fit is not None and (khat < best[0] or khat <= threshold):
+        if fit is not None and khat < best[0]:
             at_phi = transformed.evaluation
             best = (khat, record, at_phi.mu[:, i].copy(), at_phi.log_lik[:, i].copy(), smoothed)
         del transformed  # free this attempt's (S, n) arrays before the next is evaluated

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -147,6 +148,13 @@ class TestCmdRun:
         ({"config": "[]"}, [], "config JSON must be an object"),
         ({}, ["--model", "relu1"], "--hidden is required for the relu1 model"),
         ({"config": '{"hbar_exponents": [-1]}'}, [], "hbar_exponents must be non-negative"),
+        ({"config": '{"transform_order": []}'}, [], "transform_order must be non-empty"),
+        ({"config": '{"khat_threshold": 0.5, "khat_threshold": 0.9}'}, [], "config repeats key 'khat_threshold'"),
+        ({}, ["--model", "relu1", "--hidden", "0"], "relu1 model needs d >= 1 hidden units and p >= 1 features"),
+        ({}, ["--model", "relu1", "--hidden", "-2"], "relu1 model needs d >= 1 hidden units and p >= 1 features"),
+        ({}, ["--prior-sd", "0"], "prior sds must be finite and positive"),
+        ({}, ["--prior-sd", "-1"], "prior sds must be finite and positive"),
+        ({}, ["--prior-sd", "nan"], "prior sds must be finite and positive"),
     ])
     def test_bad_input_is_an_error_line(self, toy_files, tmp_path, capsys, files, flags, message):
         paths = dict(zip(("data", "draws"), toy_files))
@@ -373,6 +381,27 @@ class TestReportJson:
             "finite": finite.tolist(), "inf": [1.0, None, None, None], "matrix": [[0.1, -2.5e-300], [1e300, 0.0]],
             "ints": [3, 4], "flags": [True, False],
         })
+
+
+    def test_readme_names_every_key(self, toy_files, tmp_path):
+        """README's "Report schema" names every key of a rendered report, at
+        each level it describes."""
+        data, draws = toy_files
+        out = tmp_path / "report.json"
+        assert main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
+                     "--out", str(out)]) in (0, 3)
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        report = payload["report"]
+        first = report["per_observation"][0]
+        attempts = [a for obs in report["per_observation"] for a in obs["attempts"]]
+        winners = [obs["winning_transform"] for obs in report["per_observation"] if obs["winning_transform"]]
+        levels = [payload, payload["config_echo"], report, first, first["final_weights"], attempts[0], winners[0],
+                  report["roc_points"][0]]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Report schema", 1)[1].split("\n#", 1)[0]
+        named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", section))))
+        for level in levels:
+            assert set(level) <= named, sorted(set(level) - named)
 
 
 class TestTracedRun:

@@ -162,6 +162,16 @@ class TestDatasetValidation:
         with pytest.raises(DomainError):
             Dataset(features=np.array([[np.nan]]), labels=np.array([0]), feature_names=("f",))
 
+    @pytest.mark.parametrize("features, labels, names, error, message", [
+        (np.ones(2), [0, 1], ("f",), DimensionError, "features must be a 2-d matrix"),
+        (np.ones((0, 1)), [], ("f",), DomainError, "dataset needs at least one row and one feature"),
+        (np.ones((2, 1)), [0, 1, 1], ("f",), DimensionError, r"expected 2 labels, got \(3,\)"),
+        (np.ones((2, 1)), [0, 1], ("f", "g"), DimensionError, "expected 1 feature names, got 2"),
+    ])
+    def test_shapes_enforced_in_constructor(self, features, labels, names, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Dataset(features=features, labels=np.array(labels), feature_names=names)
+
     def test_dataset_arrays_read_only(self):
         ds = Dataset(features=np.ones((2, 1)), labels=np.array([0, 1]), feature_names=("f",))
         with pytest.raises(ValueError):
@@ -476,3 +486,11 @@ class TestPosteriorDraws:
     def test_finite_required(self):
         with pytest.raises(DomainError):
             PosteriorDraws(values=np.array([[1.0], [np.inf]]), param_names=("a",))
+
+    @pytest.mark.parametrize("values, names, message", [
+        (np.ones(3), ("a",), "draw values must be a 2-d matrix"),
+        (np.ones((3, 2)), ("a",), "expected 2 parameter names, got 1"),
+    ])
+    def test_shapes_enforced(self, values, names, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            PosteriorDraws(values=values, param_names=names)

@@ -46,6 +46,8 @@ class TestFitGpdTail:
             fit_gpd_tail(np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
         with pytest.raises(DomainError):
             fit_gpd_tail(np.array([3.0, 2.0, 1.0, 4.0, 5.0]))
+        with pytest.raises(DomainError, match="^tail excesses must be a 1-d vector$"):
+            fit_gpd_tail(np.ones((5, 2)))
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(13)
@@ -195,6 +197,8 @@ class TestWeightVector:
             WeightVector.from_log_weights(np.array([0.0, np.nan]))
         with pytest.raises(DomainError):
             WeightVector.from_log_weights(np.array([-np.inf, -np.inf]))
+        with pytest.raises(DomainError, match="^log weights must be a non-empty 1-d vector$"):
+            WeightVector.from_log_weights([])
 
 
 class TestGpdQuantile:

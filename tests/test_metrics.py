@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looadapt import CurveUndefinedError
+from looadapt import CurveUndefinedError, DimensionError
 from looadapt.metrics import auprc, auroc, pr_curve, roc_curve
 
 from conftest import pair_count_auroc
@@ -43,6 +43,10 @@ class TestRocCurve:
     def test_single_class_rejected(self):
         with pytest.raises(CurveUndefinedError):
             roc_curve([0.1, 0.2], [1, 1])
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(DimensionError, match="^scores and labels must be 1-d vectors of equal length$"):
+            roc_curve([0.1, 0.2, 0.3], [0, 1])
 
     def test_monotone_transform_invariance(self, rng):
         scores = rng.uniform(size=30)

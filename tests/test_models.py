@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from looadapt import Dataset, DomainError, GaussianPrior, LogisticModel, ReluOneModel, RunConfig, grad_log_posterior
+from looadapt import (
+    Dataset,
+    DimensionError,
+    DomainError,
+    GaussianPrior,
+    LogisticModel,
+    ReluOneModel,
+    RunConfig,
+    grad_log_posterior,
+)
 from looadapt.engine import LooProblem, eta_weights
 from looadapt.gpd import pareto_smooth
 from looadapt.models import (
@@ -129,6 +138,10 @@ class TestGradLogLikelihood:
             fd = finite_difference_gradient(lambda t: bernoulli_log_likelihood(model.mu(t, x), y), theta)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
+    def test_logistic_model_needs_a_feature(self):
+        with pytest.raises(DomainError, match="^logistic model needs at least one feature$"):
+            LogisticModel(p=0)
+
 
 class TestReluForward:
     def test_zero_first_layer(self):
@@ -147,6 +160,10 @@ class TestReluForward:
         model = ReluOneModel(d=1, p=1)
         mu, z1, mask = model.relu_forward([0.0, 5.0, 1.0], [1.0])
         assert z1[0] == 0.0 and mask[0] == 0.0 and mu == 1.0
+
+    def test_parameter_vector_of_the_wrong_length(self):
+        with pytest.raises(DimensionError, match="^expected parameter vector of length 3$"):
+            ReluOneModel(d=1, p=1).relu_forward([1.0, 2.0], [1.0])
 
 
 class TestReluGradMu:
@@ -452,6 +469,10 @@ class TestGaussianPrior:
             for t, s in zip(theta, prior.sd)
         )
         assert prior.log_density(theta) == pytest.approx(expected, rel=1e-12)
+
+    def test_sd_must_be_a_vector(self):
+        with pytest.raises(DimensionError, match="^prior sd must be a 1-d vector$"):
+            GaussianPrior(sd=[[1.0]])
 
     def test_grad_is_negative_precision_scaled(self):
         prior = GaussianPrior(sd=np.array([1.0, 2.0]))
