@@ -3,7 +3,9 @@
 Batch-only: ``run`` writes a self-identifying JSON report, ``diagnose``
 prints per-observation tail diagnostics without adapting anything, and
 ``curves`` exports ROC / precision-recall point lists from an existing
-report for external plotting.
+report for external plotting. ``run`` and ``diagnose`` print k-hat band
+counts on stderr, and ``run`` a reason for each observation it could not
+adapt.
 
 Exit codes: 0 on success, 3 when the run completed but some observations
 could not be adapted (the report is still written), 1 on input errors.
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, RunConfig, load_dataset_csv, load_draws_csv, open_input
-from .engine import ObservationResult, eta_weights, run_loo
+from .engine import LooReport, ObservationResult, eta_weights, run_loo
 from .errors import LooAdaptError
 from .gpd import pareto_smooth
 from .models import GaussianPrior, LogisticModel, ReluOneModel, SigmoidalModel, evaluate_posterior
@@ -33,6 +35,9 @@ from .models import GaussianPrior, LogisticModel, ReluOneModel, SigmoidalModel, 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNADAPTED = 3
+
+# Upper edges of the k-hat bands printed on stderr: <=0.5, 0.5-0.7, 0.7-1, >1.
+_KHAT_BAND_EDGES = (0.5, 0.7, 1.0)
 
 
 def _sha256(path: str) -> str:
@@ -71,19 +76,53 @@ def _json_safe(value):
 def _observation_dict(result: ObservationResult) -> dict:
     """The record as the report writes it, except in two forms: the winner is
     its kind and hbar with the observation's index, and the final weights are
-    only their normalized values."""
+    their PSIS summary, the effective sample size 1/sum(w^2) and the largest
+    normalized weight w."""
     win = result.winning_transform
     if win is not None:
         win = {"kind": win.kind, "hbar": win.hbar, "observation_index": result.index}
+    w = result.final_weights.normalized
     return {
         **_fields(result),
         "winning_transform": win,
-        "final_weights": {"normalized": result.final_weights.normalized},
+        # np.sum, unlike a BLAS dot, adds in an order that no thread count changes
+        "final_weights": {"ess": 1.0 / np.sum(np.square(w)), "max_weight": w.max()},
     }
 
 
 def render_report_json(envelope: dict) -> str:
     return json.dumps(_json_safe(envelope), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _khat_bands(label: str, khats) -> str:
+    """Counts of k-hat in the bands of Vehtari, Gelman and Gabry (2017); an
+    unfittable tail (infinite k-hat) counts as over 1."""
+    counts = np.bincount(np.searchsorted(_KHAT_BAND_EDGES, khats), minlength=4)
+    return f"{label} k-hat: <=0.5 {counts[0]}, 0.5-0.7 {counts[1]}, 0.7-1 {counts[2]}, >1 {counts[3]}"
+
+
+def _failure_reason(result: ObservationResult) -> str:
+    """Why an observation was not adapted, from its record alone."""
+    if not result.attempts:  # a flagged observation skips the scan only when the tail rule leaves too few draws
+        return "raw tail unfittable and no attempts (too few draws)"
+    if all(a.degenerate for a in result.attempts):
+        return "every attempt degenerate"
+    win = result.winning_transform
+    where = "with the raw weights" if win is None else f"at {win.kind}/{win.hbar!r}"
+    return f"best k-hat {result.final_khat:.6f} {where}"
+
+
+def _print_run_summary(report: LooReport, config: RunConfig) -> None:
+    """k-hat bands, winner counts and one line per unadapted observation, on stderr."""
+    results = report.per_observation
+    winners = [r.winning_transform.kind if r.winning_transform else "raw" for r in results]
+    lines = [
+        _khat_bands("raw", [r.raw_khat for r in results]),
+        _khat_bands("final", [r.final_khat for r in results]),
+        "winners: " + ", ".join(f"{kind} {winners.count(kind)}" for kind in (*config.transform_order, "raw")),
+        *(f"observation {r.index} not adapted: {_failure_reason(r)}" for r in results if not r.adapted),
+    ]
+    print("\n".join(lines), file=sys.stderr)
 
 
 def _build_model(args, dataset: Dataset) -> SigmoidalModel:
@@ -140,6 +179,7 @@ def cmd_run(args) -> int:
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render_report_json(envelope))
+    _print_run_summary(report, config)
     return EXIT_OK if report.n_failed == 0 else EXIT_UNADAPTED
 
 
@@ -148,11 +188,14 @@ def cmd_diagnose(args) -> int:
     evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=False)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["observation_index", "raw_khat", "needs_adaptation"])
+    khats = []
     for i in range(dataset.n):
         # The command line takes posterior draws only: the proposal is the posterior.
         _, fit = pareto_smooth(eta_weights(evaluation, evaluation.log_post, i))
         khat = fit.khat
+        khats.append(khat)
         writer.writerow([i, "inf" if math.isinf(khat) else f"{khat:.6f}", khat > config.khat_threshold])
+    print(_khat_bands("raw", khats), file=sys.stderr)
     return EXIT_OK
 
 

@@ -6,14 +6,18 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from looadapt.cli import main, render_report_json
+from looadapt import GaussianPrior, LogisticModel, PosteriorDraws, RunConfig, load_dataset_csv, load_draws_csv, run_loo
+from looadapt.cli import _failure_reason, _observation_dict, _print_run_summary, main, render_report_json
+from looadapt.engine import AttemptRecord, ObservationResult
+from looadapt.gpd import WeightVector
 
-from conftest import make_logistic_toy
+from conftest import gaussian_proposal, make_grid_instance_2, make_logistic_toy
 
 
 @pytest.fixture
@@ -40,6 +44,16 @@ def _strip_timings(path):
         payload = json.load(fh)
     payload.pop("timings")
     return json.dumps(payload, sort_keys=True)
+
+
+def _bytes_outside_timings(path):
+    """The raw bytes of a report around its ``timings`` block, cut by the rule
+    of the benchmark's ``tracing.timings_span``."""
+    data = path.read_bytes()
+    start = data.rfind(b'"timings": {')
+    end = data.index(b"}", start) + 1
+    assert start > 0
+    return data[:start] + data[end:]
 
 
 class TestCmdRun:
@@ -96,6 +110,17 @@ class TestCmdRun:
         assert main(["run", *args, "--out", str(out1)]) in (0, 3)
         assert main(["run", *args, "--out", str(out2)]) in (0, 3)
         assert _strip_timings(out1) == _strip_timings(out2)
+
+    def test_bytes_equal_across_worker_counts(self, toy_files, tmp_path):
+        data, draws = toy_files
+        args = ["run", "--data", str(data), "--draws", str(draws), "--model", "logistic"]
+        outputs = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"workers{workers}.json"
+            assert main([*args, "--workers", workers, "--out", str(out)]) in (0, 3)
+            outputs.append(_bytes_outside_timings(out))
+        assert b'"attempts": [\n' in outputs[0]  # some observation was scanned
+        assert outputs[0] == outputs[1]
 
     def test_zero_workers_is_an_error_line(self, toy_files, tmp_path, capsys):
         data, draws = toy_files
@@ -253,6 +278,113 @@ def _curves_report(**points):
     return json.dumps({"report": {**report, **points}}).encode("utf-8")
 
 
+def _band_line(label, khats):
+    """The k-hat band line of ``run`` and ``diagnose``, counted one by one; a
+    null (unfittable) k-hat counts as over 1."""
+    counts = [0, 0, 0, 0]
+    for khat in khats:
+        khat = math.inf if khat is None else khat
+        counts[0 if khat <= 0.5 else 1 if khat <= 0.7 else 2 if khat <= 1.0 else 3] += 1
+    return f"{label} k-hat: <=0.5 {counts[0]}, 0.5-0.7 {counts[1]}, 0.7-1 {counts[2]}, >1 {counts[3]}"
+
+
+def _record(**fields):
+    """An ObservationResult with placeholder values for the fields not given."""
+    base = dict(
+        index=0, raw_khat=0.9, adapted=False, winning_transform=None, final_khat=0.9,
+        final_weights=WeightVector.from_log_weights(np.zeros(2)), loo_predictive_prob=0.5,
+        loo_log_predictive_density=-0.7, loo_predictive_prob_se=0.1, loo_log_predictive_density_se=0.2, attempts=(),
+    )
+    return ObservationResult(**{**base, **fields})
+
+
+class TestStderrSummary:
+    """``run`` prints k-hat bands, the winners and a reason per unadapted
+    observation on stderr; ``diagnose`` prints the raw bands there, so its
+    stdout stays a plain CSV."""
+
+    def test_run_bands_count_the_report(self, toy_files, tmp_path, capsys):
+        data, draws = toy_files
+        out = tmp_path / "report.json"
+        assert main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
+                     "--out", str(out)]) == 0
+        observations = json.loads(out.read_text(encoding="utf-8"))["report"]["per_observation"]
+        winners = [obs["winning_transform"]["kind"] for obs in observations if obs["winning_transform"]]
+        assert winners and len(winners) < len(observations)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            _band_line("raw", [obs["raw_khat"] for obs in observations]),
+            _band_line("final", [obs["final_khat"] for obs in observations]),
+            f"winners: PMM1 {winners.count('PMM1')}, PMM2 {winners.count('PMM2')}, KL {winners.count('KL')}, "
+            f"Var {winners.count('Var')}, LL {winners.count('LL')}, raw {len(observations) - len(winners)}",
+        ]
+
+    def test_run_names_why_each_observation_failed(self, toy_files, tmp_path, capsys):
+        data, draws = toy_files
+        config = tmp_path / "config.json"
+        config.write_text('{"transform_order": ["KL"], "hbar_exponents": [0]}', encoding="utf-8")
+        code = main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
+                     "--config", str(config), "--out", str(tmp_path / "report.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "raw k-hat: <=0.5 3, 0.5-0.7 2, 0.7-1 2, >1 1\n"
+            "final k-hat: <=0.5 3, 0.5-0.7 3, 0.7-1 1, >1 1\n"
+            "winners: KL 2, raw 6\n"
+            "observation 5 not adapted: best k-hat 1.166045 at KL/1.0\n"
+            "observation 7 not adapted: best k-hat 0.944925 with the raw weights\n"
+        )
+
+    def test_too_few_draws_fail_every_observation(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n0.5,1\n-0.5,0\n", encoding="utf-8")
+        draws = tmp_path / "draws.csv"
+        draws.write_text("b\n0.1\n0.2\n0.3\n", encoding="utf-8")
+        code = main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "raw k-hat: <=0.5 0, 0.5-0.7 0, 0.7-1 0, >1 2\n"
+            "final k-hat: <=0.5 0, 0.5-0.7 0, 0.7-1 0, >1 2\n"
+            "winners: PMM1 0, PMM2 0, KL 0, Var 0, LL 0, raw 2\n"
+            "observation 0 not adapted: raw tail unfittable and no attempts (too few draws)\n"
+            "observation 1 not adapted: raw tail unfittable and no attempts (too few draws)\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["KL", "Var"])
+    def test_grid_oracle_instance_keeps_the_raw_weights(self, kind, capsys):
+        # the logistic grid-oracle instance (q at 0.6x the posterior
+        # covariance), where KL and Var each leave one flagged observation
+        model, dataset, prior, grid = make_grid_instance_2()
+        values, q = gaussian_proposal(grid, 0.6, 3000, np.random.default_rng(1))
+        config = RunConfig(transform_order=(kind,))
+        report = run_loo(model, PosteriorDraws(values=values, param_names=("b0", "b1")), dataset, prior, config,
+                         variational_log_density=q)
+        _print_run_summary(report, config)
+        assert capsys.readouterr().err == (
+            "raw k-hat: <=0.5 0, 0.5-0.7 6, 0.7-1 2, >1 0\n"
+            "final k-hat: <=0.5 0, 0.5-0.7 7, 0.7-1 1, >1 0\n"
+            f"winners: {kind} 1, raw 7\n"
+            "observation 3 not adapted: best k-hat 0.824936 with the raw weights\n"
+        )
+
+    def test_every_attempt_degenerate(self):
+        attempt = AttemptRecord(kind="PMM1", hbar=1.0, khat=math.inf, fittable=False, degenerate=True,
+                                flags=("all-weights-zero",), h_used=0.5, max_step_sd=0.5)
+        assert _failure_reason(_record(attempts=(attempt, replace(attempt, hbar=0.25)))) == "every attempt degenerate"
+        fitted = replace(attempt, khat=0.8, fittable=True, degenerate=False, flags=())
+        reason = _failure_reason(_record(attempts=(attempt, fitted), winning_transform=fitted, final_khat=0.8))
+        assert reason == "best k-hat 0.800000 at PMM1/1.0"
+
+    def test_diagnose_bands_match_its_csv(self, toy_files, capsys):
+        data, draws = toy_files
+        assert main(["diagnose", "--data", str(data), "--draws", str(draws), "--model", "logistic"]) == 0
+        captured = capsys.readouterr()
+        khats = [float(row.split(",")[1]) for row in captured.out.splitlines()[1:]]
+        assert len(khats) == 8
+        assert captured.err == _band_line("raw", khats) + "\n"
+
+
 class TestCmdCurves:
     def _run(self, toy_files, tmp_path):
         data, draws = toy_files
@@ -382,6 +514,45 @@ class TestReportJson:
             "ints": [3, 4], "flags": [True, False],
         })
 
+
+    def test_final_weights_are_the_library_weights_summarized(self, toy_files, tmp_path):
+        data, draws_path = toy_files
+        out = tmp_path / "report.json"
+        assert main(["run", "--data", str(data), "--draws", str(draws_path), "--model", "logistic",
+                     "--out", str(out)]) in (0, 3)
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        dataset, draws = load_dataset_csv(str(data)), load_draws_csv(str(draws_path))
+        model = LogisticModel(p=dataset.p)
+        report = run_loo(model, draws, dataset, GaussianPrior.isotropic(model.param_dim, 1.0), RunConfig())
+        num_draws = draws.num_draws
+        for obs, result in zip(payload["report"]["per_observation"], report.per_observation, strict=True):
+            w = result.final_weights.normalized
+            summary = obs["final_weights"]
+            assert summary["ess"] == pytest.approx(1.0 / sum(float(v) ** 2 for v in w), rel=1e-12)
+            assert summary["max_weight"] == w.max()
+            assert 1.0 <= summary["ess"] <= num_draws
+            assert 0.0 < summary["max_weight"] <= 1.0
+
+        def list_lengths(value):
+            if isinstance(value, dict):
+                for child in value.values():
+                    yield from list_lengths(child)
+            elif isinstance(value, list):
+                yield len(value)
+                for child in value:
+                    yield from list_lengths(child)
+
+        # no per-draw vector is written anywhere
+        assert num_draws not in set(list_lengths(payload))
+
+    @pytest.mark.parametrize("log_weights, ess, max_weight", [
+        (np.zeros(60), 60.0, 1.0 / 60.0),
+        (np.r_[-3.0, np.full(59, -np.inf)], 1.0, 1.0),
+    ], ids=["equal", "one-nonzero"])
+    def test_final_weights_summary_bounds(self, log_weights, ess, max_weight):
+        summary = _observation_dict(_record(final_weights=WeightVector.from_log_weights(log_weights)))["final_weights"]
+        assert summary["ess"] == pytest.approx(ess, rel=1e-12)
+        assert summary["max_weight"] == pytest.approx(max_weight, rel=1e-15)
 
     def test_readme_names_every_key(self, toy_files, tmp_path):
         """README's "Report schema" names every key of a rendered report, at
