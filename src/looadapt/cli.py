@@ -60,10 +60,6 @@ def _json_safe(value):
     (documented in the report schema)."""
     if isinstance(value, float):  # np.float64 is a float
         return value if math.isfinite(value) else None
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and np.isfinite(value).all():
-            return value.tolist()  # already plain floats, none to null
-        return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
@@ -252,7 +248,6 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="run configuration JSON")
     parser.add_argument("--label-column", default="y", help="name of the label column")
     parser.add_argument("--add-intercept", action="store_true", help="append a constant-1 feature")
-    parser.add_argument("--workers", type=int, default=1, help="threads for the per-observation loop (at least 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="adapt every observation and write a JSON report")
     _add_input_flags(run_p)
     run_p.add_argument("--out", required=True, help="report output path")
+    run_p.add_argument("--workers", type=int, default=1, help="threads for the per-observation loop (at least 1)")
     run_p.set_defaults(func=cmd_run)
 
     diag_p = sub.add_parser("diagnose", help="print raw tail diagnostics per observation")

@@ -347,11 +347,6 @@ class LinearMuLine:
 #: (draws, d, n) temporaries are 400 KB each and stay in cache.
 LINE_BLOCK_DRAWS = 64
 
-#: Relative slack on a fan's bound when it collects the elements that can
-#: change activity, so that a coefficient a few roundings past the bound
-#: still finds all of its elements there.
-FLIP_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class ReluMuLine:
@@ -413,38 +408,34 @@ class ReluFan:
     adds (turns on) or subtracts (turns off) its term (w2 + t dw2)(z1 + t dz).
     Each element's rounded pre-activation (t a) g + z1 is monotone in t, so
     every element that changes activity on a line of the fan, at
-    0 <= hbar <= 1, has changed it by t = bound. ``candidates`` are the flat
-    (s, k, n) indices of those, found at bound (1 + FLIP_SLACK). c1, c2 and
-    the candidates cost one O(S d n) pass, a line O(candidates), and a step
-    scale O(S n + flips), where flips are the candidates that change
-    activity on its line by hbar = 1.
+    0 <= hbar <= 1, has changed it by t = bound. ``candidates`` are those
+    elements (s, k, n), gathered once, with a and dw2 per unit coef and
+    ``draw`` = s. c1, c2 and the candidates cost one O(S d n) pass, a line
+    O(candidates), and a step scale O(S n + flips), where flips are the
+    candidates that change activity on its line by hbar = 1.
     """
 
-    origin: ReluMuLine
-    a: np.ndarray
-    g: np.ndarray | float
-    dw2: np.ndarray
-    reach: np.ndarray       # (S,) bound * (1 + FLIP_SLACK)
+    mu: np.ndarray          # (S, n) at the draws
+    bound: np.ndarray       # (S,)
     c1: np.ndarray          # (S, n)
     c2: np.ndarray          # (S, n)
-    candidates: np.ndarray  # flat indices into (S, d, n)
+    candidates: _Elements
+    draw: np.ndarray
 
     @classmethod
     def build(cls, origin: ReluMuLine, a, g, dw2, db2, bound) -> "ReluFan":
         """c1, c2 and the candidates in one pass over blocks of ``LINE_BLOCK_DRAWS`` draws."""
         z1, w2 = origin.z1, origin.w2
         num_draws, d, n = z1.shape
-        reach = bound * (1.0 + FLIP_SLACK)
-        per_draw = np.ndim(a) == 3
-        dw2_rows = np.broadcast_to(dw2, (num_draws, d))
+        a = np.broadcast_to(a, (num_draws,) + np.shape(a)[-2:])
+        dw2 = np.broadcast_to(dw2, (num_draws, d))
         c1, c2 = np.empty((num_draws, n)), np.empty((num_draws, n))
         found = []
         for start in range(0, num_draws, LINE_BLOCK_DRAWS):
             stop = min(start + LINE_BLOCK_DRAWS, num_draws)
-            z, u = z1[start:stop], dw2_rows[start:stop, None, :]
-            block_a = a[start:stop] if per_draw else a
+            z, u, block_a = z1[start:stop], dw2[start:stop, None, :], a[start:stop]
             active = z > 0
-            moved = np.multiply(reach[start:stop, None, None] * block_a, g)
+            moved = np.multiply(bound[start:stop, None, None] * block_a, g)
             moved += z
             found.append(np.flatnonzero((moved > 0) != active) + start * d * n)
             dz = np.multiply(block_a, g, out=moved)
@@ -453,29 +444,23 @@ class ReluFan:
             np.matmul(u, np.maximum(z, 0.0), out=c1[start:stop, None, :])
             c1[start:stop] += np.matmul(w2[start:stop, None, :], dz)[:, 0]
         c1 += db2
-        return cls(origin, a, g, dw2, reach, c1, c2, np.concatenate(found))
+        s, k, j = np.unravel_index(np.concatenate(found), z1.shape)
+        candidates = _Elements(
+            s * n + j, z1[s, k, j], np.broadcast_to(a, z1.shape)[s, k, j], np.broadcast_to(g, (n,))[j], w2[s, k], dw2[s, k]
+        )
+        return cls(origin.mu, bound, c1, c2, candidates, s)
 
     def line(self, coef) -> "ReluLine":
         """The line with per-draw coefficient ``coef``, (S,), and its flips. A
-        draw whose coef lies outside the fan (past its reach, or of the other
-        sign) has all of its elements checked."""
-        num_draws, d, n = self.origin.z1.shape
-        index = self.candidates
-        inside = (coef == 0) | ((np.sign(coef) == np.sign(self.reach)) & (np.abs(coef) <= np.abs(self.reach)))
-        if not inside.all():
-            every = (np.flatnonzero(~inside)[:, None] * (d * n) + np.arange(d * n)).ravel()
-            index = np.concatenate((index[inside[index // (d * n)]], every))
-        s, k, j = np.unravel_index(index, (num_draws, d, n))
-        z1 = self.origin.z1[s, k, j]
-        c = coef[s]
-        a = c * np.broadcast_to(self.a, self.origin.z1.shape)[s, k, j]
-        g = np.broadcast_to(self.g, (n,))[j]
-        moved = np.flatnonzero((a * g + z1 > 0) != (z1 > 0))
-        s, k = s[moved], k[moved]
-        dw2 = c[moved] * np.broadcast_to(self.dw2, (num_draws, d))[s, k]
+        coef outside the fan, past its bound or of the other sign, is a DomainError."""
+        if not np.all((np.minimum(self.bound, 0.0) <= coef) & (coef <= np.maximum(self.bound, 0.0))):
+            raise DomainError("a relu1 fan's line needs every coefficient between 0 and the fan's bound")
+        e, c = self.candidates, coef[self.draw]
+        a = c * e.a
+        moved = np.flatnonzero((a * e.g + e.z1 > 0) != (e.z1 > 0))
         return ReluLine(
-            mu=self.origin.mu, scale=coef[:, None], c1=self.c1, c2=self.c2,
-            flips=_Elements(s * n + j[moved], z1[moved], a[moved], g[moved], self.origin.w2[s, k], dw2),
+            mu=self.mu, scale=coef[:, None], c1=self.c1, c2=self.c2,
+            flips=_Elements(e.cell[moved], e.z1[moved], a[moved], e.g[moved], e.w2[moved], c[moved] * e.dw2[moved]),
         )
 
 

@@ -283,13 +283,25 @@ class Observation:
         return self.problem.model.hessian_projection(self.grad, self.x, self.grad)
 
     @computed_once
+    def gradient_steps(self) -> dict:
+        """Each configured gradient kind's (:class:`GradientStep`, log h, coef),
+        made together when the first gradient line is built; a zero step has
+        log h = -inf and coef None."""
+        steps = {}
+        for kind in self.problem.config.transform_order:
+            if kind in GRADIENT_KINDS:
+                step = gradient_step(kind, self)
+                log_h = log_step_size(step.scale, step.factor, self.r)
+                steps[kind] = (step, log_h, None if log_h == -np.inf else step.coef(log_h))
+        return steps
+
+    @computed_once
     def mu_fan(self):
-        """mu along every line of this observation. Every kind's nonzero coef_s has
-        the sign ``sign``, and the step-size rule keeps |coef_s| <= 1 / r_s."""
-        r = self.r
-        with np.errstate(over="ignore"):  # a subnormal r gives an infinite bound
-            bound = np.divide(self.sign, r, out=np.zeros_like(r), where=(r > 0) & (r < np.inf))
-        return self.problem.mu_origin.gradient_fan(self.grad, self.x, bound)
+        """mu along every gradient line of this observation, read once some kind
+        has a nonzero step. Every nonzero coef_s has the sign ``sign``, so the
+        fan's bound, sign times the largest |coef_s| over the kinds, holds each line."""
+        reach = np.max([np.abs(coef) for _, _, coef in self.gradient_steps.values() if coef is not None], axis=0)
+        return self.problem.mu_origin.gradient_fan(self.grad, self.x, self.sign * reach)
 
 
 def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
@@ -299,14 +311,15 @@ def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
     is theta + hbar * D with an exact per-draw log-determinant. A zero step
     (all-zero Q or a zero posterior sd in a moving component) makes every
     attempt the identity with the ``zero-step`` flag. The largest shift,
-    max_s |coef_s| r_s, is 1 up to rounding by the step-size rule.
+    max_s |coef_s| r_s, is 1 up to rounding by the step-size rule. ``kind``
+    must be one of the run's configured gradient kinds.
     """
-    grad_step = gradient_step(kind, obs)
-    r = obs.r
-    log_h = log_step_size(grad_step.scale, grad_step.factor, r)
-    if log_h == -np.inf:
+    if kind not in obs.gradient_steps:
+        raise DomainError(f"{kind!r} is not a gradient kind of this run's transform_order")
+    grad_step, log_h, coef = obs.gradient_steps[kind]
+    if coef is None:
         return StepLine(kind=kind, observation_index=obs.i, flags=("zero-step",))
-    coef = grad_step.coef(log_h)
+    r = obs.r
     moving = coef != 0  # a resting draw may sit next to r = inf
     max_step_sd = float(np.max(np.abs(coef[moving]) * r[moving], initial=0.0))
     dot, square = obs.prior_dots

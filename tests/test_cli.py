@@ -263,6 +263,14 @@ class TestCmdDiagnose:
         assert len(printed) == 8
         assert printed == reported
 
+    def test_workers_is_a_usage_error(self, toy_files, capsys):
+        """``--workers`` threads ``run``'s per-observation loop; diagnose has none."""
+        data, draws = toy_files
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--data", str(data), "--draws", str(draws), "--model", "logistic", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_empty_dataset_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("x,y\n", encoding="utf-8")
@@ -498,22 +506,6 @@ class TestReportJson:
         text = render_report_json({"a": math.inf, "b": [math.nan, 1.5], "c": np.float64(2.0)})
         payload = json.loads(text)
         assert payload == {"a": None, "b": [None, 1.5], "c": 2.0}
-
-    def test_arrays_convert_like_their_elements(self):
-        finite = np.array([0.1, -2.5e-300, 1e300, 0.0])
-        text = render_report_json({
-            "finite": finite, "inf": np.array([1.0, np.inf, -np.inf, np.nan]), "matrix": finite.reshape(2, 2),
-            "ints": np.array([3, 4]), "flags": np.array([True, False]),
-        })
-        assert json.loads(text) == {
-            "finite": finite.tolist(), "inf": [1.0, None, None, None], "matrix": [[0.1, -2.5e-300], [1e300, 0.0]],
-            "ints": [3, 4], "flags": [True, False],
-        }
-        assert text == render_report_json({
-            "finite": finite.tolist(), "inf": [1.0, None, None, None], "matrix": [[0.1, -2.5e-300], [1e300, 0.0]],
-            "ints": [3, 4], "flags": [True, False],
-        })
-
 
     def test_final_weights_are_the_library_weights_summarized(self, toy_files, tmp_path):
         data, draws_path = toy_files

@@ -32,16 +32,18 @@ from looadapt.engine import (
 )
 from looadapt.gpd import WeightVector, pareto_smooth
 from looadapt.models import PosteriorEvaluation, bernoulli_log_likelihood, evaluate_posterior, sigmoid
-from looadapt.transforms import apply_transform
+from looadapt.transforms import apply_gradient_transform, apply_transform
 
 from conftest import (
     attempt,
     gaussian_proposal,
+    line_step,
     log_post,
     make_grid_instance_2,
     make_logistic_toy,
     make_relu_grid_instance,
     make_relu_toy,
+    observation,
 )
 from oracle import exact_loo_expectation, sample_grid_posterior
 
@@ -739,18 +741,20 @@ class TestRunCost:
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
     def test_line_quantities_once_per_observation(self, toy, monkeypatch):
         """KL, Var and LL at one observation share its row maxima r, the
-        prior's row dots and the mu fan; the Hessian projection of grad_mu is
-        made once there and that of v once per line."""
+        prior's row dots and the mu fan. Each configured kind's step is made
+        once there, when the first line is built, even where the scan stops
+        before its line; the Hessian projection of grad_mu is made once and
+        that of v once per step."""
         from looadapt import models, transforms
 
         model, dataset, prior, draws = self._toy(toy)
-        calls = {"lines": 0, "r": 0, "dots": 0, "fan": 0, "projection": 0}
+        calls = {"lines": 0, "r": 0, "dots": 0, "fan": 0, "projection": 0, "steps": 0}
         observations = set()
         line_type = models.LinearMuLine if toy == "logistic" else models.ReluMuLine
         originals = {
             "r": (transforms, "row_max_in_sd_units"), "dots": (GaussianPrior, "line_coefficients"),
             "fan": (line_type, "gradient_fan"), "projection": (type(model), "hessian_projection"),
-            "lines": (transforms, "apply_gradient_transform"),
+            "lines": (transforms, "apply_gradient_transform"), "steps": (transforms, "gradient_step"),
         }
 
         def counted(name, owner, attr):
@@ -769,7 +773,8 @@ class TestRunCost:
         run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 2), transform_order=("KL", "Var", "LL")))
         assert calls["lines"] > len(observations) > 0
         assert calls["r"] == calls["dots"] == calls["fan"] == len(observations)
-        assert calls["projection"] == len(observations) + calls["lines"]
+        assert calls["steps"] == 3 * len(observations)
+        assert calls["projection"] == len(observations) + calls["steps"]
 
 
 def _degenerate_instance(model_name, degeneracy, log10_scale, seed):
@@ -809,7 +814,9 @@ class TestDegenerateInputs:
         model, dataset, prior, draws = _degenerate_instance(model_name, degeneracy, log10_scale, seed)
         try:
             report = run_loo(model, draws, dataset, prior, RunConfig())
-        except LooAdaptError:
+        except LooAdaptError as exc:
+            # a line outside its relu1 fan is the program's fault, not the input's
+            assert "fan's bound" not in str(exc)
             return
         numbers = [report.loo_ic, report.loo_ic_se]
         numbers += [v for v in (report.auroc, report.auprc) if v is not None]
@@ -821,3 +828,28 @@ class TestDegenerateInputs:
             if math.isinf(r.final_khat):
                 assert not r.adapted
         assert not np.isnan(numbers).any()
+
+    def test_cancelling_coefficients_stay_in_their_fan(self):
+        """Draws of sd 1e6 put the log posterior near 1e12, where log h + scale
+        cancels: a gradient coef rounds past 1 / r_s, the step-size rule's
+        bound, on 5 lines here. Each relu1 fan reaches its lines' own largest
+        coefficients, so the run returns a report and every KL/Var/LL line
+        matches mu_batch at the moved draws. The worst gap, 2.7e-10
+        relative, is mu_batch's own rounding of means near 1e12 from draws
+        near 1e6; rtol 1e-9 leaves a factor of almost 4 over it."""
+        model, dataset, prior, draws = _degenerate_instance("relu1", "none", 6.0, 0)
+        assert len(run_loo(model, draws, dataset, prior, RunConfig()).per_observation) == dataset.n
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+        overshooting = 0
+        for i in range(dataset.n):
+            obs = observation(problem, i)
+            for kind in ("KL", "Var", "LL"):
+                line = apply_gradient_transform(kind, obs)
+                assert line.mu is not None
+                overshooting += bool(np.any(np.abs(line.jacobian.coef(line.log_h)) * obs.r > 1.0 + 1e-9))
+                step = line_step(line, problem)
+                for hbar in (1.0, 0.25, 4.0**-5):
+                    np.testing.assert_allclose(
+                        line.mu.at(hbar), model.mu_batch(draws.values + hbar * step, dataset.features), rtol=1e-9, atol=0
+                    )
+        assert overshooting > 0

@@ -429,16 +429,24 @@ class TestMuLine:
                 assert 1 in line.flips.cell
 
     def test_coefficients_outside_the_fan(self, rng):
-        """A draw whose coef is past the fan's bound, or of the other sign,
-        is evaluated over all of its elements."""
+        """A line whose coefficients lie between 0 and the fan's bound, up to
+        the bound itself, matches mu_batch; a coef past the bound, or of the
+        other sign, is a DomainError."""
         model, features, values, coef, _ = _edge_case_relu(2 * LINE_BLOCK_DRAWS + 3, rng)
         origin = model.mu_line(values, features, model.mu_batch(values, features))
         x = features[0]
         grad = model.grad_mu_batch(values, x)
         bound = coef.copy()
-        bound[::3] *= 0.5
-        bound[1::3] *= -1.0
-        self._check(model, origin.gradient_fan(grad, x, bound).line(coef), values, coef[:, None] * grad, features)
+        bound[::3] *= 2.0
+        fan = origin.gradient_fan(grad, x, bound)
+        for inside in (coef, 0.5 * coef, bound, np.zeros_like(coef)):
+            self._check(model, fan.line(inside), values, inside[:, None] * grad, features)
+        # draw 0 has bound 1.0, draw 1 bound 0.3 and draw 3 bound 0
+        for draw, outside in ((0, 1.5), (0, -0.5), (1, np.nextafter(0.3, 1.0)), (1, -0.3), (3, 5e-324)):
+            moved = coef.copy()
+            moved[draw] = outside
+            with pytest.raises(DomainError, match="between 0 and the fan's bound"):
+                fan.line(moved)
 
     def test_step_scale_outside_the_unit_interval(self, rng):
         model, dataset, prior, draws = make_relu_toy()

@@ -184,8 +184,11 @@ class TestApplyGradientTransform:
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig(transform_order=("PMM1", "LL")))
         assert problem.evaluation.grad_log_post is None
         assert not attempt(problem, "LL", 0, 0.5)[1].degenerate
+        obs = observation(problem, 0)
         with pytest.raises(DomainError, match="needs the posterior gradient"):
-            apply_gradient_transform("KL", observation(problem, 0))
+            gradient_step("KL", obs)
+        with pytest.raises(DomainError, match="not a gradient kind of this run"):
+            apply_gradient_transform("KL", obs)
 
     def test_step_bound_holds(self):
         model, dataset, prior, draws = make_logistic_toy(seed=31)
