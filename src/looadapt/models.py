@@ -103,21 +103,6 @@ class GaussianPrior:
         return np.einsum("sp,sp,p->s", values, step, precision), np.einsum("sp,sp,p->s", step, step, precision)
 
 
-def eigen_products(u, v):
-    """u^T H v and u^T (I + alpha H)^-1 v in the eigenbasis of H, from the
-    :meth:`SigmoidalModel.hessian_projection` of u and of v.
-
-    Returns ``(lam, plus, minus)``, each (S, K), with plus / minus the
-    products of the projections onto the unit eigenvectors of +lam / -lam
-    (K = 0 where H vanishes). Hence u^T H v = sum_k lam (plus - minus)
-    and u^T (I + alpha H)^-1 v = u . v + sum_k [(1 / (1 + alpha lam) - 1) plus
-    + (1 / (1 - alpha lam) - 1) minus], with no P x P matrix formed.
-    """
-    lam, u_plus, u_minus = u
-    _, v_plus, v_minus = v
-    return lam, u_plus * v_plus, u_minus * v_minus
-
-
 class SigmoidalModel(abc.ABC):
     """Evaluator bundle for a classifier with outcome probability sigma(mu)."""
 
@@ -144,7 +129,6 @@ class SigmoidalModel(abc.ABC):
         (S, K): the eigenvalues are +-lam, and plus / minus are the
         projections of w onto the unit eigenvectors of +lam / -lam (0 where
         lam = 0). A mean linear in theta has K = 0.
-        :func:`eigen_products` combines the projections of two vector sets.
         """
 
     @abc.abstractmethod

@@ -45,7 +45,6 @@ from .models import (
     LinearMuLine,
     PosteriorEvaluation,
     ReluLine,
-    eigen_products,
     sigmoid,
     sigmoid_slope,
 )
@@ -155,11 +154,14 @@ def log_step_size(scale: np.ndarray, factor: np.ndarray, r: np.ndarray) -> float
 #     LL:     alpha = h (sigma - y),  uvec = h sigma(1-sigma) grad_mu
 # so |det J| = prod_j (1 + alpha lambda_j) * (1 + grad_mu^T A^{-1} uvec)
 # with A = I + alpha * hessian(mu), diagonal in the Hessian eigenbasis.
-# Writing e = exp(log h + scale), alpha = e * factor (the factor of Q) and
-# uvec = e * v with v free of h (for KL/Var v = (-1)^y (grad log posterior
-# + g * grad_mu), the sign folded into the sum), every projection of grad_mu
-# and v is computed once per (observation, kind); a step scale then costs
-# O(S K) for K eigenvalue pairs per draw (K = 0 where the Hessian vanishes).
+# Writing e = exp(log h + scale) and alpha = e * factor (the factor of Q),
+# uvec = e * u with u = expo * grad_mu + sign * grad log posterior for KL/Var
+# (expo = 1 + 1_Var, sign = (-1)^y) and u = slope * grad_mu for LL. The
+# Hessian projection is linear, so every kind's factors follow from two
+# products an observation shares: |grad_mu|^2 with grad_mu's projection, and
+# grad_mu . grad log posterior with its projection (KL and Var only). A step
+# scale then costs O(S K) for K eigenvalue pairs per draw (K = 0 where the
+# Hessian vanishes).
 
 
 @dataclass(frozen=True)
@@ -168,10 +170,10 @@ class GradientStep:
     of the exact log |det J| of theta + h Q.
 
     grad_mu is the :class:`Observation`'s ``grad``; the sign of Q lives in
-    ``factor``. ``base`` is grad_mu . v per draw and ``eigen`` is the
-    Hessian of mu seen through grad_mu and v
-    (:func:`~looadapt.models.eigen_products`), with K = 0 eigenpairs where
-    it vanishes.
+    ``factor``. ``base`` is grad_mu . u per draw, uvec = e * u (see above),
+    and ``eigen`` is ``(lam, plus, minus)``, each (S, K): the eigenvalues
+    +-lam of the Hessian of mu and the products of grad_mu's and u's
+    projections onto their unit eigenvectors, with K = 0 where it vanishes.
     """
 
     scale: np.ndarray
@@ -190,7 +192,7 @@ class GradientStep:
         alpha = (e * self.factor)[:, None]
         fplus = 1.0 + alpha * lam
         fminus = 1.0 - alpha * lam
-        # grad_mu^T A^{-1} v; components outside the eigenbasis pass through.
+        # grad_mu^T A^{-1} u; components outside the eigenbasis pass through.
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = (1.0 / fplus - 1.0) * plus + (1.0 / fminus - 1.0) * minus
         rank_one = 1.0 + e * (self.base + corr.sum(axis=1))
@@ -207,10 +209,10 @@ def gradient_step(kind: str, obs: Observation) -> GradientStep:
     """The Q rows of every draw for ``obs`` under ``kind``, and their determinant factors.
 
     Everything is read from ``obs``: the run's posterior evaluation (mu and,
-    for KL/Var, the log posterior and its gradient), the label and x, and
-    ``obs.grad`` = grad_mu with its Hessian projection. The posterior-density
-    factor of KL/Var is anchored at the evaluation's ``log_ref``, the largest
-    log posterior over the draws. The step size h is left to
+    for KL/Var, the log posterior), the label and its two shared products
+    (KL/Var read both, LL only grad_mu's). The posterior-density factor of
+    KL/Var is anchored at the evaluation's ``log_ref``, the largest log
+    posterior over the draws. The step size h is left to
     :func:`log_step_size` and :meth:`GradientStep.logdet`.
     """
     if kind not in GRADIENT_KINDS:
@@ -218,20 +220,21 @@ def gradient_step(kind: str, obs: Observation) -> GradientStep:
     evaluation = obs.problem.evaluation
     if kind in POSTERIOR_GRADIENT_KINDS and evaluation.grad_log_post is None:
         raise DomainError(f"{kind} needs the posterior gradient, which this problem was built without")
-    grad = obs.grad
     mu_col = evaluation.mu[:, obs.i]
+    square, (lam, g_plus, g_minus) = obs.grad_products
     if kind == "LL":
         scale = np.zeros(mu_col.size)
         factor = sigmoid(mu_col) - obs.y
-        v = sigmoid_slope(mu_col)[:, None] * grad
+        slope = sigmoid_slope(mu_col)
+        base, plus, minus = slope * square, slope[:, None] * g_plus**2, slope[:, None] * g_minus**2
     else:
         expo = 1.0 if kind == "KL" else 2.0
         scale = (evaluation.log_post - evaluation.log_ref) + expo * obs.sign * mu_col
         factor = np.full(mu_col.size, obs.sign)
-        v = expo * grad + obs.sign * evaluation.grad_log_post
-    base = np.einsum("sp,sp->s", grad, v)
-    eigen = eigen_products(obs.projection, obs.problem.model.hessian_projection(grad, obs.x, v))
-    return GradientStep(scale, factor, base, eigen)
+        dot, (_, p_plus, p_minus) = obs.log_post_products
+        base = expo * square + obs.sign * dot
+        plus, minus = g_plus * (expo * g_plus + obs.sign * p_plus), g_minus * (expo * g_minus + obs.sign * p_minus)
+    return GradientStep(scale, factor, base, (lam, plus, minus))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +280,19 @@ class Observation:
         coef^2 times the second are the prior's slope and curvature on a line."""
         return self.problem.prior.line_coefficients(self.problem.draws.values, self.grad)
 
+    def _products(self, w):
+        """(grad . w per draw, the model's Hessian projection of w)."""
+        return np.einsum("sp,sp->s", self.grad, w), self.problem.model.hessian_projection(self.grad, self.x, w)
+
     @computed_once
-    def projection(self):
-        """The model's Hessian projection of grad."""
-        return self.problem.model.hessian_projection(self.grad, self.x, self.grad)
+    def grad_products(self):
+        """:meth:`_products` of grad: |grad|^2 and grad's projection."""
+        return self._products(self.grad)
+
+    @computed_once
+    def log_post_products(self):
+        """:meth:`_products` of the posterior gradient; only KL and Var read it."""
+        return self._products(self.problem.evaluation.grad_log_post)
 
     @computed_once
     def gradient_steps(self) -> dict:

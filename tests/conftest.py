@@ -12,7 +12,7 @@ from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, Relu
 from looadapt.data import PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
 from looadapt.engine import LooProblem, eta_weights
 from looadapt.gpd import WeightVector, pareto_smooth
-from looadapt.models import eigen_products, evaluate_posterior
+from looadapt.models import evaluate_posterior
 from looadapt.transforms import (
     Observation,
     apply_gradient_transform,
@@ -187,9 +187,9 @@ def hessian_factors(model, theta, x):
     values = np.tile(np.asarray(theta, dtype=float), (p * p, 1))
     eye = np.eye(p)
     grad = model.grad_mu_batch(values, x)
-    return eigen_products(
-        model.hessian_projection(grad, x, np.repeat(eye, p, axis=0)), model.hessian_projection(grad, x, np.tile(eye, (p, 1)))
-    )
+    lam, u_plus, u_minus = model.hessian_projection(grad, x, np.repeat(eye, p, axis=0))
+    _, v_plus, v_minus = model.hessian_projection(grad, x, np.tile(eye, (p, 1)))
+    return lam, u_plus * v_plus, u_minus * v_minus
 
 
 def dense_hessian(model, theta, x):
@@ -204,9 +204,10 @@ def pairwise_resolvent(model, theta, x, u, v, alpha):
     """u^T (I + alpha H)^-1 v at one (theta, x), through the eigenbasis: each
     eigenpair +-lam shifts u.v by (1 / (1 +- alpha lam) - 1) times its product."""
     grad = model.grad_mu_batch(np.asarray(theta, dtype=float)[None, :], x)
-    lam, plus, minus = eigen_products(model.hessian_projection(grad, x, u[None, :]), model.hessian_projection(grad, x, v[None, :]))
-    return float(u @ v) + np.sum((1.0 / (1.0 + alpha * lam) - 1.0) * plus
-                                 + (1.0 / (1.0 - alpha * lam) - 1.0) * minus)
+    lam, u_plus, u_minus = model.hessian_projection(grad, x, u[None, :])
+    _, v_plus, v_minus = model.hessian_projection(grad, x, v[None, :])
+    return float(u @ v) + np.sum((1.0 / (1.0 + alpha * lam) - 1.0) * u_plus * v_plus
+                                 + (1.0 / (1.0 - alpha * lam) - 1.0) * u_minus * v_minus)
 
 
 def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6):

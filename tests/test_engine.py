@@ -738,18 +738,24 @@ class TestRunCost:
         assert calls["grad_mu_batch"] == len(observations)
 
 
-    @pytest.mark.parametrize("toy", ["logistic", "relu1"])
-    def test_line_quantities_once_per_observation(self, toy, monkeypatch):
+    @pytest.mark.parametrize(
+        "toy, order",
+        [(toy, order) for order in [("KL", "Var", "LL"), ("LL",)] for toy in ["logistic", "relu1"]],
+        ids=["logistic", "relu1", "logistic-LL", "relu1-LL"],
+    )
+    def test_line_quantities_once_per_observation(self, toy, order, monkeypatch):
         """KL, Var and LL at one observation share its row maxima r, the
         prior's row dots and the mu fan. Each configured kind's step is made
         once there, when the first line is built, even where the scan stops
-        before its line; the Hessian projection of grad_mu is made once and
-        that of v once per step."""
+        before its line. The steps share two Hessian projections, of grad_mu
+        and of the posterior gradient; LL alone reads only the first, and its
+        run has no posterior gradient."""
         from looadapt import models, transforms
 
         model, dataset, prior, draws = self._toy(toy)
         calls = {"lines": 0, "r": 0, "dots": 0, "fan": 0, "projection": 0, "steps": 0}
         observations = set()
+        without_posterior_gradient = set()
         line_type = models.LinearMuLine if toy == "logistic" else models.ReluMuLine
         originals = {
             "r": (transforms, "row_max_in_sd_units"), "dots": (GaussianPrior, "line_coefficients"),
@@ -764,17 +770,24 @@ class TestRunCost:
                 calls[name] += 1
                 if name == "lines":
                     observations.add(args[1].i)
+                    without_posterior_gradient.add(args[1].problem.evaluation.grad_log_post is None)
                 return original(*args)
 
             monkeypatch.setattr(owner, attr, wrapper)
 
         for name, (owner, attr) in originals.items():
             counted(name, owner, attr)
-        run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 2), transform_order=("KL", "Var", "LL")))
-        assert calls["lines"] > len(observations) > 0
+        run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 2), transform_order=order))
+        if order == ("LL",):
+            assert calls["lines"] == len(observations) > 0
+            assert without_posterior_gradient == {True}
+            assert calls["projection"] == len(observations)
+        else:
+            assert calls["lines"] > len(observations) > 0
+            assert without_posterior_gradient == {False}
+            assert calls["projection"] == 2 * len(observations)
         assert calls["r"] == calls["dots"] == calls["fan"] == len(observations)
-        assert calls["steps"] == 3 * len(observations)
-        assert calls["projection"] == len(observations) + calls["steps"]
+        assert calls["steps"] == len(order) * len(observations)
 
 
 def _degenerate_instance(model_name, degeneracy, log10_scale, seed):

@@ -199,7 +199,7 @@ class TestReluGradMu:
 
 
 class TestReluHessianSpectrum:
-    """The batched eigen-factors of the Hessian of mu (``hessian_projection``, combined by ``eigen_products``)."""
+    """The batched eigen-factors of the Hessian of mu: the ``hessian_projection`` of two vector sets, multiplied."""
 
     def test_inactive_means_empty(self):
         model = ReluOneModel(d=2, p=2)
