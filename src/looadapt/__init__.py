@@ -41,6 +41,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "CurveUndefinedError",
-    # the benchmark's input generator builds an instance with it
+    # the benchmark's input generator builds an instance with it; calling it imports scipy
     "grad_log_posterior",
 ]

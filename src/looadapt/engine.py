@@ -44,7 +44,7 @@ from .models import (
     ReluMuLine,
     SigmoidalModel,
     evaluate_posterior,
-    sigmoid,
+    logistic,
 )
 from .transforms import apply_transform, step_lines
 
@@ -193,7 +193,7 @@ def _loo_quantities(weights: WeightVector, mu: np.ndarray, log_lik: np.ndarray):
     errors are inf when fewer than two draws carry weight: one draw cannot
     estimate them."""
     w = weights.normalized
-    probs = sigmoid(mu)
+    probs = logistic(mu)
     prob = float(w @ probs)
     # log sum_k w_k lik_k, computed in log space to dodge underflow.
     log_terms = (weights.log_weights - weights.log_total) + log_lik

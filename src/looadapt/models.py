@@ -11,9 +11,10 @@ one-hidden-layer ReLU network. A model's mu line gives mu along theta + hbar * D
 without forming the moved draws; relu1's is piecewise quadratic in hbar.
 Only this module knows how a family lays out its flattened parameters, and
 relu1 reads its layout in one place. :meth:`PosteriorEvaluation.from_mu` turns mu
-at any draw set into log likelihood and log posterior. No run calls the libm
-reference :func:`bernoulli_log_likelihood`; it stays bit-for-bit because
-``perfbench/generate.py`` builds both benchmark instances with it.
+at any draw set into log likelihood and log posterior. No run calls the
+generator references :func:`sigmoid` and :func:`bernoulli_log_likelihood`; they
+stay bit-for-bit because ``perfbench/generate.py`` builds both benchmark
+instances with them. A run's sigma is the numpy :func:`logistic`.
 """
 
 from __future__ import annotations
@@ -24,14 +25,22 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 from .errors import DimensionError, DomainError
 
 
+def logistic(mu):
+    """Logistic function 1 / (1 + exp(-mu)): exactly 0 and 1 at the extremes, NaN through."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(mu, dtype=float)))
+
+
 def sigmoid(mu):
-    """Logistic function 1 / (1 + exp(-mu)), stable over the float range."""
+    """scipy's expit, the generator reference beside :func:`bernoulli_log_likelihood`.
+    No run calls it; it imports scipy when called."""
+    from scipy.special import expit
+
     return expit(mu)
 
 
@@ -42,7 +51,7 @@ def sigmoid_slope(mu):
     1 - sigma(mu) would round to zero.
     """
     mu = np.asarray(mu, dtype=float)
-    return expit(mu) * expit(-mu)
+    return logistic(mu) * logistic(-mu)
 
 
 def bernoulli_log_likelihood(mu, y):
@@ -549,6 +558,6 @@ def evaluate_posterior(
     mu = model.mu_batch(values, dataset.features)
     grad = None
     if with_grad:
-        resid = dataset.labels[None, :] - sigmoid(mu)
+        resid = dataset.labels[None, :] - logistic(mu)
         grad = prior.grad_batch(values) + model.weighted_grad_mu(values, dataset.features, resid)
     return PosteriorEvaluation.from_mu(mu, dataset.labels, prior.log_density_batch(values), grad)

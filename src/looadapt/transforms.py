@@ -45,7 +45,7 @@ from .models import (
     LinearMuLine,
     PosteriorEvaluation,
     ReluLine,
-    sigmoid,
+    logistic,
     sigmoid_slope,
 )
 
@@ -224,7 +224,7 @@ def gradient_step(kind: str, obs: Observation) -> GradientStep:
     square, (lam, g_plus, g_minus) = obs.grad_products
     if kind == "LL":
         scale = np.zeros(mu_col.size)
-        factor = sigmoid(mu_col) - obs.y
+        factor = logistic(mu_col) - obs.y
         slope = sigmoid_slope(mu_col)
         base, plus, minus = slope * square, slope[:, None] * g_plus**2, slope[:, None] * g_minus**2
     else:

@@ -4,7 +4,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -607,3 +609,42 @@ class TestTracedRun:
         assert installed | {"models.mu_batch", "gpd.from_log_weights"} <= names, sorted(installed - names)
         assert all(s.obs is not None for s in tracer.spans if s.name == "engine.eta_weights")
         assert not hasattr(looadapt.engine.adapt_observation, "__wrapped__")
+
+
+#: Run in a fresh interpreter by :class:`TestRuntimeImports`, with the golden
+#: directory and a scratch directory as arguments.
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, os, sys
+golden, out = sys.argv[1:]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import looadapt.models
+assert not scipy_modules(), scipy_modules()
+from looadapt.cli import main
+for name in ("logistic", "relu1"):
+    d = os.path.join(golden, name)
+    with open(os.path.join(d, "args.json"), encoding="utf-8") as fh:
+        flags = [*json.load(fh), "--data", os.path.join(d, "data.csv"), "--draws", os.path.join(d, "draws.csv"),
+                 "--config", os.path.join(d, "config.json")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        ran = main(["run", *flags, "--out", os.path.join(out, name + ".json")])
+        diagnosed = main(["diagnose", *flags])
+    assert ran in (0, 3) and diagnosed == 0, (name, ran, diagnosed)
+    assert os.path.getsize(os.path.join(out, name + ".json")) > 0
+assert not scipy_modules(), scipy_modules()
+looadapt.models.sigmoid(0.0)
+assert "scipy.special" in sys.modules
+"""
+
+
+class TestRuntimeImports:
+    """A command loads no scipy: only the generator reference ``models.sigmoid``
+    does. Tier-1 itself imports scipy, so the check runs in its own interpreter."""
+
+    def test_run_and_diagnose_load_no_scipy(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(root / "tests" / "golden"), str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr

@@ -1,9 +1,11 @@
 """Model evaluators: likelihoods, gradients, Hessian spectra, posteriors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from looadapt import (
     Dataset,
@@ -22,6 +24,7 @@ from looadapt.models import (
     PosteriorEvaluation,
     bernoulli_log_likelihood,
     evaluate_posterior,
+    logistic,
     sigmoid,
     sigmoid_slope,
 )
@@ -41,23 +44,58 @@ from oracle import finite_difference_gradient, finite_difference_hessian
 
 
 class TestSigmoid:
+    """Each check runs on the run's numpy :func:`logistic` and on the generator's
+    reference :func:`sigmoid`; a loop, not a parametrization, keeps the test ids."""
+
+    SIGMOIDS = (logistic, sigmoid)
+
     def test_midpoint(self):
-        assert sigmoid(0.0) == 0.5
+        for f in self.SIGMOIDS:
+            assert f(0.0) == 0.5
 
     def test_upper_asymptote(self):
-        assert sigmoid(40.0) == pytest.approx(1.0 - math.exp(-40.0), abs=1e-18)
+        for f in self.SIGMOIDS:
+            assert f(40.0) == pytest.approx(1.0 - math.exp(-40.0), abs=1e-18)
 
     def test_lower_tail_no_underflow(self):
-        assert sigmoid(-40.0) == pytest.approx(math.exp(-40.0), rel=1e-12)
+        for f in self.SIGMOIDS:
+            assert f(-40.0) == pytest.approx(math.exp(-40.0), rel=1e-12)
         assert bernoulli_log_likelihood(-40.0, 1) == pytest.approx(-40.0, rel=1e-12)
 
     def test_complement_symmetry(self, rng):
         mu = rng.uniform(-700, 700, size=200)
-        np.testing.assert_allclose(sigmoid(-mu), 1.0 - sigmoid(mu), atol=1e-15)
+        for f in self.SIGMOIDS:
+            np.testing.assert_allclose(f(-mu), 1.0 - f(mu), atol=1e-15)
 
     def test_slope_positive_within_range(self):
-        mu = np.linspace(-30, 30, 301)
+        mu = np.linspace(-700, 700, 14001)
         assert np.all(sigmoid_slope(mu) > 0)
+
+    def test_logistic_matches_expit(self, rng):
+        """Within 4 eps relative of scipy's expit over the float range; where
+        the output is subnormal, within 4 of its fixed spacing."""
+        mu = np.concatenate([
+            rng.normal(scale=5.0, size=200_000),
+            rng.uniform(-760, 760, size=200_000),
+            rng.choice([-1.0, 1.0], size=200_000) * 10.0 ** rng.uniform(-320, 308, size=200_000),
+            np.linspace(-745, -700, 20_001),
+            [0.0, -0.0, 5e-324, 1e308, -1e308, np.inf, -np.inf],
+        ])
+        tiny = np.finfo(float).smallest_subnormal
+        np.testing.assert_allclose(logistic(mu), expit(mu), rtol=4 * np.finfo(float).eps, atol=4 * tiny)
+
+    def test_logistic_extremes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(logistic(np.array([800.0, np.inf, 1e308])), 1.0)
+            np.testing.assert_array_equal(logistic(np.array([-800.0, -np.inf, -1e308])), 0.0)
+            assert math.isnan(logistic(np.nan))
+
+    def test_sigmoid_is_expit_bit_for_bit(self, rng):
+        """The generator builds the benchmark instances, and so their pinned
+        fingerprints, with :func:`sigmoid`: it must stay scipy's expit."""
+        mu = np.concatenate([rng.normal(scale=20.0, size=10_000), [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]])
+        assert sigmoid(mu).tobytes() == expit(mu).tobytes()
 
 
 class TestLogLikelihood:
