@@ -203,10 +203,10 @@ class MarginalStats:
 
     ``mean`` and ``variance`` use the population convention (divisor S).
     The weighted variance is taken about the *unweighted* mean, matching the
-    moment-matching update it feeds. ``centered`` (the draws minus ``mean``)
-    and its square ``centered_sq`` are the (S, P) arrays every weighted
-    call reads; they are computed once, by the unweighted call, and shared
-    (read-only) by every result derived from it.
+    moment-matching update it feeds. ``centered``, the draws minus ``mean``,
+    is the (S, P) array every weighted call reads; it is computed once, by
+    the unweighted call, and shared (read-only) by every result derived
+    from it.
     """
 
     mean: np.ndarray
@@ -215,7 +215,6 @@ class MarginalStats:
     variance: np.ndarray
     weighted_variance: np.ndarray
     centered: np.ndarray
-    centered_sq: np.ndarray
 
     def __post_init__(self):
         for name in ("mean", "sd", "weighted_mean", "variance", "weighted_variance"):
@@ -230,18 +229,17 @@ def marginal_stats(
     ``weights``, when given, must be a normalized (sum 1) non-negative vector
     of length S. Omitting it makes the weighted statistics equal the plain
     ones. ``plain``, the unweighted statistics of the same draws, makes a
-    weighted call two matvecs, w @ theta and w @ centered_sq, instead of
-    recomputing the centred draws.
+    weighted call a matvec, w @ theta, and one contraction of w with the
+    centred draws twice, instead of recomputing them.
     """
     values = draws.values
     s = draws.num_draws
     if plain is None:
         mean = values.mean(axis=0)
         centered = values - mean
-        centered_sq = centered**2
-        centered.flags.writeable = centered_sq.flags.writeable = False
-        variance = np.mean(centered_sq, axis=0)
-        plain = MarginalStats(mean, np.sqrt(variance), mean, variance, variance, centered, centered_sq)
+        centered.flags.writeable = False
+        variance = np.mean(centered**2, axis=0)
+        plain = MarginalStats(mean, np.sqrt(variance), mean, variance, variance, centered)
     elif plain.centered.shape != values.shape:
         raise DimensionError(f"plain statistics of {plain.centered.shape} draws, got {values.shape}")
     if weights is None:
@@ -253,7 +251,8 @@ def marginal_stats(
         raise DomainError("weights must be non-negative")
     if abs(w.sum() - 1.0) > 1e-9:
         raise DomainError(f"weights must sum to 1, got {w.sum()!r}")
-    return replace(plain, weighted_mean=w @ values, weighted_variance=w @ plain.centered_sq)
+    weighted_variance = np.einsum("s,sp,sp->p", w, plain.centered, plain.centered)
+    return replace(plain, weighted_mean=w @ values, weighted_variance=weighted_variance)
 
 
 def open_input(path, newline: str | None = None):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,13 +76,16 @@ class computed_once:
         return value
 
 
-@dataclass(frozen=True)
 class WeightVector:
-    """Un-normalized log weights, their log sum, and (on first read) the
-    normalized weights exp(log_weights - log_total)."""
+    """Un-normalized log weights and, computed on first read, their log sum
+    and the normalized weights exp(log_weights - log_total).
 
-    log_weights: np.ndarray
-    log_total: float
+    :meth:`from_log_weights` builds one from an array; :func:`pareto_smooth`
+    builds its result from a function that makes the log weights on first read.
+    """
+
+    def __init__(self, make_log_weights: Callable[[], np.ndarray]):
+        self._make_log_weights = make_log_weights
 
     @classmethod
     def from_log_weights(cls, log_weights) -> "WeightVector":
@@ -90,11 +94,18 @@ class WeightVector:
             raise DomainError("log weights must be a non-empty 1-d vector")
         if np.any(np.isnan(lw)) or np.any(lw == np.inf):
             raise DomainError("log weights must be < +inf and not NaN")
-        total = log_sum_exp(lw)
-        if total == -np.inf:
+        if lw.max() == -np.inf:
             raise DomainError("all weights are zero")
         lw.flags.writeable = False
-        return cls(log_weights=lw, log_total=total)
+        return cls(lambda: lw)
+
+    @computed_once
+    def log_weights(self) -> np.ndarray:
+        return self._make_log_weights()
+
+    @computed_once
+    def log_total(self) -> float:
+        return log_sum_exp(self.log_weights)
 
     @computed_once
     def normalized(self) -> np.ndarray:
@@ -165,8 +176,10 @@ def pareto_smooth(weights: WeightVector) -> tuple[WeightVector, GpdFit]:
 
     The M largest weights (strictly above the cutoff order statistic) are
     replaced by GPD inverse-CDF values at rank midpoints (m - 0.5) / M,
-    shifted by the cutoff and capped at the raw maximum. Weights whose tail
-    cannot be fitted come back unchanged with ``fittable=False``.
+    shifted by the cutoff and capped at the raw maximum. The fit needs only
+    the tail: the cutoff comes from a partial sort, and the smoothed weights
+    are made on first read. Weights whose tail cannot be fitted come back
+    unchanged with ``fittable=False``.
     """
     lw = weights.log_weights - weights.log_weights.max()
     s = lw.size
@@ -174,26 +187,25 @@ def pareto_smooth(weights: WeightVector) -> tuple[WeightVector, GpdFit]:
     if m_rule < MIN_TAIL_SIZE or m_rule >= s:
         return weights, GpdFit.unfittable(m_rule)
 
-    order = np.argsort(lw, kind="stable")
-    log_cutoff = lw[order[s - m_rule - 1]]
-    # The weights strictly above the cutoff end the ascending order, ties in index order.
-    top_lw = lw[order[s - m_rule:]]
-    m_t = m_rule - int(np.searchsorted(top_lw, log_cutoff, side="right"))
-    if m_t < MIN_TAIL_SIZE:
-        return weights, GpdFit.unfittable(m_t)
+    log_cutoff = np.partition(lw, s - m_rule - 1)[s - m_rule - 1]
+    tail = np.flatnonzero(lw > log_cutoff)  # all among the M largest; ties with the cutoff stay out
+    if tail.size < MIN_TAIL_SIZE:
+        return weights, GpdFit.unfittable(tail.size)
 
     cutoff = math.exp(log_cutoff)
-    excesses = np.sort(np.exp(top_lw[m_rule - m_t:]) - cutoff)
+    excesses = np.sort(np.exp(lw[tail]) - cutoff)
     if excesses[0] <= 0:  # tail weights underflow to the cutoff: no spread to fit
-        return weights, GpdFit.unfittable(m_t)
+        return weights, GpdFit.unfittable(tail.size)
     fit = fit_gpd_tail(excesses)
     if not fit.fittable:
         return weights, fit
 
-    ranks = (np.arange(m_t) + 0.5) / m_t
-    smoothed = np.log(gpd_quantile(ranks, fit.khat, fit.sigma) + cutoff)
-    smoothed = np.minimum(smoothed, 0.0)  # never exceed the raw maximum
+    def smoothed_log_weights() -> np.ndarray:
+        ranks = (np.arange(tail.size) + 0.5) / tail.size
+        smoothed = np.log(gpd_quantile(ranks, fit.khat, fit.sigma) + cutoff)
+        new_lw = lw.copy()
+        # ascending by weight, ties in index order
+        new_lw[tail[np.argsort(lw[tail], kind="stable")]] = np.minimum(smoothed, 0.0)  # never above the raw maximum
+        return WeightVector.from_log_weights(new_lw).log_weights
 
-    new_lw = lw.copy()
-    new_lw[order[s - m_t:]] = smoothed
-    return WeightVector.from_log_weights(new_lw), fit
+    return WeightVector(smoothed_log_weights), fit

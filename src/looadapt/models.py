@@ -190,6 +190,11 @@ class LogisticModel(SigmoidalModel):
     def mu_batch(self, values, features) -> np.ndarray:
         return values @ np.asarray(features, dtype=float).T
 
+    def grad_mu_batch(self, values, x) -> np.ndarray:
+        """x at every draw, as a read-only (S, P) view of x."""
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(x, (values.shape[0], x.size))
+
     def hessian_projection(self, grad, x, w):
         return (np.zeros((w.shape[0], 0)),) * 3
 
@@ -198,6 +203,18 @@ class LogisticModel(SigmoidalModel):
 
     def mu_line(self, values, features, mu) -> "LinearMuLine":
         return LinearMuLine(mu=mu, features=np.asarray(features, dtype=float))
+
+
+#: Draws per block in relu1's O(S d n) passes: :meth:`ReluOneModel.mu_batch`,
+#: :meth:`ReluOneModel.weighted_grad_mu` and :meth:`ReluFan.build`, the pass of
+#: a line or of an observation's gradient lines. With d = 8 and n = 100 a
+#: block's (draws, d, n) temporaries are 400 KB each and stay in cache.
+LINE_BLOCK_DRAWS = 64
+
+
+def _draw_blocks(num_draws: int) -> list[slice]:
+    """Consecutive blocks of ``LINE_BLOCK_DRAWS`` draws covering all ``num_draws``."""
+    return [slice(start, start + LINE_BLOCK_DRAWS) for start in range(0, num_draws, LINE_BLOCK_DRAWS)]
 
 
 @dataclass(frozen=True)
@@ -261,10 +278,15 @@ class ReluOneModel(SigmoidalModel):
         return grad
 
     def mu_batch(self, values, features) -> np.ndarray:
+        """One block of ``LINE_BLOCK_DRAWS`` draws at a time: no (S, n, d) temporary."""
+        features = np.asarray(features, dtype=float)
         w1, w2, b2 = self._split_batch(values)
-        z1 = np.einsum("sdp,np->snd", w1, np.asarray(features, dtype=float))
-        act = np.maximum(z1, 0.0)
-        return np.einsum("snd,sd->sn", act, w2) + b2[:, None]
+        mu = np.empty((values.shape[0], features.shape[0]))
+        for block in _draw_blocks(values.shape[0]):
+            act = np.maximum(np.einsum("sdp,np->snd", w1[block], features), 0.0)
+            mu[block] = np.einsum("snd,sd->sn", act, w2[block])
+        mu += b2[:, None]
+        return mu
 
     def _active_units(self, grad) -> np.ndarray:
         """The activity mask 1[z1_sk > 0] at grad_mu's observation: its W2 block is relu(z1)."""
@@ -285,18 +307,19 @@ class ReluOneModel(SigmoidalModel):
         return lam, (a + b) * mask, (a - b) * mask
 
     def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
-        """One contraction over the observations: the first-layer block is
-        sum_n weights_sn W2_k 1[z1_snk > 0] x_n, the second sum_n weights_sn relu(z1_snk)."""
-        features = np.asarray(features, dtype=float)
+        """One contraction over the observations per block of draws, as in
+        :meth:`mu_batch`: the first-layer block is sum_n weights_sn W2_k
+        1[z1_snk > 0] x_n, the second sum_n weights_sn relu(z1_snk)."""
+        features, weights = np.asarray(features, dtype=float), np.asarray(weights, dtype=float)
         w1, w2, _ = self._split_batch(values)
-        z1 = np.einsum("sdp,np->snd", w1, features)
-        active = np.asarray(weights, dtype=float)[:, :, None] * (z1 > 0)
         grad = np.empty((values.shape[0], self.param_dim))
         g1, g2, gb = self._split_batch(grad)
-        g2[:] = np.einsum("snd,snd->sd", active, z1)
-        del z1
-        active *= w2[:, None, :]
-        g1[:] = np.einsum("snd,np->sdp", active, features)
+        for block in _draw_blocks(values.shape[0]):
+            z1 = np.einsum("sdp,np->snd", w1[block], features)
+            active = weights[block, :, None] * (z1 > 0)
+            g2[block] = np.einsum("snd,snd->sd", active, z1)
+            active *= w2[block, None, :]
+            g1[block] = np.einsum("snd,np->sdp", active, features)
         gb[:] = np.sum(weights, axis=1)
         return grad
 
@@ -333,12 +356,6 @@ class LinearMuLine:
 
     def at(self, hbar) -> np.ndarray:
         return self.mu + hbar * self.dmu
-
-
-#: Draws per block in :meth:`ReluFan.build`, the one O(S d n) pass of a line
-#: or of an observation's gradient lines: with d = 8 and n = 100 a block's
-#: (draws, d, n) temporaries are 400 KB each and stay in cache.
-LINE_BLOCK_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -424,18 +441,17 @@ class ReluFan:
         dw2 = np.broadcast_to(dw2, (num_draws, d))
         c1, c2 = np.empty((num_draws, n)), np.empty((num_draws, n))
         found = []
-        for start in range(0, num_draws, LINE_BLOCK_DRAWS):
-            stop = min(start + LINE_BLOCK_DRAWS, num_draws)
-            z, u, block_a = z1[start:stop], dw2[start:stop, None, :], a[start:stop]
+        for block in _draw_blocks(num_draws):
+            z, u, block_a = z1[block], dw2[block, None, :], a[block]
             active = z > 0
-            moved = np.multiply(bound[start:stop, None, None] * block_a, g)
+            moved = np.multiply(bound[block, None, None] * block_a, g)
             moved += z
-            found.append(np.flatnonzero((moved > 0) != active) + start * d * n)
+            found.append(np.flatnonzero((moved > 0) != active) + block.start * d * n)
             dz = np.multiply(block_a, g, out=moved)
             dz *= active
-            np.matmul(u, dz, out=c2[start:stop, None, :])
-            np.matmul(u, np.maximum(z, 0.0), out=c1[start:stop, None, :])
-            c1[start:stop] += np.matmul(w2[start:stop, None, :], dz)[:, 0]
+            np.matmul(u, dz, out=c2[block, None, :])
+            np.matmul(u, np.maximum(z, 0.0), out=c1[block, None, :])
+            c1[block] += np.matmul(w2[block, None, :], dz)[:, 0]
         c1 += db2
         s, k, j = np.unravel_index(np.concatenate(found), z1.shape)
         candidates = _Elements(

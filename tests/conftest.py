@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, ReluOneModel, RunConfig, grad_log_posterior
 from looadapt.data import PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
@@ -22,6 +23,24 @@ from looadapt.transforms import (
 )
 
 from oracle import build_grid_posterior, finite_difference_jacobian
+
+# Hypothesis profiles, chosen with --hypothesis-profile; tier-1 runs "tier1".
+# A property whose @settings leaves its example count to the profile, the
+# degenerate-input property (test_engine.TestDegenerateInputs), runs 25
+# derandomized examples there and 2000 under "robust". The other properties
+# set their own count and keep random examples (derandomize=False).
+settings.register_profile("tier1", max_examples=25, derandomize=True)
+settings.register_profile("robust", max_examples=2000, derandomize=True)
+settings.load_profile("tier1")
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_configure(config):
+    """A fixed --hypothesis-seed draws the examples: derandomization, which
+    Hypothesis puts before the seed, is turned off for it."""
+    if config.getoption("--hypothesis-seed") is not None and settings.default.derandomize:
+        settings.register_profile("seeded", derandomize=False)  # the active profile, seeded
+        settings.load_profile("seeded")
 
 
 def make_logistic_toy(seed=42, n=6, p=3, prior_sd=2.0, num_draws=50, draw_scale=1.0):

@@ -20,6 +20,7 @@ from looadapt.engine import AttemptRecord, ObservationResult
 from looadapt.gpd import WeightVector
 
 from conftest import gaussian_proposal, make_grid_instance_2, make_logistic_toy
+from test_golden import golden_args
 
 
 @pytest.fixture
@@ -114,15 +115,21 @@ class TestCmdRun:
         assert _strip_timings(out1) == _strip_timings(out2)
 
     def test_bytes_equal_across_worker_counts(self, toy_files, tmp_path):
+        """The logistic toy, and the relu1 golden instance, whose workers each
+        walk relu1's draw blocks and gradient fans on their own."""
         data, draws = toy_files
-        args = ["run", "--data", str(data), "--draws", str(draws), "--model", "logistic"]
-        outputs = []
-        for workers in ("1", "3"):
-            out = tmp_path / f"workers{workers}.json"
-            assert main([*args, "--workers", workers, "--out", str(out)]) in (0, 3)
-            outputs.append(_bytes_outside_timings(out))
-        assert b'"attempts": [\n' in outputs[0]  # some observation was scanned
-        assert outputs[0] == outputs[1]
+        relu1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "relu1")
+        for name, args in (
+            ("logistic", ["run", "--data", str(data), "--draws", str(draws), "--model", "logistic"]),
+            ("relu1", ["run", *golden_args(relu1)]),
+        ):
+            outputs = []
+            for workers in ("1", "3"):
+                out = tmp_path / f"{name}-workers{workers}.json"
+                assert main([*args, "--workers", workers, "--out", str(out)]) in (0, 3)
+                outputs.append(_bytes_outside_timings(out))
+            assert b'"attempts": [\n' in outputs[0], name  # some observation was scanned
+            assert outputs[0] == outputs[1], name
 
     def test_zero_workers_is_an_error_line(self, toy_files, tmp_path, capsys):
         data, draws = toy_files

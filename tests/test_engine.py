@@ -822,7 +822,7 @@ class TestDegenerateInputs:
         log10_scale=st.floats(-6.0, 6.0),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(deadline=None)  # examples and derandomization from the profile (conftest.py)
     def test_report_or_package_error(self, model_name, degeneracy, log10_scale, seed):
         model, dataset, prior, draws = _degenerate_instance(model_name, degeneracy, log10_scale, seed)
         try:

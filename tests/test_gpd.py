@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from looadapt import DomainError
-from looadapt.gpd import WeightVector, fit_gpd_tail, gpd_quantile, log_sum_exp, pareto_smooth, tail_size
+from looadapt.gpd import (
+    MIN_TAIL_SIZE,
+    GpdFit,
+    WeightVector,
+    fit_gpd_tail,
+    gpd_quantile,
+    log_sum_exp,
+    pareto_smooth,
+    tail_size,
+)
 
 from conftest import gpd_inverse_cdf_sample
 
@@ -148,6 +157,94 @@ class TestParetoSmooth:
         assert smoothed is weights
 
 
+
+def _eager_pareto_smooth(log_weights):
+    """Pareto smoothing with a stable argsort of all S weights and the smoothed
+    log weights made at once, the reference for :func:`pareto_smooth`. Returns
+    (smoothed log weights, or None for weights that come back unchanged; fit)."""
+    lw = log_weights - log_weights.max()
+    s = lw.size
+    m_rule = tail_size(s)
+    if m_rule < MIN_TAIL_SIZE or m_rule >= s:
+        return None, GpdFit.unfittable(m_rule)
+    order = np.argsort(lw, kind="stable")
+    log_cutoff = lw[order[s - m_rule - 1]]
+    top_lw = lw[order[s - m_rule:]]
+    m_t = m_rule - int(np.searchsorted(top_lw, log_cutoff, side="right"))
+    if m_t < MIN_TAIL_SIZE:
+        return None, GpdFit.unfittable(m_t)
+    cutoff = math.exp(log_cutoff)
+    excesses = np.sort(np.exp(top_lw[m_rule - m_t:]) - cutoff)
+    if excesses[0] <= 0:
+        return None, GpdFit.unfittable(m_t)
+    fit = fit_gpd_tail(excesses)
+    if not fit.fittable:
+        return None, fit
+    ranks = (np.arange(m_t) + 0.5) / m_t
+    new_lw = lw.copy()
+    new_lw[order[s - m_t:]] = np.minimum(np.log(gpd_quantile(ranks, fit.khat, fit.sigma) + cutoff), 0.0)
+    return new_lw, fit
+
+
+def _smoothing_cases():
+    """(name, log weights): fittable tails, with and without ties at and above
+    the cutoff, and every branch that leaves a tail unfittable."""
+    rng = np.random.default_rng(20261019)
+    cases = [
+        ("normal", 3.0 * rng.normal(size=1000)),
+        ("student-t", rng.standard_t(3, size=2000)),
+        ("heavy", np.log(gpd_inverse_cdf_sample(rng, 0.7, 1.0, 4000))),
+        ("with -inf", np.where(rng.uniform(size=500) < 0.3, -np.inf, rng.normal(size=500))),
+    ]
+    # one decimal gives many ties, the cutoff's among them
+    cases += [(f"rounded {seed}", np.round(3.0 * np.random.default_rng(seed).normal(size=400), 1)) for seed in range(8)]
+    cases += [
+        ("too few draws", np.arange(10.0)),
+        ("ties above the cutoff", np.zeros(100)),
+        ("constant tail", np.array([0.0] * 10 + [-1.0] * 90)),
+        ("underflowed tail", np.array([0.0, -1.0, -2.0] + [-800.0 - k for k in range(1997)])),
+        # a cutoff of weight 0 under a tail whose quartile, 1e-310, overflows the quadrature nodes
+        ("spread past the float range",
+         np.concatenate([np.log([k * 1e-310 for k in range(1, 16)] + [0.2, 0.4, 0.6, 0.8, 1.0]), np.full(80, -np.inf)])),
+    ]
+    return cases
+
+
+class TestLazySmoothing:
+    """pareto_smooth finds the cutoff by a partial sort and makes the smoothed
+    weights on first read; both give the bits of the full stable argsort."""
+
+    @pytest.mark.parametrize("name, lw", _smoothing_cases(), ids=[name for name, _ in _smoothing_cases()])
+    def test_equal_to_the_eager_algorithm(self, name, lw):
+        weights = WeightVector.from_log_weights(lw)
+        smoothed, fit = pareto_smooth(weights)
+        want_lw, want_fit = _eager_pareto_smooth(weights.log_weights)
+        assert repr(fit) == repr(want_fit)  # repr tells every float bit apart, and nan equals nan
+        if want_lw is None:
+            assert smoothed is weights
+            return
+        assert "log_weights" not in vars(smoothed)
+        assert np.array_equal(smoothed.log_weights, want_lw)
+        assert smoothed.log_total == log_sum_exp(want_lw)
+        np.testing.assert_array_equal(smoothed.normalized, np.exp(want_lw - log_sum_exp(want_lw)))
+        with pytest.raises(ValueError):
+            smoothed.log_weights[0] = 0.0
+
+    def test_every_branch_is_covered(self):
+        fits = {name: _eager_pareto_smooth(lw)[1] for name, lw in _smoothing_cases()}
+        names = list(fits)
+        assert all(fits[name].fittable for name in names[: names.index("too few draws")])
+        assert not any(fits[name].fittable for name in names[names.index("too few draws"):])
+        assert fits["too few draws"].tail_size == tail_size(10) < MIN_TAIL_SIZE
+        assert fits["ties above the cutoff"].tail_size == 0
+        assert fits["constant tail"].tail_size == 10
+        assert fits["underflowed tail"].tail_size == tail_size(2000)
+        assert fits["spread past the float range"].tail_size == 20
+        m = tail_size(400)
+        ranked = [np.sort(lw) for name, lw in _smoothing_cases() if name.startswith("rounded")]
+        assert sum(r[400 - m] == r[400 - m - 1] for r in ranked) >= 6  # the cutoff tied with one of the M largest
+
+
 class TestWeightVector:
     def test_normalization_identity(self, rng):
         lw = rng.normal(size=64) * 10
@@ -185,6 +282,14 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             first[0] = 0.0
 
+    def test_log_total_is_computed_on_first_read(self, rng):
+        lw = rng.normal(size=300) * 40
+        lw[::7] = -np.inf
+        weights = WeightVector.from_log_weights(lw)
+        assert "log_total" not in vars(weights)
+        assert weights.log_total == log_sum_exp(lw)
+        assert vars(weights)["log_total"] == weights.log_total
+
     def test_single_weight_is_one(self):
         assert WeightVector.from_log_weights([-5.0]).normalized[0] == 1.0
 
@@ -197,6 +302,8 @@ class TestWeightVector:
             WeightVector.from_log_weights(np.array([0.0, np.nan]))
         with pytest.raises(DomainError):
             WeightVector.from_log_weights(np.array([-np.inf, -np.inf]))
+        with pytest.raises(DomainError, match="^log weights must be < \\+inf and not NaN$"):
+            WeightVector.from_log_weights(np.array([0.0, np.inf]))
         with pytest.raises(DomainError, match="^log weights must be a non-empty 1-d vector$"):
             WeightVector.from_log_weights([])
 

@@ -1,6 +1,7 @@
 """Model evaluators: likelihoods, gradients, Hessian spectra, posteriors."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -361,6 +362,14 @@ class TestBatchConsistency:
                 )
 
 
+    def test_logistic_gradient_is_a_read_only_view_of_x(self):
+        model, dataset, _, draws = make_logistic_toy()
+        x = dataset.features[2]
+        grad = model.grad_mu_batch(draws.values, x)
+        assert np.array_equal(grad, np.tile(x, (draws.num_draws, 1)))
+        with pytest.raises(ValueError):
+            grad[0, 0] = 1.0
+
     @pytest.mark.parametrize("model_maker", [make_logistic_toy, make_relu_toy])
     def test_evaluate_posterior_gradient_matches_looped(self, model_maker):
         # one contraction over the observations against the per-draw loop
@@ -370,6 +379,69 @@ class TestBatchConsistency:
             np.testing.assert_allclose(
                 grad[k], grad_log_posterior(model, draws.values[k], dataset, prior), rtol=1e-12, atol=1e-12
             )
+
+
+
+def _unblocked_relu1(model, values, features, weights):
+    """mu_batch and weighted_grad_mu of relu1 as one einsum over all draws at once."""
+    w1, w2, b2 = model._split_batch(values)
+    z1 = np.einsum("sdp,np->snd", w1, features)
+    mu = np.einsum("snd,sd->sn", np.maximum(z1, 0.0), w2) + b2[:, None]
+    active = weights[:, :, None] * (z1 > 0)
+    grad = np.empty((values.shape[0], model.param_dim))
+    g1, g2, gb = model._split_batch(grad)
+    g2[:] = np.einsum("snd,snd->sd", active, z1)
+    active *= w2[:, None, :]
+    g1[:] = np.einsum("snd,np->sdp", active, features)
+    gb[:] = np.sum(weights, axis=1)
+    return mu, grad
+
+
+class TestBlockedRelu:
+    """relu1's mu_batch and weighted_grad_mu walk the draws in blocks of
+    ``LINE_BLOCK_DRAWS``; every block gives the bits of one pass over all draws."""
+
+    @staticmethod
+    def _instance(num_draws, rng, d=8, p=20, n=30):
+        model = ReluOneModel(d=d, p=p)
+        dataset = Dataset(
+            features=rng.normal(size=(n, p)), labels=rng.integers(0, 2, size=n),
+            feature_names=tuple(f"x{j}" for j in range(p)),
+        )
+        return model, dataset, GaussianPrior.isotropic(model.param_dim, 0.7), rng.normal(size=(num_draws, model.param_dim))
+
+    @pytest.mark.parametrize("num_draws", [1, LINE_BLOCK_DRAWS, LINE_BLOCK_DRAWS + 1, 2 * LINE_BLOCK_DRAWS + 1])
+    def test_equal_to_one_pass(self, num_draws, rng):
+        model, dataset, prior, values = self._instance(num_draws, rng)
+        weights = rng.normal(size=(num_draws, dataset.n))
+        mu, grad = _unblocked_relu1(model, values, dataset.features, weights)
+        assert np.array_equal(model.mu_batch(values, dataset.features), mu)
+        assert np.array_equal(model.weighted_grad_mu(values, dataset.features, weights), grad)
+
+        got = evaluate_posterior(model, values, dataset, prior)
+        resid = dataset.labels[None, :] - logistic(mu)
+        grad = prior.grad_batch(values) + _unblocked_relu1(model, values, dataset.features, resid)[1]
+        want = PosteriorEvaluation.from_mu(mu, dataset.labels, prior.log_density_batch(values), grad)
+        for name in ("mu", "log_lik", "log_prior", "log_post", "grad_log_post"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_evaluation_forms_no_full_size_temporary(self, rng):
+        """At S = 1000, d = 8, p = 20 and n = 100, one (S, n, d) array is
+        S d n 8 bytes = 6.4 MB. Evaluating the posterior in one pass over all
+        draws held four of them at once (17 MB traced); in blocks, the
+        outputs and one block's temporaries stay under 1.5 such arrays."""
+        num_draws, d, n = 1000, 8, 100
+        model, dataset, prior, values = self._instance(num_draws, rng, d=d, n=n)
+        evaluate_posterior(model, values, dataset, prior)  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evaluation = evaluate_posterior(model, values, dataset, prior)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert evaluation.grad_log_post.shape == values.shape
+        assert peak < 1.5 * num_draws * d * n * 8, f"{peak / 1e6:.1f} MB traced"
 
 
 def _edge_case_relu(num_draws, rng):
