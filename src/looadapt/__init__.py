@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 from .data import Dataset, PosteriorDraws, RunConfig, load_dataset_csv, load_draws_csv
 from .engine import LooReport, ObservationResult, run_loo
-from .errors import CurveUndefinedError, DimensionError, DomainError, LooAdaptError, ValidationError
+from .errors import DimensionError, DomainError, LooAdaptError, ValidationError
 from .models import GaussianPrior, LogisticModel, ReluOneModel, SigmoidalModel, grad_log_posterior
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ValidationError",
     "DimensionError",
     "DomainError",
-    "CurveUndefinedError",
     # the benchmark's input generator builds an instance with it; calling it imports scipy
     "grad_log_posterior",
 ]

@@ -187,7 +187,7 @@ def cmd_diagnose(args) -> int:
     khats = []
     for i in range(dataset.n):
         # The command line takes posterior draws only: the proposal is the posterior.
-        _, fit = pareto_smooth(eta_weights(evaluation, evaluation.log_post, i))
+        _, fit = pareto_smooth(eta_weights(evaluation.log_lik[:, i], evaluation.log_post, evaluation.log_post))
         khat = fit.khat
         khats.append(khat)
         writer.writerow([i, "inf" if math.isinf(khat) else f"{khat:.6f}", khat > config.khat_threshold])

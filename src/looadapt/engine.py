@@ -161,20 +161,19 @@ class LooProblem:
 
 
 def eta_weights(
-    evaluation: PosteriorEvaluation, log_proposal: np.ndarray, i: int, log_jac_det: np.ndarray | float = 0.0
+    log_lik_i: np.ndarray, log_post: np.ndarray, log_proposal: np.ndarray, log_jac_det: np.ndarray | float = 0.0
 ) -> WeightVector:
-    """Leave-one-out weights of the draws phi_k = T(theta_k).
+    """Leave-one-out weights of the draws phi_k = T(theta_k), from three per-draw
+    vectors at phi: the held-out log likelihood, the log posterior and log |det J|.
 
-    log eta_k = log |det J_k| - log lik(phi_k | d_i)
-                + [log post(phi_k) - log_proposal(theta_k)],
-    read from ``evaluation``, the posterior at phi. The raw weights are the
-    identity map: the evaluation at the draws and log |det J| = 0, where the
-    bracket is exactly 0 for posterior draws. Any constant offset in the
-    proposal density cancels under self-normalization. Draws with a
-    non-finite contribution get weight zero.
+    log eta_k = log |det J_k| - log lik(phi_k | d_i) + [log post(phi_k) - log_proposal(theta_k)].
+    The raw weights are the identity map: the run's columns at the draws and
+    log |det J| = 0, where the bracket is exactly 0 for posterior draws. Any
+    constant offset in the proposal density cancels under self-normalization.
+    Draws with a non-finite contribution get weight zero.
     """
     with np.errstate(invalid="ignore"):  # inf - inf where the held-out label has probability 0
-        log_eta = log_jac_det - evaluation.log_lik[:, i] + (evaluation.log_post - log_proposal)
+        log_eta = log_jac_det - log_lik_i + (log_post - log_proposal)
     log_eta = np.where(np.isnan(log_eta), -np.inf, log_eta)
     return WeightVector.from_log_weights(log_eta)
 
@@ -220,7 +219,8 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     config = problem.config
     evaluation = problem.evaluation
     threshold = config.khat_threshold
-    raw_smoothed, raw_fit = pareto_smooth(eta_weights(evaluation, problem.log_proposal, i))
+    mu_i, log_lik_i = evaluation.mu[:, i], evaluation.log_lik[:, i]
+    raw_smoothed, raw_fit = pareto_smooth(eta_weights(log_lik_i, evaluation.log_post, problem.log_proposal))
     raw_khat = raw_fit.khat
 
     attempts: list[AttemptRecord] = []
@@ -228,9 +228,8 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     # are under the threshold already, or no attempt could be fitted, the
     # scan has no attempts.
     scan = raw_khat > threshold and tail_size(problem.draws.num_draws) >= MIN_TAIL_SIZE
-    # (khat, attempt, held-out mu and log likelihood at phi, weights): only the
-    # columns of the best attempt's evaluation are kept
-    best = (raw_khat, None, evaluation.mu[:, i], evaluation.log_lik[:, i], raw_smoothed)
+    # (khat, attempt, held-out mu and log likelihood at phi, weights)
+    best = (raw_khat, None, mu_i, log_lik_i, raw_smoothed)
     # (line, hbar) in scan order; each kind's line is built when the scan reaches it
     grid = ((line, hbar) for line in step_lines(i, problem, raw_smoothed) for hbar in config.hbar_values)
     for line, hbar in grid if scan else ():
@@ -238,7 +237,9 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
         flags, fit = transformed.flags, None
         if not transformed.degenerate:
             try:
-                weights = eta_weights(transformed.evaluation, problem.log_proposal, i, transformed.log_jac_det)
+                weights = eta_weights(
+                    transformed.log_lik_i, transformed.log_post, problem.log_proposal, transformed.log_jac_det
+                )
             except DomainError:
                 flags += ("all-weights-zero",)
             else:
@@ -252,9 +253,7 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
         )
         attempts.append(record)
         if fit is not None and khat < best[0]:
-            at_phi = transformed.evaluation
-            best = (khat, record, at_phi.mu[:, i].copy(), at_phi.log_lik[:, i].copy(), smoothed)
-        del transformed  # free this attempt's (S, n) arrays before the next is evaluated
+            best = (khat, record, transformed.mu_i, transformed.log_lik_i, smoothed)
         if fit is not None and khat <= threshold:
             break
 

@@ -19,7 +19,3 @@ class ValidationError(LooAdaptError):
     def __init__(self, violations):
         self.violations = tuple(violations)
         super().__init__("; ".join(self.violations))
-
-
-class CurveUndefinedError(LooAdaptError):
-    """ROC / precision-recall curves need both classes present."""

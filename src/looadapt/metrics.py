@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurveUndefinedError, DimensionError
+from .errors import DimensionError, DomainError
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def _check_inputs(scores, labels):
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
-        raise CurveUndefinedError("curve undefined: need at least one positive and one negative label")
+        raise DomainError("curve undefined: need at least one positive and one negative label")
     return scores, labels, n_pos, n_neg
 
 

@@ -61,27 +61,30 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class TransformedDraws:
-    """One attempt: the posterior at the transformed draws and per-draw log |det J|.
+    """One attempt: what its weights read at the transformed draws phi.
 
-    ``evaluation`` holds mu, log likelihood, log prior and log posterior at
-    the transformed draws phi (without the gradient); phi itself is never
-    formed.
+    ``log_post`` is the log posterior at phi, ``mu_i`` and ``log_lik_i``
+    are mu and the log likelihood of the line's held-out observation there,
+    and ``log_jac_det`` is log |det J|; each is an (S,) array that owns its
+    data, so no (S, n) array of the attempt outlives :func:`apply_transform`.
     ``log_jac_det`` entries are finite except for draws where the map is
     numerically singular, which carry -inf (their transformed weight is
     zero). A transform that collapsed to the identity (zero step or
-    unavailable scaling) is a failed attempt: its ``evaluation`` and
-    ``log_jac_det`` are None and its ``flags`` say why.
+    unavailable scaling) is a failed attempt: its vectors are None and its
+    ``flags`` say why.
     """
 
-    evaluation: PosteriorEvaluation | None
-    log_jac_det: np.ndarray | None
-    h_used: float
+    log_post: np.ndarray | None = None
+    mu_i: np.ndarray | None = None
+    log_lik_i: np.ndarray | None = None
+    log_jac_det: np.ndarray | None = None
+    h_used: float = 0.0
     flags: tuple[str, ...] = ()
     max_step_sd: float = 0.0
 
     @property
     def degenerate(self) -> bool:
-        return self.evaluation is None
+        return self.log_post is None
 
 
 @dataclass(frozen=True)
@@ -115,14 +118,17 @@ def row_max_in_sd_units(grad: np.ndarray, sd: np.ndarray) -> np.ndarray:
     """r_s = max over components of |grad_sp| / sd_p, per draw.
 
     Components where grad is 0 are excluded, also where sd is 0; a moving
-    component with zero sd gives r_s = inf.
+    component with zero sd gives r_s = inf. When every draw shares one row
+    of ``grad`` (a broadcast view, row stride 0), r is computed from it once.
     """
+    shared = grad.strides[0] == 0
     with np.errstate(divide="ignore"):
         inv_sd = 1.0 / sd
-    scaled = np.abs(grad)
+    scaled = np.abs(grad[:1] if shared else grad)
     with np.errstate(invalid="ignore"):  # 0 * inf: a resting component with zero sd
         scaled *= inv_sd
-    return np.fmax.reduce(scaled, axis=1, initial=0.0)  # fmax skips those NaNs
+    r = np.fmax.reduce(scaled, axis=1, initial=0.0)  # fmax skips those NaNs
+    return np.repeat(r, len(grad)) if shared else r
 
 
 def log_step_size(scale: np.ndarray, factor: np.ndarray, r: np.ndarray) -> float:
@@ -382,7 +388,8 @@ def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
 
 
 def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> TransformedDraws:
-    """Evaluate step scale ``hbar`` of ``line``: phi = theta + hbar * D.
+    """Evaluate step scale ``hbar`` of ``line``, phi = theta + hbar * D, and
+    return the three per-draw vectors its weights read there.
 
     Costs O(S n) for the logistic model and O(S n + flips) for relu1, where
     flips counts the pre-activations that change sign on the line (see
@@ -390,11 +397,11 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
     (gradient kinds) for the determinant.
     """
     if line.mu is None:
-        return TransformedDraws(evaluation=None, log_jac_det=None, h_used=0.0, flags=line.flags)
+        return TransformedDraws(flags=line.flags)
     if line.kind in PMM_KINDS:
         coef = 1.0 + hbar * line.jacobian
         if np.any(np.abs(coef) < SINGULAR_EPS):
-            return TransformedDraws(evaluation=None, log_jac_det=None, h_used=0.0, flags=("pmm2-singular",))
+            return TransformedDraws(flags=("pmm2-singular",))
         h_used, flags = hbar, ()
         log_jac_det = np.full(problem.draws.num_draws, float(np.log(np.abs(coef)).sum()))
     else:
@@ -403,10 +410,9 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
         h_used = math.exp(log_h) if log_h <= _LOG_FLOAT_MAX else math.inf
         log_jac_det, flags = line.jacobian.logdet(log_h)
     log_prior = problem.evaluation.log_prior - hbar * (line.prior_slope + 0.5 * hbar * line.prior_curvature)
+    at_phi = PosteriorEvaluation.from_mu(line.mu.at(hbar), problem.dataset.labels, log_prior)
+    i = line.observation_index
     return TransformedDraws(
-        evaluation=PosteriorEvaluation.from_mu(line.mu.at(hbar), problem.dataset.labels, log_prior),
-        log_jac_det=log_jac_det,
-        h_used=h_used,
-        flags=flags,
-        max_step_sd=hbar * line.max_step_sd,
+        log_post=at_phi.log_post, mu_i=at_phi.mu[:, i].copy(), log_lik_i=at_phi.log_lik[:, i].copy(),
+        log_jac_det=log_jac_det, h_used=h_used, flags=flags, max_step_sd=hbar * line.max_step_sd,
     )

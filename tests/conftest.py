@@ -237,11 +237,22 @@ def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6
     return float(np.trace(jac))
 
 
+def raw_weights(problem, i, log_jac_det=0.0):
+    """:func:`eta_weights` of the identity map at i: the run's columns at the draws."""
+    evaluation = problem.evaluation
+    return eta_weights(evaluation.log_lik[:, i], evaluation.log_post, problem.log_proposal, log_jac_det)
+
+
+def attempt_weights(problem, transformed):
+    """:func:`eta_weights` of one scan attempt, read from its three vectors and log |det J|."""
+    return eta_weights(transformed.log_lik_i, transformed.log_post, problem.log_proposal, transformed.log_jac_det)
+
+
 def observation(problem, i, nu_weights=None):
     """The :class:`Observation` the scan builds at i: PMM kinds move toward the
     moments of ``nu_weights``, by default the smoothed raw weights there."""
     if nu_weights is None:
-        nu_weights, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
+        nu_weights, _ = pareto_smooth(raw_weights(problem, i))
     return Observation(i, problem, nu_weights)
 
 

@@ -81,8 +81,9 @@ def test_criterion_01_identity_transform_equivalence():
             )
             i = seed % dataset.n
             problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-            nu = eta_weights(problem.evaluation, problem.log_proposal, i)
-            eta = eta_weights(problem.evaluation, problem.log_proposal, i, np.zeros(draws.num_draws))
+            ev = problem.evaluation
+            nu = eta_weights(ev.log_lik[:, i], ev.log_post, problem.log_proposal)
+            eta = eta_weights(ev.log_lik[:, i], ev.log_post, problem.log_proposal, np.zeros(draws.num_draws))
             assert np.max(np.abs(eta.normalized - nu.normalized)) <= 1e-12
 
 

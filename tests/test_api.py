@@ -14,13 +14,13 @@ DOCUMENTED = {
     "Dataset", "PosteriorDraws", "RunConfig", "load_dataset_csv", "load_draws_csv", "GaussianPrior",
     "SigmoidalModel", "LogisticModel", "ReluOneModel",
     "run_loo", "LooReport", "ObservationResult",
-    "LooAdaptError", "ValidationError", "DimensionError", "DomainError", "CurveUndefinedError",
+    "LooAdaptError", "ValidationError", "DimensionError", "DomainError",
     "grad_log_posterior",
 }
 
 
 def test_root_exports_exactly_the_documented_names():
-    assert len(looadapt.__all__) == len(DOCUMENTED) == 18
+    assert len(looadapt.__all__) == len(DOCUMENTED) == 17
     assert set(looadapt.__all__) == DOCUMENTED
     for name in looadapt.__all__:
         assert getattr(looadapt, name) is not None, name

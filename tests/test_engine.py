@@ -36,6 +36,7 @@ from looadapt.transforms import apply_gradient_transform, apply_transform
 
 from conftest import (
     attempt,
+    attempt_weights,
     gaussian_proposal,
     line_step,
     log_post,
@@ -44,12 +45,9 @@ from conftest import (
     make_relu_grid_instance,
     make_relu_toy,
     observation,
+    raw_weights,
 )
 from oracle import exact_loo_expectation, sample_grid_posterior
-
-
-def _raw(problem, i):
-    return eta_weights(problem.evaluation, problem.log_proposal, i)
 
 
 class TestNuWeights:
@@ -61,7 +59,7 @@ class TestNuWeights:
         mu2 = math.log(1.0 / 3.0)  # sigma = 0.25
         draws = PosteriorDraws(values=np.array([[mu1], [mu2]]), param_names=("b",))
         problem = LooProblem.build(model, draws, dataset, GaussianPrior.isotropic(1, 1.0), RunConfig())
-        weights = _raw(problem, 0)
+        weights = raw_weights(problem, 0)
         np.testing.assert_allclose(weights.normalized, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
     def test_equal_likelihoods_uniform(self):
@@ -69,7 +67,7 @@ class TestNuWeights:
         model = LogisticModel(p=1)
         draws = PosteriorDraws(values=np.array([[1.0], [2.0], [-3.0]]), param_names=("b",))
         problem = LooProblem.build(model, draws, dataset, GaussianPrior.isotropic(1, 1.0), RunConfig())
-        weights = _raw(problem, 0)
+        weights = raw_weights(problem, 0)
         np.testing.assert_allclose(weights.normalized, 1.0 / 3.0, atol=1e-15)
 
     def test_single_weight_normalizes_to_one(self):
@@ -80,19 +78,19 @@ class TestEtaWeights:
     def test_identity_transform_reduces_to_nu(self):
         model, dataset, prior, draws = make_logistic_toy(seed=51)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-        nu = _raw(problem, 2)
+        nu = raw_weights(problem, 2)
         zero_jacobian = np.zeros(draws.num_draws)
-        eta = eta_weights(problem.evaluation, problem.log_proposal, 2, zero_jacobian)
+        eta = raw_weights(problem, 2, zero_jacobian)
         np.testing.assert_allclose(eta.normalized, nu.normalized, atol=1e-12)
 
     def test_constant_posterior_shift_cancels(self):
         model, dataset, prior, draws = make_logistic_toy(seed=52)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         _, td = attempt(problem, "KL", 1, 0.25)
-        base = eta_weights(td.evaluation, problem.log_proposal, 1, td.log_jac_det)
+        base = attempt_weights(problem, td)
         # shifting every log weight by a constant is a no-op after
         # normalization; emulate by rescaling the jacobian column
-        again = eta_weights(td.evaluation, problem.log_proposal, 1, td.log_jac_det + 5.0)
+        again = eta_weights(td.log_lik_i, td.log_post, problem.log_proposal, td.log_jac_det + 5.0)
         np.testing.assert_allclose(again.normalized, base.normalized, atol=1e-12)
 
     def test_non_finite_mu_is_a_zero_weight(self):
@@ -107,7 +105,7 @@ class TestEtaWeights:
         mu[7, 2] = np.inf * sign[2]
         evaluation = PosteriorEvaluation.from_mu(mu, dataset.labels, problem.evaluation.log_prior)
         for i in (0, 1, 2):
-            w = eta_weights(evaluation, problem.log_proposal, i).normalized
+            w = eta_weights(evaluation.log_lik[:, i], evaluation.log_post, problem.log_proposal).normalized
             assert np.all(np.isfinite(w))
             assert w[3] == 0.0 and w[5] == 0.0 and w[7] > 0.0
 
@@ -119,13 +117,13 @@ class TestEtaWeights:
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         i = 4
         _, td = attempt(problem, "KL", i, 0.25)
-        eta = eta_weights(td.evaluation, problem.log_proposal, i, td.log_jac_det)
+        eta = attempt_weights(problem, td)
 
         def f(nodes):
             return sigmoid(model.mu_batch(nodes, dataset.features[i][None, :])[:, 0])
 
         exact = exact_loo_expectation(grid, model, dataset, i, f)
-        values_at_phi = sigmoid(td.evaluation.mu[:, i])
+        values_at_phi = sigmoid(td.mu_i)
         estimate = float(eta.normalized @ values_at_phi)
         se = self_normalized_se(eta.normalized, values_at_phi)
         assert abs(estimate - exact) <= 3.0 * se
@@ -140,15 +138,15 @@ class TestChiWeights:
 
     def test_true_posterior_telescopes_to_nu(self):
         model, dataset, prior, draws = make_logistic_toy(seed=54)
-        nu = _raw(LooProblem.build(model, draws, dataset, prior, RunConfig()), 3)
+        nu = raw_weights(LooProblem.build(model, draws, dataset, prior, RunConfig()), 3)
 
         def variational(theta):
             return log_post(model, theta, dataset, prior)
 
         problem = _variational_problem(model, draws, dataset, prior, variational)
-        chi = eta_weights(problem.evaluation, problem.log_proposal, 3, np.zeros(draws.num_draws))
+        chi = raw_weights(problem, 3, np.zeros(draws.num_draws))
         np.testing.assert_allclose(chi.normalized, nu.normalized, atol=1e-12)
-        np.testing.assert_allclose(_raw(problem, 3).normalized, nu.normalized, atol=1e-12)
+        np.testing.assert_allclose(raw_weights(problem, 3).normalized, nu.normalized, atol=1e-12)
 
     def test_constant_factor_invariance(self):
         model, dataset, prior, draws = make_logistic_toy(seed=55)
@@ -161,8 +159,8 @@ class TestChiWeights:
 
         pa = _variational_problem(model, draws, dataset, prior, variational)
         pb = _variational_problem(model, draws, dataset, prior, variational_scaled)
-        a = _raw(pa, 0)
-        b = _raw(pb, 0)
+        a = raw_weights(pa, 0)
+        b = raw_weights(pb, 0)
         np.testing.assert_allclose(a.normalized, b.normalized, atol=1e-12)
 
     def test_crude_gaussian_proposal_within_three_se(self):
@@ -178,7 +176,7 @@ class TestChiWeights:
 
         i = 2
         problem = _variational_problem(model, draws, dataset, prior, variational)
-        chi = _raw(problem, i)
+        chi = raw_weights(problem, i)
 
         def f(nodes):
             return sigmoid(model.mu_batch(nodes, dataset.features[i][None, :])[:, 0])
@@ -307,7 +305,7 @@ class TestAdaptObservation:
         # the attempt is recorded and passed over, and the scan goes on
         model, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-        i = next(i for i in range(dataset.n) if pareto_smooth(_raw(problem, i))[1].khat > 0.7)
+        i = next(i for i in range(dataset.n) if pareto_smooth(raw_weights(problem, i))[1].khat > 0.7)
         calls = []
 
         def singular_first(line, hbar, problem):
@@ -401,7 +399,7 @@ class TestRunLoo:
     def test_scaling_invariance_of_weights(self):
         # scaling all unnormalized weights is invisible downstream
         model, dataset, prior, draws = make_logistic_toy(seed=62)
-        nu = _raw(LooProblem.build(model, draws, dataset, prior, RunConfig()), 0)
+        nu = raw_weights(LooProblem.build(model, draws, dataset, prior, RunConfig()), 0)
         scaled = WeightVector.from_log_weights(nu.log_weights + 123.4)
         np.testing.assert_allclose(scaled.normalized, nu.normalized, atol=1e-12)
 
@@ -450,7 +448,7 @@ class TestRunLoo:
         for i, r in enumerate(report.per_observation):
             assert r.attempts == ()
             assert r.winning_transform is None and not r.adapted
-            raw, fit = pareto_smooth(_raw(problem, i))
+            raw, fit = pareto_smooth(raw_weights(problem, i))
             assert not fit.fittable and r.raw_khat == r.final_khat == math.inf
             np.testing.assert_array_equal(r.final_weights.normalized, raw.normalized)
             assert (r.loo_predictive_prob, r.loo_predictive_prob_se, r.loo_log_predictive_density,

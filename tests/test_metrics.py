@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looadapt import CurveUndefinedError, DimensionError
+from looadapt import DimensionError, DomainError
 from looadapt.metrics import auprc, auroc, pr_curve, roc_curve
 
 from conftest import pair_count_auroc
@@ -41,7 +41,7 @@ class TestRocCurve:
         assert (curve[-1].x, curve[-1].y) == (1.0, 1.0)
 
     def test_single_class_rejected(self):
-        with pytest.raises(CurveUndefinedError):
+        with pytest.raises(DomainError, match="^curve undefined: need at least one positive and one negative label$"):
             roc_curve([0.1, 0.2], [1, 1])
 
     def test_lengths_must_agree(self):
@@ -100,7 +100,7 @@ class TestPrCurve:
         assert auprc(pr_curve(scores, labels)) == pytest.approx(expected)
 
     def test_single_class_rejected(self):
-        with pytest.raises(CurveUndefinedError):
+        with pytest.raises(DomainError, match="^curve undefined: need at least one positive and one negative label$"):
             pr_curve([0.1, 0.2], [0, 0])
 
     def test_area_in_unit_interval(self, rng):

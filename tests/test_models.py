@@ -18,7 +18,7 @@ from looadapt import (
     RunConfig,
     grad_log_posterior,
 )
-from looadapt.engine import LooProblem, eta_weights
+from looadapt.engine import LooProblem
 from looadapt.gpd import pareto_smooth
 from looadapt.models import (
     LINE_BLOCK_DRAWS,
@@ -40,6 +40,7 @@ from conftest import (
     make_logistic_toy,
     make_relu_toy,
     pairwise_resolvent,
+    raw_weights,
 )
 from oracle import finite_difference_gradient, finite_difference_hessian
 
@@ -510,7 +511,7 @@ class TestMuLine:
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
         flipped = 0
         for i in range(dataset.n):
-            nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
+            nu, _ = pareto_smooth(raw_weights(problem, i))
             line = attempt(problem, kind, i, 1.0, nu)[0]
             self._check(model, line.mu, draws.values, line_step(line, problem, nu), dataset.features)
             flipped += line.mu.flips.cell.size

@@ -1,5 +1,6 @@
 """Transformations, step sizes and Jacobian determinants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from looadapt import DomainError, PosteriorDraws, RunConfig, SigmoidalModel, run_loo
 from looadapt.data import Dataset, marginal_stats
-from looadapt.engine import LooProblem, eta_weights
+from looadapt.engine import LooProblem
 from looadapt.gpd import WeightVector, pareto_smooth
 from looadapt.models import (
     GaussianPrior,
@@ -29,6 +30,7 @@ from looadapt.transforms import (
 
 from conftest import (
     attempt,
+    attempt_weights,
     dense_hessian,
     fd_divergence,
     line_step,
@@ -39,6 +41,7 @@ from conftest import (
     observation,
     one_draw_observation,
     q_at,
+    raw_weights,
 )
 from oracle import finite_difference_jacobian
 
@@ -144,6 +147,17 @@ class TestStepSize:
         # a component with zero sd counts only where it moves, and then is infinite
         np.testing.assert_array_equal(row_max_in_sd_units(grad, sd), [2.0, 0.0, np.inf])
 
+    @pytest.mark.parametrize("row", [[1.0, 0.0, -4.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    @pytest.mark.parametrize("num_draws", [1, 2, 5])
+    def test_row_max_of_one_shared_row(self, row, num_draws):
+        """Every draw sharing one row, as logistic regression's grad_mu does: a
+        broadcast view gives what its dense copy gives, as an owned (S,) vector."""
+        sd = np.array([0.5, 0.0, 2.0])
+        shared = np.broadcast_to(np.array(row), (num_draws, 3))
+        r = row_max_in_sd_units(shared, sd)
+        np.testing.assert_array_equal(r, row_max_in_sd_units(np.array(shared), sd))
+        assert r.shape == (num_draws,) and r.flags.owndata
+
     @pytest.mark.parametrize(
         "scale, factor, r, expected",
         [
@@ -177,7 +191,7 @@ class TestApplyGradientTransform:
         assert out.degenerate
         assert out.flags == ("zero-step",)
         assert out.h_used == 0.0
-        assert out.evaluation is None and out.log_jac_det is None  # phi = theta, nothing to weigh
+        assert out.log_post is out.mu_i is out.log_lik_i is out.log_jac_det is None  # phi = theta, nothing to weigh
 
     def test_gradient_only_for_kl_and_var(self):
         model, dataset, prior, draws = make_logistic_toy(seed=30)
@@ -434,7 +448,7 @@ class TestApplyPmm:
         line, out = attempt(problem, "PMM1", 0, 1.0, uniform)
         np.testing.assert_allclose(line_step(line, problem, uniform), 0.0, atol=1e-12)
         assert line.max_step_sd < 1e-12
-        np.testing.assert_allclose(out.evaluation.log_post, problem.evaluation.log_post, atol=1e-12)
+        np.testing.assert_allclose(out.log_post, problem.evaluation.log_post, atol=1e-12)
         np.testing.assert_array_equal(out.log_jac_det, 0.0)
 
     def test_pmm1_shifts_every_draw_and_recenters(self):
@@ -442,7 +456,8 @@ class TestApplyPmm:
         draws = problem.draws
         line, out = attempt(problem, "PMM1", 0, 1.0, weights)
         phi = draws.values + line_step(line, problem, weights)
-        np.testing.assert_allclose(out.evaluation.mu, problem.model.mu_batch(phi, problem.dataset.features), atol=1e-12)
+        np.testing.assert_allclose(line.mu.at(1.0), problem.model.mu_batch(phi, problem.dataset.features), atol=1e-12)
+        np.testing.assert_array_equal(out.mu_i, line.mu.at(1.0)[:, 0])
         shift = phi - draws.values
         assert np.ptp(shift, axis=0).max() < 1e-12  # same shift for every draw
         wstats = marginal_stats(draws, weights.normalized)
@@ -463,8 +478,9 @@ class TestApplyPmm:
         np.testing.assert_allclose(out.log_jac_det, 2.0 * math.log(2.0), atol=1e-12)
         # each centered coordinate doubled, recentered at the weighted mean (0)
         np.testing.assert_allclose(values + line_step(line, problem, weights), 2.0 * values, atol=1e-12)
-        np.testing.assert_allclose(out.evaluation.mu, problem.model.mu_batch(2.0 * values, problem.dataset.features),
-                                   atol=1e-12)
+        mu_at_phi = problem.model.mu_batch(2.0 * values, problem.dataset.features)
+        np.testing.assert_allclose(line.mu.at(1.0), mu_at_phi, atol=1e-12)
+        np.testing.assert_allclose(out.mu_i, mu_at_phi[:, 0], atol=1e-12)
 
     def test_pmm2_unavailable_with_constant_column(self):
         values = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
@@ -577,7 +593,7 @@ class TestStepLines:
         problem = self._problem(toy)
         model, dataset, prior, values = problem.model, problem.dataset, problem.prior, problem.draws.values
         i = 2
-        nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
+        nu, _ = pareto_smooth(raw_weights(problem, i))
         for hbar in self.HBARS:
             line, out = attempt(problem, kind, i, hbar, nu)
             assert not out.degenerate
@@ -593,12 +609,30 @@ class TestStepLines:
             assert out.max_step_sd == pytest.approx(shift_ref, rel=1e-12)
 
             phi_eval = evaluate_posterior(model, values + hbar * step, dataset, prior, with_grad=False)
-            np.testing.assert_allclose(out.evaluation.mu, phi_eval.mu, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(line.mu.at(hbar), phi_eval.mu, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out.mu_i, phi_eval.mu[:, i], rtol=1e-12, atol=1e-12)
+            for vector, dense in ((out.log_lik_i, phi_eval.log_lik[:, i]), (out.log_post, phi_eval.log_post)):
+                np.testing.assert_allclose(vector, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
             reference = out.log_jac_det - phi_eval.log_lik[:, i] + (phi_eval.log_post - problem.log_proposal)
             # a log weight sums O(1-10) terms and can cancel to near 0, so the
             # error is also measured against the largest log weight
-            weights = eta_weights(out.evaluation, problem.log_proposal, i, out.log_jac_det)
+            weights = attempt_weights(problem, out)
             np.testing.assert_allclose(weights.log_weights, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+    @pytest.mark.parametrize("toy", ["logistic", "relu1"])
+    @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
+    def test_attempt_holds_only_owned_per_draw_vectors(self, toy, kind):
+        """An attempt keeps (S,) arrays that own their data: a column view would
+        keep its whole (S, n) evaluation alive for as long as the attempt."""
+        problem = self._problem(toy)
+        for hbar in self.HBARS:
+            _, out = attempt(problem, kind, 2, hbar)
+            assert not out.degenerate
+            arrays = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
+            arrays = {name: value for name, value in arrays.items() if isinstance(value, np.ndarray)}
+            assert set(arrays) == {"log_post", "mu_i", "log_lik_i", "log_jac_det"}
+            for name, value in arrays.items():
+                assert value.shape == (problem.draws.num_draws,) and value.flags.owndata, name
 
 
 def _dense_log_step_size(scale, direction, sd):
@@ -637,7 +671,7 @@ class TestLineQuantities:
         problem = self._problem(toy)
         values, sd, prior_sd = problem.draws.values, problem.stats.sd, problem.prior.sd
         for i in range(problem.dataset.n):
-            nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, i))
+            nu, _ = pareto_smooth(raw_weights(problem, i))
             line, _ = attempt(problem, kind, i, 1.0, nu)
             assert line.mu is not None
             step = line_step(line, problem, nu)
@@ -710,7 +744,7 @@ class TestLineQuantities:
             line = apply_gradient_transform(kind, observation(problem, 0))
             assert math.isfinite(line.log_h)
             assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
-        nu, _ = pareto_smooth(eta_weights(problem.evaluation, problem.log_proposal, 0))
+        nu, _ = pareto_smooth(raw_weights(problem, 0))
         assert attempt(problem, "PMM2", 0, 1.0, nu)[0].flags == ("pmm2-unavailable",)
         line = attempt(problem, "PMM1", 0, 1.0, nu)[0]
         moving = problem.stats.sd > 0
