@@ -155,8 +155,8 @@ class RunConfig:
     def __post_init__(self):
         if not _is_a(self.khat_threshold, numbers.Real):
             raise ValidationError([f"khat_threshold must be a number, got {self.khat_threshold!r}"])
-        if not self.khat_threshold > 0:
-            raise DomainError("khat_threshold must be positive")
+        if not 0 < self.khat_threshold < math.inf:  # an inf threshold would call inf k-hats adapted
+            raise DomainError(f"khat_threshold must be positive and finite, got {self.khat_threshold!r}")
         exps = _list_of(self.hbar_exponents, numbers.Integral, "hbar_exponents", "integers")
         exps = tuple(sorted(int(r) for r in exps))
         if len(exps) == 0:

@@ -43,6 +43,7 @@ from .models import (
     PosteriorEvaluation,
     ReluMuLine,
     SigmoidalModel,
+    check_dimensions,
     evaluate_posterior,
     logistic,
 )
@@ -110,8 +111,8 @@ class LooProblem:
     order). ``log_proposal`` is the per-draw log density the draws came
     from, up to a constant: the unnormalized log posterior for posterior
     draws, the variational log density q for variational ones. The log
-    prior in ``evaluation`` and ``mu_origin`` (mu at the draws, with the
-    relu1 pre-activations) are where every step line starts. ``stats``
+    prior in ``evaluation`` and ``mu_origin`` (mu at the draws, read from the
+    run's one copy of relu1's pre-activations) are where every line starts. ``stats``
     holds the plain moments and the centred draws that every weighted-moment
     call and PMM2 step reads.
     """
@@ -136,14 +137,16 @@ class LooProblem:
         config: RunConfig,
         variational_log_density: Callable[[np.ndarray], float] | None = None,
     ) -> "LooProblem":
-        """Evaluate the posterior and, when ``variational_log_density`` (q) is
-        given, q once per run.
+        """Check the dimensions, evaluate the posterior from the origin line and,
+        when ``variational_log_density`` (q) is given, q once per run.
 
         Passing q turns the variational correction on: the draws are taken
         to come from q, which must be finite at every draw.
         """
         with_grad = any(kind in POSTERIOR_GRADIENT_KINDS for kind in config.transform_order)
-        evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=with_grad)
+        check_dimensions(model, draws.values, dataset, prior)
+        origin = model.mu_line(draws.values, dataset.features)
+        evaluation = evaluate_posterior(origin, draws.values, dataset, prior, with_grad=with_grad)
         if variational_log_density is None:
             log_proposal = evaluation.log_post
         else:
@@ -155,8 +158,7 @@ class LooProblem:
                 )
         return cls(
             model=model, dataset=dataset, prior=prior, draws=draws, config=config,
-            evaluation=evaluation, stats=marginal_stats(draws), log_proposal=log_proposal,
-            mu_origin=model.mu_line(draws.values, dataset.features, evaluation.mu),
+            evaluation=evaluation, stats=marginal_stats(draws), log_proposal=log_proposal, mu_origin=origin,
         )
 
 

@@ -1,8 +1,8 @@
 """Sigmoidal classifier models and their derivative structure.
 
 A model evaluates the mean function mu(theta, x) behind the outcome
-probability sigma(mu) and weighted sums of grad_mu, batched over a draw
-matrix, which is all a run uses; the two concrete families also keep a
+probability sigma(mu) over a draw matrix as a line that also sums grad_mu
+with weights, which is all a run uses; the two concrete families also keep a
 single-draw mu and grad_mu, the reference behind :func:`grad_log_posterior`.
 The batched Hessian of mu, with vectors projected onto its eigenvectors, is
 what the gradient-step Jacobians consume: it has no eigenpairs (K = 0) for
@@ -140,22 +140,18 @@ class SigmoidalModel(abc.ABC):
         lam = 0). A mean linear in theta has K = 0.
         """
 
-    @abc.abstractmethod
-    def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
-        """sum_n weights[s, n] * grad_mu(theta_s, x_n) for every draw: (S, P)."""
-
     def grad_mu_batch(self, values, x) -> np.ndarray:
         """grad_mu for every draw at one observation: (S, P) x (p,) -> (S, P);
-        :meth:`weighted_grad_mu` over that one observation with unit weights."""
+        the ``weighted_grad_mu`` of that one observation's line, with unit weights."""
         x = np.asarray(x, dtype=float)
-        return self.weighted_grad_mu(values, x[None, :], np.ones((values.shape[0], 1)))
+        return self.mu_line(values, x[None, :]).weighted_grad_mu(np.ones((values.shape[0], 1)))
 
     @abc.abstractmethod
-    def mu_line(self, values, features, mu):
+    def mu_line(self, values, features):
         """mu at the draws as the origin of lines theta + hbar * D.
 
-        ``mu`` is :meth:`mu_batch` at the draws. The result's ``along(D)``
-        fixes a step, and its ``gradient_fan(grad, x, bound)`` the lines
+        Its ``mu`` is :meth:`mu_batch`, ``weighted_grad_mu(w)`` is (S, P) sum_n w_sn grad_mu(theta_s, x_n),
+        ``along(D)`` fixes a step, and ``gradient_fan(grad, x, bound)`` the lines
         along D_s = coef_s * grad_s, grad = :meth:`grad_mu_batch` at x, for
         every coef between 0 and ``bound`` per draw; the fan's ``line(coef)``
         fixes one of them. A line's ``at(hbar)`` gives mu at theta + hbar * D,
@@ -198,17 +194,14 @@ class LogisticModel(SigmoidalModel):
     def hessian_projection(self, grad, x, w):
         return (np.zeros((w.shape[0], 0)),) * 3
 
-    def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
-        return np.asarray(weights, dtype=float) @ np.asarray(features, dtype=float)
-
-    def mu_line(self, values, features, mu) -> "LinearMuLine":
-        return LinearMuLine(mu=mu, features=np.asarray(features, dtype=float))
+    def mu_line(self, values, features) -> "LinearMuLine":
+        return LinearMuLine(mu=self.mu_batch(values, features), features=np.asarray(features, dtype=float))
 
 
-#: Draws per block in relu1's O(S d n) passes: :meth:`ReluOneModel.mu_batch`,
-#: :meth:`ReluOneModel.weighted_grad_mu` and :meth:`ReluFan.build`, the pass of
-#: a line or of an observation's gradient lines. With d = 8 and n = 100 a
-#: block's (draws, d, n) temporaries are 400 KB each and stay in cache.
+#: Draws per block in relu1's O(S d n) passes over z1: mu in :meth:`ReluOneModel.mu_line`,
+#: :meth:`ReluMuLine.weighted_grad_mu` and :meth:`ReluFan.build`, the pass of a line or
+#: of an observation's gradient lines. With d = 8 and n = 100 a block's (draws, d, n)
+#: temporaries are 400 KB each and stay in cache.
 LINE_BLOCK_DRAWS = 64
 
 
@@ -278,15 +271,7 @@ class ReluOneModel(SigmoidalModel):
         return grad
 
     def mu_batch(self, values, features) -> np.ndarray:
-        """One block of ``LINE_BLOCK_DRAWS`` draws at a time: no (S, n, d) temporary."""
-        features = np.asarray(features, dtype=float)
-        w1, w2, b2 = self._split_batch(values)
-        mu = np.empty((values.shape[0], features.shape[0]))
-        for block in _draw_blocks(values.shape[0]):
-            act = np.maximum(np.einsum("sdp,np->snd", w1[block], features), 0.0)
-            mu[block] = np.einsum("snd,sd->sn", act, w2[block])
-        mu += b2[:, None]
-        return mu
+        return self.mu_line(values, features).mu
 
     def _active_units(self, grad) -> np.ndarray:
         """The activity mask 1[z1_sk > 0] at grad_mu's observation: its W2 block is relu(z1)."""
@@ -306,27 +291,17 @@ class ReluOneModel(SigmoidalModel):
         b = w2 / math.sqrt(2.0)
         return lam, (a + b) * mask, (a - b) * mask
 
-    def weighted_grad_mu(self, values, features, weights) -> np.ndarray:
-        """One contraction over the observations per block of draws, as in
-        :meth:`mu_batch`: the first-layer block is sum_n weights_sn W2_k
-        1[z1_snk > 0] x_n, the second sum_n weights_sn relu(z1_snk)."""
-        features, weights = np.asarray(features, dtype=float), np.asarray(weights, dtype=float)
-        w1, w2, _ = self._split_batch(values)
-        grad = np.empty((values.shape[0], self.param_dim))
-        g1, g2, gb = self._split_batch(grad)
-        for block in _draw_blocks(values.shape[0]):
-            z1 = np.einsum("sdp,np->snd", w1[block], features)
-            active = weights[block, :, None] * (z1 > 0)
-            g2[block] = np.einsum("snd,snd->sd", active, z1)
-            active *= w2[block, None, :]
-            g1[block] = np.einsum("snd,np->sdp", active, features)
-        gb[:] = np.sum(weights, axis=1)
-        return grad
-
-    def mu_line(self, values, features, mu) -> "ReluMuLine":
+    def mu_line(self, values, features) -> "ReluMuLine":
+        """The one pass of W1 x over all draws: z1, stored read-only, and mu read from it in blocks."""
         features = np.asarray(features, dtype=float)
-        w1, w2, _ = self._split_batch(values)
-        return ReluMuLine(model=self, z1=np.einsum("sdp,np->sdn", w1, features), w2=w2, mu=mu, features=features)
+        w1, w2, b2 = self._split_batch(values)
+        mu = np.empty((values.shape[0], features.shape[0]))
+        line = ReluMuLine(model=self, z1=np.einsum("sdp,np->sdn", w1, features), w2=w2, mu=mu, features=features)
+        line.z1.flags.writeable = False
+        for block, z1 in line._blocks():
+            mu[block] = np.einsum("snd,sd->sn", np.maximum(z1, 0.0, out=z1), w2[block])
+        mu += b2[:, None]
+        return line
 
 
 @dataclass(frozen=True)
@@ -346,6 +321,9 @@ class LinearMuLine:
         """The line with step D, (P,) or (S, P)."""
         return replace(self, dmu=step @ self.features.T)
 
+    def weighted_grad_mu(self, weights) -> np.ndarray:
+        return np.asarray(weights, dtype=float) @ self.features
+
     def gradient_fan(self, grad, x, bound) -> "LinearMuLine":
         """The lines along D_s = coef_s * grad_mu(theta_s, x) = coef_s * x, for any coef."""
         return replace(self, dmu=self.features @ x)
@@ -362,8 +340,9 @@ class LinearMuLine:
 class ReluMuLine:
     """mu at the draws of the one-hidden-layer network, as the origin of lines.
 
-    Holds the first-layer pre-activations z1, stored d-major, (S, d, n), so
-    that every elementwise pass runs over the long observation axis.
+    Holds the run's one copy of the first-layer pre-activations z1, read-only
+    and stored d-major, (S, d, n), so that every elementwise pass runs over the
+    long observation axis; mu and the weighted gradient read it in blocks.
     :meth:`along` and :meth:`gradient_fan` build the lines; a step scale of
     one costs O(S n + flips) (see :class:`ReluFan`).
     """
@@ -373,6 +352,25 @@ class ReluMuLine:
     w2: np.ndarray        # (S, d)
     mu: np.ndarray        # (S, n) at the draws
     features: np.ndarray  # (n, p)
+
+    def _blocks(self):
+        """Each block of ``LINE_BLOCK_DRAWS`` draws, with its z1 as a fresh (draws, n, d) copy to write into."""
+        for block in _draw_blocks(self.z1.shape[0]):
+            yield block, self.z1[block].transpose(0, 2, 1).copy()
+
+    def weighted_grad_mu(self, weights) -> np.ndarray:
+        """One contraction over the observations per block: the first-layer block is
+        sum_n weights_sn W2_k 1[z1_snk > 0] x_n, the second sum_n weights_sn relu(z1_snk)."""
+        weights = np.asarray(weights, dtype=float)
+        grad = np.empty((self.z1.shape[0], self.model.param_dim))
+        g1, g2, gb = self.model._split_batch(grad)
+        for block, z1 in self._blocks():
+            active = weights[block, :, None] * (z1 > 0)
+            g2[block] = np.einsum("snd,snd->sd", active, z1)
+            active *= self.w2[block, None, :]
+            g1[block] = np.einsum("snd,np->sdp", active, self.features)
+        gb[:] = np.sum(weights, axis=1)
+        return grad
 
     def along(self, step) -> "ReluLine":
         """The line with step D, (P,) or (S, P); dz is one dense contraction."""
@@ -553,17 +551,9 @@ class PosteriorEvaluation:
         return float(self.log_post.max())
 
 
-def evaluate_posterior(
-    model: SigmoidalModel,
-    values: np.ndarray,
-    dataset: Dataset,
-    prior: GaussianPrior,
-    with_grad: bool = True,
-) -> PosteriorEvaluation:
-    """Evaluate mu, log likelihood, log prior, log posterior (and optionally
-    its gradient) for a whole draw matrix in one pass. Draws, prior or
-    dataset that do not fit the model are a DimensionError, not a broadcast
-    or misread columns."""
+def check_dimensions(model: SigmoidalModel, values: np.ndarray, dataset: Dataset, prior: GaussianPrior) -> None:
+    """Draws, prior or dataset that do not fit the model are a DimensionError,
+    not a broadcast or misread columns."""
     for what, got, want in (
         ("parameter columns in the draws", values.shape[1], model.param_dim),
         ("prior sds", prior.param_dim, model.param_dim),
@@ -571,9 +561,15 @@ def evaluate_posterior(
     ):
         if got != want:
             raise DimensionError(f"{got} {what}, but the model expects {want}")
-    mu = model.mu_batch(values, dataset.features)
+
+
+def evaluate_posterior(origin: LinearMuLine | ReluMuLine, values: np.ndarray, dataset: Dataset, prior: GaussianPrior,
+                       with_grad: bool = True) -> PosteriorEvaluation:
+    """Log likelihood, log prior, log posterior (and optionally its gradient)
+    for a whole draw matrix, from ``origin``, the model's ``mu_line`` at the
+    draws and the dataset's features, which supplies mu and the gradient's data term."""
     grad = None
     if with_grad:
-        resid = dataset.labels[None, :] - logistic(mu)
-        grad = prior.grad_batch(values) + model.weighted_grad_mu(values, dataset.features, resid)
-    return PosteriorEvaluation.from_mu(mu, dataset.labels, prior.log_density_batch(values), grad)
+        resid = dataset.labels[None, :] - logistic(origin.mu)
+        grad = prior.grad_batch(values) + origin.weighted_grad_mu(resid)
+    return PosteriorEvaluation.from_mu(origin.mu, dataset.labels, prior.log_density_batch(values), grad)

@@ -44,7 +44,7 @@ def test_a_new_model_implements_what_the_readme_lists():
     """README's "Adding a model" names every abstract method, and of the
     concrete ones only grad_mu_batch, which SigmoidalModel derives."""
     assert SigmoidalModel.__abstractmethods__ == {
-        "param_dim", "num_features", "mu_batch", "weighted_grad_mu", "mu_line", "hessian_projection",
+        "param_dim", "num_features", "mu_batch", "mu_line", "hessian_projection",
     }
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Adding a model", 1)[1].split("\n#", 1)[0]

@@ -86,7 +86,7 @@ class TestCmdRun:
         data, draws = toy_files
         out = tmp_path / "report.json"
         config = tmp_path / "config.json"
-        config.write_text('{"khat_threshold": 1e999}', encoding="utf-8")
+        config.write_text('{"khat_threshold": 1e300}', encoding="utf-8")  # above every finite k-hat
         code = main(["run", "--data", str(data), "--draws", str(draws),
                      "--model", "logistic", "--config", str(config), "--out", str(out)])
         assert code == 0
@@ -189,6 +189,9 @@ class TestCmdRun:
         ({}, ["--prior-sd", "0"], "prior sds must be finite and positive"),
         ({}, ["--prior-sd", "-1"], "prior sds must be finite and positive"),
         ({}, ["--prior-sd", "nan"], "prior sds must be finite and positive"),
+        ({"config": '{"khat_threshold": Infinity}'}, [], "khat_threshold must be positive and finite, got inf"),
+        ({"config": '{"khat_threshold": 1e999}'}, [], "khat_threshold must be positive and finite, got inf"),
+        ({"config": '{"khat_threshold": NaN}'}, [], "khat_threshold must be positive and finite, got nan"),
     ])
     def test_bad_input_is_an_error_line(self, toy_files, tmp_path, capsys, files, flags, message):
         paths = dict(zip(("data", "draws"), toy_files))
@@ -608,13 +611,24 @@ class TestTracedRun:
                 with tracer.root("cli.main"):
                     codes.append(main(["run", "--data", str(data), "--draws", str(draws), "--model", "logistic",
                                        *extra, "--out", str(tmp_path / "report.json")]))
+            logistic_spans = len(tracer.spans)
+            with tracer.root("cli.main"):
+                relu1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "relu1")
+                codes.append(main(["run", *golden_args(relu1), "--out", str(tmp_path / "relu1.json")]))
         finally:
             tracer.uninstall()
         assert all(code in (0, 3) for code in codes)
-        names = {s.name for s in tracer.spans}
-        installed = {name for points in tracing._POINTS.values() for _, name, *_ in points}
-        assert installed | {"models.mu_batch", "gpd.from_log_weights"} <= names, sorted(installed - names)
-        assert all(s.obs is not None for s in tracer.spans if s.name == "engine.eta_weights")
+        installed = {name for points in tracing._POINTS.values() for _, name, *_ in points} | {"gpd.from_log_weights"}
+        logistic, relu1 = tracer.spans[:logistic_spans], tracer.spans[logistic_spans:]
+        for spans in (logistic, relu1):
+            names = {s.name for s in spans}
+            assert installed <= names, sorted(installed - names)
+            assert all(s.obs is not None for s in spans if s.name == "engine.eta_weights")
+        assert "models.mu_batch" in {s.name for s in logistic}
+        # relu1 reads mu from its origin line, not mu_batch; S = 200 draws, n = 30, P = 2 * 3 + 2 + 1
+        assert "models.mu_batch" not in {s.name for s in relu1}
+        (evaluation,) = [s for s in relu1 if s.name == "models.evaluate_posterior"]
+        assert evaluation.attrs == {"grad": True, "flops": 200 * 30 * 9}
         assert not hasattr(looadapt.engine.adapt_observation, "__wrapped__")
 
 

@@ -414,9 +414,14 @@ class TestRunConfig:
         again = RunConfig.from_json(json.dumps(asdict(config)))
         assert again == config
 
-    def test_infinite_threshold_allowed(self):
-        config = RunConfig.from_json('{"khat_threshold": 1e999}')
-        assert config.khat_threshold == np.inf
+    @pytest.mark.parametrize("text", ["Infinity", "1e999", "-Infinity", "NaN"])
+    def test_non_finite_threshold_rejected(self, text):
+        """Python's json reads Infinity and 1e999 as inf, and an inf threshold
+        would report every unfittable (k-hat = inf) tail as adapted."""
+        with pytest.raises(DomainError, match="khat_threshold must be positive and finite"):
+            RunConfig.from_json(f'{{"khat_threshold": {text}}}')
+        with pytest.raises(DomainError, match="khat_threshold must be positive and finite"):
+            RunConfig(khat_threshold=float(text.replace("Infinity", "inf")))
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -215,9 +215,9 @@ class TestAdaptObservation:
         assert result.attempts == ()
         assert 0.0 <= result.loo_predictive_prob <= 1.0
 
-    def test_infinite_threshold_trivially_adapts(self):
+    def test_threshold_above_the_raw_khat_trivially_adapts(self):
         model, dataset, prior, draws = make_logistic_toy(seed=56, draw_scale=8.0)
-        config = RunConfig(khat_threshold=math.inf)
+        config = RunConfig(khat_threshold=1e300)
         result = adapt_observation(1, LooProblem.build(model, draws, dataset, prior, config))
         assert result.adapted
         assert result.attempts == ()
@@ -735,6 +735,27 @@ class TestRunCost:
         assert calls["lines"] > len(observations) > 0
         assert calls["grad_mu_batch"] == len(observations)
 
+    def test_one_pre_activation_pass_per_relu1_run(self, monkeypatch):
+        """LooProblem.build forms W1 x once, in the origin line, and reads mu
+        and the posterior gradient from it: mu_batch is never called."""
+        model, dataset, prior, draws = self._toy("relu1")
+        lines, mu_batches = [], []
+        mu_line, mu_batch = ReluOneModel.mu_line, ReluOneModel.mu_batch
+
+        def counted_line(self, values, features):
+            lines.append(features)
+            return mu_line(self, values, features)
+
+        def counted_mu(self, values, features):
+            mu_batches.append(features)
+            return mu_batch(self, values, features)
+
+        monkeypatch.setattr(ReluOneModel, "mu_line", counted_line)
+        monkeypatch.setattr(ReluOneModel, "mu_batch", counted_mu)
+        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
+        assert problem.evaluation.grad_log_post is not None
+        assert len(lines) == 1 and lines[0] is dataset.features
+        assert mu_batches == []
 
     @pytest.mark.parametrize(
         "toy, order",

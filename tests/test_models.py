@@ -375,7 +375,8 @@ class TestBatchConsistency:
     def test_evaluate_posterior_gradient_matches_looped(self, model_maker):
         # one contraction over the observations against the per-draw loop
         model, dataset, prior, draws = model_maker()
-        grad = evaluate_posterior(model, draws.values, dataset, prior).grad_log_post
+        origin = model.mu_line(draws.values, dataset.features)
+        grad = evaluate_posterior(origin, draws.values, dataset, prior).grad_log_post
         for k in range(draws.num_draws):
             np.testing.assert_allclose(
                 grad[k], grad_log_posterior(model, draws.values[k], dataset, prior), rtol=1e-12, atol=1e-12
@@ -384,7 +385,7 @@ class TestBatchConsistency:
 
 
 def _unblocked_relu1(model, values, features, weights):
-    """mu_batch and weighted_grad_mu of relu1 as one einsum over all draws at once."""
+    """relu1's mu and weighted grad_mu as one einsum over all draws at once, n-major."""
     w1, w2, b2 = model._split_batch(values)
     z1 = np.einsum("sdp,np->snd", w1, features)
     mu = np.einsum("snd,sd->sn", np.maximum(z1, 0.0), w2) + b2[:, None]
@@ -399,8 +400,9 @@ def _unblocked_relu1(model, values, features, weights):
 
 
 class TestBlockedRelu:
-    """relu1's mu_batch and weighted_grad_mu walk the draws in blocks of
-    ``LINE_BLOCK_DRAWS``; every block gives the bits of one pass over all draws."""
+    """relu1's origin line reads mu and the weighted gradient from its stored
+    pre-activations in blocks of ``LINE_BLOCK_DRAWS``; every block gives the
+    bits of one n-major pass over all draws."""
 
     @staticmethod
     def _instance(num_draws, rng, d=8, p=20, n=30):
@@ -416,10 +418,12 @@ class TestBlockedRelu:
         model, dataset, prior, values = self._instance(num_draws, rng)
         weights = rng.normal(size=(num_draws, dataset.n))
         mu, grad = _unblocked_relu1(model, values, dataset.features, weights)
+        origin = model.mu_line(values, dataset.features)
+        assert np.array_equal(origin.mu, mu)
+        assert np.array_equal(origin.weighted_grad_mu(weights), grad)
         assert np.array_equal(model.mu_batch(values, dataset.features), mu)
-        assert np.array_equal(model.weighted_grad_mu(values, dataset.features, weights), grad)
 
-        got = evaluate_posterior(model, values, dataset, prior)
+        got = evaluate_posterior(origin, values, dataset, prior)
         resid = dataset.labels[None, :] - logistic(mu)
         grad = prior.grad_batch(values) + _unblocked_relu1(model, values, dataset.features, resid)[1]
         want = PosteriorEvaluation.from_mu(mu, dataset.labels, prior.log_density_batch(values), grad)
@@ -429,20 +433,48 @@ class TestBlockedRelu:
     def test_evaluation_forms_no_full_size_temporary(self, rng):
         """At S = 1000, d = 8, p = 20 and n = 100, one (S, n, d) array is
         S d n 8 bytes = 6.4 MB. Evaluating the posterior in one pass over all
-        draws held four of them at once (17 MB traced); in blocks, the
-        outputs and one block's temporaries stay under 1.5 such arrays."""
+        draws held four of them at once (17 MB traced); from the origin's
+        stored pre-activations, in blocks, the outputs and one block's
+        temporaries stay under 1.5 such arrays."""
         num_draws, d, n = 1000, 8, 100
         model, dataset, prior, values = self._instance(num_draws, rng, d=d, n=n)
-        evaluate_posterior(model, values, dataset, prior)  # first-call allocations outside the trace
+        origin = model.mu_line(values, dataset.features)
+        evaluate_posterior(origin, values, dataset, prior)  # first-call allocations outside the trace
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            evaluation = evaluate_posterior(model, values, dataset, prior)
+            evaluation = evaluate_posterior(origin, values, dataset, prior)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert evaluation.grad_log_post.shape == values.shape
         assert peak < 1.5 * num_draws * d * n * 8, f"{peak / 1e6:.1f} MB traced"
+
+
+class TestStoredPreActivations:
+    """The origin line keeps the run's one W1 x, which every evaluation and
+    line reads and none writes. At d = 1 a (draws, n, d) view of a block of
+    z1 is already contiguous, so an in-place relu on anything but a fresh
+    copy would rectify the stored pre-activations."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("num_draws", [1, LINE_BLOCK_DRAWS + 1])
+    def test_no_pass_writes_into_z1(self, d, num_draws, rng):
+        model, dataset, prior, values = TestBlockedRelu._instance(num_draws, rng, d=d, p=3, n=10)
+        features = dataset.features
+        origin = model.mu_line(values, features)
+        evaluate_posterior(origin, values, dataset, prior)
+        origin.weighted_grad_mu(rng.normal(size=(num_draws, dataset.n)))
+        x, coef = features[0], 0.5 * rng.normal(size=num_draws)
+        fan = origin.gradient_fan(model.grad_mu_batch(values, x), x, coef)
+        for line in (origin.along(rng.normal(size=values.shape)), origin.along(rng.normal(size=model.param_dim)),
+                     fan.line(coef), fan.line(0.5 * coef)):
+            for hbar in (1.0, 0.25):
+                line.at(hbar)
+        assert np.array_equal(origin.z1, np.einsum("sdp,np->sdn", model._split_batch(values)[0], features))
+        assert (origin.z1 < 0).any()
+        with pytest.raises(ValueError):
+            origin.z1[0, 0, 0] = 1.0
 
 
 def _edge_case_relu(num_draws, rng):
@@ -488,7 +520,7 @@ class TestMuLine:
     def test_dense_and_shared_steps(self, model_maker, rng):
         model, dataset, prior, draws = model_maker()
         values = draws.values
-        origin = model.mu_line(values, dataset.features, model.mu_batch(values, dataset.features))
+        origin = model.mu_line(values, dataset.features)
         for step in (rng.normal(size=values.shape), rng.normal(size=values.shape[1])):
             self._check(model, origin.along(step), values, step, dataset.features)
 
@@ -499,7 +531,7 @@ class TestMuLine:
         x = dataset.features[1]
         coef = 0.1 * rng.normal(size=draws.num_draws)
         grad = model.grad_mu_batch(values, x)
-        origin = model.mu_line(values, dataset.features, model.mu_batch(values, dataset.features))
+        origin = model.mu_line(values, dataset.features)
         line = origin.gradient_fan(grad, x, coef).line(coef)
         self._check(model, line, values, coef[:, None] * grad, dataset.features)
 
@@ -523,7 +555,7 @@ class TestMuLine:
         block, a block plus one, and a draw count no block size divides, over
         the edge cases of :func:`_edge_case_relu`."""
         model, features, values, coef, dense = _edge_case_relu(num_draws, rng)
-        origin = model.mu_line(values, features, model.mu_batch(values, features))
+        origin = model.mu_line(values, features)
         x = features[0]
         grad = model.grad_mu_batch(values, x)
         shared = rng.normal(size=values.shape[1])
@@ -544,7 +576,7 @@ class TestMuLine:
         the bound itself, matches mu_batch; a coef past the bound, or of the
         other sign, is a DomainError."""
         model, features, values, coef, _ = _edge_case_relu(2 * LINE_BLOCK_DRAWS + 3, rng)
-        origin = model.mu_line(values, features, model.mu_batch(values, features))
+        origin = model.mu_line(values, features)
         x = features[0]
         grad = model.grad_mu_batch(values, x)
         bound = coef.copy()
@@ -561,7 +593,7 @@ class TestMuLine:
 
     def test_step_scale_outside_the_unit_interval(self, rng):
         model, dataset, prior, draws = make_relu_toy()
-        origin = model.mu_line(draws.values, dataset.features, model.mu_batch(draws.values, dataset.features))
+        origin = model.mu_line(draws.values, dataset.features)
         line = origin.along(rng.normal(size=draws.values.shape))
         with pytest.raises(DomainError, match="step scales in"):
             line.at(2.0)

@@ -267,7 +267,7 @@ class TestApplyGradientTransform:
 
 class _OtherModel(SigmoidalModel):
     """A sigmoidal model outside the two built-in families: it wraps another
-    model and forwards only the six members of the contract, with no
+    model and forwards only the five members of the contract, with no
     single-draw mu or grad_mu."""
 
     def __init__(self, inner):
@@ -279,11 +279,8 @@ class _OtherModel(SigmoidalModel):
     def mu_batch(self, values, features):
         return self.inner.mu_batch(values, features)
 
-    def weighted_grad_mu(self, values, features, weights):
-        return self.inner.weighted_grad_mu(values, features, weights)
-
-    def mu_line(self, values, features, mu):
-        return self.inner.mu_line(values, features, mu)
+    def mu_line(self, values, features):
+        return self.inner.mu_line(values, features)
 
     def hessian_projection(self, grad, x, w):
         return self.inner.hessian_projection(grad, x, w)
@@ -302,8 +299,8 @@ def _report_fields(report):
 
 class TestModelContract:
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
-    def test_a_model_of_the_six_members_runs(self, toy):
-        """run_loo on a model that implements only the contract's six members
+    def test_a_model_of_the_contract_members_runs(self, toy):
+        """run_loo on a model that implements only the contract's five members
         gives the wrapped model's report, value for value, over every kind."""
         if toy == "logistic":
             inner, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
@@ -357,7 +354,7 @@ class TestExactLogdetOps:
     def test_model_kind_guards(self):
         """A PMM kind, and KL without the posterior gradient, are rejected.
         The model family is not guarded: any model steps through its own
-        weighted_grad_mu and hessian_projection."""
+        line's weighted_grad_mu and its hessian_projection."""
         model, dataset, prior, draws = make_logistic_toy(seed=38, p=3)
         theta = draws.values[0]
         with pytest.raises(DomainError, match="defined for"):
@@ -608,7 +605,8 @@ class TestStepLines:
             assert out.h_used == pytest.approx(h_ref, rel=1e-12)
             assert out.max_step_sd == pytest.approx(shift_ref, rel=1e-12)
 
-            phi_eval = evaluate_posterior(model, values + hbar * step, dataset, prior, with_grad=False)
+            phi = values + hbar * step
+            phi_eval = evaluate_posterior(model.mu_line(phi, dataset.features), phi, dataset, prior, with_grad=False)
             np.testing.assert_allclose(line.mu.at(hbar), phi_eval.mu, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(out.mu_i, phi_eval.mu[:, i], rtol=1e-12, atol=1e-12)
             for vector, dense in ((out.log_lik_i, phi_eval.log_lik[:, i]), (out.log_post, phi_eval.log_post)):
