@@ -122,11 +122,11 @@ def _print_run_summary(report: LooReport, config: RunConfig) -> None:
 
 
 def _build_model(args, dataset: Dataset) -> SigmoidalModel:
-    if args.model == "logistic":
-        return LogisticModel(p=dataset.p)
-    if args.hidden is None:
+    if args.model == "relu1" and args.hidden is None:
         raise LooAdaptError("--hidden is required for the relu1 model")
-    return ReluOneModel(d=args.hidden, p=dataset.p)
+    if args.model == "logistic" and args.hidden is not None:
+        raise LooAdaptError("--hidden applies to the relu1 model only")
+    return LogisticModel(p=dataset.p) if args.model == "logistic" else ReluOneModel(d=args.hidden, p=dataset.p)
 
 
 def _build_prior(args, param_dim: int) -> GaussianPrior:
@@ -140,6 +140,8 @@ def _build_prior(args, param_dim: int) -> GaussianPrior:
                     sds.append(float(line))
                 except ValueError:
                     raise LooAdaptError(f"prior sd file line {number}: not a number: {line.strip()!r}") from None
+    if not sds:
+        raise LooAdaptError("prior sd file holds no values")
     return GaussianPrior(sd=np.array(sds))
 
 

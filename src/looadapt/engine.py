@@ -12,16 +12,17 @@ draws for a Pareto tail no attempt can be fitted, and the scan is skipped.
 The per-observation loops are independent and can run on a thread pool;
 results are always assembled in observation order.
 
-The posterior is evaluated once per run, at the draws. Each (observation,
-kind) family of attempts lies on one line theta + hbar * D, built once
-(:func:`~looadapt.transforms.step_lines`). The lines of a flagged
-observation share one :class:`~looadapt.transforms.Observation`, which
-computes the PMM kinds' target moments, and grad_mu with what KL, Var and
-LL derive from it, once. A step scale then costs O(S n) for the logistic
-model and O(S n + flips) for relu1, where flips counts the pre-activations
-that change sign on the line. A flagged relu1 observation pays one O(S d n)
-pass for its gradient kinds, shared by KL, Var and LL, and a PMM line one
-of its own.
+The posterior is evaluated once per run, from the model's origin line at the
+draws, which also gives every derivative of mu at an observation; relu1 reads
+them all from its one W1 x pass. Each (observation, kind) family of attempts
+lies on one line theta + hbar * D, built once by
+:func:`~looadapt.transforms.step_lines`. The lines of a flagged observation
+share one :class:`~looadapt.transforms.Observation`, which computes the PMM
+kinds' target moments, and grad_mu with what KL, Var and LL derive from it,
+once. A step scale then costs O(S n) for the logistic model and O(S n + flips)
+for relu1, where flips counts the pre-activations that change sign on the
+line. A flagged relu1 observation pays one O(S d n) pass for its gradient
+kinds, shared by KL, Var and LL, and a PMM line one of its own.
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
 """Sigmoidal classifier models and their derivative structure.
 
-A model evaluates the mean function mu(theta, x) behind the outcome
-probability sigma(mu) over a draw matrix as a line that also sums grad_mu
-with weights, which is all a run uses; the two concrete families also keep a
-single-draw mu and grad_mu, the reference behind :func:`grad_log_posterior`.
-The batched Hessian of mu, with vectors projected onto its eigenvectors, is
-what the gradient-step Jacobians consume: it has no eigenpairs (K = 0) for
-linear (logistic regression) means and +-|x| pairs on the active units of a
-one-hidden-layer ReLU network. A model's mu line gives mu along theta + hbar * D
-without forming the moved draws; relu1's is piecewise quadratic in hbar.
-Only this module knows how a family lays out its flattened parameters, and
-relu1 reads its layout in one place. :meth:`PosteriorEvaluation.from_mu` turns mu
-at any draw set into log likelihood and log posterior. No run calls the
-generator references :func:`sigmoid` and :func:`bernoulli_log_likelihood`; they
-stay bit-for-bit because ``perfbench/generate.py`` builds both benchmark
-instances with them. A run's sigma is the numpy :func:`logistic`.
+A model keeps its flattened parameter layout, which only this module knows
+(relu1 reads it in one place), and builds over a draw matrix the origin
+line: mu(theta, x), behind the outcome probability sigma(mu), at the draws,
+with every derivative of mu a run reads. The line sums grad_mu over the
+observations with weights and, at one observation, gives grad_mu and the
+Hessian of mu with vectors projected onto its eigenvectors, which the
+gradient-step Jacobians consume: no eigenpairs (K = 0) for a linear
+(logistic regression) mean, +-|x| pairs on the active units of a
+one-hidden-layer ReLU network. Its lines give mu along theta + hbar * D
+without forming the moved draws; relu1's are piecewise quadratic in hbar,
+and relu1 reads every derivative and line from the run's one W1 x pass.
+The two families also keep a single-draw mu and grad_mu, the reference
+behind :func:`grad_log_posterior`. :meth:`PosteriorEvaluation.from_mu` turns
+mu at any draw set into log likelihood and log posterior. No run calls the
+generator references :func:`sigmoid` and :func:`bernoulli_log_likelihood`;
+they stay bit-for-bit because ``perfbench/generate.py`` builds both
+benchmark instances with them. A run's sigma is the numpy :func:`logistic`.
 """
 
 from __future__ import annotations
@@ -130,32 +132,17 @@ class SigmoidalModel(abc.ABC):
         """mu for every (draw, observation) pair: (S, P) x (n, p) -> (S, n)."""
 
     @abc.abstractmethod
-    def hessian_projection(self, grad, x, w):
-        """The Hessian H of mu at x for every draw, and ``w`` seen in its eigenbasis.
-
-        ``grad`` is :meth:`grad_mu_batch` at x, which fixes the active parts
-        of the model; ``w`` is (S, P). Returns ``(lam, plus, minus)``, each
-        (S, K): the eigenvalues are +-lam, and plus / minus are the
-        projections of w onto the unit eigenvectors of +lam / -lam (0 where
-        lam = 0). A mean linear in theta has K = 0.
-        """
-
-    def grad_mu_batch(self, values, x) -> np.ndarray:
-        """grad_mu for every draw at one observation: (S, P) x (p,) -> (S, P);
-        the ``weighted_grad_mu`` of that one observation's line, with unit weights."""
-        x = np.asarray(x, dtype=float)
-        return self.mu_line(values, x[None, :]).weighted_grad_mu(np.ones((values.shape[0], 1)))
-
-    @abc.abstractmethod
     def mu_line(self, values, features):
-        """mu at the draws as the origin of lines theta + hbar * D.
+        """mu at the draws as the origin of lines theta + hbar * D, with every derivative of mu there.
 
-        Its ``mu`` is :meth:`mu_batch`, ``weighted_grad_mu(w)`` is (S, P) sum_n w_sn grad_mu(theta_s, x_n),
-        ``along(D)`` fixes a step, and ``gradient_fan(grad, x, bound)`` the lines
-        along D_s = coef_s * grad_s, grad = :meth:`grad_mu_batch` at x, for
-        every coef between 0 and ``bound`` per draw; the fan's ``line(coef)``
-        fixes one of them. A line's ``at(hbar)`` gives mu at theta + hbar * D,
-        0 <= hbar <= 1, without forming the moved draws.
+        ``mu`` is :meth:`mu_batch`, ``weighted_grad_mu(w)`` (S, P) sum_n w_sn grad_mu(theta_s, x_n),
+        ``grad_mu(i)`` grad_mu at observation i for every draw, (S, P), and ``hessian_projection(i, w)``
+        the Hessian of mu there with ``w``, (S, P), in its eigenbasis: ``(lam, plus, minus)``, each
+        (S, K), the eigenvalues +-lam and w's projections onto their unit eigenvectors (0 where lam = 0;
+        K = 0 for a mean linear in theta). ``along(D)`` fixes a step, and ``gradient_fan(i, bound)`` the
+        lines along D_s = coef_s * grad_mu(i)_s for every coef between 0 and ``bound`` per draw; the
+        fan's ``line(coef)`` fixes one. A line's ``at(hbar)`` is mu at theta + hbar * D, 0 <= hbar <= 1,
+        without forming the moved draws.
         """
 
 
@@ -185,14 +172,6 @@ class LogisticModel(SigmoidalModel):
 
     def mu_batch(self, values, features) -> np.ndarray:
         return values @ np.asarray(features, dtype=float).T
-
-    def grad_mu_batch(self, values, x) -> np.ndarray:
-        """x at every draw, as a read-only (S, P) view of x."""
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(x, (values.shape[0], x.size))
-
-    def hessian_projection(self, grad, x, w):
-        return (np.zeros((w.shape[0], 0)),) * 3
 
     def mu_line(self, values, features) -> "LinearMuLine":
         return LinearMuLine(mu=self.mu_batch(values, features), features=np.asarray(features, dtype=float))
@@ -273,24 +252,6 @@ class ReluOneModel(SigmoidalModel):
     def mu_batch(self, values, features) -> np.ndarray:
         return self.mu_line(values, features).mu
 
-    def _active_units(self, grad) -> np.ndarray:
-        """The activity mask 1[z1_sk > 0] at grad_mu's observation: its W2 block is relu(z1)."""
-        return (self._split_batch(grad)[1] > 0).astype(float)
-
-    def hessian_projection(self, grad, x, w):
-        """Each active unit k contributes the pair +-|x| with unit eigenvectors
-        (x / |x| on W1 row k, +-1 on W2_k) / sqrt(2); inactive units and x = 0
-        carry eigenvalue 0."""
-        x = np.asarray(x, dtype=float)
-        mask = self._active_units(grad)
-        lam = mask * float(np.linalg.norm(x))
-        denom = np.where(lam > 0, lam, 1.0)
-        # e_k+-^T w = (x . W1 row k of w) / (sqrt(2) |x|) +- (W2_k of w) / sqrt(2)
-        w1, w2, _ = self._split_batch(w)
-        a = np.where(lam > 0, np.einsum("sdp,p->sd", w1, x) * mask / (math.sqrt(2.0) * denom), 0.0)
-        b = w2 / math.sqrt(2.0)
-        return lam, (a + b) * mask, (a - b) * mask
-
     def mu_line(self, values, features) -> "ReluMuLine":
         """The one pass of W1 x over all draws: z1, stored read-only, and mu read from it in blocks."""
         features = np.asarray(features, dtype=float)
@@ -324,9 +285,16 @@ class LinearMuLine:
     def weighted_grad_mu(self, weights) -> np.ndarray:
         return np.asarray(weights, dtype=float) @ self.features
 
-    def gradient_fan(self, grad, x, bound) -> "LinearMuLine":
-        """The lines along D_s = coef_s * grad_mu(theta_s, x) = coef_s * x, for any coef."""
-        return replace(self, dmu=self.features @ x)
+    def grad_mu(self, i) -> np.ndarray:
+        """x_i at every draw, as a read-only (S, P) view of x_i."""
+        return np.broadcast_to(self.features[i], (self.mu.shape[0], self.features.shape[1]))
+
+    def hessian_projection(self, i, w):
+        return (np.zeros((w.shape[0], 0)),) * 3
+
+    def gradient_fan(self, i, bound) -> "LinearMuLine":
+        """The lines along D_s = coef_s * grad_mu(theta_s, x_i) = coef_s * x_i, for any coef."""
+        return replace(self, dmu=self.features @ self.features[i])
 
     def line(self, coef) -> "LinearMuLine":
         """The fan's line with per-draw coefficient coef: dmu is rank one."""
@@ -342,7 +310,8 @@ class ReluMuLine:
 
     Holds the run's one copy of the first-layer pre-activations z1, read-only
     and stored d-major, (S, d, n), so that every elementwise pass runs over the
-    long observation axis; mu and the weighted gradient read it in blocks.
+    long observation axis; mu and the weighted gradient read it in blocks,
+    grad_mu, the Hessian and the gradient fan at observation i its z1[:, :, i].
     :meth:`along` and :meth:`gradient_fan` build the lines; a step scale of
     one costs O(S n + flips) (see :class:`ReluFan`).
     """
@@ -379,13 +348,40 @@ class ReluMuLine:
         unit = np.ones(self.z1.shape[0])
         return ReluFan.build(self, dz, 1.0, dw2, np.asarray(db2)[..., None], unit).line(unit)
 
-    def gradient_fan(self, grad, x, bound) -> "ReluFan":
-        """The lines along D_s = coef_s * grad_s, grad = grad_mu_batch at x, for
-        coef_s between 0 and bound_s: dz_skn = coef_s W2_sk 1[z1_sk(x) > 0]
-        (x . x_n), dw2 = coef * relu(z1(x)) and db2 = coef."""
-        mask = self.model._active_units(grad)
-        relu_x = self.model._split_batch(grad)[1]
-        return ReluFan.build(self, (self.w2 * mask)[:, :, None], self.features @ x, relu_x, 1.0, bound)
+    def _at(self, i):
+        """z1 at observation i, (S, d), and its activity z1 > 0, which fixes grad_mu and the Hessian there."""
+        z = self.z1[:, :, i]
+        return z, z > 0
+
+    def grad_mu(self, i) -> np.ndarray:
+        """grad_mu at observation i for every draw, (S, P): W2_k 1[z1_k > 0] x_i on W1 row k, relu(z1_k) on W2_k."""
+        z, active = self._at(i)
+        grad = np.empty((z.shape[0], self.model.param_dim))
+        g1, g2, gb = self.model._split_batch(grad)
+        np.multiply((self.w2 * active)[:, :, None], self.features[i], out=g1)
+        np.multiply(z, active, out=g2)
+        gb[:] = 1.0
+        return grad
+
+    def hessian_projection(self, i, w):
+        """Each active unit k contributes the pair +-|x_i| with unit eigenvectors (x_i / |x_i| on W1
+        row k, +-1 on W2_k) / sqrt(2); inactive units and x_i = 0 carry eigenvalue 0."""
+        x = self.features[i]
+        mask = self._at(i)[1]
+        lam = mask * float(np.linalg.norm(x))
+        denom = np.where(lam > 0, lam, 1.0)
+        # e_k+-^T w = (x . W1 row k of w) / (sqrt(2) |x|) +- (W2_k of w) / sqrt(2)
+        w1, w2, _ = self.model._split_batch(w)
+        a = np.where(lam > 0, np.einsum("sdp,p->sd", w1, x) * mask / (math.sqrt(2.0) * denom), 0.0)
+        b = w2 / math.sqrt(2.0)
+        return lam, (a + b) * mask, (a - b) * mask
+
+    def gradient_fan(self, i, bound) -> "ReluFan":
+        """The lines along D_s = coef_s * grad_mu(i)_s, for coef_s between 0 and bound_s: dz_skn =
+        coef_s W2_sk 1[z1_ski > 0] (x_i . x_n), dw2 = coef * relu(z1_ski) and db2 = coef."""
+        z, active = self._at(i)
+        g = self.features @ self.features[i]
+        return ReluFan.build(self, (self.w2 * active)[:, :, None], g, z * active, 1.0, bound)
 
 
 class _Elements(NamedTuple):

@@ -262,7 +262,6 @@ class Observation:
         self.i = i
         self.problem = problem
         self.nu_weights = nu_weights
-        self.x = problem.dataset.features[i]
         self.y = int(problem.dataset.labels[i])
         self.sign = -1.0 if self.y else 1.0  # (-1)^y
 
@@ -273,7 +272,7 @@ class Observation:
 
     @computed_once
     def grad(self) -> np.ndarray:
-        return self.problem.model.grad_mu_batch(self.problem.draws.values, self.x)
+        return self.problem.mu_origin.grad_mu(self.i)
 
     @computed_once
     def r(self) -> np.ndarray:
@@ -287,8 +286,8 @@ class Observation:
         return self.problem.prior.line_coefficients(self.problem.draws.values, self.grad)
 
     def _products(self, w):
-        """(grad . w per draw, the model's Hessian projection of w)."""
-        return np.einsum("sp,sp->s", self.grad, w), self.problem.model.hessian_projection(self.grad, self.x, w)
+        """(grad . w per draw, the Hessian projection of w at i)."""
+        return np.einsum("sp,sp->s", self.grad, w), self.problem.mu_origin.hessian_projection(self.i, w)
 
     @computed_once
     def grad_products(self):
@@ -319,7 +318,7 @@ class Observation:
         has a nonzero step. Every nonzero coef_s has the sign ``sign``, so the
         fan's bound, sign times the largest |coef_s| over the kinds, holds each line."""
         reach = np.max([np.abs(coef) for _, _, coef in self.gradient_steps.values() if coef is not None], axis=0)
-        return self.problem.mu_origin.gradient_fan(self.grad, self.x, self.sign * reach)
+        return self.problem.mu_origin.gradient_fan(self.i, self.sign * reach)
 
 
 def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:

@@ -204,11 +204,10 @@ def hessian_factors(model, theta, x):
     vanishes identically.
     """
     p = len(theta)
-    values = np.tile(np.asarray(theta, dtype=float), (p * p, 1))
+    origin = model.mu_line(np.tile(np.asarray(theta, dtype=float), (p * p, 1)), np.asarray(x, dtype=float)[None, :])
     eye = np.eye(p)
-    grad = model.grad_mu_batch(values, x)
-    lam, u_plus, u_minus = model.hessian_projection(grad, x, np.repeat(eye, p, axis=0))
-    _, v_plus, v_minus = model.hessian_projection(grad, x, np.tile(eye, (p, 1)))
+    lam, u_plus, u_minus = origin.hessian_projection(0, np.repeat(eye, p, axis=0))
+    _, v_plus, v_minus = origin.hessian_projection(0, np.tile(eye, (p, 1)))
     return lam, u_plus * v_plus, u_minus * v_minus
 
 
@@ -223,9 +222,9 @@ def dense_hessian(model, theta, x):
 def pairwise_resolvent(model, theta, x, u, v, alpha):
     """u^T (I + alpha H)^-1 v at one (theta, x), through the eigenbasis: each
     eigenpair +-lam shifts u.v by (1 / (1 +- alpha lam) - 1) times its product."""
-    grad = model.grad_mu_batch(np.asarray(theta, dtype=float)[None, :], x)
-    lam, u_plus, u_minus = model.hessian_projection(grad, x, u[None, :])
-    _, v_plus, v_minus = model.hessian_projection(grad, x, v[None, :])
+    origin = model.mu_line(np.asarray(theta, dtype=float)[None, :], np.asarray(x, dtype=float)[None, :])
+    lam, u_plus, u_minus = origin.hessian_projection(0, u[None, :])
+    _, v_plus, v_minus = origin.hessian_projection(0, v[None, :])
     return float(u @ v) + np.sum((1.0 / (1.0 + alpha * lam) - 1.0) * u_plus * v_plus
                                  + (1.0 / (1.0 - alpha * lam) - 1.0) * u_minus * v_minus)
 
@@ -269,7 +268,8 @@ def attempt(problem, kind, i, hbar, nu_weights=None):
 
 def line_step(line, problem, nu_weights=None):
     """The reference D of ``line``, formed from scratch: coef * grad_mu for a
-    gradient kind, with coef read from its Jacobian; for PMM1 the gap delta
+    gradient kind, with coef read from its Jacobian and grad_mu from a fresh
+    origin line at the line's one observation; for PMM1 the gap delta
     between the ``nu_weights``-weighted and plain means, and for PMM2
     (ratio - 1) * C + delta, C the centred draws and ratio the weighted / plain
     sd ratio. (S, P) or, for PMM1, (P,)."""
@@ -277,7 +277,7 @@ def line_step(line, problem, nu_weights=None):
     if line.kind not in PMM_KINDS:
         x = problem.dataset.features[line.observation_index]
         coef = line.jacobian.coef(line.log_h)
-        return coef[:, None] * problem.model.grad_mu_batch(values, x)
+        return coef[:, None] * problem.model.mu_line(values, x[None, :]).grad_mu(0)
     plain, weighted = marginal_stats(problem.draws), marginal_stats(problem.draws, nu_weights.normalized)
     delta = weighted.weighted_mean - plain.mean
     if line.kind == "PMM1":

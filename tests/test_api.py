@@ -7,6 +7,7 @@ from pathlib import Path
 
 import looadapt
 from looadapt import SigmoidalModel
+from looadapt.models import LinearMuLine, ReluMuLine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,13 +42,15 @@ def test_every_name_the_benchmark_generator_imports_resolves():
 
 
 def test_a_new_model_implements_what_the_readme_lists():
-    """README's "Adding a model" names every abstract method, and of the
-    concrete ones only grad_mu_batch, which SigmoidalModel derives."""
-    assert SigmoidalModel.__abstractmethods__ == {
-        "param_dim", "num_features", "mu_batch", "mu_line", "hessian_projection",
-    }
+    """README's "Adding a model" names every abstract method, no other member
+    of SigmoidalModel, and every member a run reads of the origin line, which
+    both built-in lines have."""
+    assert SigmoidalModel.__abstractmethods__ == {"param_dim", "num_features", "mu_batch", "mu_line"}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Adding a model", 1)[1].split("\n#", 1)[0]
-    listed = {name for name in re.findall(r"`(\w+)`", section) if hasattr(SigmoidalModel, name)}
-    assert listed - SigmoidalModel.__abstractmethods__ == {"grad_mu_batch"}
-    assert SigmoidalModel.__abstractmethods__ <= listed
+    named = set(re.findall(r"`(\w+)[`(]", section))  # a name, or a call such as `grad_mu(i)`
+    assert {name for name in named if hasattr(SigmoidalModel, name)} == SigmoidalModel.__abstractmethods__
+    origin = {"mu", "weighted_grad_mu", "grad_mu", "hessian_projection", "along", "gradient_fan"}
+    assert origin <= named
+    for line_type in (LinearMuLine, ReluMuLine):
+        assert {name for name in origin if hasattr(line_type, name) or name in line_type.__dataclass_fields__} == origin

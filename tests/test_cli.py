@@ -192,6 +192,9 @@ class TestCmdRun:
         ({"config": '{"khat_threshold": Infinity}'}, [], "khat_threshold must be positive and finite, got inf"),
         ({"config": '{"khat_threshold": 1e999}'}, [], "khat_threshold must be positive and finite, got inf"),
         ({"config": '{"khat_threshold": NaN}'}, [], "khat_threshold must be positive and finite, got nan"),
+        ({"prior-sd-file": ""}, [], "prior sd file holds no values"),
+        ({"prior-sd-file": "\n  \n\n"}, [], "prior sd file holds no values"),
+        ({}, ["--hidden", "3"], "--hidden applies to the relu1 model only"),
     ])
     def test_bad_input_is_an_error_line(self, toy_files, tmp_path, capsys, files, flags, message):
         paths = dict(zip(("data", "draws"), toy_files))
@@ -282,6 +285,14 @@ class TestCmdDiagnose:
             main(["diagnose", "--data", str(data), "--draws", str(draws), "--model", "logistic", "--workers", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_hidden_with_logistic_is_an_error_line(self, toy_files, capsys):
+        data, draws = toy_files
+        code = main(["diagnose", "--data", str(data), "--draws", str(draws), "--model", "logistic", "--hidden", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --hidden applies to the relu1 model only\n"
+        assert captured.out == ""
 
     def test_empty_dataset_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -673,7 +673,7 @@ class TestMetamorphic:
 
 class TestRunCost:
     """One posterior evaluation per run; weighted moments at most once per flagged observation;
-    one forward pass at the observation per gradient line."""
+    one W1 x pass per relu1 run, which every derivative at an observation reads."""
 
     def _toy(self, toy):
         if toy == "logistic":
@@ -710,34 +710,36 @@ class TestRunCost:
         assert 0 < calls["weighted_moments"] <= flagged
 
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
-    def test_one_grad_mu_batch_per_observation(self, toy, monkeypatch):
-        """KL, Var and LL at one observation share one grad_mu_batch call."""
-        from looadapt import transforms
+    def test_one_grad_mu_per_observation(self, toy, monkeypatch):
+        """KL, Var and LL at one observation share one grad_mu call on the run's origin line."""
+        from looadapt import models, transforms
 
         model, dataset, prior, draws = self._toy(toy)
-        calls = {"grad_mu_batch": 0, "lines": 0}
+        calls = {"grad_mu": 0, "lines": 0}
         observations = set()
-        grad_mu_batch = type(model).grad_mu_batch
+        line_type = models.LinearMuLine if toy == "logistic" else models.ReluMuLine
+        grad_mu = line_type.grad_mu
         apply_gradient_transform = transforms.apply_gradient_transform
 
-        def counted_grad(self, values, x):
-            calls["grad_mu_batch"] += 1
-            return grad_mu_batch(self, values, x)
+        def counted_grad(self, i):
+            calls["grad_mu"] += 1
+            return grad_mu(self, i)
 
         def counted_line(kind, obs):
             calls["lines"] += 1
             observations.add(obs.i)
             return apply_gradient_transform(kind, obs)
 
-        monkeypatch.setattr(type(model), "grad_mu_batch", counted_grad)
+        monkeypatch.setattr(line_type, "grad_mu", counted_grad)
         monkeypatch.setattr(transforms, "apply_gradient_transform", counted_line)
         run_loo(model, draws, dataset, prior, RunConfig(hbar_exponents=(0, 1, 2), transform_order=("KL", "Var", "LL")))
         assert calls["lines"] > len(observations) > 0
-        assert calls["grad_mu_batch"] == len(observations)
+        assert calls["grad_mu"] == len(observations)
 
     def test_one_pre_activation_pass_per_relu1_run(self, monkeypatch):
-        """LooProblem.build forms W1 x once, in the origin line, and reads mu
-        and the posterior gradient from it: mu_batch is never called."""
+        """A whole relu1 run with KL, Var and LL forms W1 x once, in the origin
+        line. mu and the posterior gradient read it, and so do grad_mu, the
+        Hessian and the fan at each flagged observation: mu_batch is never called."""
         model, dataset, prior, draws = self._toy("relu1")
         lines, mu_batches = [], []
         mu_line, mu_batch = ReluOneModel.mu_line, ReluOneModel.mu_batch
@@ -752,8 +754,9 @@ class TestRunCost:
 
         monkeypatch.setattr(ReluOneModel, "mu_line", counted_line)
         monkeypatch.setattr(ReluOneModel, "mu_batch", counted_mu)
-        problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-        assert problem.evaluation.grad_log_post is not None
+        report = run_loo(model, draws, dataset, prior,
+                         RunConfig(hbar_exponents=(0, 1, 2), transform_order=("KL", "Var", "LL")))
+        assert sum(1 for r in report.per_observation if r.attempts) > 1
         assert len(lines) == 1 and lines[0] is dataset.features
         assert mu_batches == []
 
@@ -778,7 +781,7 @@ class TestRunCost:
         line_type = models.LinearMuLine if toy == "logistic" else models.ReluMuLine
         originals = {
             "r": (transforms, "row_max_in_sd_units"), "dots": (GaussianPrior, "line_coefficients"),
-            "fan": (line_type, "gradient_fan"), "projection": (type(model), "hessian_projection"),
+            "fan": (line_type, "gradient_fan"), "projection": (line_type, "hessian_projection"),
             "lines": (transforms, "apply_gradient_transform"), "steps": (transforms, "gradient_step"),
         }
 

@@ -239,7 +239,8 @@ class TestReluGradMu:
 
 
 class TestReluHessianSpectrum:
-    """The batched eigen-factors of the Hessian of mu: the ``hessian_projection`` of two vector sets, multiplied."""
+    """The batched eigen-factors of the Hessian of mu: the origin line's
+    ``hessian_projection`` of two vector sets, multiplied."""
 
     def test_inactive_means_empty(self):
         model = ReluOneModel(d=2, p=2)
@@ -353,21 +354,49 @@ class TestBatchConsistency:
                         model.mu(draws.values[k], dataset.features[i]), abs=1e-12
                     )
 
-    def test_grad_mu_batch_matches_scalar(self):
-        for model_maker in (make_logistic_toy, make_relu_toy):
-            model, dataset, prior, draws = model_maker()
-            grad = model.grad_mu_batch(draws.values, dataset.features[0])
-            for k in (0, 5):
-                np.testing.assert_allclose(
-                    grad[k], model.grad_mu(draws.values[k], dataset.features[0]), atol=1e-12
-                )
-
+    @pytest.mark.parametrize("num_draws", [1, 65])
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    @pytest.mark.parametrize("family", ["logistic", "relu1"])
+    def test_origin_grad_mu_matches_scalar(self, family, width, num_draws, rng):
+        """The origin line's grad_mu(i), which relu1 reads from the run's stored
+        pre-activations, is the single-draw grad_mu at every draw and observation:
+        bit for bit, except relu1's relu(z1) block, which the origin's einsum and
+        the single-draw matvec round apart by at most a few ulps of sum |W1| |x|.
+        ``width`` is relu1's hidden units d and logistic regression's features p.
+        x_1 is a zero row; at x_0, draw 0's unit 0 sits exactly at its kink,
+        z = 0, where the derivative is taken as 0."""
+        model = ReluOneModel(d=width, p=3) if family == "relu1" else LogisticModel(p=width)
+        features = rng.normal(size=(4, model.num_features))
+        features[1] = 0.0
+        values = rng.normal(size=(num_draws, model.param_dim))
+        if family == "relu1":
+            features[0] = [1.0, 1.0, 0.0]
+            values[0, :3] = [0.5, -0.5, 0.3]  # W1 row 0 . x_0 = 0 exactly
+        origin = model.mu_line(values, features)
+        for i, x in enumerate(features):
+            grad = origin.grad_mu(i)
+            assert grad.shape == values.shape
+            for s, theta in enumerate(values):
+                want = model.grad_mu(theta, x)
+                if family == "logistic":
+                    assert np.array_equal(grad[s], want)
+                    continue
+                (g1, g2, gb), (w1, w2, b2) = model._split_batch(grad[s]), model._split_batch(want)
+                assert np.array_equal(g1, w1) and gb == b2 == 1.0
+                rounding = 4 * np.finfo(float).eps * (np.abs(model._split_batch(theta)[0]) @ np.abs(x))
+                assert np.all(np.abs(g2 - w2) <= rounding)
+        np.testing.assert_array_equal(origin.grad_mu(1)[:, :-1], 0.0)
+        if family == "relu1":
+            assert origin.z1[0, 0, 0] == 0.0
+            w1, w2, b2 = model._split_batch(origin.grad_mu(0)[0])
+            np.testing.assert_array_equal(w1[0], 0.0)
+            assert w2[0] == 0.0 and b2 == 1.0
 
     def test_logistic_gradient_is_a_read_only_view_of_x(self):
         model, dataset, _, draws = make_logistic_toy()
-        x = dataset.features[2]
-        grad = model.grad_mu_batch(draws.values, x)
-        assert np.array_equal(grad, np.tile(x, (draws.num_draws, 1)))
+        grad = model.mu_line(draws.values, dataset.features).grad_mu(2)
+        assert np.array_equal(grad, np.tile(dataset.features[2], (draws.num_draws, 1)))
+        assert grad.strides[0] == 0
         with pytest.raises(ValueError):
             grad[0, 0] = 1.0
 
@@ -465,8 +494,9 @@ class TestStoredPreActivations:
         origin = model.mu_line(values, features)
         evaluate_posterior(origin, values, dataset, prior)
         origin.weighted_grad_mu(rng.normal(size=(num_draws, dataset.n)))
-        x, coef = features[0], 0.5 * rng.normal(size=num_draws)
-        fan = origin.gradient_fan(model.grad_mu_batch(values, x), x, coef)
+        origin.hessian_projection(0, origin.grad_mu(0))
+        coef = 0.5 * rng.normal(size=num_draws)
+        fan = origin.gradient_fan(0, coef)
         for line in (origin.along(rng.normal(size=values.shape)), origin.along(rng.normal(size=model.param_dim)),
                      fan.line(coef), fan.line(0.5 * coef)):
             for hbar in (1.0, 0.25):
@@ -528,12 +558,10 @@ class TestMuLine:
     def test_gradient_step(self, model_maker, rng):
         model, dataset, prior, draws = model_maker()
         values = draws.values
-        x = dataset.features[1]
         coef = 0.1 * rng.normal(size=draws.num_draws)
-        grad = model.grad_mu_batch(values, x)
         origin = model.mu_line(values, dataset.features)
-        line = origin.gradient_fan(grad, x, coef).line(coef)
-        self._check(model, line, values, coef[:, None] * grad, dataset.features)
+        line = origin.gradient_fan(1, coef).line(coef)
+        self._check(model, line, values, coef[:, None] * origin.grad_mu(1), dataset.features)
 
     @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
     def test_every_kind_on_the_relu_toy(self, kind):
@@ -556,13 +584,12 @@ class TestMuLine:
         the edge cases of :func:`_edge_case_relu`."""
         model, features, values, coef, dense = _edge_case_relu(num_draws, rng)
         origin = model.mu_line(values, features)
-        x = features[0]
-        grad = model.grad_mu_batch(values, x)
+        grad = origin.grad_mu(0)
         shared = rng.normal(size=values.shape[1])
         lines = [
             (origin.along(dense), dense),
             (origin.along(shared), shared),
-            (origin.gradient_fan(grad, x, coef).line(coef), coef[:, None] * grad),
+            (origin.gradient_fan(0, coef).line(coef), coef[:, None] * grad),
         ]
         for line, step in lines:
             self._check(model, line, values, step, features)
@@ -577,11 +604,10 @@ class TestMuLine:
         other sign, is a DomainError."""
         model, features, values, coef, _ = _edge_case_relu(2 * LINE_BLOCK_DRAWS + 3, rng)
         origin = model.mu_line(values, features)
-        x = features[0]
-        grad = model.grad_mu_batch(values, x)
+        grad = origin.grad_mu(0)
         bound = coef.copy()
         bound[::3] *= 2.0
-        fan = origin.gradient_fan(grad, x, bound)
+        fan = origin.gradient_fan(0, bound)
         for inside in (coef, 0.5 * coef, bound, np.zeros_like(coef)):
             self._check(model, fan.line(inside), values, inside[:, None] * grad, features)
         # draw 0 has bound 1.0, draw 1 bound 0.3 and draw 3 bound 0

@@ -267,7 +267,7 @@ class TestApplyGradientTransform:
 
 class _OtherModel(SigmoidalModel):
     """A sigmoidal model outside the two built-in families: it wraps another
-    model and forwards only the five members of the contract, with no
+    model and forwards only the four members of the contract, with no
     single-draw mu or grad_mu."""
 
     def __init__(self, inner):
@@ -281,9 +281,6 @@ class _OtherModel(SigmoidalModel):
 
     def mu_line(self, values, features):
         return self.inner.mu_line(values, features)
-
-    def hessian_projection(self, grad, x, w):
-        return self.inner.hessian_projection(grad, x, w)
 
 
 def _report_fields(report):
@@ -300,7 +297,7 @@ def _report_fields(report):
 class TestModelContract:
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
     def test_a_model_of_the_contract_members_runs(self, toy):
-        """run_loo on a model that implements only the contract's five members
+        """run_loo on a model that implements only the contract's four members
         gives the wrapped model's report, value for value, over every kind."""
         if toy == "logistic":
             inner, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
@@ -353,8 +350,8 @@ class TestExactLogdetOps:
 
     def test_model_kind_guards(self):
         """A PMM kind, and KL without the posterior gradient, are rejected.
-        The model family is not guarded: any model steps through its own
-        line's weighted_grad_mu and its hessian_projection."""
+        The model family is not guarded: any model steps through its origin
+        line's grad_mu and hessian_projection."""
         model, dataset, prior, draws = make_logistic_toy(seed=38, p=3)
         theta = draws.values[0]
         with pytest.raises(DomainError, match="defined for"):
@@ -680,7 +677,7 @@ class TestLineQuantities:
             _assert_close(line.max_step_sd, np.max(np.abs(step) / sd))
             if kind in ("KL", "Var", "LL"):
                 gs = line.jacobian
-                grad = problem.model.grad_mu_batch(values, problem.dataset.features[i])
+                grad = problem.model.mu_line(values, problem.dataset.features[i][None, :]).grad_mu(0)
                 dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * grad, sd)
                 _assert_close(line.log_h, dense, floor=1.0)
                 assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
