@@ -30,7 +30,7 @@ from .data import Dataset, RunConfig, load_dataset_csv, load_draws_csv, open_inp
 from .engine import LooReport, ObservationResult, eta_weights, run_loo
 from .errors import LooAdaptError
 from .gpd import pareto_smooth
-from .models import GaussianPrior, LogisticModel, ReluOneModel, SigmoidalModel, check_dimensions, evaluate_posterior
+from .models import GaussianPrior, LogisticModel, ReluOneModel, SigmoidalModel, evaluate_posterior
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -183,9 +183,7 @@ def cmd_run(args) -> int:
 
 def cmd_diagnose(args) -> int:
     dataset, draws, model, prior, config = _load_inputs(args)
-    check_dimensions(model, draws.values, dataset, prior)
-    origin = model.mu_line(draws.values, dataset.features)
-    evaluation = evaluate_posterior(origin, draws.values, dataset, prior, with_grad=False)
+    evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=False)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["observation_index", "raw_khat", "needs_adaptation"])
     khats = []

@@ -12,10 +12,11 @@ draws for a Pareto tail no attempt can be fitted, and the scan is skipped.
 The per-observation loops are independent and can run on a thread pool;
 results are always assembled in observation order.
 
-The posterior is evaluated once per run, from the model's origin line at the
-draws, which also gives every derivative of mu at an observation; relu1 reads
-them all from its one W1 x pass. Each (observation, kind) family of attempts
-lies on one line theta + hbar * D, built once by
+The posterior is evaluated once per run, by one call that checks the inputs
+and holds the model's origin line at the draws, which also gives every
+derivative of mu at an observation; relu1 reads them all from its one W1 x
+pass. Each (observation, kind) family of attempts lies on one line
+theta + hbar * D, built once by
 :func:`~looadapt.transforms.step_lines`. The lines of a flagged observation
 share one :class:`~looadapt.transforms.Observation`, which computes the PMM
 kinds' target moments, and grad_mu with what KL, Var and LL derive from it,
@@ -38,16 +39,7 @@ from .data import POSTERIOR_GRADIENT_KINDS, Dataset, MarginalStats, PosteriorDra
 from .errors import DomainError
 from .gpd import MIN_TAIL_SIZE, WeightVector, log_sum_exp, pareto_smooth, tail_size
 from .metrics import auprc, auroc, pr_curve, roc_curve
-from .models import (
-    GaussianPrior,
-    LinearMuLine,
-    PosteriorEvaluation,
-    ReluMuLine,
-    SigmoidalModel,
-    check_dimensions,
-    evaluate_posterior,
-    logistic,
-)
+from .models import GaussianPrior, PosteriorEvaluation, SigmoidalModel, evaluate_posterior, logistic
 from .transforms import apply_transform, step_lines
 
 
@@ -107,13 +99,13 @@ class LooReport:
 class LooProblem:
     """Read-only inputs and per-run precomputes shared by every observation.
 
-    ``evaluation`` holds mu, log likelihood, log prior and log posterior at
-    the draws (with the gradient only when KL or Var is in the transform
-    order). ``log_proposal`` is the per-draw log density the draws came
+    ``evaluation`` holds the origin line (mu at the draws, read from the
+    run's one copy of relu1's pre-activations), log likelihood, log prior and
+    log posterior at the draws (with the gradient only when KL or Var is in
+    the transform order); its origin and log prior are where every line
+    starts. ``log_proposal`` is the per-draw log density the draws came
     from, up to a constant: the unnormalized log posterior for posterior
-    draws, the variational log density q for variational ones. The log
-    prior in ``evaluation`` and ``mu_origin`` (mu at the draws, read from the
-    run's one copy of relu1's pre-activations) are where every line starts. ``stats``
+    draws, the variational log density q for variational ones. ``stats``
     holds the plain moments and the centred draws that every weighted-moment
     call and PMM2 step reads.
     """
@@ -126,7 +118,6 @@ class LooProblem:
     evaluation: PosteriorEvaluation
     stats: MarginalStats
     log_proposal: np.ndarray
-    mu_origin: LinearMuLine | ReluMuLine
 
     @classmethod
     def build(
@@ -138,16 +129,14 @@ class LooProblem:
         config: RunConfig,
         variational_log_density: Callable[[np.ndarray], float] | None = None,
     ) -> "LooProblem":
-        """Check the dimensions, evaluate the posterior from the origin line and,
+        """Evaluate the posterior, which checks the dimensions and builds the origin line, and,
         when ``variational_log_density`` (q) is given, q once per run.
 
         Passing q turns the variational correction on: the draws are taken
         to come from q, which must be finite at every draw.
         """
         with_grad = any(kind in POSTERIOR_GRADIENT_KINDS for kind in config.transform_order)
-        check_dimensions(model, draws.values, dataset, prior)
-        origin = model.mu_line(draws.values, dataset.features)
-        evaluation = evaluate_posterior(origin, draws.values, dataset, prior, with_grad=with_grad)
+        evaluation = evaluate_posterior(model, draws.values, dataset, prior, with_grad=with_grad)
         if variational_log_density is None:
             log_proposal = evaluation.log_post
         else:
@@ -159,7 +148,7 @@ class LooProblem:
                 )
         return cls(
             model=model, dataset=dataset, prior=prior, draws=draws, config=config,
-            evaluation=evaluation, stats=marginal_stats(draws), log_proposal=log_proposal, mu_origin=origin,
+            evaluation=evaluation, stats=marginal_stats(draws), log_proposal=log_proposal,
         )
 
 
@@ -191,14 +180,16 @@ def self_normalized_se(normalized_weights: np.ndarray, values: np.ndarray) -> fl
 
 def _loo_quantities(weights: WeightVector, mu: np.ndarray, log_lik: np.ndarray):
     """Predictive probability, log predictive density, and their MC errors,
-    from mu and the held-out log likelihood at the weighted draws. The MC
-    errors are inf when fewer than two draws carry weight: one draw cannot
-    estimate them."""
+    from mu and the held-out log likelihood at the weighted draws. Only the
+    draws of nonzero log weight are read: a draw of weight zero may carry a
+    NaN mu. The MC errors are inf when fewer than two draws carry weight: one
+    draw cannot estimate them."""
     w = weights.normalized
-    probs = logistic(mu)
+    live = weights.log_weights > -np.inf
+    probs = logistic(np.where(live, mu, 0.0))
     prob = float(w @ probs)
     # log sum_k w_k lik_k, computed in log space to dodge underflow.
-    log_terms = (weights.log_weights - weights.log_total) + log_lik
+    log_terms = np.where(live, (weights.log_weights - weights.log_total) + log_lik, -np.inf)
     lpd = log_sum_exp(log_terms)
     if np.count_nonzero(w) < 2:
         return prob, math.inf, lpd, math.inf
@@ -222,7 +213,7 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
     config = problem.config
     evaluation = problem.evaluation
     threshold = config.khat_threshold
-    mu_i, log_lik_i = evaluation.mu[:, i], evaluation.log_lik[:, i]
+    mu_i, log_lik_i = evaluation.origin.mu[:, i], evaluation.log_lik[:, i]
     raw_smoothed, raw_fit = pareto_smooth(eta_weights(log_lik_i, evaluation.log_post, problem.log_proposal))
     raw_khat = raw_fit.khat
 

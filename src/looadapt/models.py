@@ -12,11 +12,14 @@ one-hidden-layer ReLU network. Its lines give mu along theta + hbar * D
 without forming the moved draws; relu1's are piecewise quadratic in hbar,
 and relu1 reads every derivative and line from the run's one W1 x pass.
 The two families also keep a single-draw mu and grad_mu, the reference
-behind :func:`grad_log_posterior`. :meth:`PosteriorEvaluation.from_mu` turns
-mu at any draw set into log likelihood and log posterior. No run calls the
-generator references :func:`sigmoid` and :func:`bernoulli_log_likelihood`;
-they stay bit-for-bit because ``perfbench/generate.py`` builds both
-benchmark instances with them. A run's sigma is the numpy :func:`logistic`.
+behind :func:`grad_log_posterior`. :func:`evaluate_posterior` is a run's one
+set-up of its posterior: it checks the inputs against the model, builds the
+origin line and holds it. :func:`log_posterior` turns mu at any draw set, the
+draws or an attempt's moved draws, into log likelihood and log posterior.
+No run calls the generator references :func:`sigmoid` and
+:func:`bernoulli_log_likelihood`; they stay bit-for-bit because
+``perfbench/generate.py`` builds both benchmark instances with them. A run's
+sigma is the numpy :func:`logistic`.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def sigmoid_slope(mu):
 
 def bernoulli_log_likelihood(mu, y):
     """log [ sigma(mu)^y (1 - sigma(mu))^(1-y) ]  =  log sigma((2y - 1) mu), the libm
-    reference for :meth:`PosteriorEvaluation.from_mu`. No run calls it; it stays
+    reference for :func:`log_posterior`. No run calls it; it stays
     bit-for-bit because ``perfbench/generate.py`` builds both benchmark instances with it."""
     sign = 2.0 * np.asarray(y, dtype=float) - 1.0
     return -np.logaddexp(0.0, -(sign * np.asarray(mu, dtype=float)))
@@ -435,18 +438,21 @@ class ReluFan:
         dw2 = np.broadcast_to(dw2, (num_draws, d))
         c1, c2 = np.empty((num_draws, n)), np.empty((num_draws, n))
         found = []
-        for block in _draw_blocks(num_draws):
-            z, u, block_a = z1[block], dw2[block, None, :], a[block]
-            active = z > 0
-            moved = np.multiply(bound[block, None, None] * block_a, g)
-            moved += z
-            found.append(np.flatnonzero((moved > 0) != active) + block.start * d * n)
-            dz = np.multiply(block_a, g, out=moved)
-            dz *= active
-            np.matmul(u, dz, out=c2[block, None, :])
-            np.matmul(u, np.maximum(z, 0.0), out=c1[block, None, :])
-            c1[block] += np.matmul(w2[block, None, :], dz)[:, 0]
-        c1 += db2
+        # c1 and c2 are per unit coef and may overflow where mu on every line of the fan is finite;
+        # a line's mu at phi is then NaN or inf, which apply_transform flags
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in _draw_blocks(num_draws):
+                z, u, block_a = z1[block], dw2[block, None, :], a[block]
+                active = z > 0
+                moved = np.multiply(bound[block, None, None] * block_a, g)
+                moved += z
+                found.append(np.flatnonzero((moved > 0) != active) + block.start * d * n)
+                dz = np.multiply(block_a, g, out=moved)
+                dz *= active
+                np.matmul(u, dz, out=c2[block, None, :])
+                np.matmul(u, np.maximum(z, 0.0), out=c1[block, None, :])
+                c1[block] += np.matmul(w2[block, None, :], dz)[:, 0]
+            c1 += db2
         s, k, j = np.unravel_index(np.concatenate(found), z1.shape)
         candidates = _Elements(
             s * n + j, z1[s, k, j], np.broadcast_to(a, z1.shape)[s, k, j], np.broadcast_to(g, (n,))[j], w2[s, k], dw2[s, k]
@@ -514,32 +520,34 @@ def grad_log_posterior(model: LogisticModel | ReluOneModel, theta, dataset: Data
     return grad
 
 
+def log_posterior(mu, labels, log_prior):
+    """(log likelihood, log posterior) at a draw set from mu there, (S, n), the 0/1 labels and the
+    log prior per draw. log sigma(m), m = (2y - 1) mu, is min(m, 0) - log1p(exp(-|m|)) on one
+    scratch buffer."""
+    log_lik = (2.0 * labels - 1.0) * mu
+    scratch = np.abs(log_lik)
+    np.exp(np.negative(scratch, out=scratch), out=scratch)
+    np.minimum(log_lik, 0.0, out=log_lik)
+    log_lik -= np.log1p(scratch, out=scratch)
+    return log_lik, log_prior + log_lik.sum(axis=1)
+
+
 @dataclass(frozen=True)
 class PosteriorEvaluation:
     """Per-draw posterior quantities shared by weights and transformations.
 
-    ``mu`` and ``log_lik`` are (S, n); ``log_prior`` and ``log_post``, the
-    unnormalized log posterior, are per draw; ``grad_log_post`` is the
-    gradient of the log posterior (None when not requested). Build one with
-    :meth:`from_mu`.
+    ``origin`` is the model's origin line at the draws, with mu, (S, n), and
+    every derivative of mu there; ``log_lik`` is (S, n); ``log_prior`` and
+    ``log_post``, the unnormalized log posterior, are per draw;
+    ``grad_log_post`` is the gradient of the log posterior (None when not
+    requested). :func:`evaluate_posterior` builds it.
     """
 
-    mu: np.ndarray
+    origin: LinearMuLine | ReluMuLine
     log_lik: np.ndarray
     log_prior: np.ndarray
     log_post: np.ndarray
     grad_log_post: np.ndarray | None
-
-    @classmethod
-    def from_mu(cls, mu, labels, log_prior, grad_log_post=None) -> "PosteriorEvaluation":
-        """The posterior at a draw set from mu there, the 0/1 labels and the log prior.
-        log sigma(m), m = (2y - 1) mu, is min(m, 0) - log1p(exp(-|m|)) on one scratch buffer."""
-        log_lik = (2.0 * labels - 1.0) * mu
-        scratch = np.abs(log_lik)
-        np.exp(np.negative(scratch, out=scratch), out=scratch)
-        np.minimum(log_lik, 0.0, out=log_lik)
-        log_lik -= np.log1p(scratch, out=scratch)
-        return cls(mu, log_lik, log_prior, log_prior + log_lik.sum(axis=1), grad_log_post)
 
     @property
     def log_ref(self) -> float:
@@ -547,9 +555,12 @@ class PosteriorEvaluation:
         return float(self.log_post.max())
 
 
-def check_dimensions(model: SigmoidalModel, values: np.ndarray, dataset: Dataset, prior: GaussianPrior) -> None:
-    """Draws, prior or dataset that do not fit the model are a DimensionError,
-    not a broadcast or misread columns."""
+def evaluate_posterior(model: SigmoidalModel, values: np.ndarray, dataset: Dataset, prior: GaussianPrior,
+                       with_grad: bool = True) -> PosteriorEvaluation:
+    """The run's posterior at a whole draw matrix: the model's origin line at the draws and the
+    dataset's features, log likelihood, log prior, log posterior and, optionally, its gradient.
+    Draws, prior or dataset that do not fit the model are a DimensionError, raised before any
+    array work, not a broadcast or misread columns."""
     for what, got, want in (
         ("parameter columns in the draws", values.shape[1], model.param_dim),
         ("prior sds", prior.param_dim, model.param_dim),
@@ -557,15 +568,11 @@ def check_dimensions(model: SigmoidalModel, values: np.ndarray, dataset: Dataset
     ):
         if got != want:
             raise DimensionError(f"{got} {what}, but the model expects {want}")
-
-
-def evaluate_posterior(origin: LinearMuLine | ReluMuLine, values: np.ndarray, dataset: Dataset, prior: GaussianPrior,
-                       with_grad: bool = True) -> PosteriorEvaluation:
-    """Log likelihood, log prior, log posterior (and optionally its gradient)
-    for a whole draw matrix, from ``origin``, the model's ``mu_line`` at the
-    draws and the dataset's features, which supplies mu and the gradient's data term."""
+    origin = model.mu_line(values, dataset.features)
     grad = None
     if with_grad:
         resid = dataset.labels[None, :] - logistic(origin.mu)
         grad = prior.grad_batch(values) + origin.weighted_grad_mu(resid)
-    return PosteriorEvaluation.from_mu(origin.mu, dataset.labels, prior.log_density_batch(values), grad)
+    log_prior = prior.log_density_batch(values)
+    log_lik, log_post = log_posterior(origin.mu, dataset.labels, log_prior)
+    return PosteriorEvaluation(origin, log_lik, log_prior, log_post, grad)

@@ -41,13 +41,7 @@ import numpy as np
 from .data import GRADIENT_KINDS, MarginalStats, PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
 from .errors import DomainError
 from .gpd import WeightVector, computed_once
-from .models import (
-    LinearMuLine,
-    PosteriorEvaluation,
-    ReluLine,
-    logistic,
-    sigmoid_slope,
-)
+from .models import LinearMuLine, ReluLine, log_posterior, logistic, sigmoid_slope
 
 if TYPE_CHECKING:
     from .engine import LooProblem
@@ -70,7 +64,8 @@ class TransformedDraws:
     ``log_jac_det`` entries are finite except for draws where the map is
     numerically singular, which carry -inf (their transformed weight is
     zero). A transform that collapsed to the identity (zero step or
-    unavailable scaling) is a failed attempt: its vectors are None and its
+    unavailable scaling), or whose log posterior at phi is NaN at some draw
+    (an overflowing line), is a failed attempt: its vectors are None and its
     ``flags`` say why.
     """
 
@@ -226,7 +221,7 @@ def gradient_step(kind: str, obs: Observation) -> GradientStep:
     evaluation = obs.problem.evaluation
     if kind in POSTERIOR_GRADIENT_KINDS and evaluation.grad_log_post is None:
         raise DomainError(f"{kind} needs the posterior gradient, which this problem was built without")
-    mu_col = evaluation.mu[:, obs.i]
+    mu_col = evaluation.origin.mu[:, obs.i]
     square, (lam, g_plus, g_minus) = obs.grad_products
     if kind == "LL":
         scale = np.zeros(mu_col.size)
@@ -272,7 +267,7 @@ class Observation:
 
     @computed_once
     def grad(self) -> np.ndarray:
-        return self.problem.mu_origin.grad_mu(self.i)
+        return self.problem.evaluation.origin.grad_mu(self.i)
 
     @computed_once
     def r(self) -> np.ndarray:
@@ -287,7 +282,7 @@ class Observation:
 
     def _products(self, w):
         """(grad . w per draw, the Hessian projection of w at i)."""
-        return np.einsum("sp,sp->s", self.grad, w), self.problem.mu_origin.hessian_projection(self.i, w)
+        return np.einsum("sp,sp->s", self.grad, w), self.problem.evaluation.origin.hessian_projection(self.i, w)
 
     @computed_once
     def grad_products(self):
@@ -318,7 +313,7 @@ class Observation:
         has a nonzero step. Every nonzero coef_s has the sign ``sign``, so the
         fan's bound, sign times the largest |coef_s| over the kinds, holds each line."""
         reach = np.max([np.abs(coef) for _, _, coef in self.gradient_steps.values() if coef is not None], axis=0)
-        return self.problem.mu_origin.gradient_fan(self.i, self.sign * reach)
+        return self.problem.evaluation.origin.gradient_fan(self.i, self.sign * reach)
 
 
 def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
@@ -373,7 +368,7 @@ def apply_pmm(kind: str, obs: Observation) -> StepLine:
     max_step_sd = float(np.max(extent / np.where(stats.sd > 0, stats.sd, np.inf)))
     slope, curvature = problem.prior.line_coefficients(problem.draws.values, step)
     return StepLine(
-        kind=kind, observation_index=i, mu=problem.mu_origin.along(step), prior_slope=slope,
+        kind=kind, observation_index=i, mu=problem.evaluation.origin.along(step), prior_slope=slope,
         prior_curvature=curvature, jacobian=diagonal, max_step_sd=max_step_sd,
     )
 
@@ -409,9 +404,14 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
         h_used = math.exp(log_h) if log_h <= _LOG_FLOAT_MAX else math.inf
         log_jac_det, flags = line.jacobian.logdet(log_h)
     log_prior = problem.evaluation.log_prior - hbar * (line.prior_slope + 0.5 * hbar * line.prior_curvature)
-    at_phi = PosteriorEvaluation.from_mu(line.mu.at(hbar), problem.dataset.labels, log_prior)
+    with np.errstate(over="ignore", invalid="ignore"):  # a line that overflows gives NaN, caught below
+        mu = line.mu.at(hbar)
+        log_lik, log_post = log_posterior(mu, problem.dataset.labels, log_prior)
+    max_step_sd = hbar * line.max_step_sd
+    if np.isnan(log_post).any():
+        return TransformedDraws(h_used=h_used, flags=flags + ("nan-log-posterior",), max_step_sd=max_step_sd)
     i = line.observation_index
     return TransformedDraws(
-        log_post=at_phi.log_post, mu_i=at_phi.mu[:, i].copy(), log_lik_i=at_phi.log_lik[:, i].copy(),
-        log_jac_det=log_jac_det, h_used=h_used, flags=flags, max_step_sd=hbar * line.max_step_sd,
+        log_post=log_post, mu_i=mu[:, i].copy(), log_lik_i=log_lik[:, i].copy(),
+        log_jac_det=log_jac_det, h_used=h_used, flags=flags, max_step_sd=max_step_sd,
     )

@@ -146,8 +146,7 @@ def gaussian_proposal(grid, cov_scale, num_draws, rng):
 def log_post(model, theta, dataset, prior):
     """The unnormalized log posterior at one parameter vector, as a batch of one draw."""
     values = np.asarray(theta, dtype=float)[None, :]
-    origin = model.mu_line(values, dataset.features)
-    return float(evaluate_posterior(origin, values, dataset, prior, with_grad=False).log_post[0])
+    return float(evaluate_posterior(model, values, dataset, prior, with_grad=False).log_post[0])
 
 
 def grad_log_lik(model, theta, x, y):

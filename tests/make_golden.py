@@ -49,7 +49,7 @@ def _laplace_draws(model, dataset, prior, inflation, num_draws, rng):
     eigenvalues floored at the smallest prior precision."""
 
     def neg(theta):
-        evaluation = evaluate_posterior(model.mu_line(theta[None, :], dataset.features), theta[None, :], dataset, prior)
+        evaluation = evaluate_posterior(model, theta[None, :], dataset, prior)
         return -evaluation.log_post[0], -evaluation.grad_log_post[0]
 
     theta_map = minimize(neg, 0.1 * rng.standard_normal(model.param_dim), jac=True, method="L-BFGS-B").x

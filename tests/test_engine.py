@@ -31,7 +31,7 @@ from looadapt.engine import (
     self_normalized_se,
 )
 from looadapt.gpd import WeightVector, pareto_smooth
-from looadapt.models import PosteriorEvaluation, bernoulli_log_likelihood, evaluate_posterior, sigmoid
+from looadapt.models import bernoulli_log_likelihood, evaluate_posterior, log_posterior, sigmoid
 from looadapt.transforms import apply_gradient_transform, apply_transform
 
 from conftest import (
@@ -98,14 +98,14 @@ class TestEtaWeights:
         weight zero, never NaN; one where the label is certain keeps it."""
         model, dataset, prior, draws = make_logistic_toy(seed=53)
         problem = LooProblem.build(model, draws, dataset, prior, RunConfig())
-        mu = problem.evaluation.mu.copy()
+        mu = problem.evaluation.origin.mu.copy()
         sign = 2.0 * dataset.labels - 1.0
         mu[3, 0] = np.nan
         mu[5, 1] = -np.inf * sign[1]
         mu[7, 2] = np.inf * sign[2]
-        evaluation = PosteriorEvaluation.from_mu(mu, dataset.labels, problem.evaluation.log_prior)
+        log_lik, log_post = log_posterior(mu, dataset.labels, problem.evaluation.log_prior)
         for i in (0, 1, 2):
-            w = eta_weights(evaluation.log_lik[:, i], evaluation.log_post, problem.log_proposal).normalized
+            w = eta_weights(log_lik[:, i], log_post, problem.log_proposal).normalized
             assert np.all(np.isfinite(w))
             assert w[3] == 0.0 and w[5] == 0.0 and w[7] > 0.0
 
@@ -350,6 +350,20 @@ class TestLooIc:
         assert lpd == pytest.approx(math.log(0.5))
         assert prob_se == pytest.approx(0.0, abs=1e-15)
 
+    def test_a_zero_weight_draw_is_not_read(self):
+        """A draw of log weight -inf, as eta_weights gives a draw with a NaN mu,
+        leaves all four numbers as they are without it, also when its mu and
+        log likelihood are NaN."""
+        rng = np.random.default_rng(8)
+        log_w, mu = rng.normal(size=50), rng.normal(size=50)
+        log_lik = bernoulli_log_likelihood(mu, 1)
+        want = _loo_quantities(WeightVector.from_log_weights(log_w), mu, log_lik)
+        got = _loo_quantities(
+            WeightVector.from_log_weights(np.append(log_w, -np.inf)), np.append(mu, np.nan), np.append(log_lik, np.nan)
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        assert np.all(np.isfinite(got))
+
     def test_grid_oracle_loo_ic_within_three_se(self):
         model, dataset, prior, grid = make_grid_instance_2()
         rng = np.random.default_rng(111)
@@ -452,7 +466,7 @@ class TestRunLoo:
             assert not fit.fittable and r.raw_khat == r.final_khat == math.inf
             np.testing.assert_array_equal(r.final_weights.normalized, raw.normalized)
             assert (r.loo_predictive_prob, r.loo_predictive_prob_se, r.loo_log_predictive_density,
-                    r.loo_log_predictive_density_se) == _loo_quantities(raw, ev.mu[:, i], ev.log_lik[:, i])
+                    r.loo_log_predictive_density_se) == _loo_quantities(raw, ev.origin.mu[:, i], ev.log_lik[:, i])
 
     def test_fewer_than_one_worker_is_a_domain_error(self):
         model, dataset, prior, draws = make_logistic_toy(seed=60, num_draws=80)
@@ -497,6 +511,34 @@ class TestDimensionChecks:
         prior = GaussianPrior.isotropic(model.param_dim, 1.0)
         with pytest.raises(DimensionError, match="3 dataset features, but the model expects 4"):
             LooProblem.build(model, draws, dataset, prior, RunConfig())
+
+    @pytest.mark.parametrize("wrong, message", [
+        ("draws", "8 parameter columns in the draws, but the model expects 9"),
+        ("prior", "10 prior sds, but the model expects 9"),
+        ("features", "4 dataset features, but the model expects 3"),
+    ])
+    def test_checked_before_the_origin_line(self, wrong, message, monkeypatch):
+        """evaluate_posterior raises each DimensionError before it builds the origin line."""
+        model, dataset, prior, draws = make_relu_toy(d=2, p=3)
+        calls = []
+        mu_line = ReluOneModel.mu_line
+
+        def counted(*args):
+            calls.append(args)
+            return mu_line(*args)
+
+        monkeypatch.setattr(ReluOneModel, "mu_line", counted)
+        evaluate_posterior(model, draws.values, dataset, prior)
+        assert len(calls) == 1
+        values = draws.values[:, :-1] if wrong == "draws" else draws.values
+        if wrong == "prior":
+            prior = GaussianPrior.isotropic(model.param_dim + 1, 1.0)
+        if wrong == "features":
+            dataset = Dataset(features=np.hstack([dataset.features, dataset.features[:, :1]]), labels=dataset.labels,
+                              feature_names=("x0", "x1", "x2", "x3"))
+        with pytest.raises(DimensionError, match=message):
+            evaluate_posterior(model, values, dataset, prior)
+        assert len(calls) == 1
 
 
 class TestVariationalRun:
@@ -812,6 +854,19 @@ class TestRunCost:
         assert calls["steps"] == len(order) * len(observations)
 
 
+def _reported_floats(report):
+    """Every float of a report: the summaries, the curves and, per observation,
+    its estimates, final weights and attempts."""
+    numbers = [report.loo_ic, report.loo_ic_se]
+    numbers += [v for v in (report.auroc, report.auprc) if v is not None]
+    numbers += [v for pt in report.roc_points + report.prc_points for v in (pt.x, pt.y, pt.threshold)]
+    for r in report.per_observation:
+        numbers += [r.raw_khat, r.final_khat, r.loo_predictive_prob, r.loo_log_predictive_density,
+                    r.loo_predictive_prob_se, r.loo_log_predictive_density_se, *r.final_weights.normalized]
+        numbers += [v for a in r.attempts for v in (a.khat, a.h_used, a.max_step_sd)]
+    return numbers
+
+
 def _degenerate_instance(model_name, degeneracy, log10_scale, seed):
     """A small instance (n = 6, p = 2, S = 40) with one degeneracy of the
     inputs and draws of sd 10 ** log10_scale."""
@@ -853,16 +908,30 @@ class TestDegenerateInputs:
             # a line outside its relu1 fan is the program's fault, not the input's
             assert "fan's bound" not in str(exc)
             return
-        numbers = [report.loo_ic, report.loo_ic_se]
-        numbers += [v for v in (report.auroc, report.auprc) if v is not None]
-        numbers += [v for pt in report.roc_points + report.prc_points for v in (pt.x, pt.y, pt.threshold)]
         for r in report.per_observation:
-            numbers += [r.raw_khat, r.final_khat, r.loo_predictive_prob, r.loo_log_predictive_density,
-                        r.loo_predictive_prob_se, r.loo_log_predictive_density_se, *r.final_weights.normalized]
-            numbers += [v for a in r.attempts for v in (a.khat, a.h_used, a.max_step_sd)]
             if math.isinf(r.final_khat):
                 assert not r.adapted
-        assert not np.isnan(numbers).any()
+        assert not np.isnan(_reported_floats(report)).any()
+
+    @pytest.mark.parametrize("scale", [1e110, 1e150])
+    def test_overflowing_relu1_line_is_a_degenerate_attempt(self, scale):
+        """Features near 1e150 overflow a relu1 gradient fan's c2, which is per
+        unit coef, although mu along every line is finite: at a resting draw
+        (coef 0) t^2 c2 is 0 * inf. Every such attempt is degenerate with the
+        ``nan-log-posterior`` flag, so the raw weights are kept, no reported
+        float is NaN, and no RuntimeWarning is raised."""
+        rng = np.random.default_rng(1)
+        dataset = Dataset(features=rng.normal(size=(8, 3)) * scale, labels=[0, 1] * 4, feature_names=("x0", "x1", "x2"))
+        draws = PosteriorDraws(values=rng.normal(size=(200, 9)), param_names=tuple(f"t{j}" for j in range(9)))
+        report = run_loo(ReluOneModel(d=2, p=3), draws, dataset, GaussianPrior.isotropic(9, 1.0), RunConfig())
+        assert not np.isnan(_reported_floats(report)).any()
+        assert report.n_failed == dataset.n
+        for r in report.per_observation:
+            assert r.winning_transform is None
+            for a in r.attempts:
+                overflowing = a.kind in ("KL", "Var", "LL")
+                assert ("nan-log-posterior" in a.flags) == overflowing
+                assert a.degenerate == overflowing
 
     def test_cancelling_coefficients_stay_in_their_fan(self):
         """Draws of sd 1e6 put the log posterior near 1e12, where log h + scale

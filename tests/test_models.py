@@ -22,9 +22,9 @@ from looadapt.engine import LooProblem
 from looadapt.gpd import pareto_smooth
 from looadapt.models import (
     LINE_BLOCK_DRAWS,
-    PosteriorEvaluation,
     bernoulli_log_likelihood,
     evaluate_posterior,
+    log_posterior,
     logistic,
     sigmoid,
     sigmoid_slope,
@@ -135,14 +135,14 @@ class TestLogLikelihood:
             got = bernoulli_log_likelihood(mu, labels[None, :])
         assert np.array_equal(got, expected, equal_nan=True)
 
-    def test_from_mu_matches_the_reference(self):
+    def test_log_posterior_matches_the_reference(self):
         """The run's kernel agrees with the reference to 2e-15 relative, puts
         infinities and NaNs in the same places and raises no invalid, divide or overflow flag."""
         mu, labels = self._grid()
         with np.errstate(invalid="ignore"):
             expected = bernoulli_log_likelihood(mu, labels[None, :])
         with np.errstate(invalid="raise", divide="raise", over="raise"):
-            got = PosteriorEvaluation.from_mu(mu, labels, np.zeros(mu.shape[0])).log_lik
+            got = log_posterior(mu, labels, np.zeros(mu.shape[0]))[0]
         np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
         infinite = np.isinf(expected)
         np.testing.assert_array_equal(got[infinite], expected[infinite])
@@ -404,8 +404,7 @@ class TestBatchConsistency:
     def test_evaluate_posterior_gradient_matches_looped(self, model_maker):
         # one contraction over the observations against the per-draw loop
         model, dataset, prior, draws = model_maker()
-        origin = model.mu_line(draws.values, dataset.features)
-        grad = evaluate_posterior(origin, draws.values, dataset, prior).grad_log_post
+        grad = evaluate_posterior(model, draws.values, dataset, prior).grad_log_post
         for k in range(draws.num_draws):
             np.testing.assert_allclose(
                 grad[k], grad_log_posterior(model, draws.values[k], dataset, prior), rtol=1e-12, atol=1e-12
@@ -452,32 +451,36 @@ class TestBlockedRelu:
         assert np.array_equal(origin.weighted_grad_mu(weights), grad)
         assert np.array_equal(model.mu_batch(values, dataset.features), mu)
 
-        got = evaluate_posterior(origin, values, dataset, prior)
+        got = evaluate_posterior(model, values, dataset, prior)
         resid = dataset.labels[None, :] - logistic(mu)
-        grad = prior.grad_batch(values) + _unblocked_relu1(model, values, dataset.features, resid)[1]
-        want = PosteriorEvaluation.from_mu(mu, dataset.labels, prior.log_density_batch(values), grad)
-        for name in ("mu", "log_lik", "log_prior", "log_post", "grad_log_post"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        log_prior = prior.log_density_batch(values)
+        want = dict(zip(("log_lik", "log_post"), log_posterior(mu, dataset.labels, log_prior)), log_prior=log_prior)
+        want["grad_log_post"] = prior.grad_batch(values) + _unblocked_relu1(model, values, dataset.features, resid)[1]
+        assert np.array_equal(got.origin.mu, mu)
+        assert np.array_equal(got.origin.z1, origin.z1)
+        for name, value in want.items():
+            assert np.array_equal(getattr(got, name), value), name
 
     def test_evaluation_forms_no_full_size_temporary(self, rng):
         """At S = 1000, d = 8, p = 20 and n = 100, one (S, n, d) array is
         S d n 8 bytes = 6.4 MB. Evaluating the posterior in one pass over all
-        draws held four of them at once (17 MB traced); from the origin's
-        stored pre-activations, in blocks, the outputs and one block's
-        temporaries stay under 1.5 such arrays."""
+        draws held four of them at once (17 MB traced). The call forms the
+        origin's stored pre-activations z1, the one such array its result
+        holds by design; reading z1 in blocks, the outputs and one block's
+        temporaries stay under 1.5 such arrays besides it."""
         num_draws, d, n = 1000, 8, 100
         model, dataset, prior, values = self._instance(num_draws, rng, d=d, n=n)
-        origin = model.mu_line(values, dataset.features)
-        evaluate_posterior(origin, values, dataset, prior)  # first-call allocations outside the trace
+        evaluate_posterior(model, values, dataset, prior)  # first-call allocations outside the trace
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            evaluation = evaluate_posterior(origin, values, dataset, prior)
+            evaluation = evaluate_posterior(model, values, dataset, prior)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert evaluation.grad_log_post.shape == values.shape
-        assert peak < 1.5 * num_draws * d * n * 8, f"{peak / 1e6:.1f} MB traced"
+        peak -= evaluation.origin.z1.nbytes
+        assert peak < 1.5 * num_draws * d * n * 8, f"{peak / 1e6:.1f} MB traced besides z1"
 
 
 class TestStoredPreActivations:
@@ -491,8 +494,7 @@ class TestStoredPreActivations:
     def test_no_pass_writes_into_z1(self, d, num_draws, rng):
         model, dataset, prior, values = TestBlockedRelu._instance(num_draws, rng, d=d, p=3, n=10)
         features = dataset.features
-        origin = model.mu_line(values, features)
-        evaluate_posterior(origin, values, dataset, prior)
+        origin = evaluate_posterior(model, values, dataset, prior).origin
         origin.weighted_grad_mu(rng.normal(size=(num_draws, dataset.n)))
         origin.hessian_projection(0, origin.grad_mu(0))
         coef = 0.5 * rng.normal(size=num_draws)

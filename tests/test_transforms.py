@@ -603,9 +603,9 @@ class TestStepLines:
             assert out.max_step_sd == pytest.approx(shift_ref, rel=1e-12)
 
             phi = values + hbar * step
-            phi_eval = evaluate_posterior(model.mu_line(phi, dataset.features), phi, dataset, prior, with_grad=False)
-            np.testing.assert_allclose(line.mu.at(hbar), phi_eval.mu, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(out.mu_i, phi_eval.mu[:, i], rtol=1e-12, atol=1e-12)
+            phi_eval = evaluate_posterior(model, phi, dataset, prior, with_grad=False)
+            np.testing.assert_allclose(line.mu.at(hbar), phi_eval.origin.mu, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out.mu_i, phi_eval.origin.mu[:, i], rtol=1e-12, atol=1e-12)
             for vector, dense in ((out.log_lik_i, phi_eval.log_lik[:, i]), (out.log_post, phi_eval.log_post)):
                 np.testing.assert_allclose(vector, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
             reference = out.log_jac_det - phi_eval.log_lik[:, i] + (phi_eval.log_post - problem.log_proposal)
