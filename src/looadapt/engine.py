@@ -110,7 +110,6 @@ class LooProblem:
     call and PMM2 step reads.
     """
 
-    model: SigmoidalModel
     dataset: Dataset
     prior: GaussianPrior
     draws: PosteriorDraws
@@ -147,7 +146,7 @@ class LooProblem:
                     f"variational log density is {log_proposal[bad[0]]} at draw {bad[0]}; it must be finite"
                 )
         return cls(
-            model=model, dataset=dataset, prior=prior, draws=draws, config=config,
+            dataset=dataset, prior=prior, draws=draws, config=config,
             evaluation=evaluation, stats=marginal_stats(draws), log_proposal=log_proposal,
         )
 

@@ -118,7 +118,7 @@ class GaussianPrior:
 
 
 class SigmoidalModel(abc.ABC):
-    """Evaluator bundle for a classifier with outcome probability sigma(mu)."""
+    """Evaluator bundle for a classifier with outcome probability sigma(mu); a run calls these three members."""
 
     @property
     @abc.abstractmethod
@@ -131,21 +131,17 @@ class SigmoidalModel(abc.ABC):
         """Length p of a feature vector."""
 
     @abc.abstractmethod
-    def mu_batch(self, values, features) -> np.ndarray:
-        """mu for every (draw, observation) pair: (S, P) x (n, p) -> (S, n)."""
-
-    @abc.abstractmethod
     def mu_line(self, values, features):
         """mu at the draws as the origin of lines theta + hbar * D, with every derivative of mu there.
 
-        ``mu`` is :meth:`mu_batch`, ``weighted_grad_mu(w)`` (S, P) sum_n w_sn grad_mu(theta_s, x_n),
-        ``grad_mu(i)`` grad_mu at observation i for every draw, (S, P), and ``hessian_projection(i, w)``
-        the Hessian of mu there with ``w``, (S, P), in its eigenbasis: ``(lam, plus, minus)``, each
-        (S, K), the eigenvalues +-lam and w's projections onto their unit eigenvectors (0 where lam = 0;
-        K = 0 for a mean linear in theta). ``along(D)`` fixes a step, and ``gradient_fan(i, bound)`` the
-        lines along D_s = coef_s * grad_mu(i)_s for every coef between 0 and ``bound`` per draw; the
-        fan's ``line(coef)`` fixes one. A line's ``at(hbar)`` is mu at theta + hbar * D, 0 <= hbar <= 1,
-        without forming the moved draws.
+        ``mu`` (S, n) is mu at every (draw, observation) pair, ``weighted_grad_mu(w)`` (S, P) sum_n w_sn
+        grad_mu(theta_s, x_n), ``grad_mu(i)`` grad_mu at observation i for every draw, (S, P), and
+        ``hessian_projection(i, w)`` the Hessian of mu there with ``w``, (S, P), in its eigenbasis:
+        ``(lam, plus, minus)``, each (S, K), the eigenvalues +-lam and w's projections onto their unit
+        eigenvectors (0 where lam = 0; K = 0 for a mean linear in theta). ``along(D)`` fixes a step, and
+        ``gradient_fan(i, bound)`` the lines along D_s = coef_s * grad_mu(i)_s for every coef between 0
+        and ``bound`` per draw; the fan's ``line(coef)`` fixes one. A line's ``at(hbar)`` is mu at
+        theta + hbar * D, 0 <= hbar <= 1, without forming the moved draws.
         """
 
 

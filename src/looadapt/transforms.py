@@ -19,7 +19,8 @@ Internally every Q row is factored as sign * exp(scale) * direction so that
 the posterior-density factor never overflows; the same h and scale feed the
 determinant formulas, ensuring step and Jacobian describe the same map.
 :func:`gradient_step` builds that factorisation for one kind from the
-:class:`Observation` its lines share.
+:class:`Observation` its lines share, applies the step-size rule and holds
+the step size h with the map: a :class:`GradientStep` is T at hbar = 1.
 
 For one observation and kind every step scale moves the draws along one
 line, phi = theta + hbar * D. A :class:`StepLine` holds the model's image of
@@ -95,7 +96,7 @@ class StepLine:
     ``flags`` say why. The log prior along the line is log_prior - hbar *
     (``prior_slope`` + hbar / 2 * ``prior_curvature``). ``jacobian`` is the
     diagonal of dD/dtheta for PMM kinds and the :class:`GradientStep` for
-    gradient kinds, whose step size at hbar = 1 is exp(``log_h``).
+    gradient kinds, which holds the step size at hbar = 1.
     """
 
     kind: str
@@ -104,7 +105,6 @@ class StepLine:
     prior_slope: np.ndarray | float = 0.0
     prior_curvature: np.ndarray | float = 0.0
     jacobian: np.ndarray | GradientStep | None = None
-    log_h: float = 0.0
     max_step_sd: float = 0.0
     flags: tuple[str, ...] = ()
 
@@ -167,24 +167,24 @@ def log_step_size(scale: np.ndarray, factor: np.ndarray, r: np.ndarray) -> float
 
 @dataclass(frozen=True)
 class GradientStep:
-    """Q = exp(scale) * factor * grad_mu per draw, and the h-independent factors
-    of the exact log |det J| of theta + h Q.
+    """theta + h Q with Q = exp(scale) * factor * grad_mu per draw: the step size
+    h, the step h Q, and the h-independent factors of its exact log |det J|.
 
     grad_mu is the :class:`Observation`'s ``grad``; the sign of Q lives in
-    ``factor``. ``base`` is grad_mu . u per draw, uvec = e * u (see above),
-    and ``eigen`` is ``(lam, plus, minus)``, each (S, K): the eigenvalues
-    +-lam of the Hessian of mu and the products of grad_mu's and u's
-    projections onto their unit eigenvectors, with K = 0 where it vanishes.
+    ``factor``. ``log_h`` is the step-size rule's log h and ``coef`` the
+    per-draw coefficient with h Q = coef * grad_mu; a zero step has log h =
+    -inf and coef None. ``base`` is grad_mu . u per draw, uvec = e * u (see
+    above), and ``eigen`` is ``(lam, plus, minus)``, each (S, K): the
+    eigenvalues +-lam of the Hessian of mu and the products of grad_mu's and
+    u's projections onto their unit eigenvectors, with K = 0 where it vanishes.
     """
 
     scale: np.ndarray
     factor: np.ndarray
     base: np.ndarray
     eigen: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def coef(self, log_h: float) -> np.ndarray:
-        """Per-draw coef with h Q = coef * grad_mu at step size exp(log_h)."""
-        return np.exp(log_h + self.scale) * self.factor
+    log_h: float
+    coef: np.ndarray | None
 
     def logdet(self, log_h: float):
         """Per-draw log |det J| at step size exp(log_h), and its flags."""
@@ -207,14 +207,13 @@ class GradientStep:
 
 
 def gradient_step(kind: str, obs: Observation) -> GradientStep:
-    """The Q rows of every draw for ``obs`` under ``kind``, and their determinant factors.
+    """The Q rows of every draw for ``obs`` under ``kind``, their step size and determinant factors.
 
     Everything is read from ``obs``: the run's posterior evaluation (mu and,
-    for KL/Var, the log posterior), the label and its two shared products
-    (KL/Var read both, LL only grad_mu's). The posterior-density factor of
-    KL/Var is anchored at the evaluation's ``log_ref``, the largest log
-    posterior over the draws. The step size h is left to
-    :func:`log_step_size` and :meth:`GradientStep.logdet`.
+    for KL/Var, the log posterior), the label, its two shared products
+    (KL/Var read both, LL only grad_mu's) and ``r``. The posterior-density
+    factor of KL/Var is anchored at the evaluation's ``log_ref``, the largest
+    log posterior over the draws. h is :func:`log_step_size`'s rule.
     """
     if kind not in GRADIENT_KINDS:
         raise DomainError(f"gradient steps are defined for {GRADIENT_KINDS}, got {kind!r}")
@@ -235,7 +234,9 @@ def gradient_step(kind: str, obs: Observation) -> GradientStep:
         dot, (_, p_plus, p_minus) = obs.log_post_products
         base = expo * square + obs.sign * dot
         plus, minus = g_plus * (expo * g_plus + obs.sign * p_plus), g_minus * (expo * g_minus + obs.sign * p_minus)
-    return GradientStep(scale, factor, base, (lam, plus, minus))
+    log_h = log_step_size(scale, factor, obs.r)
+    coef = None if log_h == -np.inf else np.exp(log_h + scale) * factor
+    return GradientStep(scale, factor, base, (lam, plus, minus), log_h, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +297,17 @@ class Observation:
 
     @computed_once
     def gradient_steps(self) -> dict:
-        """Each configured gradient kind's (:class:`GradientStep`, log h, coef),
-        made together when the first gradient line is built; a zero step has
-        log h = -inf and coef None."""
-        steps = {}
-        for kind in self.problem.config.transform_order:
-            if kind in GRADIENT_KINDS:
-                step = gradient_step(kind, self)
-                log_h = log_step_size(step.scale, step.factor, self.r)
-                steps[kind] = (step, log_h, None if log_h == -np.inf else step.coef(log_h))
-        return steps
+        """Each configured gradient kind's :class:`GradientStep`, made together
+        when the first gradient line is built."""
+        kinds = self.problem.config.transform_order
+        return {kind: gradient_step(kind, self) for kind in kinds if kind in GRADIENT_KINDS}
 
     @computed_once
     def mu_fan(self):
         """mu along every gradient line of this observation, read once some kind
         has a nonzero step. Every nonzero coef_s has the sign ``sign``, so the
         fan's bound, sign times the largest |coef_s| over the kinds, holds each line."""
-        reach = np.max([np.abs(coef) for _, _, coef in self.gradient_steps.values() if coef is not None], axis=0)
+        reach = np.max([np.abs(step.coef) for step in self.gradient_steps.values() if step.coef is not None], axis=0)
         return self.problem.evaluation.origin.gradient_fan(self.i, self.sign * reach)
 
 
@@ -328,16 +323,16 @@ def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
     """
     if kind not in obs.gradient_steps:
         raise DomainError(f"{kind!r} is not a gradient kind of this run's transform_order")
-    grad_step, log_h, coef = obs.gradient_steps[kind]
-    if coef is None:
+    step = obs.gradient_steps[kind]
+    if step.coef is None:
         return StepLine(kind=kind, observation_index=obs.i, flags=("zero-step",))
-    r = obs.r
+    coef, r = step.coef, obs.r
     moving = coef != 0  # a resting draw may sit next to r = inf
     max_step_sd = float(np.max(np.abs(coef[moving]) * r[moving], initial=0.0))
     dot, square = obs.prior_dots
     return StepLine(
         kind=kind, observation_index=obs.i, mu=obs.mu_fan.line(coef), prior_slope=coef * dot,
-        prior_curvature=coef * coef * square, jacobian=grad_step, log_h=log_h, max_step_sd=max_step_sd,
+        prior_curvature=coef * coef * square, jacobian=step, max_step_sd=max_step_sd,
     )
 
 
@@ -347,9 +342,9 @@ def apply_pmm(kind: str, obs: Observation) -> StepLine:
     PMM1 translates by hbar times the gap delta between weighted and plain
     means (log-determinant exactly 0). PMM2 additionally rescales each
     centered component by the weighted/plain sd ratio: D = (ratio - 1) *
-    centered + delta, from the per-run centred draws. A zero plain variance
-    in any component makes the rescaling unavailable and every attempt the
-    identity with the ``pmm2-unavailable`` flag.
+    centered + delta, from the per-run centred draws. A plain variance that
+    is zero or not finite (overflowed) in any component makes the rescaling
+    unavailable and every attempt the identity with the ``pmm2-unavailable`` flag.
     """
     if kind not in PMM_KINDS:
         raise DomainError(f"apply_pmm handles {PMM_KINDS}, got {kind!r}")
@@ -359,7 +354,7 @@ def apply_pmm(kind: str, obs: Observation) -> StepLine:
     if kind == "PMM1":
         step, diagonal, extent = delta, np.zeros(delta.size), np.abs(delta)
     else:
-        if np.any(stats.variance == 0):
+        if not np.all(np.isfinite(stats.variance) & (stats.variance > 0)):
             return StepLine(kind=kind, observation_index=i, flags=("pmm2-unavailable",))
         diagonal = np.sqrt(weighted.weighted_variance / stats.variance) - 1.0
         step = stats.centered * diagonal
@@ -399,7 +394,7 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
         h_used, flags = hbar, ()
         log_jac_det = np.full(problem.draws.num_draws, float(np.log(np.abs(coef)).sum()))
     else:
-        log_h = math.log(hbar) + line.log_h
+        log_h = math.log(hbar) + line.jacobian.log_h
         # the step is bounded by the posterior sd; only its size can overflow
         h_used = math.exp(log_h) if log_h <= _LOG_FLOAT_MAX else math.inf
         log_jac_det, flags = line.jacobian.logdet(log_h)

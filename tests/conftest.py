@@ -265,18 +265,17 @@ def attempt(problem, kind, i, hbar, nu_weights=None):
     return line, apply_transform(line, hbar, problem)
 
 
-def line_step(line, problem, nu_weights=None):
+def line_step(line, problem, nu_weights=None, model=None):
     """The reference D of ``line``, formed from scratch: coef * grad_mu for a
     gradient kind, with coef read from its Jacobian and grad_mu from a fresh
-    origin line at the line's one observation; for PMM1 the gap delta
-    between the ``nu_weights``-weighted and plain means, and for PMM2
+    origin line of ``model``, the run's, at the line's one observation; for
+    PMM1 the gap delta between the ``nu_weights``-weighted and plain means, and for PMM2
     (ratio - 1) * C + delta, C the centred draws and ratio the weighted / plain
     sd ratio. (S, P) or, for PMM1, (P,)."""
     values = problem.draws.values
     if line.kind not in PMM_KINDS:
         x = problem.dataset.features[line.observation_index]
-        coef = line.jacobian.coef(line.log_h)
-        return coef[:, None] * problem.model.mu_line(values, x[None, :]).grad_mu(0)
+        return line.jacobian.coef[:, None] * model.mu_line(values, x[None, :]).grad_mu(0)
     plain, weighted = marginal_stats(problem.draws), marginal_stats(problem.draws, nu_weights.normalized)
     delta = weighted.weighted_mean - plain.mean
     if line.kind == "PMM1":

@@ -45,7 +45,7 @@ def test_a_new_model_implements_what_the_readme_lists():
     """README's "Adding a model" names every abstract method, no other member
     of SigmoidalModel, and every member a run reads of the origin line, which
     both built-in lines have."""
-    assert SigmoidalModel.__abstractmethods__ == {"param_dim", "num_features", "mu_batch", "mu_line"}
+    assert SigmoidalModel.__abstractmethods__ == {"param_dim", "num_features", "mu_line"}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Adding a model", 1)[1].split("\n#", 1)[0]
     named = set(re.findall(r"`(\w+)[`(]", section))  # a name, or a call such as `grad_mu(i)`

@@ -642,6 +642,32 @@ class TestTracedRun:
         assert evaluation.attrs == {"grad": True, "flops": 200 * 30 * 9}
         assert not hasattr(looadapt.engine.adapt_observation, "__wrapped__")
 
+    #: Each golden instance's ``tracing.DETERMINISTIC`` counters in that order, without
+    #: ``cli.report_bytes``: its length follows float reprs, which may differ across
+    #: platforms, and the golden test already compares the report itself.
+    PINNED = {
+        "logistic": (950, 16, 1, 1, 24000, 0, 67, 17, 11, 11, 11, 117, 15, 30, 147, 147, 0, 2),
+        "relu1": (1920, 6, 1, 0, 54000, 0, 28, 12, 11, 11, 11, 73, 25, 30, 103, 103, 0, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_golden_counters_are_pinned(self, name, tmp_path, monkeypatch):
+        """A change that keeps every answer can still call the layers more or less
+        often; the benchmark's deterministic counters hold each count."""
+        tracing = self._tracing(monkeypatch)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            with tracer.root("cli.main"):
+                golden = Path(__file__).resolve().parent / "golden" / name
+                code = main(["run", *golden_args(golden), "--out", str(tmp_path / "report.json")])
+        finally:
+            tracer.uninstall()
+        assert code in (0, 3)
+        names = [counter for counter in tracing.DETERMINISTIC if counter != "cli.report_bytes"]
+        metrics = tracing.layer_metrics(tracer.spans, 1)
+        assert {counter: metrics[counter] for counter in names} == dict(zip(names, self.PINNED[name]))
+
 
 #: Run in a fresh interpreter by :class:`TestRuntimeImports`, with the golden
 #: directory and a scratch directory as arguments.
@@ -658,11 +684,14 @@ for name in ("logistic", "relu1"):
     with open(os.path.join(d, "args.json"), encoding="utf-8") as fh:
         flags = [*json.load(fh), "--data", os.path.join(d, "data.csv"), "--draws", os.path.join(d, "draws.csv"),
                  "--config", os.path.join(d, "config.json")]
+    report, curves = os.path.join(out, name + ".json"), os.path.join(out, name)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        ran = main(["run", *flags, "--out", os.path.join(out, name + ".json")])
+        ran = main(["run", *flags, "--out", report])
         diagnosed = main(["diagnose", *flags])
-    assert ran in (0, 3) and diagnosed == 0, (name, ran, diagnosed)
-    assert os.path.getsize(os.path.join(out, name + ".json")) > 0
+        exported = main(["curves", report, "--out-dir", curves])
+    assert ran in (0, 3) and diagnosed == 0 and exported == 0, (name, ran, diagnosed, exported)
+    for path in (report, os.path.join(curves, "roc.csv"), os.path.join(curves, "prc.csv")):
+        assert os.path.getsize(path) > 0, path
 assert not scipy_modules(), scipy_modules()
 looadapt.models.sigmoid(0.0)
 assert "scipy.special" in sys.modules
@@ -673,7 +702,7 @@ class TestRuntimeImports:
     """A command loads no scipy: only the generator reference ``models.sigmoid``
     does. Tier-1 itself imports scipy, so the check runs in its own interpreter."""
 
-    def test_run_and_diagnose_load_no_scipy(self, tmp_path):
+    def test_commands_load_no_scipy(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))

@@ -950,8 +950,8 @@ class TestDegenerateInputs:
             for kind in ("KL", "Var", "LL"):
                 line = apply_gradient_transform(kind, obs)
                 assert line.mu is not None
-                overshooting += bool(np.any(np.abs(line.jacobian.coef(line.log_h)) * obs.r > 1.0 + 1e-9))
-                step = line_step(line, problem)
+                overshooting += bool(np.any(np.abs(line.jacobian.coef) * obs.r > 1.0 + 1e-9))
+                step = line_step(line, problem, model=model)
                 for hbar in (1.0, 0.25, 4.0**-5):
                     np.testing.assert_allclose(
                         line.mu.at(hbar), model.mu_batch(draws.values + hbar * step, dataset.features), rtol=1e-9, atol=0

@@ -575,7 +575,7 @@ class TestMuLine:
         for i in range(dataset.n):
             nu, _ = pareto_smooth(raw_weights(problem, i))
             line = attempt(problem, kind, i, 1.0, nu)[0]
-            self._check(model, line.mu, draws.values, line_step(line, problem, nu), dataset.features)
+            self._check(model, line.mu, draws.values, line_step(line, problem, nu, model), dataset.features)
             flipped += line.mu.flips.cell.size
         assert flipped > 0
 

@@ -23,6 +23,7 @@ from looadapt.transforms import (
     Observation,
     apply_gradient_transform,
     apply_pmm,
+    apply_transform,
     gradient_step,
     log_step_size,
     row_max_in_sd_units,
@@ -214,7 +215,7 @@ class TestApplyGradientTransform:
                 if out.degenerate:
                     continue
                 moving = stats.sd > 0
-                disp = np.abs(hbar * line_step(line, problem))[:, moving] / stats.sd[moving]
+                disp = np.abs(hbar * line_step(line, problem, model=model))[:, moving] / stats.sd[moving]
                 assert disp.max() <= hbar + 1e-9
                 assert out.max_step_sd <= hbar + 1e-9
 
@@ -267,17 +268,14 @@ class TestApplyGradientTransform:
 
 class _OtherModel(SigmoidalModel):
     """A sigmoidal model outside the two built-in families: it wraps another
-    model and forwards only the four members of the contract, with no
-    single-draw mu or grad_mu."""
+    model and forwards only the three members of the contract, with no
+    single-draw mu or grad_mu and no mu_batch."""
 
     def __init__(self, inner):
         self.inner = inner
 
     param_dim = property(lambda self: self.inner.param_dim)
     num_features = property(lambda self: self.inner.num_features)
-
-    def mu_batch(self, values, features):
-        return self.inner.mu_batch(values, features)
 
     def mu_line(self, values, features):
         return self.inner.mu_line(values, features)
@@ -297,7 +295,7 @@ def _report_fields(report):
 class TestModelContract:
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
     def test_a_model_of_the_contract_members_runs(self, toy):
-        """run_loo on a model that implements only the contract's four members
+        """run_loo on a model that implements only the contract's three members
         gives the wrapped model's report, value for value, over every kind."""
         if toy == "logistic":
             inner, dataset, prior, draws = make_logistic_toy(seed=66, num_draws=80, draw_scale=3.0)
@@ -450,7 +448,7 @@ class TestApplyPmm:
         draws = problem.draws
         line, out = attempt(problem, "PMM1", 0, 1.0, weights)
         phi = draws.values + line_step(line, problem, weights)
-        np.testing.assert_allclose(line.mu.at(1.0), problem.model.mu_batch(phi, problem.dataset.features), atol=1e-12)
+        np.testing.assert_allclose(line.mu.at(1.0), phi @ problem.dataset.features.T, atol=1e-12)
         np.testing.assert_array_equal(out.mu_i, line.mu.at(1.0)[:, 0])
         shift = phi - draws.values
         assert np.ptp(shift, axis=0).max() < 1e-12  # same shift for every draw
@@ -472,7 +470,7 @@ class TestApplyPmm:
         np.testing.assert_allclose(out.log_jac_det, 2.0 * math.log(2.0), atol=1e-12)
         # each centered coordinate doubled, recentered at the weighted mean (0)
         np.testing.assert_allclose(values + line_step(line, problem, weights), 2.0 * values, atol=1e-12)
-        mu_at_phi = problem.model.mu_batch(2.0 * values, problem.dataset.features)
+        mu_at_phi = 2.0 * values @ problem.dataset.features.T
         np.testing.assert_allclose(line.mu.at(1.0), mu_at_phi, atol=1e-12)
         np.testing.assert_allclose(out.mu_i, mu_at_phi[:, 0], atol=1e-12)
 
@@ -483,6 +481,21 @@ class TestApplyPmm:
         _, out = attempt(problem, "PMM2", 0, 0.5, weights)
         assert out.degenerate
         assert "pmm2-unavailable" in out.flags
+
+    def test_pmm2_unavailable_with_an_overflowing_variance(self):
+        """Draws near 1e306 overflow a plain and a weighted variance to inf: the
+        sd ratio would be inf / inf, so the rescaling is unavailable, as for a
+        constant column, and the line reports no NaN shift."""
+        problem, weights = self._setup()
+        inf_first = np.array([np.inf, 1.0])
+        plain = dataclasses.replace(problem.stats, variance=inf_first)
+        obs = observation(dataclasses.replace(problem, stats=plain), 0, weights)
+        obs.weighted = dataclasses.replace(plain, weighted_variance=inf_first)
+        line = apply_pmm("PMM2", obs)
+        assert line.mu is None
+        assert line.flags == ("pmm2-unavailable",) and line.max_step_sd == 0.0
+        out = apply_transform(line, 1.0, obs.problem)
+        assert out.degenerate and out.flags == ("pmm2-unavailable",) and out.max_step_sd == 0.0
 
     def test_pmm2_singular_when_a_column_collapses(self):
         # column 0 is 0, +-1 ... +-24, 0: its plain mean is exactly 0, and all
@@ -561,11 +574,11 @@ class TestStepLines:
             model, dataset, prior, draws = make_logistic_toy(seed=70, n=6, p=3, num_draws=60, draw_scale=2.0)
         else:
             model, dataset, prior, draws = make_relu_toy(seed=71, n=6, d=2, p=3, num_draws=40)
-        return LooProblem.build(model, draws, dataset, prior, RunConfig())
+        return model, LooProblem.build(model, draws, dataset, prior, RunConfig())
 
-    def _reference_gradient_step(self, problem, kind, i, hbar):
+    def _reference_gradient_step(self, model, problem, kind, i, hbar):
         """h, max |step| / sd and per-draw log |det J| from dense single-draw Jacobians."""
-        model, dataset, prior, values = problem.model, problem.dataset, problem.prior, problem.draws.values
+        dataset, prior, values = problem.dataset, problem.prior, problem.draws.values
         sd = problem.stats.sd
         pieces = [_jacobian_of_q(kind, model, t, dataset, prior, i, problem.evaluation.log_ref) for t in values]
         q = np.array([p[0] for p in pieces])
@@ -584,20 +597,20 @@ class TestStepLines:
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
     @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
     def test_line_matches_evaluation_at_phi(self, toy, kind):
-        problem = self._problem(toy)
-        model, dataset, prior, values = problem.model, problem.dataset, problem.prior, problem.draws.values
+        model, problem = self._problem(toy)
+        dataset, prior, values = problem.dataset, problem.prior, problem.draws.values
         i = 2
         nu, _ = pareto_smooth(raw_weights(problem, i))
         for hbar in self.HBARS:
             line, out = attempt(problem, kind, i, hbar, nu)
             assert not out.degenerate
-            step = line_step(line, problem, nu)
+            step = line_step(line, problem, nu, model)
             if kind in ("PMM1", "PMM2"):
                 h_ref, logdet_ref = hbar, self._reference_pmm_logdet(problem, kind, hbar, nu)
                 shift_ref = float(np.max(np.abs(hbar * np.broadcast_to(step, values.shape)) / problem.stats.sd))
                 np.testing.assert_array_equal(out.log_jac_det, logdet_ref)
             else:
-                h_ref, shift_ref, logdet_ref = self._reference_gradient_step(problem, kind, i, hbar)
+                h_ref, shift_ref, logdet_ref = self._reference_gradient_step(model, problem, kind, i, hbar)
                 np.testing.assert_allclose(out.log_jac_det, logdet_ref, rtol=1e-10, atol=1e-13)
             assert out.h_used == pytest.approx(h_ref, rel=1e-12)
             assert out.max_step_sd == pytest.approx(shift_ref, rel=1e-12)
@@ -619,7 +632,7 @@ class TestStepLines:
     def test_attempt_holds_only_owned_per_draw_vectors(self, toy, kind):
         """An attempt keeps (S,) arrays that own their data: a column view would
         keep its whole (S, n) evaluation alive for as long as the attempt."""
-        problem = self._problem(toy)
+        _, problem = self._problem(toy)
         for hbar in self.HBARS:
             _, out = attempt(problem, kind, 2, hbar)
             assert not out.degenerate
@@ -658,18 +671,18 @@ class TestLineQuantities:
             prior = GaussianPrior(sd=np.array([0.5, 1.0, 2.0, 3.0]))
         else:
             model, dataset, prior, draws = make_relu_toy(seed=73, n=6, d=3, p=3, num_draws=60)
-        return LooProblem.build(model, draws, dataset, prior, RunConfig())
+        return model, LooProblem.build(model, draws, dataset, prior, RunConfig())
 
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
     @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
     def test_against_dense_references(self, toy, kind):
-        problem = self._problem(toy)
+        model, problem = self._problem(toy)
         values, sd, prior_sd = problem.draws.values, problem.stats.sd, problem.prior.sd
         for i in range(problem.dataset.n):
             nu, _ = pareto_smooth(raw_weights(problem, i))
             line, _ = attempt(problem, kind, i, 1.0, nu)
             assert line.mu is not None
-            step = line_step(line, problem, nu)
+            step = line_step(line, problem, nu, model)
             terms = values * (step / prior_sd**2)
             _assert_close(line.prior_slope, terms.sum(axis=1), floor=np.abs(terms).sum(axis=1))
             _assert_close(line.prior_curvature, np.sum((step / prior_sd) ** 2, axis=-1))
@@ -677,9 +690,9 @@ class TestLineQuantities:
             _assert_close(line.max_step_sd, np.max(np.abs(step) / sd))
             if kind in ("KL", "Var", "LL"):
                 gs = line.jacobian
-                grad = problem.model.mu_line(values, problem.dataset.features[i][None, :]).grad_mu(0)
+                grad = model.mu_line(values, problem.dataset.features[i][None, :]).grad_mu(0)
                 dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * grad, sd)
-                _assert_close(line.log_h, dense, floor=1.0)
+                _assert_close(gs.log_h, dense, floor=1.0)
                 assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
 
     def test_saturated_ll_row_rests(self):
@@ -694,11 +707,11 @@ class TestLineQuantities:
         obs = observation(problem, i)
         line = apply_gradient_transform("LL", obs)
         assert line.jacobian.factor[0] == 0.0
-        np.testing.assert_array_equal(line_step(line, problem)[0], 0.0)
+        np.testing.assert_array_equal(line_step(line, problem, model=model)[0], 0.0)
         gs = line.jacobian
         dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * obs.grad, problem.stats.sd)
-        assert math.isfinite(line.log_h)
-        _assert_close(line.log_h, dense, floor=1.0)
+        assert math.isfinite(gs.log_h)
+        _assert_close(gs.log_h, dense, floor=1.0)
 
     def test_saturated_row_beside_a_constant_moving_component(self):
         """relu1, W1[0, 0] constant over the draws: it moves (r = inf) only where unit 0
@@ -719,9 +732,9 @@ class TestLineQuantities:
         np.testing.assert_array_equal(row_max_in_sd_units(obs.grad, problem.stats.sd)[active], np.inf)
         line = apply_gradient_transform("LL", obs)
         np.testing.assert_array_equal(line.jacobian.factor[active], 0.0)
-        assert math.isfinite(line.log_h)
+        assert math.isfinite(line.jacobian.log_h)
         assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
-        np.testing.assert_array_equal(line_step(line, problem)[active], 0.0)
+        np.testing.assert_array_equal(line_step(line, problem, model=model)[active], 0.0)
 
     def test_constant_draw_column(self):
         """A zero-sd component stops every gradient line that moves it and is ignored
@@ -737,7 +750,7 @@ class TestLineQuantities:
         for kind in ("KL", "Var", "LL"):
             assert apply_gradient_transform(kind, observation(problem, 1)).flags == ("zero-step",)
             line = apply_gradient_transform(kind, observation(problem, 0))
-            assert math.isfinite(line.log_h)
+            assert math.isfinite(line.jacobian.log_h)
             assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
         nu, _ = pareto_smooth(raw_weights(problem, 0))
         assert attempt(problem, "PMM2", 0, 1.0, nu)[0].flags == ("pmm2-unavailable",)
