@@ -20,10 +20,14 @@ theta + hbar * D, built once by
 :func:`~looadapt.transforms.step_lines`. The lines of a flagged observation
 share one :class:`~looadapt.transforms.Observation`, which computes the PMM
 kinds' target moments, and grad_mu with what KL, Var and LL derive from it,
-once. A step scale then costs O(S n) for the logistic model and O(S n + flips)
-for relu1, where flips counts the pre-activations that change sign on the
-line. A flagged relu1 observation pays one O(S d n) pass for its gradient
-kinds, shared by KL, Var and LL, and a PMM line one of its own.
+once. A step scale then costs O(S) for the logistic model, for bounds on
+every draw's log weight, plus O(n) per candidate row, a draw whose log
+weight can reach the Pareto tail; and O(S n + flips) for relu1, where flips
+counts the pre-activations that change sign on the line. A flagged relu1
+observation pays one O(S d n) pass for its gradient kinds, shared by KL, Var
+and LL, and a PMM line one of its own. Only the winner of an observation has
+its weights completed to every draw, when they are first read; k-hat reads
+the candidates alone and is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -152,7 +156,8 @@ class LooProblem:
 
 
 def eta_weights(
-    log_lik_i: np.ndarray, log_post: np.ndarray, log_proposal: np.ndarray, log_jac_det: np.ndarray | float = 0.0
+    log_lik_i: np.ndarray, log_post: np.ndarray, log_proposal: np.ndarray, log_jac_det: np.ndarray | float = 0.0,
+    complete_log_post: Callable[[], np.ndarray] | None = None,
 ) -> WeightVector:
     """Leave-one-out weights of the draws phi_k = T(theta_k), from three per-draw
     vectors at phi: the held-out log likelihood, the log posterior and log |det J|.
@@ -162,11 +167,23 @@ def eta_weights(
     log |det J| = 0, where the bracket is exactly 0 for posterior draws. Any
     constant offset in the proposal density cancels under self-normalization.
     Draws with a non-finite contribution get weight zero.
+
+    A scan attempt may give ``log_post`` only on its candidate rows, the draws
+    whose log weight can reach the Pareto tail, and -inf elsewhere (see
+    :func:`~looadapt.transforms.apply_transform`), with ``complete_log_post``
+    to make it at every draw. Its weights are then these candidate log weights,
+    all :func:`pareto_smooth` reads, and the whole log weights, made from
+    ``complete_log_post`` on first read.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf where the held-out label has probability 0
-        log_eta = log_jac_det - log_lik_i + (log_post - log_proposal)
-    log_eta = np.where(np.isnan(log_eta), -np.inf, log_eta)
-    return WeightVector.from_log_weights(log_eta)
+    def log_eta(log_post):
+        with np.errstate(invalid="ignore"):  # inf - inf where the held-out label has probability 0
+            log_eta = log_jac_det - log_lik_i + (log_post - log_proposal)
+        return np.where(np.isnan(log_eta), -np.inf, log_eta)
+
+    weights = WeightVector.from_log_weights(log_eta(log_post))
+    if complete_log_post is None:
+        return weights
+    return WeightVector(lambda: log_eta(complete_log_post()), weights.log_weights)
 
 
 def self_normalized_se(normalized_weights: np.ndarray, values: np.ndarray) -> float:
@@ -231,7 +248,8 @@ def adapt_observation(i: int, problem: LooProblem) -> ObservationResult:
         if not transformed.degenerate:
             try:
                 weights = eta_weights(
-                    transformed.log_lik_i, transformed.log_post, problem.log_proposal, transformed.log_jac_det
+                    transformed.log_lik_i, transformed.candidate_log_post, problem.log_proposal,
+                    transformed.log_jac_det, complete_log_post=transformed.complete_log_post,
                 )
             except DomainError:
                 flags += ("all-weights-zero",)

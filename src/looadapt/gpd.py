@@ -80,12 +80,18 @@ class WeightVector:
     """Un-normalized log weights and, computed on first read, their log sum
     and the normalized weights exp(log_weights - log_total).
 
-    :meth:`from_log_weights` builds one from an array; :func:`pareto_smooth`
-    builds its result from a function that makes the log weights on first read.
+    :meth:`from_log_weights` builds one from an array. :func:`pareto_smooth`
+    builds its result, and a scan attempt its weights, from a function that
+    makes the log weights on first read; the function is dropped once it has
+    run. ``candidate_log_weights`` are all :func:`pareto_smooth` reads: they
+    equal the log weights at every draw that can be among the M + 1 largest
+    (M = :func:`tail_size`), and are -inf at every other draw, whose log
+    weight is below all of those. Without them given they are the log weights.
     """
 
-    def __init__(self, make_log_weights: Callable[[], np.ndarray]):
+    def __init__(self, make_log_weights: Callable[[], np.ndarray], candidate_log_weights: np.ndarray | None = None):
         self._make_log_weights = make_log_weights
+        self._candidates = candidate_log_weights
 
     @classmethod
     def from_log_weights(cls, log_weights) -> "WeightVector":
@@ -97,11 +103,16 @@ class WeightVector:
         if lw.max() == -np.inf:
             raise DomainError("all weights are zero")
         lw.flags.writeable = False
-        return cls(lambda: lw)
+        return cls(lambda: lw, lw)
+
+    @property
+    def candidate_log_weights(self) -> np.ndarray:
+        return self.log_weights if self._candidates is None else self._candidates
 
     @computed_once
     def log_weights(self) -> np.ndarray:
-        return self._make_log_weights()
+        make, self._make_log_weights = self._make_log_weights, None
+        return make()
 
     @computed_once
     def log_total(self) -> float:
@@ -178,10 +189,14 @@ def pareto_smooth(weights: WeightVector) -> tuple[WeightVector, GpdFit]:
     replaced by GPD inverse-CDF values at rank midpoints (m - 0.5) / M,
     shifted by the cutoff and capped at the raw maximum. The fit needs only
     the tail: the cutoff comes from a partial sort, and the smoothed weights
-    are made on first read. Weights whose tail cannot be fitted come back
+    are made on first read, from the whole log weights. The cutoff, the tail
+    and the fit read only the candidate log weights (see :class:`WeightVector`),
+    which hold the M + 1 largest log weights, so they are those of the whole
+    vector bit for bit. Weights whose tail cannot be fitted come back
     unchanged with ``fittable=False``.
     """
-    lw = weights.log_weights - weights.log_weights.max()
+    top = weights.candidate_log_weights.max()
+    lw = weights.candidate_log_weights - top
     s = lw.size
     m_rule = tail_size(s)
     if m_rule < MIN_TAIL_SIZE or m_rule >= s:
@@ -203,7 +218,7 @@ def pareto_smooth(weights: WeightVector) -> tuple[WeightVector, GpdFit]:
     def smoothed_log_weights() -> np.ndarray:
         ranks = (np.arange(tail.size) + 0.5) / tail.size
         smoothed = np.log(gpd_quantile(ranks, fit.khat, fit.sigma) + cutoff)
-        new_lw = lw.copy()
+        new_lw = weights.log_weights - top  # the candidates' maximum and tail are the whole vector's
         # ascending by weight, ties in index order
         new_lw[tail[np.argsort(lw[tail], kind="stable")]] = np.minimum(smoothed, 0.0)  # never above the raw maximum
         return WeightVector.from_log_weights(new_lw).log_weights

@@ -299,8 +299,24 @@ class LinearMuLine:
         """The fan's line with per-draw coefficient coef: dmu is rank one."""
         return replace(self, dmu=coef[:, None] * self.dmu)
 
-    def at(self, hbar) -> np.ndarray:
-        return self.mu + hbar * self.dmu
+    def likelihood_dots(self, resid):
+        """(sum_n resid_sn dmu_sn, sum_n dmu_sn^2): per draw, the second one number when dmu is one
+        shared row. With resid = y - sigma(mu) they are the slope and the curvature of the log
+        likelihood's bounds along the line (see :func:`~looadapt.transforms.log_weight_bounds`);
+        on a fan, with dmu = X x_i, a line's are coef and coef^2 times the fan's. A dot that overflows
+        is inf or NaN, and the line then evaluates every row."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.ndim(self.dmu) == 1:
+                return resid @ self.dmu, float(self.dmu @ self.dmu)
+            return np.einsum("sn,sn->s", resid, self.dmu), np.einsum("sn,sn->s", self.dmu, self.dmu)
+
+    def at(self, hbar, rows=slice(None)) -> np.ndarray:
+        """mu at theta + hbar * D on ``rows`` of the draws, each row as it is in the whole."""
+        return self.mu[rows] + hbar * (self.dmu if np.ndim(self.dmu) < 2 else self.dmu[rows])
+
+    def column(self, hbar, i) -> np.ndarray:
+        """mu at theta + hbar * D at observation i, for every draw: column i of :meth:`at`."""
+        return self.mu[:, i] + hbar * self.dmu[..., i]
 
 
 @dataclass(frozen=True)
@@ -485,7 +501,8 @@ class ReluLine:
     c2: np.ndarray
     flips: _Elements
 
-    def at(self, hbar) -> np.ndarray:
+    def at(self, hbar, rows=slice(None)) -> np.ndarray:
+        """mu at theta + hbar * D on ``rows`` of the draws, read from every row's evaluation."""
         if not 0.0 <= hbar <= 1.0:
             raise DomainError(f"a relu1 line is evaluated at step scales in [0, 1], got {hbar}")
         t = hbar * self.scale
@@ -502,7 +519,7 @@ class ReluLine:
         term = (e.w2[moved] + hbar * e.dw2[moved]) * z[moved]
         np.negative(term, out=term, where=~on[moved])
         np.add.at(mu.reshape(-1), e.cell[moved], term)
-        return mu
+        return mu[rows]
 
 
 def grad_log_posterior(model: LogisticModel | ReluOneModel, theta, dataset: Dataset, prior: GaussianPrior) -> np.ndarray:
@@ -516,15 +533,22 @@ def grad_log_posterior(model: LogisticModel | ReluOneModel, theta, dataset: Data
     return grad
 
 
-def log_posterior(mu, labels, log_prior):
-    """(log likelihood, log posterior) at a draw set from mu there, (S, n), the 0/1 labels and the
-    log prior per draw. log sigma(m), m = (2y - 1) mu, is min(m, 0) - log1p(exp(-|m|)) on one
-    scratch buffer."""
+def log_likelihood(mu, labels):
+    """log sigma(m), m = (2y - 1) mu, elementwise from mu and the 0/1 labels: min(m, 0) -
+    log1p(exp(-|m|)) on one scratch buffer. Each element's value does not depend on the shape,
+    so a column or a subset of rows gets the bits of the whole."""
     log_lik = (2.0 * labels - 1.0) * mu
     scratch = np.abs(log_lik)
     np.exp(np.negative(scratch, out=scratch), out=scratch)
     np.minimum(log_lik, 0.0, out=log_lik)
     log_lik -= np.log1p(scratch, out=scratch)
+    return log_lik
+
+
+def log_posterior(mu, labels, log_prior):
+    """(log likelihood, log posterior) at a draw set from mu there, (S, n), the 0/1 labels and the
+    log prior per draw. Each row's sum is that of the row alone."""
+    log_lik = log_likelihood(mu, labels)
     return log_lik, log_prior + log_lik.sum(axis=1)
 
 
@@ -536,7 +560,11 @@ class PosteriorEvaluation:
     every derivative of mu there; ``log_lik`` is (S, n); ``log_prior`` and
     ``log_post``, the unnormalized log posterior, are per draw;
     ``grad_log_post`` is the gradient of the log posterior (None when not
-    requested). :func:`evaluate_posterior` builds it.
+    requested). ``resid`` = y - sigma(mu), (S, n), weighs grad_mu in that
+    gradient; it is also (2y - 1) times the slope of each log likelihood at
+    the draws, from which a logistic line bounds its log likelihood, with the
+    row sums ``log_lik_sum`` of ``log_lik`` and ``mu_size`` of |mu|.
+    :func:`evaluate_posterior` builds it.
     """
 
     origin: LinearMuLine | ReluMuLine
@@ -544,6 +572,9 @@ class PosteriorEvaluation:
     log_prior: np.ndarray
     log_post: np.ndarray
     grad_log_post: np.ndarray | None
+    resid: np.ndarray
+    log_lik_sum: np.ndarray
+    mu_size: np.ndarray
 
     @property
     def log_ref(self) -> float:
@@ -565,10 +596,11 @@ def evaluate_posterior(model: SigmoidalModel, values: np.ndarray, dataset: Datas
         if got != want:
             raise DimensionError(f"{got} {what}, but the model expects {want}")
     origin = model.mu_line(values, dataset.features)
-    grad = None
-    if with_grad:
-        resid = dataset.labels[None, :] - logistic(origin.mu)
-        grad = prior.grad_batch(values) + origin.weighted_grad_mu(resid)
+    resid = dataset.labels[None, :] - logistic(origin.mu)
+    grad = prior.grad_batch(values) + origin.weighted_grad_mu(resid) if with_grad else None
     log_prior = prior.log_density_batch(values)
-    log_lik, log_post = log_posterior(origin.mu, dataset.labels, log_prior)
-    return PosteriorEvaluation(origin, log_lik, log_prior, log_post, grad)
+    log_lik = log_likelihood(origin.mu, dataset.labels)
+    log_lik_sum = log_lik.sum(axis=1)
+    with np.errstate(over="ignore"):  # an infinite size makes every line of the run evaluate every row
+        mu_size = np.abs(origin.mu).sum(axis=1)
+    return PosteriorEvaluation(origin, log_lik, log_prior, log_prior + log_lik_sum, grad, resid, log_lik_sum, mu_size)

@@ -28,21 +28,27 @@ D and everything else that does not depend on hbar; :func:`apply_transform`
 evaluates one step scale of it without forming phi. The lines of one
 observation share an :class:`Observation`, which computes what they have in
 common once.
+
+On a logistic line a step scale bounds every draw's log weight in O(S)
+(:func:`log_weight_bounds`) and evaluates the log posterior at phi only on
+the :func:`candidate_rows`, the draws that can be among the M + 1 largest,
+all that k-hat reads. The whole log posterior is made when it is first read.
+A relu1 line evaluates every row.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .data import GRADIENT_KINDS, MarginalStats, PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
 from .errors import DomainError
-from .gpd import WeightVector, computed_once
-from .models import LinearMuLine, ReluLine, log_posterior, logistic, sigmoid_slope
+from .gpd import WeightVector, computed_once, tail_size
+from .models import LinearMuLine, ReluLine, log_likelihood, log_posterior, logistic, sigmoid_slope
 
 if TYPE_CHECKING:
     from .engine import LooProblem
@@ -54,14 +60,20 @@ SINGULAR_EPS = 1e-300
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TransformedDraws:
     """One attempt: what its weights read at the transformed draws phi.
 
-    ``log_post`` is the log posterior at phi, ``mu_i`` and ``log_lik_i``
-    are mu and the log likelihood of the line's held-out observation there,
-    and ``log_jac_det`` is log |det J|; each is an (S,) array that owns its
-    data, so no (S, n) array of the attempt outlives :func:`apply_transform`.
+    ``candidate_log_post`` is the log posterior at phi on the attempt's
+    candidate rows, the draws whose log weight can be among the M + 1 largest
+    (see :func:`log_weight_bounds`), and -inf elsewhere; ``mu_i`` and
+    ``log_lik_i`` are mu and the log likelihood of the line's held-out
+    observation there, and ``log_jac_det`` is log |det J|, at every draw. Each
+    is an (S,) array that owns its data, so no (S, n) array evaluated at phi
+    outlives :func:`apply_transform`. ``log_post`` is the log posterior at
+    every draw: when some rows were left out, ``complete_log_post`` makes it on
+    first read and is then dropped, with the line it holds; otherwise it is
+    ``candidate_log_post``, and ``complete_log_post`` is None.
     ``log_jac_det`` entries are finite except for draws where the map is
     numerically singular, which carry -inf (their transformed weight is
     zero). A transform that collapsed to the identity (zero step or
@@ -70,17 +82,25 @@ class TransformedDraws:
     ``flags`` say why.
     """
 
-    log_post: np.ndarray | None = None
+    candidate_log_post: np.ndarray | None = None
     mu_i: np.ndarray | None = None
     log_lik_i: np.ndarray | None = None
     log_jac_det: np.ndarray | None = None
     h_used: float = 0.0
     flags: tuple[str, ...] = ()
     max_step_sd: float = 0.0
+    complete_log_post: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def degenerate(self) -> bool:
-        return self.log_post is None
+        return self.candidate_log_post is None
+
+    @computed_once
+    def log_post(self) -> np.ndarray | None:
+        if self.complete_log_post is None:
+            return self.candidate_log_post
+        log_post, self.complete_log_post = self.complete_log_post(), None
+        return log_post
 
 
 @dataclass(frozen=True)
@@ -94,9 +114,11 @@ class StepLine:
     evaluates one step scale. ``mu`` is the model's image of the line; it is
     None for a family that is the identity at every step scale, whose
     ``flags`` say why. The log prior along the line is log_prior - hbar *
-    (``prior_slope`` + hbar / 2 * ``prior_curvature``). ``jacobian`` is the
-    diagonal of dD/dtheta for PMM kinds and the :class:`GradientStep` for
-    gradient kinds, which holds the step size at hbar = 1.
+    (``prior_slope`` + hbar / 2 * ``prior_curvature``), and on a logistic line
+    ``likelihood_dots`` bound its log likelihood (see
+    :func:`log_weight_bounds`); they are None on a relu1 line, which evaluates
+    every row. ``jacobian`` is the diagonal of dD/dtheta for PMM kinds and the
+    :class:`GradientStep` for gradient kinds, which holds the step size at hbar = 1.
     """
 
     kind: str
@@ -104,6 +126,7 @@ class StepLine:
     mu: LinearMuLine | ReluLine | None = None
     prior_slope: np.ndarray | float = 0.0
     prior_curvature: np.ndarray | float = 0.0
+    likelihood_dots: tuple | None = None
     jacobian: np.ndarray | GradientStep | None = None
     max_step_sd: float = 0.0
     flags: tuple[str, ...] = ()
@@ -310,6 +333,13 @@ class Observation:
         reach = np.max([np.abs(step.coef) for step in self.gradient_steps.values() if step.coef is not None], axis=0)
         return self.problem.evaluation.origin.gradient_fan(self.i, self.sign * reach)
 
+    @computed_once
+    def fan_dots(self):
+        """The logistic fan's :meth:`~looadapt.models.LinearMuLine.likelihood_dots`, (resid . X x_i per
+        draw, |X x_i|^2), shared by KL, Var and LL; None on a relu1 fan."""
+        fan = self.mu_fan
+        return fan.likelihood_dots(self.problem.evaluation.resid) if isinstance(fan, LinearMuLine) else None
+
 
 def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
     """The line of KL/Var/LL steps for ``obs`` along ``obs.grad`` = grad_mu there, under the step-size rule.
@@ -330,9 +360,14 @@ def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
     moving = coef != 0  # a resting draw may sit next to r = inf
     max_step_sd = float(np.max(np.abs(coef[moving]) * r[moving], initial=0.0))
     dot, square = obs.prior_dots
+    likelihood_dots = None
+    if obs.fan_dots is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite evaluates every row
+            likelihood_dots = coef * obs.fan_dots[0], coef * coef * obs.fan_dots[1]
     return StepLine(
         kind=kind, observation_index=obs.i, mu=obs.mu_fan.line(coef), prior_slope=coef * dot,
-        prior_curvature=coef * coef * square, jacobian=step, max_step_sd=max_step_sd,
+        prior_curvature=coef * coef * square, likelihood_dots=likelihood_dots, jacobian=step,
+        max_step_sd=max_step_sd,
     )
 
 
@@ -362,9 +397,11 @@ def apply_pmm(kind: str, obs: Observation) -> StepLine:
         extent = np.maximum(step.max(axis=0), -step.min(axis=0))  # max_s |D_sp|, no |D| temporary
     max_step_sd = float(np.max(extent / np.where(stats.sd > 0, stats.sd, np.inf)))
     slope, curvature = problem.prior.line_coefficients(problem.draws.values, step)
+    mu = problem.evaluation.origin.along(step)
+    dots = mu.likelihood_dots(problem.evaluation.resid) if isinstance(mu, LinearMuLine) else None
     return StepLine(
-        kind=kind, observation_index=i, mu=problem.evaluation.origin.along(step), prior_slope=slope,
-        prior_curvature=curvature, jacobian=diagonal, max_step_sd=max_step_sd,
+        kind=kind, observation_index=i, mu=mu, prior_slope=slope, prior_curvature=curvature,
+        likelihood_dots=dots, jacobian=diagonal, max_step_sd=max_step_sd,
     )
 
 
@@ -376,14 +413,89 @@ def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
         yield (apply_pmm if kind in PMM_KINDS else apply_gradient_transform)(kind, obs)
 
 
+def log_weight_bounds(line: StepLine, hbar: float, problem: LooProblem, exact: np.ndarray, log_prior: np.ndarray):
+    """(lower, upper), per draw, bounds on the log weight of step scale ``hbar`` of ``line``, in O(S);
+    None when every row is to be evaluated: on a relu1 line, or where a bound is NaN or +inf.
+
+    ``exact`` is log |det J| - log lik_i at phi, and ``log_prior`` the log prior at phi. With
+    m = (2y - 1) mu the margins at the draws and delta = hbar (2y - 1) dmu the line's move,
+    l = log sigma is concave with -1/4 <= l'' < 0 and resid = (2y - 1) l'(m), so
+
+        U - hbar^2 / 8 sum_n dmu^2  <=  sum_n l(m + delta)  <=  U = sum_n l(m) + hbar sum_n resid dmu,
+
+    from the run's ``log_lik_sum`` and the line's ``likelihood_dots``. Each bound is then added into
+    a log weight as :func:`~looadapt.engine.eta_weights` adds the log posterior, in the same order,
+    from the same log |det J| - log lik_i. Rounding is monotone, so these final additions keep the
+    order of the sums they start from and need no allowance.
+
+    The sum at phi is evaluated in floating point; the bounds widen by an allowance, 4 eps (n + 16)
+    times a size per draw,
+
+        |sum_n l(m)| + sum_n |mu| + hbar sqrt(n sum_n dmu^2) + hbar |sum_n resid dmu|
+        + hbar^2 / 8 sum_n dmu^2 + n,
+
+    where sqrt(n sum_n dmu^2) >= sum_n |dmu|. With u = eps / 2, and numpy's exp and log1p within
+    4 ulp, it covers, by a factor of at least 4:
+      - the rounding of mu + hbar dmu, u (|mu| + 2 hbar |dmu|) per element, times |l'| <= 1;
+      - the exp and log1p kernels and the subtraction in log sigma, u |l| + 12 u per element, at
+        phi and at the draws;
+      - the pairwise row sums at phi and at the draws, n u times the sum of |l|, and the dots,
+        n u times sum_n |resid dmu| and sum_n dmu^2;
+      - resid's absolute error, about 11 u, also where sigma is near 1 and resid is 1 - sigma,
+        times hbar |dmu|;
+      - the additions that form U and the bounds.
+
+    Finite bounds imply a finite mu at phi at every draw: a finite (n + 16) * size needs every mu
+    and, through sum_n dmu^2, every dmu finite, and it keeps sum_n |mu at phi| <= size below the
+    largest float over n, so neither mu at phi nor its row sum of log sigma overflows. The log
+    posterior at phi is then NaN only where the log prior along the line is NaN or +inf, which
+    makes ``upper`` NaN or +inf too: all rows are evaluated, and ``nan-log-posterior`` is decided on
+    every draw. A draw whose ``exact`` part is -inf, a singular Jacobian, has both bounds -inf: its
+    weight is known to be zero.
+    """
+    if line.likelihood_dots is None:
+        return None
+    evaluation, n = problem.evaluation, problem.dataset.n
+    slope, curvature = line.likelihood_dots
+    slope = hbar * slope
+    bend = (hbar * hbar / 8.0) * curvature
+    size = np.abs(evaluation.log_lik_sum) + evaluation.mu_size + hbar * np.sqrt(n * curvature) + np.abs(slope)
+    size = (n + 16.0) * (size + bend + n)
+    if not np.all(np.isfinite(size)):
+        return None
+    allowance = 4.0 * np.finfo(float).eps * size
+    tangent = evaluation.log_lik_sum + slope
+    upper = exact + ((log_prior + (tangent + allowance)) - problem.log_proposal)
+    if not np.all(upper < np.inf):  # NaN or +inf
+        return None
+    lower = exact + ((log_prior + (tangent - bend - allowance)) - problem.log_proposal)
+    return lower, upper
+
+
+def candidate_rows(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The draws, in index order, whose upper bound reaches the (M + 1)-th largest lower bound,
+    M = :func:`~looadapt.gpd.tail_size`. There are at least M + 1 of them, and every other draw's
+    log weight is below M + 1 others: the candidates hold the M + 1 largest log weights."""
+    s = lower.size
+    kth = max(s - tail_size(s) - 1, 0)
+    return np.flatnonzero(upper >= np.partition(lower, kth)[kth])
+
+
 def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> TransformedDraws:
     """Evaluate step scale ``hbar`` of ``line``, phi = theta + hbar * D, and
-    return the three per-draw vectors its weights read there.
+    return the per-draw vectors its weights read there.
 
-    Costs O(S n) for the logistic model and O(S n + flips) for relu1, where
-    flips counts the pre-activations that change sign on the line (see
-    :class:`~looadapt.models.ReluFan`), plus O(P) (PMM) or O(S) / O(S d)
-    (gradient kinds) for the determinant.
+    On a logistic line mu and the log likelihood of the held-out observation
+    come first, as one column at every draw, and with them
+    :func:`log_weight_bounds` bounds each draw's log weight in O(S). mu and
+    the log posterior at phi are then evaluated on the :func:`candidate_rows`
+    only, those that the Pareto tail can read, in O(candidates * n); the
+    whole log posterior is made when it is first read, which the scan does
+    only for the winner of an observation. A relu1 line, or one without finite
+    bounds, has every row as a candidate: O(S n) for the logistic model and
+    O(S n + flips) for relu1, where flips counts the pre-activations that
+    change sign on the line (see :class:`~looadapt.models.ReluFan`). The
+    determinant adds O(P) (PMM) or O(S) / O(S d) (gradient kinds).
     """
     if line.mu is None:
         return TransformedDraws(flags=line.flags)
@@ -399,14 +511,32 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
         h_used = math.exp(log_h) if log_h <= _LOG_FLOAT_MAX else math.inf
         log_jac_det, flags = line.jacobian.logdet(log_h)
     log_prior = problem.evaluation.log_prior - hbar * (line.prior_slope + 0.5 * hbar * line.prior_curvature)
-    with np.errstate(over="ignore", invalid="ignore"):  # a line that overflows gives NaN, caught below
-        mu = line.mu.at(hbar)
-        log_lik, log_post = log_posterior(mu, problem.dataset.labels, log_prior)
     max_step_sd = hbar * line.max_step_sd
+    i, labels = line.observation_index, problem.dataset.labels
+    bounds = None
+    # a line that overflows gives NaN, caught below; so does a bound, which then evaluates every row
+    with np.errstate(over="ignore", invalid="ignore"):
+        if line.likelihood_dots is not None:
+            mu_i = line.mu.column(hbar, i)
+            log_lik_i = log_likelihood(mu_i, labels[i])
+            bounds = log_weight_bounds(line, hbar, problem, log_jac_det - log_lik_i, log_prior)
+        rows = slice(None) if bounds is None else candidate_rows(*bounds)
+        mu = line.mu.at(hbar, rows)
+        log_lik, log_post = log_posterior(mu, labels, log_prior[rows])
     if np.isnan(log_post).any():
         return TransformedDraws(h_used=h_used, flags=flags + ("nan-log-posterior",), max_step_sd=max_step_sd)
-    i = line.observation_index
+    if bounds is None:
+        return TransformedDraws(
+            candidate_log_post=log_post, mu_i=mu[:, i].copy(), log_lik_i=log_lik[:, i].copy(),
+            log_jac_det=log_jac_det, h_used=h_used, flags=flags, max_step_sd=max_step_sd,
+        )
+    candidate_log_post = np.full(problem.draws.num_draws, -np.inf)
+    candidate_log_post[rows] = log_post
+
+    def complete_log_post():  # finite bounds leave nothing at phi to overflow (see log_weight_bounds)
+        return log_posterior(line.mu.at(hbar), labels, log_prior)[1]
+
     return TransformedDraws(
-        log_post=log_post, mu_i=mu[:, i].copy(), log_lik_i=log_lik[:, i].copy(),
-        log_jac_det=log_jac_det, h_used=h_used, flags=flags, max_step_sd=max_step_sd,
+        candidate_log_post=candidate_log_post, mu_i=mu_i, log_lik_i=log_lik_i, log_jac_det=log_jac_det,
+        h_used=h_used, flags=flags, max_step_sd=max_step_sd, complete_log_post=complete_log_post,
     )

@@ -634,7 +634,14 @@ class TestTracedRun:
         for spans in (logistic, relu1):
             names = {s.name for s in spans}
             assert installed <= names, sorted(installed - names)
-            assert all(s.obs is not None for s in spans if s.name == "engine.eta_weights")
+            # an eta_weights span takes its observation from its adapt_observation parent: the
+            # tracer reads an index at position 5, which eta_weights must not have
+            by_id = {s.span_id: s for s in spans}
+            weights = [s for s in spans if s.name == "engine.eta_weights"]
+            assert weights and all(s.obs is not None for s in weights)
+            for s in weights:
+                parent = by_id[s.parent_id]
+                assert parent.name == "engine.adapt_observation" and s.obs == parent.obs, (s, parent)
         assert "models.mu_batch" in {s.name for s in logistic}
         # relu1 reads mu from its origin line, not mu_batch; S = 200 draws, n = 30, P = 2 * 3 + 2 + 1
         assert "models.mu_batch" not in {s.name for s in relu1}

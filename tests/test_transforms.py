@@ -631,14 +631,18 @@ class TestStepLines:
     @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
     def test_attempt_holds_only_owned_per_draw_vectors(self, toy, kind):
         """An attempt keeps (S,) arrays that own their data: a column view would
-        keep its whole (S, n) evaluation alive for as long as the attempt."""
+        keep its whole (S, n) evaluation alive for as long as the attempt. Its
+        whole log posterior, made on first read, is one too, and making it
+        drops the completion that holds the line."""
         _, problem = self._problem(toy)
         for hbar in self.HBARS:
             _, out = attempt(problem, kind, 2, hbar)
             assert not out.degenerate
             arrays = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
             arrays = {name: value for name, value in arrays.items() if isinstance(value, np.ndarray)}
-            assert set(arrays) == {"log_post", "mu_i", "log_lik_i", "log_jac_det"}
+            assert set(arrays) == {"candidate_log_post", "mu_i", "log_lik_i", "log_jac_det"}
+            arrays["log_post"] = out.log_post
+            assert out.complete_log_post is None
             for name, value in arrays.items():
                 assert value.shape == (problem.draws.num_draws,) and value.flags.owndata, name
 
