@@ -5,9 +5,9 @@ A model keeps its flattened parameter layout, which only this module knows
 line: mu(theta, x), behind the outcome probability sigma(mu), at the draws,
 with every derivative of mu a run reads. The line sums grad_mu over the
 observations with weights and, at one observation, gives grad_mu and the
-Hessian of mu with vectors projected onto its eigenvectors, which the
-gradient-step Jacobians consume: no eigenpairs (K = 0) for a linear
-(logistic regression) mean, +-|x| pairs on the active units of a
+Hessian of mu between two vector sets, which the gradient-step Jacobians
+consume. Per draw its nonzero eigenvalues are +-lam, repeated: none for a
+linear (logistic regression) mean, +-|x| once per active unit of a
 one-hidden-layer ReLU network. Its lines give mu along theta + hbar * D
 without forming the moved draws; relu1's are piecewise quadratic in hbar,
 and relu1 reads every derivative and line from the run's one W1 x pass.
@@ -136,9 +136,9 @@ class SigmoidalModel(abc.ABC):
 
         ``mu`` (S, n) is mu at every (draw, observation) pair, ``weighted_grad_mu(w)`` (S, P) sum_n w_sn
         grad_mu(theta_s, x_n), ``grad_mu(i)`` grad_mu at observation i for every draw, (S, P), and
-        ``hessian_projection(i, w)`` the Hessian of mu there with ``w``, (S, P), in its eigenbasis:
-        ``(lam, plus, minus)``, each (S, K), the eigenvalues +-lam and w's projections onto their unit
-        eigenvectors (0 where lam = 0; K = 0 for a mean linear in theta). ``along(D)`` fixes a step, and
+        ``hessian_projection(i, v, w)`` the Hessian of mu there between ``v`` and ``w``, (S, P): per draw
+        ``(lam, count, plus, minus)``, its nonzero eigenvalues +-lam, each count times (0 for a mean linear
+        in theta), and v^T P+- w, P+- the projectors onto their eigenspaces. ``along(D)`` fixes a step, and
         ``gradient_fan(i, bound)`` the lines along D_s = coef_s * grad_mu(i)_s for every coef between 0
         and ``bound`` per draw; the fan's ``line(coef)`` fixes one. A line's ``at(hbar)`` is mu at
         theta + hbar * D, 0 <= hbar <= 1, without forming the moved draws.
@@ -147,7 +147,7 @@ class SigmoidalModel(abc.ABC):
 
 @dataclass(frozen=True)
 class LogisticModel(SigmoidalModel):
-    """Linear mean function mu = x . beta; the Hessian of mu vanishes, so it has no eigenpairs."""
+    """Linear mean function mu = x . beta; the Hessian of mu vanishes, so every projection of it is 0."""
 
     p: int
 
@@ -288,8 +288,8 @@ class LinearMuLine:
         """x_i at every draw, as a read-only (S, P) view of x_i."""
         return np.broadcast_to(self.features[i], (self.mu.shape[0], self.features.shape[1]))
 
-    def hessian_projection(self, i, w):
-        return (np.zeros((w.shape[0], 0)),) * 3
+    def hessian_projection(self, i, v, w):
+        return 0.0, 0, 0.0, 0.0
 
     def gradient_fan(self, i, bound) -> "LinearMuLine":
         """The lines along D_s = coef_s * grad_mu(theta_s, x_i) = coef_s * x_i, for any coef."""
@@ -378,18 +378,20 @@ class ReluMuLine:
         gb[:] = 1.0
         return grad
 
-    def hessian_projection(self, i, w):
-        """Each active unit k contributes the pair +-|x_i| with unit eigenvectors (x_i / |x_i| on W1
-        row k, +-1 on W2_k) / sqrt(2); inactive units and x_i = 0 carry eigenvalue 0."""
+    def hessian_projection(self, i, v, w):
+        """Each active unit k has the pair +-|x_i|, unit eigenvectors (x_i / |x_i| on W1 row k, +-1 on W2_k) / sqrt(2),
+        so v^T P+- w = 1/2 sum_k active_k (a^v_k +- b^v_k)(a^w_k +- b^w_k), a_k = x_i . (W1 row k) / |x_i|, b_k = W2_k.
+        lam is 0 on a draw with no active unit (as at x_i = 0); an overflow is inf or NaN, which logdet flags."""
         x = self.features[i]
-        mask = self._at(i)[1]
-        lam = mask * float(np.linalg.norm(x))
-        denom = np.where(lam > 0, lam, 1.0)
-        # e_k+-^T w = (x . W1 row k of w) / (sqrt(2) |x|) +- (W2_k of w) / sqrt(2)
-        w1, w2, _ = self.model._split_batch(w)
-        a = np.where(lam > 0, np.einsum("sdp,p->sd", w1, x) * mask / (math.sqrt(2.0) * denom), 0.0)
-        b = w2 / math.sqrt(2.0)
-        return lam, (a + b) * mask, (a - b) * mask
+        active = self._at(i)[1]
+        count = np.count_nonzero(active, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.linalg.norm(x))
+            (v1, v2, _), (w1, w2, _) = self.model._split_batch(v), self.model._split_batch(w)
+            av, aw = (np.einsum("sdp,p->sd", u1, x) / norm if norm > 0 else 0.0 for u1 in (v1, w1))
+            plus = 0.5 * np.einsum("sd,sd->s", (av + v2) * active, aw + w2)
+            minus = 0.5 * np.einsum("sd,sd->s", (av - v2) * active, aw - w2)
+        return np.where(count > 0, norm, 0.0), count, plus, minus
 
     def gradient_fan(self, i, bound) -> "ReluFan":
         """The lines along D_s = coef_s * grad_mu(i)_s, for coef_s between 0 and bound_s: dz_skn =

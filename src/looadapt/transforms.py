@@ -172,20 +172,15 @@ def log_step_size(scale: np.ndarray, factor: np.ndarray, r: np.ndarray) -> float
 #
 # For every gradient kind the transformation Jacobian has the shape
 #     J = I + alpha * hessian(mu) + uvec * grad_mu^T
-# with per-draw scalars alpha and vectors uvec:
-#     KL/Var: alpha = c,  uvec = c * (grad log posterior + g * grad_mu),
-#             c = (-1)^y h post exp((1+1_Var) mu (1-2y)),  g = (1+1_Var)(1-2y)
-#     LL:     alpha = h (sigma - y),  uvec = h sigma(1-sigma) grad_mu
-# so |det J| = prod_j (1 + alpha lambda_j) * (1 + grad_mu^T A^{-1} uvec)
-# with A = I + alpha * hessian(mu), diagonal in the Hessian eigenbasis.
-# Writing e = exp(log h + scale) and alpha = e * factor (the factor of Q),
-# uvec = e * u with u = expo * grad_mu + sign * grad log posterior for KL/Var
-# (expo = 1 + 1_Var, sign = (-1)^y) and u = slope * grad_mu for LL. The
-# Hessian projection is linear, so every kind's factors follow from two
-# products an observation shares: |grad_mu|^2 with grad_mu's projection, and
-# grad_mu . grad log posterior with its projection (KL and Var only). A step
-# scale then costs O(S K) for K eigenvalue pairs per draw (K = 0 where the
-# Hessian vanishes).
+# with per-draw alpha = e * factor (the factor of Q), e = exp(log h + scale),
+# and uvec = e * u, where u = expo * grad_mu + sign * grad log posterior for
+# KL/Var (expo = 1 + 1_Var, sign = (-1)^y) and u = sigma (1 - sigma) grad_mu
+# for LL. So |det J| = det A * (1 + grad_mu^T A^{-1} uvec), A = I + alpha * hessian(mu).
+# Per draw the Hessian's nonzero eigenvalues are +-lam, each count times, so with P+-
+# the projectors onto their eigenspaces det A = (1 - alpha^2 lam^2)^count and
+# A^{-1} = I + (1 / (1 + alpha lam) - 1) P+ + (1 / (1 - alpha lam) - 1) P-.
+# Each kind's factors follow from two products an observation shares, grad_mu . w and
+# grad_mu^T P+- w for w = grad_mu and (KL and Var only) grad log posterior: O(S).
 
 
 @dataclass(frozen=True)
@@ -196,37 +191,36 @@ class GradientStep:
     grad_mu is the :class:`Observation`'s ``grad``; the sign of Q lives in
     ``factor``. ``log_h`` is the step-size rule's log h and ``coef`` the
     per-draw coefficient with h Q = coef * grad_mu; a zero step has log h =
-    -inf and coef None. ``base`` is grad_mu . u per draw, uvec = e * u (see
-    above), and ``eigen`` is ``(lam, plus, minus)``, each (S, K): the
-    eigenvalues +-lam of the Hessian of mu and the products of grad_mu's and
-    u's projections onto their unit eigenvectors, with K = 0 where it vanishes.
+    -inf and coef None. Per draw (S,), or one number for all: ``base`` =
+    grad_mu . u, uvec = e * u (see above), the Hessian's eigenvalues +-``lam``,
+    each ``count`` times, and ``plus``, ``minus`` = grad_mu^T P+- u.
     """
 
     scale: np.ndarray
     factor: np.ndarray
     base: np.ndarray
-    eigen: tuple[np.ndarray, np.ndarray, np.ndarray]
+    lam: np.ndarray | float
+    count: np.ndarray | int
+    plus: np.ndarray | float
+    minus: np.ndarray | float
     log_h: float
     coef: np.ndarray | None
 
     def logdet(self, log_h: float):
-        """Per-draw log |det J| at step size exp(log_h), and its flags."""
+        """Per-draw log |det J| at step size exp(log_h), and its flags: singular-jacobian, -inf, where the pair
+        factor 1 - alpha^2 lam^2 (1 where count = lam = 0) or the rank-one factor is below ``SINGULAR_EPS`` in
+        magnitude, or where an overflowing factor makes log |det J| NaN."""
         e = np.exp(log_h + self.scale)
-        lam, plus, minus = self.eigen
-        alpha = (e * self.factor)[:, None]
-        fplus = 1.0 + alpha * lam
-        fminus = 1.0 - alpha * lam
-        # grad_mu^T A^{-1} u; components outside the eigenbasis pass through.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = (1.0 / fplus - 1.0) * plus + (1.0 / fminus - 1.0) * minus
-        rank_one = 1.0 + e * (self.base + corr.sum(axis=1))
-        eig_factors = np.abs(fplus * fminus)  # per pair |1 - alpha^2 lam^2|
-        singular = (eig_factors < SINGULAR_EPS).any(axis=1) | (np.abs(rank_one) < SINGULAR_EPS)
-        logdet = np.log(np.maximum(eig_factors, SINGULAR_EPS)).sum(axis=1) + np.log(
-            np.maximum(np.abs(rank_one), SINGULAR_EPS)
-        )
-        logdet = np.where(singular, -np.inf, logdet)
-        return logdet, ("singular-jacobian",) if singular.any() else ()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            alpha_lam = (e * self.factor) * self.lam
+            fplus, fminus = 1.0 + alpha_lam, 1.0 - alpha_lam
+            pair = np.abs(fplus * fminus)  # |1 - alpha^2 lam^2|
+            # grad_mu^T A^{-1} u; components outside the eigenspaces pass through.
+            rank_one = 1.0 + e * (self.base + (1.0 / fplus - 1.0) * self.plus + (1.0 / fminus - 1.0) * self.minus)
+            logdet = self.count * np.log(np.maximum(pair, SINGULAR_EPS))
+            logdet += np.log(np.maximum(np.abs(rank_one), SINGULAR_EPS))
+        singular = (pair < SINGULAR_EPS) | (np.abs(rank_one) < SINGULAR_EPS) | np.isnan(logdet)
+        return np.where(singular, -np.inf, logdet), ("singular-jacobian",) if singular.any() else ()
 
 
 def gradient_step(kind: str, obs: Observation) -> GradientStep:
@@ -244,22 +238,24 @@ def gradient_step(kind: str, obs: Observation) -> GradientStep:
     if kind in POSTERIOR_GRADIENT_KINDS and evaluation.grad_log_post is None:
         raise DomainError(f"{kind} needs the posterior gradient, which this problem was built without")
     mu_col = evaluation.origin.mu[:, obs.i]
-    square, (lam, g_plus, g_minus) = obs.grad_products
+    square, (lam, count, g_plus, g_minus) = obs.grad_products
     if kind == "LL":
         scale = np.zeros(mu_col.size)
         factor = logistic(mu_col) - obs.y
         slope = sigmoid_slope(mu_col)
-        base, plus, minus = slope * square, slope[:, None] * g_plus**2, slope[:, None] * g_minus**2
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is carried into logdet, which flags a NaN
+            base, plus, minus = slope * square, slope * g_plus, slope * g_minus
     else:
         expo = 1.0 if kind == "KL" else 2.0
         scale = (evaluation.log_post - evaluation.log_ref) + expo * obs.sign * mu_col
         factor = np.full(mu_col.size, obs.sign)
-        dot, (_, p_plus, p_minus) = obs.log_post_products
-        base = expo * square + obs.sign * dot
-        plus, minus = g_plus * (expo * g_plus + obs.sign * p_plus), g_minus * (expo * g_minus + obs.sign * p_minus)
+        dot, (_, _, p_plus, p_minus) = obs.log_post_products
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = expo * square + obs.sign * dot
+            plus, minus = expo * g_plus + obs.sign * p_plus, expo * g_minus + obs.sign * p_minus
     log_h = log_step_size(scale, factor, obs.r)
     coef = None if log_h == -np.inf else np.exp(log_h + scale) * factor
-    return GradientStep(scale, factor, base, (lam, plus, minus), log_h, coef)
+    return GradientStep(scale, factor, base, lam, count, plus, minus, log_h, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +301,13 @@ class Observation:
         return self.problem.prior.line_coefficients(self.problem.draws.values, self.grad)
 
     def _products(self, w):
-        """(grad . w per draw, the Hessian projection of w at i)."""
-        return np.einsum("sp,sp->s", self.grad, w), self.problem.evaluation.origin.hessian_projection(self.i, w)
+        """(grad . w per draw, the Hessian projection between grad and w at i)."""
+        origin = self.problem.evaluation.origin
+        return np.einsum("sp,sp->s", self.grad, w), origin.hessian_projection(self.i, self.grad, w)
 
     @computed_once
     def grad_products(self):
-        """:meth:`_products` of grad: |grad|^2 and grad's projection."""
+        """:meth:`_products` of grad: |grad|^2 and grad's projection with itself."""
         return self._products(self.grad)
 
     @computed_once
@@ -495,7 +492,7 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
     bounds, has every row as a candidate: O(S n) for the logistic model and
     O(S n + flips) for relu1, where flips counts the pre-activations that
     change sign on the line (see :class:`~looadapt.models.ReluFan`). The
-    determinant adds O(P) (PMM) or O(S) / O(S d) (gradient kinds).
+    determinant adds O(P) (PMM) or O(S) (gradient kinds).
     """
     if line.mu is None:
         return TransformedDraws(flags=line.flags)

@@ -25,8 +25,8 @@ from looadapt.transforms import (
 from oracle import build_grid_posterior, finite_difference_jacobian
 
 # Hypothesis profiles, chosen with --hypothesis-profile; tier-1 runs "tier1".
-# A property whose @settings leaves its example count to the profile, the
-# degenerate-input property (test_engine.TestDegenerateInputs), runs 25
+# A property whose @settings leaves its example count to the profile (the
+# degenerate-input, candidate-row and determinant properties) runs 25
 # derandomized examples there and 2000 under "robust". The other properties
 # set their own count and keep random examples (derandomize=False).
 settings.register_profile("tier1", max_examples=25, derandomize=True)
@@ -196,36 +196,34 @@ def logdet_at(kind, model, theta, dataset, prior, i, h, log_ref=None):
 
 
 def hessian_factors(model, theta, x):
-    """The batched eigen-factors of the Hessian of mu at one (theta, x), seen
-    through every pair of unit vectors: row a * P + b holds (e_a, e_b).
+    """The Hessian of mu at one (theta, x) between every pair of unit vectors:
+    row a * P + b holds (e_a, e_b), so ``plus`` and ``minus`` are the
+    projectors P+- onto the eigenspaces of +-lam, flattened.
 
-    Returns ``(lam, plus, minus)`` with P * P rows; K = 0 where the Hessian
-    vanishes identically.
+    Returns ``(lam, count, plus, minus)`` with P * P rows, or the numbers
+    ``(0.0, 0, 0.0, 0.0)`` where the Hessian vanishes identically.
     """
     p = len(theta)
     origin = model.mu_line(np.tile(np.asarray(theta, dtype=float), (p * p, 1)), np.asarray(x, dtype=float)[None, :])
     eye = np.eye(p)
-    lam, u_plus, u_minus = origin.hessian_projection(0, np.repeat(eye, p, axis=0))
-    _, v_plus, v_minus = origin.hessian_projection(0, np.tile(eye, (p, 1)))
-    return lam, u_plus * v_plus, u_minus * v_minus
+    return origin.hessian_projection(0, np.repeat(eye, p, axis=0), np.tile(eye, (p, 1)))
 
 
 def dense_hessian(model, theta, x):
-    """The Hessian of mu at (theta, x) rebuilt from its eigen-factors:
-    H[a, b] = e_a^T H e_b = sum_k lam_k (plus_k - minus_k)."""
+    """The Hessian of mu at (theta, x) rebuilt from its projectors:
+    H[a, b] = e_a^T H e_b = lam (P+ - P-)[a, b]."""
     p = len(theta)
-    lam, plus, minus = hessian_factors(model, theta, x)
-    return np.sum(lam * (plus - minus), axis=1).reshape(p, p)
+    lam, _, plus, minus = hessian_factors(model, theta, x)
+    return np.broadcast_to(lam * (plus - minus), (p * p,)).reshape(p, p)
 
 
 def pairwise_resolvent(model, theta, x, u, v, alpha):
-    """u^T (I + alpha H)^-1 v at one (theta, x), through the eigenbasis: each
-    eigenpair +-lam shifts u.v by (1 / (1 +- alpha lam) - 1) times its product."""
+    """u^T (I + alpha H)^-1 v at one (theta, x), through the eigenspaces: each
+    of +-lam shifts u.v by (1 / (1 +- alpha lam) - 1) times u^T P+- v."""
     origin = model.mu_line(np.asarray(theta, dtype=float)[None, :], np.asarray(x, dtype=float)[None, :])
-    lam, u_plus, u_minus = origin.hessian_projection(0, u[None, :])
-    _, v_plus, v_minus = origin.hessian_projection(0, v[None, :])
-    return float(u @ v) + np.sum((1.0 / (1.0 + alpha * lam) - 1.0) * u_plus * v_plus
-                                 + (1.0 / (1.0 - alpha * lam) - 1.0) * u_minus * v_minus)
+    lam, _, plus, minus = origin.hessian_projection(0, u[None, :], v[None, :])
+    return float(u @ v) + float(np.sum((1.0 / (1.0 + alpha * lam) - 1.0) * plus
+                                       + (1.0 / (1.0 - alpha * lam) - 1.0) * minus))
 
 
 def fd_divergence(kind, model, theta, dataset, prior, i, log_ref=None, step=1e-6):

@@ -142,8 +142,9 @@ def test_criterion_03_relu_hessian_spectrum():
         # stated instance: one active unit with x = [3, 4] gives eigenvalues +-5
         model = ReluOneModel(d=1, p=2)
         theta = np.array([1.0, 1.0, 2.0, 0.0])
-        lam, _, _ = hessian_factors(model, theta, [3.0, 4.0])
+        lam, count, _, _ = hessian_factors(model, theta, [3.0, 4.0])
         np.testing.assert_array_equal(lam, 5.0)
+        np.testing.assert_array_equal(count, 1)
 
         rmodel, rdataset, _, rdraws = make_relu_toy(seed=2303, n=5, d=2, p=2, num_draws=20)
         dim = rmodel.param_dim
@@ -151,14 +152,15 @@ def test_criterion_03_relu_hessian_spectrum():
         for k in range(10):
             theta = rdraws.values[k]
             x = rdataset.features[k % rdataset.n]
-            # the pair +-|x| on every active unit, eigenvalue 0 on the others
-            lam, plus, minus = hessian_factors(rmodel, theta, x)
+            # the pair +-|x| once per active unit, eigenvalue 0 on the other directions
+            lam, count, plus, minus = hessian_factors(rmodel, theta, x)
             active = rmodel.relu_forward(theta, x)[2]
-            np.testing.assert_array_equal(lam[0], np.linalg.norm(x) * active)
-            # unit eigenvectors on the active units
+            assert count[0] == active.sum()
+            np.testing.assert_array_equal(lam[0], np.linalg.norm(x) if active.any() else 0.0)
+            # one unit eigenvector per active unit and sign: trace(P+-) = count
             diagonal = np.arange(dim) * (dim + 1)
-            np.testing.assert_allclose(plus[diagonal].sum(axis=0), active, atol=1e-12)
-            np.testing.assert_allclose(minus[diagonal].sum(axis=0), active, atol=1e-12)
+            np.testing.assert_allclose(plus[diagonal].sum(), count[0], atol=1e-12)
+            np.testing.assert_allclose(minus[diagonal].sum(), count[0], atol=1e-12)
             fd = finite_difference_hessian(lambda t: rmodel.mu(t, x), theta, step=1e-4)
             dense = dense_hessian(rmodel, theta, x)
             np.testing.assert_allclose(dense, fd, atol=1e-4)

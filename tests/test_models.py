@@ -239,14 +239,15 @@ class TestReluGradMu:
 
 
 class TestReluHessianSpectrum:
-    """The batched eigen-factors of the Hessian of mu: the origin line's
-    ``hessian_projection`` of two vector sets, multiplied."""
+    """The Hessian of mu between two vector sets: the origin line's
+    ``hessian_projection`` of every pair of unit vectors."""
 
     def test_inactive_means_empty(self):
         model = ReluOneModel(d=2, p=2)
         theta = np.concatenate([[-1.0, -1.0, -2.0, -2.0], [1.0, 1.0], [0.0]])
-        lam, plus, minus = hessian_factors(model, theta, [1.0, 1.0])
+        lam, count, plus, minus = hessian_factors(model, theta, [1.0, 1.0])
         np.testing.assert_array_equal(lam, 0.0)
+        np.testing.assert_array_equal(count, 0)
         np.testing.assert_array_equal(plus, 0.0)
         np.testing.assert_array_equal(minus, 0.0)
         np.testing.assert_array_equal(dense_hessian(model, theta, [1.0, 1.0]), 0.0)
@@ -254,15 +255,17 @@ class TestReluHessianSpectrum:
     def test_zero_input_means_empty(self):
         model = ReluOneModel(d=2, p=2)
         theta = np.arange(1.0, 8.0)
-        lam, _, _ = hessian_factors(model, theta, [0.0, 0.0])
+        lam, count, _, _ = hessian_factors(model, theta, [0.0, 0.0])
         np.testing.assert_array_equal(lam, 0.0)
+        np.testing.assert_array_equal(count, 0)
         np.testing.assert_array_equal(dense_hessian(model, theta, [0.0, 0.0]), 0.0)
 
     def test_active_unit_eigenvalues_are_feature_norm(self):
         model = ReluOneModel(d=1, p=2)
         theta = np.array([1.0, 1.0, 2.0, 0.0])  # z1 = 3 + 4 = 7 > 0
-        lam, _, _ = hessian_factors(model, theta, [3.0, 4.0])
+        lam, count, _, _ = hessian_factors(model, theta, [3.0, 4.0])
         np.testing.assert_array_equal(lam, 5.0)  # the pair +-5
+        np.testing.assert_array_equal(count, 1)
         np.testing.assert_allclose(np.linalg.eigvalsh(dense_hessian(model, theta, [3.0, 4.0])),
                                    [-5.0, 0.0, 0.0, 5.0], atol=1e-12)
 
@@ -270,13 +273,16 @@ class TestReluHessianSpectrum:
         model, dataset, prior, draws = make_relu_toy(seed=8)
         theta, x = draws.values[0], dataset.features[0]
         p = model.param_dim
-        lam, plus, minus = hessian_factors(model, theta, x)
-        active = lam[0] > 0
-        assert active.any()
-        # |e_k+-|^2 = sum_a (e_k+- . e_a)^2 = 1 on every active unit
+        lam, count, plus, minus = hessian_factors(model, theta, x)
+        assert count[0] > 0
+        # P+ and P- are orthogonal projectors of rank count: trace count, P^2 = P, P+ P- = 0
         diagonal = np.arange(p) * (p + 1)
-        np.testing.assert_allclose(plus[diagonal].sum(axis=0), active, atol=1e-12)
-        np.testing.assert_allclose(minus[diagonal].sum(axis=0), active, atol=1e-12)
+        np.testing.assert_allclose(plus[diagonal].sum(), count[0], atol=1e-12)
+        np.testing.assert_allclose(minus[diagonal].sum(), count[0], atol=1e-12)
+        p_plus, p_minus = plus.reshape(p, p), minus.reshape(p, p)
+        np.testing.assert_allclose(p_plus @ p_plus, p_plus, atol=1e-12)
+        np.testing.assert_allclose(p_minus @ p_minus, p_minus, atol=1e-12)
+        np.testing.assert_allclose(p_plus @ p_minus, 0.0, atol=1e-12)
         # an orthonormal eigenbasis inverts I + alpha H pair by pair
         rng = np.random.default_rng(0)
         u, v = rng.normal(size=(2, p))
@@ -294,8 +300,7 @@ class TestReluHessianSpectrum:
     def test_logistic_spectrum_always_empty(self, rng):
         model = LogisticModel(p=4)
         for _ in range(5):
-            for factor in hessian_factors(model, rng.normal(size=4), rng.normal(size=4)):
-                assert factor.shape == (16, 0)  # P * P rows, K = 0 eigenpairs
+            assert hessian_factors(model, rng.normal(size=4), rng.normal(size=4)) == (0.0, 0, 0.0, 0.0)
             np.testing.assert_array_equal(dense_hessian(model, rng.normal(size=4), rng.normal(size=4)), 0.0)
 
 
@@ -496,7 +501,7 @@ class TestStoredPreActivations:
         features = dataset.features
         origin = evaluate_posterior(model, values, dataset, prior).origin
         origin.weighted_grad_mu(rng.normal(size=(num_draws, dataset.n)))
-        origin.hessian_projection(0, origin.grad_mu(0))
+        origin.hessian_projection(0, origin.grad_mu(0), origin.grad_mu(0))
         coef = 0.5 * rng.normal(size=num_draws)
         fan = origin.gradient_fan(0, coef)
         for line in (origin.along(rng.normal(size=values.shape)), origin.along(rng.normal(size=model.param_dim)),
