@@ -20,10 +20,11 @@ theta + hbar * D, built once by
 :func:`~looadapt.transforms.step_lines`. The lines of a flagged observation
 share one :class:`~looadapt.transforms.Observation`, which computes the PMM
 kinds' target moments, and grad_mu with what KL, Var and LL derive from it,
-once. A step scale then costs O(S) for the logistic model, for bounds on
-every draw's log weight, plus O(n) per candidate row, a draw whose log
-weight can reach the Pareto tail; and O(S n + flips) for relu1, where flips
-counts the pre-activations that change sign on the line. A flagged relu1
+once. A step scale then costs O(S), for bounds on every draw's log weight
+from the line's bound on the move of mu, plus O(n) per candidate row, a
+draw whose log weight can reach the Pareto tail, for both models alike;
+relu1 adds O(flips), where flips counts the pre-activations that change
+sign on the line. A flagged relu1
 observation pays one O(S d n) pass for its gradient kinds, shared by KL, Var
 and LL, and a PMM line one of its own. Only the winner of an observation has
 its weights completed to every draw, when they are first read; k-hat reads

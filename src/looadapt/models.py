@@ -11,6 +11,9 @@ linear (logistic regression) mean, +-|x| once per active unit of a
 one-hidden-layer ReLU network. Its lines give mu along theta + hbar * D
 without forming the moved draws; relu1's are piecewise quadratic in hbar,
 and relu1 reads every derivative and line from the run's one W1 x pass.
+Every line, of either model, gives the same three members, all that a scan
+reads: mu on any rows, the held-out column, and a :class:`MoveBound` on the
+move of mu, from which the log weights are bounded for every model alike.
 The two families also keep a single-draw mu and grad_mu, the reference
 behind :func:`grad_log_posterior`. :func:`evaluate_posterior` is a run's one
 set-up of its posterior: it checks the inputs against the model, builds the
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -138,10 +141,12 @@ class SigmoidalModel(abc.ABC):
         grad_mu(theta_s, x_n), ``grad_mu(i)`` grad_mu at observation i for every draw, (S, P), and
         ``hessian_projection(i, v, w)`` the Hessian of mu there between ``v`` and ``w``, (S, P): per draw
         ``(lam, count, plus, minus)``, its nonzero eigenvalues +-lam, each count times (0 for a mean linear
-        in theta), and v^T P+- w, P+- the projectors onto their eigenspaces. ``along(D)`` fixes a step, and
-        ``gradient_fan(i, bound)`` the lines along D_s = coef_s * grad_mu(i)_s for every coef between 0
-        and ``bound`` per draw; the fan's ``line(coef)`` fixes one. A line's ``at(hbar)`` is mu at
-        theta + hbar * D, 0 <= hbar <= 1, without forming the moved draws.
+        in theta), and v^T P+- w, P+- the projectors onto their eigenspaces. ``along(D, resid)`` fixes a
+        step, and ``gradient_fan(i, bound, resid)`` the lines along D_s = coef_s * grad_mu(i)_s for every
+        coef between 0 and ``bound`` per draw; the fan's ``line(coef)`` fixes one. ``resid`` is
+        y - sigma(mu) at the draws. A line's ``at(hbar, rows)`` is mu at theta + hbar * D, 0 <= hbar <= 1,
+        on the given rows of the draws, without forming the moved draws, ``column(hbar, i)`` its column i
+        at every draw, each bit for bit as in ``at(hbar)``, and ``move_bound(hbar)`` a :class:`MoveBound`.
         """
 
 
@@ -264,22 +269,56 @@ class ReluOneModel(SigmoidalModel):
         return line
 
 
+class MoveBound(NamedTuple):
+    """A line's move at one step scale, per draw: what bounds its log likelihood there.
+
+    With dmu = mu(theta + hbar * D) - mu as the line's ``at`` rounds it, ``tangent`` is
+    sum_n resid dmu (resid = y - sigma(mu) at the draws) and ``curvature`` an upper bound
+    on sum_n dmu^2. ``size`` bounds sum_n |dmu| and the line's rounding: that of ``at``,
+    summed over the row, of ``tangent`` and of ``curvature`` / 8 is at most 2 u (n + 16)
+    (sum_n |mu| + ``size``), u = eps / 2, a quarter of the allowance of
+    :func:`~looadapt.transforms.log_weight_bounds`. A finite size needs every value that
+    ``at`` adds finite. A bound that overflows is inf or NaN, and the line then evaluates
+    every row.
+    """
+
+    tangent: np.ndarray
+    curvature: np.ndarray
+    size: np.ndarray
+
+
 @dataclass(frozen=True)
 class LinearMuLine:
     """mu(theta + hbar * D) = mu + hbar * dmu for a mean linear in theta.
 
     ``dmu`` = D X^T broadcasts to (S, n); it is 0 at the origin that
     :meth:`LogisticModel.mu_line` builds, and X x, the direction of every
-    gradient line at x, on a :meth:`gradient_fan`.
+    gradient line at x, on a :meth:`gradient_fan`. ``slope`` and
+    ``curvature`` are sum_n resid dmu and sum_n dmu^2 per draw (the second
+    one number when dmu is one shared row): a step scale's :class:`MoveBound`
+    is hbar and hbar^2 times them, with size hbar sqrt(n curvature) >= hbar
+    sum_n |dmu|. That covers the rounding of mu + hbar dmu, u (|mu| + 2 hbar
+    |dmu|) per element, and of the dots, n u times the sums of |resid dmu| and
+    dmu^2.
     """
 
     mu: np.ndarray        # (S, n) at the draws
     features: np.ndarray  # (n, p)
     dmu: np.ndarray | float = 0.0
+    slope: np.ndarray | float = 0.0
+    curvature: np.ndarray | float = 0.0
 
-    def along(self, step) -> "LinearMuLine":
-        """The line with step D, (P,) or (S, P)."""
-        return replace(self, dmu=step @ self.features.T)
+    def _moving(self, dmu, resid) -> "LinearMuLine":
+        """The line with move ``dmu`` and its dots with ``resid``. A dot that overflows is inf or NaN."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.ndim(dmu) == 1:
+                return replace(self, dmu=dmu, slope=resid @ dmu, curvature=float(dmu @ dmu))
+            return replace(self, dmu=dmu, slope=np.einsum("sn,sn->s", resid, dmu),
+                           curvature=np.einsum("sn,sn->s", dmu, dmu))
+
+    def along(self, step, resid) -> "LinearMuLine":
+        """The line with step D, (P,) or (S, P), bounded with the residuals ``resid`` at the draws."""
+        return self._moving(step @ self.features.T, resid)
 
     def weighted_grad_mu(self, weights) -> np.ndarray:
         return np.asarray(weights, dtype=float) @ self.features
@@ -291,24 +330,15 @@ class LinearMuLine:
     def hessian_projection(self, i, v, w):
         return 0.0, 0, 0.0, 0.0
 
-    def gradient_fan(self, i, bound) -> "LinearMuLine":
+    def gradient_fan(self, i, bound, resid) -> "LinearMuLine":
         """The lines along D_s = coef_s * grad_mu(theta_s, x_i) = coef_s * x_i, for any coef."""
-        return replace(self, dmu=self.features @ self.features[i])
+        return self._moving(self.features @ self.features[i], resid)
 
     def line(self, coef) -> "LinearMuLine":
-        """The fan's line with per-draw coefficient coef: dmu is rank one."""
-        return replace(self, dmu=coef[:, None] * self.dmu)
-
-    def likelihood_dots(self, resid):
-        """(sum_n resid_sn dmu_sn, sum_n dmu_sn^2): per draw, the second one number when dmu is one
-        shared row. With resid = y - sigma(mu) they are the slope and the curvature of the log
-        likelihood's bounds along the line (see :func:`~looadapt.transforms.log_weight_bounds`);
-        on a fan, with dmu = X x_i, a line's are coef and coef^2 times the fan's. A dot that overflows
-        is inf or NaN, and the line then evaluates every row."""
+        """The fan's line with per-draw coefficient coef: dmu is rank one, and its dots coef and coef^2 times the fan's."""
         with np.errstate(over="ignore", invalid="ignore"):
-            if np.ndim(self.dmu) == 1:
-                return resid @ self.dmu, float(self.dmu @ self.dmu)
-            return np.einsum("sn,sn->s", resid, self.dmu), np.einsum("sn,sn->s", self.dmu, self.dmu)
+            slope, curvature = coef * self.slope, coef * coef * self.curvature
+        return replace(self, dmu=coef[:, None] * self.dmu, slope=slope, curvature=curvature)
 
     def at(self, hbar, rows=slice(None)) -> np.ndarray:
         """mu at theta + hbar * D on ``rows`` of the draws, each row as it is in the whole."""
@@ -317,6 +347,10 @@ class LinearMuLine:
     def column(self, hbar, i) -> np.ndarray:
         """mu at theta + hbar * D at observation i, for every draw: column i of :meth:`at`."""
         return self.mu[:, i] + hbar * self.dmu[..., i]
+
+    def move_bound(self, hbar) -> MoveBound:
+        return MoveBound(hbar * self.slope, (hbar * hbar) * self.curvature,
+                         hbar * np.sqrt(self.mu.shape[1] * self.curvature))
 
 
 @dataclass(frozen=True)
@@ -356,12 +390,12 @@ class ReluMuLine:
         gb[:] = np.sum(weights, axis=1)
         return grad
 
-    def along(self, step) -> "ReluLine":
-        """The line with step D, (P,) or (S, P); dz is one dense contraction."""
+    def along(self, step, resid) -> "ReluLine":
+        """The line with step D, (P,) or (S, P), bounded with the residuals ``resid``; dz is one dense contraction."""
         dw1, dw2, db2 = self.model._split_batch(step)
         dz = np.einsum("...dp,np->...dn", dw1, self.features)
         unit = np.ones(self.z1.shape[0])
-        return ReluFan.build(self, dz, 1.0, dw2, np.asarray(db2)[..., None], unit).line(unit)
+        return ReluFan.build(self, dz, 1.0, dw2, np.asarray(db2)[..., None], unit, resid).line(unit)
 
     def _at(self, i):
         """z1 at observation i, (S, d), and its activity z1 > 0, which fixes grad_mu and the Hessian there."""
@@ -393,12 +427,12 @@ class ReluMuLine:
             minus = 0.5 * np.einsum("sd,sd->s", (av - v2) * active, aw - w2)
         return np.where(count > 0, norm, 0.0), count, plus, minus
 
-    def gradient_fan(self, i, bound) -> "ReluFan":
+    def gradient_fan(self, i, bound, resid) -> "ReluFan":
         """The lines along D_s = coef_s * grad_mu(i)_s, for coef_s between 0 and bound_s: dz_skn =
         coef_s W2_sk 1[z1_ski > 0] (x_i . x_n), dw2 = coef * relu(z1_ski) and db2 = coef."""
         z, active = self._at(i)
         g = self.features @ self.features[i]
-        return ReluFan.build(self, (self.w2 * active)[:, :, None], g, z * active, 1.0, bound)
+        return ReluFan.build(self, (self.w2 * active)[:, :, None], g, z * active, 1.0, bound, resid)
 
 
 class _Elements(NamedTuple):
@@ -431,9 +465,14 @@ class ReluFan:
     every element that changes activity on a line of the fan, at
     0 <= hbar <= 1, has changed it by t = bound. ``candidates`` are those
     elements (s, k, n), gathered once, with a and dw2 per unit coef and
-    ``draw`` = s. c1, c2 and the candidates cost one O(S d n) pass, a line
-    O(candidates), and a step scale O(S n + flips), where flips are the
-    candidates that change activity on its line by hbar = 1.
+    ``draw`` = s. ``sums`` are the (S,) sums over the observations R1 =
+    resid . c1, R2 = resid . c2, Q11 = c1 . c1, Q12 = c1 . c2 and Q22 =
+    c2 . c2, with ``resid`` the residuals at the draws, that bound every
+    line's move (see :class:`ReluLine`).
+    c1, c2, the sums and the candidates cost one O(S d n) pass, a line
+    O(candidates), and a step scale O(S + flips) for the bound and the held-out
+    column and O(n) per row, where flips are the candidates that change
+    activity on its line by hbar = 1.
     """
 
     mu: np.ndarray          # (S, n) at the draws
@@ -442,18 +481,22 @@ class ReluFan:
     c2: np.ndarray          # (S, n)
     candidates: _Elements
     draw: np.ndarray
+    resid: np.ndarray       # (S, n)
+    sums: tuple             # (R1, R2, Q11, Q12, Q22), (S,) each
+    units: int
 
     @classmethod
-    def build(cls, origin: ReluMuLine, a, g, dw2, db2, bound) -> "ReluFan":
-        """c1, c2 and the candidates in one pass over blocks of ``LINE_BLOCK_DRAWS`` draws."""
+    def build(cls, origin: ReluMuLine, a, g, dw2, db2, bound, resid) -> "ReluFan":
+        """c1, c2, their sums and the candidates in one pass over blocks of ``LINE_BLOCK_DRAWS`` draws."""
         z1, w2 = origin.z1, origin.w2
         num_draws, d, n = z1.shape
         a = np.broadcast_to(a, (num_draws,) + np.shape(a)[-2:])
         dw2 = np.broadcast_to(dw2, (num_draws, d))
         c1, c2 = np.empty((num_draws, n)), np.empty((num_draws, n))
         found = []
-        # c1 and c2 are per unit coef and may overflow where mu on every line of the fan is finite;
-        # a line's mu at phi is then NaN or inf, which apply_transform flags
+        # c1, c2 and their sums are per unit coef and may overflow where mu on every line of the fan is
+        # finite; a line's mu at phi is then NaN or inf, which apply_transform flags, and its bound too,
+        # which makes it evaluate every row
         with np.errstate(over="ignore", invalid="ignore"):
             for block in _draw_blocks(num_draws):
                 z, u, block_a = z1[block], dw2[block, None, :], a[block]
@@ -467,11 +510,12 @@ class ReluFan:
                 np.matmul(u, np.maximum(z, 0.0), out=c1[block, None, :])
                 c1[block] += np.matmul(w2[block, None, :], dz)[:, 0]
             c1 += db2
+            sums = tuple(np.einsum("sn,sn->s", x, y) for x, y in ((resid, c1), (resid, c2), (c1, c1), (c1, c2), (c2, c2)))
         s, k, j = np.unravel_index(np.concatenate(found), z1.shape)
         candidates = _Elements(
             s * n + j, z1[s, k, j], np.broadcast_to(a, z1.shape)[s, k, j], np.broadcast_to(g, (n,))[j], w2[s, k], dw2[s, k]
         )
-        return cls(origin.mu, bound, c1, c2, candidates, s)
+        return cls(origin.mu, bound, c1, c2, candidates, s, resid, sums, d)
 
     def line(self, coef) -> "ReluLine":
         """The line with per-draw coefficient ``coef``, (S,), and its flips. A
@@ -481,9 +525,14 @@ class ReluFan:
         e, c = self.candidates, coef[self.draw]
         a = c * e.a
         moved = np.flatnonzero((a * e.g + e.z1 > 0) != (e.z1 > 0))
+        cell, reach = e.cell[moved], np.abs(c[moved])
+        with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite evaluates every row
+            reach *= np.abs(self.c1.reshape(-1)[cell]) + reach * np.abs(self.c2.reshape(-1)[cell])
+            reach += np.abs(self.mu.reshape(-1)[cell])
         return ReluLine(
             mu=self.mu, scale=coef[:, None], c1=self.c1, c2=self.c2,
-            flips=_Elements(e.cell[moved], e.z1[moved], a[moved], e.g[moved], e.w2[moved], c[moved] * e.dw2[moved]),
+            flips=_Elements(cell, e.z1[moved], a[moved], e.g[moved], e.w2[moved], c[moved] * e.dw2[moved]),
+            resid=self.resid, sums=self.sums, reach=np.bincount(self.draw[moved], reach, coef.size), units=self.units,
         )
 
 
@@ -494,7 +543,30 @@ class ReluLine:
     With t = hbar * ``scale``, mu + t c1 + t^2 c2 plus the terms of the
     ``flips`` (whose a and dw2 already carry the line's coefficient) that
     have changed activity at hbar. Each flip's activity is decided by
-    (hbar * a) * g + z1 > 0, the rounded pre-activation at the moved draw.
+    (hbar * a) * g + z1 > 0, the rounded pre-activation at the moved draw,
+    once per step scale: the held-out column, the rows and the bound of one
+    attempt share it.
+
+    The move is dmu = t c1 + t^2 c2 + f, with f the sum of each cell's
+    flipped terms. Its :class:`MoveBound` has, per draw,
+
+        tangent   = t R1 + t^2 R2 + sum_flips resid term,
+        curvature = (sqrt(t^2 Q11 + 2 t^3 Q12 + t^4 Q22 + pad) + sum_flips |term|)^2,
+
+    from the fan's ``sums`` (Minkowski's inequality, then l2 <= l1 on the
+    flips), and size = sqrt(n) w + G + d (sum_flips |term| + curvature / 8),
+    where w = |t| sqrt(Q11) + t^2 sqrt(Q22) >= sum_n |t c1| + |t^2 c2| over
+    sqrt(n), G >= sum_flips |mu| + |t c1| + |t^2 c2| at each flip's cell (the
+    line's ``reach``, at t = coef over all its flips), and d, the hidden units,
+    bounds the flips of one cell. With u = eps / 2 the rounding is:
+      - of the quadratic form, (n + 10) u w^2, which pad = 2 (n + 16) u w^2
+        covers, so the curvature holds sum_n dmu^2 up to a few u of itself;
+      - of mu + t c1 + t^2 c2, u (|mu| + 3 |t c1| + 4 |t^2 c2|) per element;
+      - of the flips' additions, u times each partial sum, at most G + d sum |term|;
+      - of the sequential flip sums, at most d n u times sum |term|, which moves
+        the curvature by d n u curvature;
+      - of R1 and R2, (n + 12) u |t| sum_n |c1| and t^2 sum_n |c2|, resid's
+        error included.
     """
 
     mu: np.ndarray        # (S, n) at the draws
@@ -502,16 +574,20 @@ class ReluLine:
     c1: np.ndarray
     c2: np.ndarray
     flips: _Elements
+    resid: np.ndarray
+    sums: tuple           # the fan's (R1, R2, Q11, Q12, Q22)
+    reach: np.ndarray     # G per draw, at t = coef
+    units: int
+    _last: list = field(default_factory=lambda: [None], repr=False, compare=False)
 
-    def at(self, hbar, rows=slice(None)) -> np.ndarray:
-        """mu at theta + hbar * D on ``rows`` of the draws, read from every row's evaluation."""
+    def _flipped(self, hbar):
+        """(cell, term) of the flips that have changed activity at hbar, in flip order; the last
+        step scale's is kept."""
+        last = self._last[0]
+        if last is not None and last[0] == hbar:
+            return last[1:]
         if not 0.0 <= hbar <= 1.0:
             raise DomainError(f"a relu1 line is evaluated at step scales in [0, 1], got {hbar}")
-        t = hbar * self.scale
-        mu = self.c2 * t
-        mu += self.c1
-        mu *= t
-        mu += self.mu
         e = self.flips
         z = hbar * e.a
         z *= e.g
@@ -520,8 +596,56 @@ class ReluLine:
         moved = on != (e.z1 > 0)
         term = (e.w2[moved] + hbar * e.dw2[moved]) * z[moved]
         np.negative(term, out=term, where=~on[moved])
-        np.add.at(mu.reshape(-1), e.cell[moved], term)
-        return mu[rows]
+        self._last[0] = hbar, e.cell[moved], term
+        return self._last[0][1:]
+
+    def at(self, hbar, rows=slice(None)) -> np.ndarray:
+        """mu at theta + hbar * D on ``rows`` of the draws, each row as it is in the whole."""
+        cell, term = self._flipped(hbar)
+        t = hbar * self.scale[rows]
+        mu = self.c2[rows] * t
+        mu += self.c1[rows]
+        mu *= t
+        mu += self.mu[rows]
+        num_draws, n = self.mu.shape
+        row = np.full(num_draws, -1)
+        row[rows] = np.arange(len(mu))
+        row = row[cell // n]
+        kept = row >= 0
+        np.add.at(mu.reshape(-1), row[kept] * n + cell[kept] % n, term[kept])
+        return mu
+
+    def column(self, hbar, i) -> np.ndarray:
+        """mu at theta + hbar * D at observation i, for every draw: column i of :meth:`at`."""
+        cell, term = self._flipped(hbar)
+        t = hbar * self.scale[:, 0]
+        mu = self.c2[:, i] * t
+        mu += self.c1[:, i]
+        mu *= t
+        mu += self.mu[:, i]
+        n = self.mu.shape[1]
+        here = cell % n == i
+        np.add.at(mu, cell[here] // n, term[here])
+        return mu
+
+    def move_bound(self, hbar) -> MoveBound:
+        cell, term = self._flipped(hbar)
+        (num_draws, n), (r1, r2, q11, q12, q22) = self.mu.shape, self.sums
+        draw, t = cell // n, hbar * self.scale[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = t * t
+            tangent = t * r1 + square * r2
+            tangent += np.bincount(draw, self.resid.reshape(-1)[cell] * term, num_draws)
+            spread = np.bincount(draw, np.abs(term), num_draws)
+            width = np.abs(t) * np.sqrt(q11) + square * np.sqrt(q22)
+            curvature = square * (q11 + 2.0 * t * q12 + square * q22)
+            curvature += ((n + 16.0) * np.finfo(float).eps * width) * width
+            curvature = np.sqrt(curvature, out=curvature)
+            curvature += spread
+            curvature *= curvature
+            size = np.sqrt(n) * width + self.reach
+            size += self.units * (spread + curvature / 8.0)
+            return MoveBound(tangent, curvature, size)
 
 
 def grad_log_posterior(model: LogisticModel | ReluOneModel, theta, dataset: Dataset, prior: GaussianPrior) -> np.ndarray:
@@ -564,7 +688,7 @@ class PosteriorEvaluation:
     ``grad_log_post`` is the gradient of the log posterior (None when not
     requested). ``resid`` = y - sigma(mu), (S, n), weighs grad_mu in that
     gradient; it is also (2y - 1) times the slope of each log likelihood at
-    the draws, from which a logistic line bounds its log likelihood, with the
+    the draws, from which every line bounds its log likelihood, with the
     row sums ``log_lik_sum`` of ``log_lik`` and ``mu_size`` of |mu|.
     :func:`evaluate_posterior` builds it.
     """

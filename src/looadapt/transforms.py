@@ -29,11 +29,11 @@ evaluates one step scale of it without forming phi. The lines of one
 observation share an :class:`Observation`, which computes what they have in
 common once.
 
-On a logistic line a step scale bounds every draw's log weight in O(S)
-(:func:`log_weight_bounds`) and evaluates the log posterior at phi only on
-the :func:`candidate_rows`, the draws that can be among the M + 1 largest,
-all that k-hat reads. The whole log posterior is made when it is first read.
-A relu1 line evaluates every row.
+A step scale bounds every draw's log weight in O(S) from the bound its
+line gives on the move of mu (:func:`log_weight_bounds`), for every model
+alike, and evaluates the log posterior at phi only on the
+:func:`candidate_rows`, the draws that can be among the M + 1 largest, all
+that k-hat reads. The whole log posterior is made when it is first read.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ import numpy as np
 from .data import GRADIENT_KINDS, MarginalStats, PMM_KINDS, POSTERIOR_GRADIENT_KINDS, marginal_stats
 from .errors import DomainError
 from .gpd import WeightVector, computed_once, tail_size
-from .models import LinearMuLine, ReluLine, log_likelihood, log_posterior, logistic, sigmoid_slope
+from .models import log_likelihood, log_posterior, logistic, sigmoid_slope
 
 if TYPE_CHECKING:
     from .engine import LooProblem
+    from .models import LinearMuLine, ReluLine
 
 #: A determinant factor smaller than this in magnitude is treated as an
 #: exact zero: the map is flagged non-invertible for that draw.
@@ -70,10 +71,10 @@ class TransformedDraws:
     ``log_lik_i`` are mu and the log likelihood of the line's held-out
     observation there, and ``log_jac_det`` is log |det J|, at every draw. Each
     is an (S,) array that owns its data, so no (S, n) array evaluated at phi
-    outlives :func:`apply_transform`. ``log_post`` is the log posterior at
-    every draw: when some rows were left out, ``complete_log_post`` makes it on
-    first read and is then dropped, with the line it holds; otherwise it is
-    ``candidate_log_post``, and ``complete_log_post`` is None.
+    outlives :func:`apply_transform`. When some rows may be left out,
+    ``complete_log_post`` makes the log posterior at every draw, which the
+    attempt's weights call on first read (see
+    :func:`~looadapt.engine.eta_weights`); otherwise it is None.
     ``log_jac_det`` entries are finite except for draws where the map is
     numerically singular, which carry -inf (their transformed weight is
     zero). A transform that collapsed to the identity (zero step or
@@ -95,13 +96,6 @@ class TransformedDraws:
     def degenerate(self) -> bool:
         return self.candidate_log_post is None
 
-    @computed_once
-    def log_post(self) -> np.ndarray | None:
-        if self.complete_log_post is None:
-            return self.candidate_log_post
-        log_post, self.complete_log_post = self.complete_log_post(), None
-        return log_post
-
 
 @dataclass(frozen=True)
 class StepLine:
@@ -111,14 +105,14 @@ class StepLine:
     attempt on the step-scale grid is a point on one line. The line is built
     once, by :func:`apply_pmm` or :func:`apply_gradient_transform`, with
     everything that does not depend on hbar; :func:`apply_transform` then
-    evaluates one step scale. ``mu`` is the model's image of the line; it is
-    None for a family that is the identity at every step scale, whose
-    ``flags`` say why. The log prior along the line is log_prior - hbar *
-    (``prior_slope`` + hbar / 2 * ``prior_curvature``), and on a logistic line
-    ``likelihood_dots`` bound its log likelihood (see
-    :func:`log_weight_bounds`); they are None on a relu1 line, which evaluates
-    every row. ``jacobian`` is the diagonal of dD/dtheta for PMM kinds and the
-    :class:`GradientStep` for gradient kinds, which holds the step size at hbar = 1.
+    evaluates one step scale. ``mu`` is the model's image of the line, which
+    gives mu at phi on any rows, the held-out column, and the bound on its
+    move that :func:`log_weight_bounds` reads; it is None for a family that is
+    the identity at every step scale, whose ``flags`` say why. The log prior
+    along the line is log_prior - hbar * (``prior_slope`` + hbar / 2 *
+    ``prior_curvature``). ``jacobian`` is the diagonal of dD/dtheta for PMM
+    kinds and the :class:`GradientStep` for gradient kinds, which holds the
+    step size at hbar = 1.
     """
 
     kind: str
@@ -126,7 +120,6 @@ class StepLine:
     mu: LinearMuLine | ReluLine | None = None
     prior_slope: np.ndarray | float = 0.0
     prior_curvature: np.ndarray | float = 0.0
-    likelihood_dots: tuple | None = None
     jacobian: np.ndarray | GradientStep | None = None
     max_step_sd: float = 0.0
     flags: tuple[str, ...] = ()
@@ -328,14 +321,8 @@ class Observation:
         has a nonzero step. Every nonzero coef_s has the sign ``sign``, so the
         fan's bound, sign times the largest |coef_s| over the kinds, holds each line."""
         reach = np.max([np.abs(step.coef) for step in self.gradient_steps.values() if step.coef is not None], axis=0)
-        return self.problem.evaluation.origin.gradient_fan(self.i, self.sign * reach)
-
-    @computed_once
-    def fan_dots(self):
-        """The logistic fan's :meth:`~looadapt.models.LinearMuLine.likelihood_dots`, (resid . X x_i per
-        draw, |X x_i|^2), shared by KL, Var and LL; None on a relu1 fan."""
-        fan = self.mu_fan
-        return fan.likelihood_dots(self.problem.evaluation.resid) if isinstance(fan, LinearMuLine) else None
+        evaluation = self.problem.evaluation
+        return evaluation.origin.gradient_fan(self.i, self.sign * reach, evaluation.resid)
 
 
 def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
@@ -357,14 +344,9 @@ def apply_gradient_transform(kind: str, obs: Observation) -> StepLine:
     moving = coef != 0  # a resting draw may sit next to r = inf
     max_step_sd = float(np.max(np.abs(coef[moving]) * r[moving], initial=0.0))
     dot, square = obs.prior_dots
-    likelihood_dots = None
-    if obs.fan_dots is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite evaluates every row
-            likelihood_dots = coef * obs.fan_dots[0], coef * coef * obs.fan_dots[1]
     return StepLine(
         kind=kind, observation_index=obs.i, mu=obs.mu_fan.line(coef), prior_slope=coef * dot,
-        prior_curvature=coef * coef * square, likelihood_dots=likelihood_dots, jacobian=step,
-        max_step_sd=max_step_sd,
+        prior_curvature=coef * coef * square, jacobian=step, max_step_sd=max_step_sd,
     )
 
 
@@ -394,11 +376,9 @@ def apply_pmm(kind: str, obs: Observation) -> StepLine:
         extent = np.maximum(step.max(axis=0), -step.min(axis=0))  # max_s |D_sp|, no |D| temporary
     max_step_sd = float(np.max(extent / np.where(stats.sd > 0, stats.sd, np.inf)))
     slope, curvature = problem.prior.line_coefficients(problem.draws.values, step)
-    mu = problem.evaluation.origin.along(step)
-    dots = mu.likelihood_dots(problem.evaluation.resid) if isinstance(mu, LinearMuLine) else None
     return StepLine(
-        kind=kind, observation_index=i, mu=mu, prior_slope=slope, prior_curvature=curvature,
-        likelihood_dots=dots, jacobian=diagonal, max_step_sd=max_step_sd,
+        kind=kind, observation_index=i, mu=problem.evaluation.origin.along(step, problem.evaluation.resid),
+        prior_slope=slope, prior_curvature=curvature, jacobian=diagonal, max_step_sd=max_step_sd,
     )
 
 
@@ -412,56 +392,53 @@ def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
 
 def log_weight_bounds(line: StepLine, hbar: float, problem: LooProblem, exact: np.ndarray, log_prior: np.ndarray):
     """(lower, upper), per draw, bounds on the log weight of step scale ``hbar`` of ``line``, in O(S);
-    None when every row is to be evaluated: on a relu1 line, or where a bound is NaN or +inf.
+    None, so that every row is evaluated, where a bound is NaN or +inf.
 
     ``exact`` is log |det J| - log lik_i at phi, and ``log_prior`` the log prior at phi. With
-    m = (2y - 1) mu the margins at the draws and delta = hbar (2y - 1) dmu the line's move,
-    l = log sigma is concave with -1/4 <= l'' < 0 and resid = (2y - 1) l'(m), so
+    m = (2y - 1) mu the margins at the draws and dmu the line's move of mu at phi, l = log sigma is
+    concave with -1/4 <= l'' < 0 and resid = (2y - 1) l'(m), so
 
-        U - hbar^2 / 8 sum_n dmu^2  <=  sum_n l(m + delta)  <=  U = sum_n l(m) + hbar sum_n resid dmu,
+        U - 1/8 sum_n dmu^2  <=  sum_n l(m + (2y - 1) dmu)  <=  U = sum_n l(m) + sum_n resid dmu,
 
-    from the run's ``log_lik_sum`` and the line's ``likelihood_dots``. Each bound is then added into
-    a log weight as :func:`~looadapt.engine.eta_weights` adds the log posterior, in the same order,
-    from the same log |det J| - log lik_i. Rounding is monotone, so these final additions keep the
-    order of the sums they start from and need no allowance.
+    from the run's ``log_lik_sum`` and the tangent and curvature of the line's
+    :class:`~looadapt.models.MoveBound`. Each bound is then added into a log weight as
+    :func:`~looadapt.engine.eta_weights` adds the log posterior, in the same order, from the same
+    log |det J| - log lik_i. Rounding is monotone, so these final additions keep the order of the
+    sums they start from and need no allowance.
 
     The sum at phi is evaluated in floating point; the bounds widen by an allowance, 4 eps (n + 16)
     times a size per draw,
 
-        |sum_n l(m)| + sum_n |mu| + hbar sqrt(n sum_n dmu^2) + hbar |sum_n resid dmu|
-        + hbar^2 / 8 sum_n dmu^2 + n,
+        |sum_n l(m)| + sum_n |mu| + size + |tangent| + curvature / 8 + n,
 
-    where sqrt(n sum_n dmu^2) >= sum_n |dmu|. With u = eps / 2, and numpy's exp and log1p within
-    4 ulp, it covers, by a factor of at least 4:
-      - the rounding of mu + hbar dmu, u (|mu| + 2 hbar |dmu|) per element, times |l'| <= 1;
+    with the move's size >= sum_n |dmu|. With u = eps / 2, and numpy's exp and log1p within 4 ulp,
+    it covers, by a factor of at least 4:
+      - the rounding of mu at phi and of the move's tangent and curvature, which the line's size
+        covers, times |l'| <= 1;
       - the exp and log1p kernels and the subtraction in log sigma, u |l| + 12 u per element, at
         phi and at the draws;
-      - the pairwise row sums at phi and at the draws, n u times the sum of |l|, and the dots,
-        n u times sum_n |resid dmu| and sum_n dmu^2;
+      - the pairwise row sums at phi and at the draws, n u times the sum of |l|;
       - resid's absolute error, about 11 u, also where sigma is near 1 and resid is 1 - sigma,
-        times hbar |dmu|;
+        times sum_n |dmu|;
       - the additions that form U and the bounds.
 
     Finite bounds imply a finite mu at phi at every draw: a finite (n + 16) * size needs every mu
-    and, through sum_n dmu^2, every dmu finite, and it keeps sum_n |mu at phi| <= size below the
-    largest float over n, so neither mu at phi nor its row sum of log sigma overflows. The log
-    posterior at phi is then NaN only where the log prior along the line is NaN or +inf, which
-    makes ``upper`` NaN or +inf too: all rows are evaluated, and ``nan-log-posterior`` is decided on
-    every draw. A draw whose ``exact`` part is -inf, a singular Jacobian, has both bounds -inf: its
-    weight is known to be zero.
+    and, through the move's size, every term of the line's evaluation finite, and it keeps
+    sum_n |mu at phi| below the largest float over n, so neither mu at phi nor its row sum of
+    log sigma overflows. The log posterior at phi is then NaN only where the log prior along the
+    line is NaN or +inf, which makes ``upper`` NaN or +inf too: all rows are evaluated, and
+    ``nan-log-posterior`` is decided on every draw. A draw whose ``exact`` part is -inf, a singular
+    Jacobian, has both bounds -inf: its weight is known to be zero.
     """
-    if line.likelihood_dots is None:
-        return None
     evaluation, n = problem.evaluation, problem.dataset.n
-    slope, curvature = line.likelihood_dots
-    slope = hbar * slope
-    bend = (hbar * hbar / 8.0) * curvature
-    size = np.abs(evaluation.log_lik_sum) + evaluation.mu_size + hbar * np.sqrt(n * curvature) + np.abs(slope)
+    move = line.mu.move_bound(hbar)
+    bend = move.curvature / 8.0
+    size = np.abs(evaluation.log_lik_sum) + evaluation.mu_size + move.size + np.abs(move.tangent)
     size = (n + 16.0) * (size + bend + n)
     if not np.all(np.isfinite(size)):
         return None
     allowance = 4.0 * np.finfo(float).eps * size
-    tangent = evaluation.log_lik_sum + slope
+    tangent = evaluation.log_lik_sum + move.tangent
     upper = exact + ((log_prior + (tangent + allowance)) - problem.log_proposal)
     if not np.all(upper < np.inf):  # NaN or +inf
         return None
@@ -482,17 +459,16 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
     """Evaluate step scale ``hbar`` of ``line``, phi = theta + hbar * D, and
     return the per-draw vectors its weights read there.
 
-    On a logistic line mu and the log likelihood of the held-out observation
-    come first, as one column at every draw, and with them
-    :func:`log_weight_bounds` bounds each draw's log weight in O(S). mu and
-    the log posterior at phi are then evaluated on the :func:`candidate_rows`
-    only, those that the Pareto tail can read, in O(candidates * n); the
-    whole log posterior is made when it is first read, which the scan does
-    only for the winner of an observation. A relu1 line, or one without finite
-    bounds, has every row as a candidate: O(S n) for the logistic model and
-    O(S n + flips) for relu1, where flips counts the pre-activations that
-    change sign on the line (see :class:`~looadapt.models.ReluFan`). The
-    determinant adds O(P) (PMM) or O(S) (gradient kinds).
+    mu and the log likelihood of the held-out observation come first, as one
+    column at every draw, and with them :func:`log_weight_bounds` bounds each
+    draw's log weight in O(S) from the line's bound on its move. mu and the
+    log posterior at phi are then evaluated on the :func:`candidate_rows`
+    only, those that the Pareto tail can read, in O(n) each; the whole log
+    posterior is made when it is first read, which the scan does only for the
+    winner of an observation. A line without finite bounds has every row as
+    a candidate. relu1 adds O(flips), where flips counts the pre-activations
+    that change sign on the line (see :class:`~looadapt.models.ReluFan`), and
+    the determinant O(P) (PMM) or O(S) (gradient kinds).
     """
     if line.mu is None:
         return TransformedDraws(flags=line.flags)
@@ -510,23 +486,15 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
     log_prior = problem.evaluation.log_prior - hbar * (line.prior_slope + 0.5 * hbar * line.prior_curvature)
     max_step_sd = hbar * line.max_step_sd
     i, labels = line.observation_index, problem.dataset.labels
-    bounds = None
     # a line that overflows gives NaN, caught below; so does a bound, which then evaluates every row
     with np.errstate(over="ignore", invalid="ignore"):
-        if line.likelihood_dots is not None:
-            mu_i = line.mu.column(hbar, i)
-            log_lik_i = log_likelihood(mu_i, labels[i])
-            bounds = log_weight_bounds(line, hbar, problem, log_jac_det - log_lik_i, log_prior)
+        mu_i = line.mu.column(hbar, i)
+        log_lik_i = log_likelihood(mu_i, labels[i])
+        bounds = log_weight_bounds(line, hbar, problem, log_jac_det - log_lik_i, log_prior)
         rows = slice(None) if bounds is None else candidate_rows(*bounds)
-        mu = line.mu.at(hbar, rows)
-        log_lik, log_post = log_posterior(mu, labels, log_prior[rows])
+        log_post = log_posterior(line.mu.at(hbar, rows), labels, log_prior[rows])[1]
     if np.isnan(log_post).any():
         return TransformedDraws(h_used=h_used, flags=flags + ("nan-log-posterior",), max_step_sd=max_step_sd)
-    if bounds is None:
-        return TransformedDraws(
-            candidate_log_post=log_post, mu_i=mu[:, i].copy(), log_lik_i=log_lik[:, i].copy(),
-            log_jac_det=log_jac_det, h_used=h_used, flags=flags, max_step_sd=max_step_sd,
-        )
     candidate_log_post = np.full(problem.draws.num_draws, -np.inf)
     candidate_log_post[rows] = log_post
 
@@ -535,5 +503,6 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
 
     return TransformedDraws(
         candidate_log_post=candidate_log_post, mu_i=mu_i, log_lik_i=log_lik_i, log_jac_det=log_jac_det,
-        h_used=h_used, flags=flags, max_step_sd=max_step_sd, complete_log_post=complete_log_post,
+        h_used=h_used, flags=flags, max_step_sd=max_step_sd,
+        complete_log_post=None if bounds is None else complete_log_post,
     )

@@ -241,8 +241,10 @@ def raw_weights(problem, i, log_jac_det=0.0):
 
 
 def attempt_weights(problem, transformed):
-    """:func:`eta_weights` of one scan attempt, read from its three vectors and log |det J|."""
-    return eta_weights(transformed.log_lik_i, transformed.log_post, problem.log_proposal, transformed.log_jac_det)
+    """:func:`eta_weights` of one scan attempt, read from its three vectors and log |det J|, with
+    the completion that makes its whole log weights."""
+    return eta_weights(transformed.log_lik_i, transformed.candidate_log_post, problem.log_proposal,
+                       transformed.log_jac_det, complete_log_post=transformed.complete_log_post)
 
 
 def observation(problem, i, nu_weights=None):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import looadapt
 from looadapt import SigmoidalModel
-from looadapt.models import LinearMuLine, ReluMuLine
+from looadapt.models import LinearMuLine, ReluLine, ReluMuLine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,8 +43,9 @@ def test_every_name_the_benchmark_generator_imports_resolves():
 
 def test_a_new_model_implements_what_the_readme_lists():
     """README's "Adding a model" names every abstract method, no other member
-    of SigmoidalModel, and every member a run reads of the origin line, which
-    both built-in lines have."""
+    of SigmoidalModel, every member a run reads of the origin line, which
+    both built-in origins have, and the three members of every line, which
+    both built-in line types have."""
     assert SigmoidalModel.__abstractmethods__ == {"param_dim", "num_features", "mu_line"}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Adding a model", 1)[1].split("\n#", 1)[0]
@@ -54,3 +55,7 @@ def test_a_new_model_implements_what_the_readme_lists():
     assert origin <= named
     for line_type in (LinearMuLine, ReluMuLine):
         assert {name for name in origin if hasattr(line_type, name) or name in line_type.__dataclass_fields__} == origin
+    members = {"at", "column", "move_bound"}
+    assert members <= named
+    for line_type in (LinearMuLine, ReluLine):
+        assert all(callable(getattr(line_type, name, None)) for name in members)

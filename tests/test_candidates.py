@@ -1,5 +1,5 @@
-"""Candidate rows: an attempt on a logistic line evaluates the log posterior at
-phi only on the draws whose log weight can reach the Pareto tail.
+"""Candidate rows: an attempt evaluates the log posterior at phi only on the
+draws whose log weight can reach the Pareto tail.
 
 The bounds of :func:`~looadapt.transforms.log_weight_bounds` must hold every
 draw's exact log weight, and the candidates must give the k-hat and the
@@ -13,15 +13,16 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, RunConfig, run_loo
+from looadapt import Dataset, GaussianPrior, LogisticModel, PosteriorDraws, ReluOneModel, RunConfig, run_loo
 from looadapt import transforms
 from looadapt.cli import _load_inputs, build_parser
 from looadapt.engine import LooProblem, eta_weights
+from looadapt.errors import LooAdaptError
 from looadapt.gpd import pareto_smooth, tail_size
-from looadapt.models import log_posterior
+from looadapt.models import ReluLine, log_posterior
 from looadapt.transforms import apply_transform, candidate_rows, log_weight_bounds, step_lines
 
 from conftest import raw_weights
@@ -46,13 +47,14 @@ class TestLogWeightBounds:
         4^-10, where the bounds are tightest: each draw's exact log weight lies
         in its bounds, at least M + 1 draws are candidates, the held-out column
         and the candidate rows are those of the whole evaluation, and the
-        candidate weights smooth to the whole vector's k-hat and weights. A
-        relu1 line has no bounds and evaluates every row."""
+        candidate weights smooth to the whole vector's k-hat and weights, which
+        complete to the whole log posterior. The relu1 instance's lines flip
+        pre-activations."""
         problem = _golden_problem(name)
         config, labels, proposal = problem.config, problem.dataset.labels, problem.log_proposal
         assert min(config.hbar_values) == 4.0**-10
         needed = tail_size(problem.draws.num_draws) + 1
-        checked, smallest = 0, 0
+        checked, smallest, flipped = 0, 0, 0
         for i in range(problem.dataset.n):
             raw, raw_fit = pareto_smooth(raw_weights(problem, i))
             if raw_fit.khat <= config.khat_threshold:
@@ -68,12 +70,7 @@ class TestLogWeightBounds:
                     np.testing.assert_array_equal(out.mu_i, mu[:, i])
                     np.testing.assert_array_equal(out.log_lik_i, log_lik[:, i])
                     whole = eta_weights(out.log_lik_i, log_post, proposal, out.log_jac_det)
-                    bounds = log_weight_bounds(line, hbar, problem, out.log_jac_det - out.log_lik_i, log_prior)
-                    if name == "relu1":
-                        assert bounds is None and out.complete_log_post is None
-                        np.testing.assert_array_equal(out.log_post, log_post)
-                        continue
-                    lower, upper = bounds
+                    lower, upper = log_weight_bounds(line, hbar, problem, out.log_jac_det - out.log_lik_i, log_prior)
                     exact = whole.log_weights
                     outside = np.flatnonzero((exact < lower) | (exact > upper))
                     assert outside.size == 0, (line.kind, hbar, outside[:5], exact[outside[:5]])
@@ -89,25 +86,33 @@ class TestLogWeightBounds:
                     assert repr(fit) == repr(whole_fit)
                     np.testing.assert_array_equal(weights.log_weights, exact)
                     np.testing.assert_array_equal(smoothed.log_weights, whole_smoothed.log_weights)
-                    np.testing.assert_array_equal(out.log_post, log_post)
+                    np.testing.assert_array_equal(out.complete_log_post(), log_post)
                     checked += 1
                     smallest += hbar == 4.0**-10
-        assert checked > 0 if name == "logistic" else checked == 0
-        assert smallest > 0 or name == "relu1"
+                    flipped += name == "relu1" and line.mu.flips.cell.size > 0
+        assert checked > 0 and smallest > 0
+        assert flipped > 0 or name == "logistic"
 
     def test_a_move_past_the_bounds_evaluates_every_row(self):
-        """A line sum that is not finite, here an overflowing slope, makes no
-        bounds: the attempt evaluates every row and needs no completion."""
-        problem = _golden_problem("logistic")
-        raw, _ = pareto_smooth(raw_weights(problem, 0))
-        line = next(step_lines(0, problem, raw))
-        slope, curvature = line.likelihood_dots
-        broken = dataclasses.replace(line, likelihood_dots=(np.full_like(slope, np.inf), curvature))
-        out = apply_transform(line, 1.0, problem)
-        exact = out.log_jac_det - out.log_lik_i
-        assert log_weight_bounds(broken, 1.0, problem, exact, _line_log_prior(line, 1.0, problem)) is None
-        assert apply_transform(broken, 1.0, problem).complete_log_post is None
-        assert out.complete_log_post is not None
+        """A line sum that is not finite, here an overflowing tangent, makes no
+        bounds, for either model: the attempt evaluates every row and needs no
+        completion."""
+        for name in ("logistic", "relu1"):
+            problem = _golden_problem(name)
+            raw, _ = pareto_smooth(raw_weights(problem, 0))
+            line = next(step_lines(0, problem, raw))
+            if name == "logistic":
+                broken_mu = dataclasses.replace(line.mu, slope=np.full_like(line.mu.slope, np.inf))
+            else:
+                r1, *sums = line.mu.sums
+                broken_mu = dataclasses.replace(line.mu, sums=(np.full_like(r1, np.inf), *sums))
+            broken = dataclasses.replace(line, mu=broken_mu)
+            out = apply_transform(line, 1.0, problem)
+            exact, log_prior = out.log_jac_det - out.log_lik_i, _line_log_prior(line, 1.0, problem)
+            assert log_weight_bounds(broken, 1.0, problem, exact, log_prior) is None
+            every_row = apply_transform(broken, 1.0, problem)
+            assert every_row.complete_log_post is None
+            np.testing.assert_array_equal(every_row.candidate_log_post, out.complete_log_post())
 
 
 def _fingerprint(report):
@@ -123,40 +128,67 @@ def _fingerprint(report):
     return per_obs, repr(summary)
 
 
+def _outcome(*inputs):
+    """The fingerprint of run_loo's report, or the package error it raises."""
+    try:
+        return _fingerprint(run_loo(*inputs))
+    except LooAdaptError as error:
+        return repr(error)
+
+
 @st.composite
-def logistic_instances(draw):
-    """A small logistic run (n <= 12, S <= 200) with draws of sd 1e-3 to 1e3; some
-    repeat draw rows, so that ties fall at the Pareto cutoff, and some make one
-    draw's weight zero through a singular Jacobian or a draw whose log prior
-    overflows."""
+def instances(draw):
+    """A small logistic or relu1 run (n <= 12, S <= 200, relu1 with d <= 3) with draws
+    of sd 1e-3 to 1e3; some repeat draw rows, so that ties fall at the Pareto cutoff,
+    and some make one draw's weight zero through a singular Jacobian or a draw whose log
+    prior overflows. A relu1 run may have features near 1e150, where its gradient fans'
+    c2 overflows: those attempts evaluate every row and are ``nan-log-posterior``."""
+    relu1 = draw(st.booleans())
     n, p = draw(st.integers(4, 12)), draw(st.integers(1, 4))
+    model = ReluOneModel(d=draw(st.integers(1, 3)), p=p) if relu1 else LogisticModel(p=p)
     num_draws = draw(st.integers(30, 200))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     features = rng.normal(size=(n, p))
     labels = rng.integers(0, 2, size=n)
-    values = scale * rng.normal(size=(num_draws, p)) + rng.normal(size=p)
+    values = scale * rng.normal(size=(num_draws, model.param_dim)) + rng.normal(size=model.param_dim)
     repeats = draw(st.integers(0, num_draws // 2))
     if repeats:
         values[rng.choice(num_draws, repeats, replace=False)] = values[rng.integers(0, num_draws, size=repeats)]
-    zero = draw(st.sampled_from(["none", "singular-jacobian", "overflowing-draw"]))
+    zero = draw(st.sampled_from(["none", "singular-jacobian", "overflowing-draw"]
+                                + ["overflowing-c2"] * relu1))
     if zero == "overflowing-draw":
         values[rng.integers(num_draws)] = 1e200
+    if zero == "overflowing-c2":
+        features *= 1e150
     kinds = draw(st.permutations(["PMM1", "PMM2", "KL", "Var", "LL"]))[: draw(st.integers(1, 5))]
     exponents = sorted({10, *draw(st.lists(st.integers(0, 9), max_size=3))})
     dataset = Dataset(features=features, labels=labels, feature_names=tuple(f"x{j}" for j in range(p)))
-    draws = PosteriorDraws(values=values, param_names=tuple(f"b{j}" for j in range(p)))
+    draws = PosteriorDraws(values=values, param_names=tuple(f"b{j}" for j in range(model.param_dim)))
     threshold = draw(st.sampled_from([0.7, 0.2, 0.05]))  # a low one scans more observations
     config = RunConfig(khat_threshold=threshold, transform_order=tuple(kinds), hbar_exponents=tuple(exponents))
-    return LogisticModel(p=p), draws, dataset, GaussianPrior.isotropic(p, 1.0), config, zero, rng.integers(num_draws)
+    prior = GaussianPrior.isotropic(model.param_dim, 1.0)
+    return model, draws, dataset, prior, config, zero, rng.integers(num_draws)
+
+
+def _overflowing_c2_instance():
+    """relu1 with features near 1e150, the instance of ``TestDegenerateInputs``'s
+    overflowing-line test: every gradient attempt evaluates every row and is
+    ``nan-log-posterior``."""
+    rng = np.random.default_rng(1)
+    dataset = Dataset(features=rng.normal(size=(8, 3)) * 1e150, labels=[0, 1] * 4, feature_names=("x0", "x1", "x2"))
+    draws = PosteriorDraws(values=rng.normal(size=(200, 9)), param_names=tuple(f"t{j}" for j in range(9)))
+    return ReluOneModel(d=2, p=3), draws, dataset, GaussianPrior.isotropic(9, 1.0), RunConfig(), "overflowing-c2", 0
 
 
 class TestCandidatePath:
-    @given(instance=logistic_instances())
+    @given(instance=instances())
+    @example(instance=_overflowing_c2_instance())
     @settings(deadline=None)  # examples and derandomization from the profile (conftest.py)
     def test_run_matches_every_row_evaluated(self, instance):
         """run_loo gives the same decisions, floats and final weights bit for bit
-        when no attempt has bounds, so that every attempt evaluates every row."""
+        when no attempt has bounds, so that every attempt evaluates every row,
+        or the same package error."""
         model, draws, dataset, prior, config, zero, draw_index = instance
         logdet = transforms.GradientStep.logdet
 
@@ -166,7 +198,14 @@ class TestCandidatePath:
             values[draw_index] = -np.inf
             return values, tuple(dict.fromkeys(flags + ("singular-jacobian",)))
 
-        seen = {"fewer rows": 0, "tie at the cutoff": 0}
+        seen = {"fewer rows": 0, "tie at the cutoff": 0, "relu1 flips": 0, "no bounds": 0}
+        bounds = transforms.log_weight_bounds
+
+        def bounding(line, hbar, problem, exact, log_prior):
+            found = bounds(line, hbar, problem, exact, log_prior)
+            seen["relu1 flips"] += isinstance(line.mu, ReluLine) and line.mu.flips.cell.size > 0
+            seen["no bounds"] += found is None
+            return found
 
         def recording(lower, upper):
             rows = candidate_rows(lower, upper)
@@ -175,15 +214,21 @@ class TestCandidatePath:
             seen["tie at the cutoff"] += np.isfinite(cutoff) and np.count_nonzero(lower == cutoff) > 1
             return rows
 
-        # a draw near 1e200 overflows its log prior, which the run meets with RuntimeWarnings
-        quiet = np.errstate(over="ignore", invalid="ignore") if zero == "overflowing-draw" else contextlib.nullcontext()
+        # a draw near 1e200 overflows its log prior, and features near 1e150 a relu1 fan's c2, which the
+        # run meets with RuntimeWarnings
+        overflowing = zero in ("overflowing-draw", "overflowing-c2")
+        quiet = np.errstate(over="ignore", invalid="ignore") if overflowing else contextlib.nullcontext()
         with pytest.MonkeyPatch.context() as patch, quiet:
             if zero == "singular-jacobian":
                 patch.setattr(transforms.GradientStep, "logdet", singular_at_one_draw)
             patch.setattr(transforms, "candidate_rows", recording)
-            with_candidates = run_loo(model, draws, dataset, prior, config)
+            patch.setattr(transforms, "log_weight_bounds", bounding)
+            with_candidates = _outcome(model, draws, dataset, prior, config)
             patch.setattr(transforms, "log_weight_bounds", lambda *args: None)
-            every_row = run_loo(model, draws, dataset, prior, config)
+            every_row = _outcome(model, draws, dataset, prior, config)
+        event(f"model: {type(model).__name__}")
+        event(f"outcome: {'package error' if isinstance(every_row, str) else 'report'}")
+        event(f"nan-log-posterior: {'some attempts' if 'nan-log-posterior' in str(every_row) else 'no attempt'}")
         for name, count in seen.items():
             event(f"{name}: {'some attempts' if count else 'no attempt'}")
-        assert _fingerprint(with_candidates) == _fingerprint(every_row)
+        assert with_candidates == every_row

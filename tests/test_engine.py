@@ -90,7 +90,8 @@ class TestEtaWeights:
         base = attempt_weights(problem, td)
         # shifting every log weight by a constant is a no-op after
         # normalization; emulate by rescaling the jacobian column
-        again = eta_weights(td.log_lik_i, td.log_post, problem.log_proposal, td.log_jac_det + 5.0)
+        again = eta_weights(td.log_lik_i, td.candidate_log_post, problem.log_proposal, td.log_jac_det + 5.0,
+                            complete_log_post=td.complete_log_post)
         np.testing.assert_allclose(again.normalized, base.normalized, atol=1e-12)
 
     def test_non_finite_mu_is_a_zero_weight(self):

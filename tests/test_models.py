@@ -499,15 +499,18 @@ class TestStoredPreActivations:
     def test_no_pass_writes_into_z1(self, d, num_draws, rng):
         model, dataset, prior, values = TestBlockedRelu._instance(num_draws, rng, d=d, p=3, n=10)
         features = dataset.features
-        origin = evaluate_posterior(model, values, dataset, prior).origin
+        evaluation = evaluate_posterior(model, values, dataset, prior)
+        origin, resid = evaluation.origin, evaluation.resid
         origin.weighted_grad_mu(rng.normal(size=(num_draws, dataset.n)))
         origin.hessian_projection(0, origin.grad_mu(0), origin.grad_mu(0))
         coef = 0.5 * rng.normal(size=num_draws)
-        fan = origin.gradient_fan(0, coef)
-        for line in (origin.along(rng.normal(size=values.shape)), origin.along(rng.normal(size=model.param_dim)),
-                     fan.line(coef), fan.line(0.5 * coef)):
+        fan = origin.gradient_fan(0, coef, resid)
+        for line in (origin.along(rng.normal(size=values.shape), resid),
+                     origin.along(rng.normal(size=model.param_dim), resid), fan.line(coef), fan.line(0.5 * coef)):
             for hbar in (1.0, 0.25):
                 line.at(hbar)
+                line.column(hbar, 1)
+                line.move_bound(hbar)
         assert np.array_equal(origin.z1, np.einsum("sdp,np->sdn", model._split_batch(values)[0], features))
         assert (origin.z1 < 0).any()
         with pytest.raises(ValueError):
@@ -542,6 +545,11 @@ def _edge_case_relu(num_draws, rng):
     return model, features, values, coef, dense
 
 
+def _resid(origin, rng):
+    """Residuals in (-1, 1) at the draws of ``origin``, which bound its lines' moves."""
+    return rng.uniform(-1.0, 1.0, size=origin.mu.shape)
+
+
 class TestMuLine:
     """mu along theta + hbar * D from the model's line matches mu_batch at the moved draws."""
 
@@ -559,7 +567,7 @@ class TestMuLine:
         values = draws.values
         origin = model.mu_line(values, dataset.features)
         for step in (rng.normal(size=values.shape), rng.normal(size=values.shape[1])):
-            self._check(model, origin.along(step), values, step, dataset.features)
+            self._check(model, origin.along(step, _resid(origin, rng)), values, step, dataset.features)
 
     @pytest.mark.parametrize("model_maker", [make_logistic_toy, make_relu_toy])
     def test_gradient_step(self, model_maker, rng):
@@ -567,7 +575,7 @@ class TestMuLine:
         values = draws.values
         coef = 0.1 * rng.normal(size=draws.num_draws)
         origin = model.mu_line(values, dataset.features)
-        line = origin.gradient_fan(1, coef).line(coef)
+        line = origin.gradient_fan(1, coef, _resid(origin, rng)).line(coef)
         self._check(model, line, values, coef[:, None] * origin.grad_mu(1), dataset.features)
 
     @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
@@ -591,12 +599,12 @@ class TestMuLine:
         the edge cases of :func:`_edge_case_relu`."""
         model, features, values, coef, dense = _edge_case_relu(num_draws, rng)
         origin = model.mu_line(values, features)
-        grad = origin.grad_mu(0)
+        grad, resid = origin.grad_mu(0), _resid(origin, rng)
         shared = rng.normal(size=values.shape[1])
         lines = [
-            (origin.along(dense), dense),
-            (origin.along(shared), shared),
-            (origin.gradient_fan(0, coef).line(coef), coef[:, None] * grad),
+            (origin.along(dense, resid), dense),
+            (origin.along(shared, resid), shared),
+            (origin.gradient_fan(0, coef, resid).line(coef), coef[:, None] * grad),
         ]
         for line, step in lines:
             self._check(model, line, values, step, features)
@@ -614,7 +622,7 @@ class TestMuLine:
         grad = origin.grad_mu(0)
         bound = coef.copy()
         bound[::3] *= 2.0
-        fan = origin.gradient_fan(0, bound)
+        fan = origin.gradient_fan(0, bound, _resid(origin, rng))
         for inside in (coef, 0.5 * coef, bound, np.zeros_like(coef)):
             self._check(model, fan.line(inside), values, inside[:, None] * grad, features)
         # draw 0 has bound 1.0, draw 1 bound 0.3 and draw 3 bound 0
@@ -627,9 +635,10 @@ class TestMuLine:
     def test_step_scale_outside_the_unit_interval(self, rng):
         model, dataset, prior, draws = make_relu_toy()
         origin = model.mu_line(draws.values, dataset.features)
-        line = origin.along(rng.normal(size=draws.values.shape))
-        with pytest.raises(DomainError, match="step scales in"):
-            line.at(2.0)
+        line = origin.along(rng.normal(size=draws.values.shape), _resid(origin, rng))
+        for member in (line.at, line.move_bound, lambda hbar: line.column(hbar, 0)):
+            with pytest.raises(DomainError, match="step scales in"):
+                member(2.0)
 
 
 class TestGaussianPrior:

@@ -192,7 +192,7 @@ class TestApplyGradientTransform:
         assert out.degenerate
         assert out.flags == ("zero-step",)
         assert out.h_used == 0.0
-        assert out.log_post is out.mu_i is out.log_lik_i is out.log_jac_det is None  # phi = theta, nothing to weigh
+        assert out.candidate_log_post is out.mu_i is out.log_lik_i is out.log_jac_det is None  # phi = theta, nothing to weigh
 
     def test_gradient_only_for_kl_and_var(self):
         model, dataset, prior, draws = make_logistic_toy(seed=30)
@@ -440,7 +440,7 @@ class TestApplyPmm:
         line, out = attempt(problem, "PMM1", 0, 1.0, uniform)
         np.testing.assert_allclose(line_step(line, problem, uniform), 0.0, atol=1e-12)
         assert line.max_step_sd < 1e-12
-        np.testing.assert_allclose(out.log_post, problem.evaluation.log_post, atol=1e-12)
+        np.testing.assert_allclose(attempt_weights(problem, out).log_weights, raw_weights(problem, 0).log_weights, atol=1e-12)
         np.testing.assert_array_equal(out.log_jac_det, 0.0)
 
     def test_pmm1_shifts_every_draw_and_recenters(self):
@@ -619,7 +619,7 @@ class TestStepLines:
             phi_eval = evaluate_posterior(model, phi, dataset, prior, with_grad=False)
             np.testing.assert_allclose(line.mu.at(hbar), phi_eval.origin.mu, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(out.mu_i, phi_eval.origin.mu[:, i], rtol=1e-12, atol=1e-12)
-            for vector, dense in ((out.log_lik_i, phi_eval.log_lik[:, i]), (out.log_post, phi_eval.log_post)):
+            for vector, dense in ((out.log_lik_i, phi_eval.log_lik[:, i]), (out.complete_log_post(), phi_eval.log_post)):
                 np.testing.assert_allclose(vector, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
             reference = out.log_jac_det - phi_eval.log_lik[:, i] + (phi_eval.log_post - problem.log_proposal)
             # a log weight sums O(1-10) terms and can cancel to near 0, so the
@@ -632,8 +632,8 @@ class TestStepLines:
     def test_attempt_holds_only_owned_per_draw_vectors(self, toy, kind):
         """An attempt keeps (S,) arrays that own their data: a column view would
         keep its whole (S, n) evaluation alive for as long as the attempt. Its
-        whole log posterior, made on first read, is one too, and making it
-        drops the completion that holds the line."""
+        whole log posterior, made on first read, is one too, and the weights
+        that make it drop the completion that holds the line."""
         _, problem = self._problem(toy)
         for hbar in self.HBARS:
             _, out = attempt(problem, kind, 2, hbar)
@@ -641,8 +641,9 @@ class TestStepLines:
             arrays = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
             arrays = {name: value for name, value in arrays.items() if isinstance(value, np.ndarray)}
             assert set(arrays) == {"candidate_log_post", "mu_i", "log_lik_i", "log_jac_det"}
-            arrays["log_post"] = out.log_post
-            assert out.complete_log_post is None
+            weights = attempt_weights(problem, out)
+            arrays["log_weights"] = weights.log_weights
+            assert weights._make_log_weights is None
             for name, value in arrays.items():
                 assert value.shape == (problem.draws.num_draws,) and value.flags.owndata, name
 
@@ -667,7 +668,8 @@ def _assert_close(actual, desired, floor=0.0, rtol=1e-12):
 
 class TestLineQuantities:
     """Each line's step size, largest shift in sd units and prior coefficients, built
-    from per-run precomputes and per-draw row reductions, against dense (S, P) references."""
+    from per-run precomputes and per-draw row reductions, against dense (S, P) references;
+    and the members every mu-line gives, against its whole evaluation."""
 
     def _problem(self, toy):
         if toy == "logistic":
@@ -677,15 +679,48 @@ class TestLineQuantities:
             model, dataset, prior, draws = make_relu_toy(seed=73, n=6, d=3, p=3, num_draws=60)
         return model, LooProblem.build(model, draws, dataset, prior, RunConfig())
 
+    @staticmethod
+    def _check_line_contract(line, i, resid):
+        """At each step scale: the held-out column and any rows are those of the whole
+        evaluation bit for bit, and the move bound holds the move dmu = mu(phi) - mu:
+        its tangent is sum_n resid dmu, its curvature at least sum_n dmu^2 and its size
+        at least sum_n |dmu|, up to the rounding of mu(phi) and of the subtraction, within
+        4 eps (|mu| + |mu(phi)|) per element. Returns (flips in column i, rows without
+        flips) seen."""
+        flipped_column, clean_rows = 0, 0
+        for hbar in (1.0, 0.25, 4.0**-10):
+            whole = line.mu.at(hbar)
+            assert np.array_equal(line.mu.column(hbar, i), whole[:, i])
+            num_draws, n = whole.shape
+            flips = getattr(line.mu, "flips", None)
+            with_flips = np.unique(flips.cell // n) if flips is not None else np.array([], dtype=int)
+            flipped_column += flips is not None and np.any(flips.cell % n == i)
+            without = np.setdiff1d(np.arange(num_draws), with_flips)
+            clean_rows += without.size
+            for rows in (np.arange(0, num_draws, 3), with_flips, without, np.array([num_draws - 1])):
+                assert np.array_equal(line.mu.at(hbar, rows), whole[rows])
+            move = whole - line.mu.mu
+            rounding = 4.0 * np.finfo(float).eps * (np.abs(line.mu.mu) + np.abs(whole))
+            bound = line.mu.move_bound(hbar)
+            _assert_close(bound.tangent, np.einsum("sn,sn->s", resid, move),
+                          floor=(np.abs(move) + np.abs(line.mu.mu)).sum(axis=1), rtol=1e-10)
+            norm = np.sqrt(np.einsum("sn,sn->s", move, move))
+            assert np.all(norm <= np.sqrt(bound.curvature) * (1.0 + 1e-12) + np.linalg.norm(rounding, axis=1))
+            assert np.all(np.abs(move).sum(axis=1) <= bound.size * (1.0 + 1e-12) + rounding.sum(axis=1))
+        return flipped_column, clean_rows
+
     @pytest.mark.parametrize("toy", ["logistic", "relu1"])
     @pytest.mark.parametrize("kind", ["PMM1", "PMM2", "KL", "Var", "LL"])
     def test_against_dense_references(self, toy, kind):
         model, problem = self._problem(toy)
         values, sd, prior_sd = problem.draws.values, problem.stats.sd, problem.prior.sd
+        flipped_column, clean_rows = 0, 0
         for i in range(problem.dataset.n):
             nu, _ = pareto_smooth(raw_weights(problem, i))
             line, _ = attempt(problem, kind, i, 1.0, nu)
             assert line.mu is not None
+            seen = self._check_line_contract(line, i, problem.evaluation.resid)
+            flipped_column, clean_rows = flipped_column + seen[0], clean_rows + seen[1]
             step = line_step(line, problem, nu, model)
             terms = values * (step / prior_sd**2)
             _assert_close(line.prior_slope, terms.sum(axis=1), floor=np.abs(terms).sum(axis=1))
@@ -698,6 +733,8 @@ class TestLineQuantities:
                 dense = _dense_log_step_size(gs.scale, gs.factor[:, None] * grad, sd)
                 _assert_close(gs.log_h, dense, floor=1.0)
                 assert line.max_step_sd == pytest.approx(1.0, rel=1e-14)
+        assert clean_rows > 0
+        assert flipped_column > 0 or toy == "logistic"
 
     def test_saturated_ll_row_rests(self):
         """A draw whose held-out probability rounds to 1 has LL factor exactly 0: it
