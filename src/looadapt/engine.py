@@ -322,7 +322,8 @@ def run_loo(
     if workers == 1:
         # A pool thread allocates from a fresh glibc malloc arena instead of
         # reusing what loading the inputs freed: one pool thread raised the
-        # logit-scan benchmark's peak RSS from 104 to 115 MB (Linux, 2 vCPUs).
+        # logit-scan benchmark's peak RSS from 58.7-59.4 to 62.7-63.9 MB
+        # (seeds 61 and 62; Linux, 2 vCPUs).
         results = tuple(adapt_observation(i, problem) for i in indices)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

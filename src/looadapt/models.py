@@ -278,8 +278,8 @@ class MoveBound(NamedTuple):
     summed over the row, of ``tangent`` and of ``curvature`` / 8 is at most 2 u (n + 16)
     (sum_n |mu| + ``size``), u = eps / 2, a quarter of the allowance of
     :func:`~looadapt.transforms.log_weight_bounds`. A finite size needs every value that
-    ``at`` adds finite. A bound that overflows is inf or NaN, and the line then evaluates
-    every row.
+    ``at`` adds finite. A bound that overflows is inf or NaN at its draw, which is then a
+    candidate.
     """
 
     tangent: np.ndarray
@@ -464,26 +464,25 @@ class ReluFan:
     Each element's rounded pre-activation (t a) g + z1 is monotone in t, so
     every element that changes activity on a line of the fan, at
     0 <= hbar <= 1, has changed it by t = bound. ``candidates`` are those
-    elements (s, k, n), gathered once, with a and dw2 per unit coef and
-    ``draw`` = s. ``sums`` are the (S,) sums over the observations R1 =
-    resid . c1, R2 = resid . c2, Q11 = c1 . c1, Q12 = c1 . c2 and Q22 =
-    c2 . c2, with ``resid`` the residuals at the draws, that bound every
-    line's move (see :class:`ReluLine`).
+    elements (s, k, n), gathered once, with a and dw2 per unit coef. ``sums``
+    are the (S,) sums over the observations R1 = resid . c1, R2 = resid . c2,
+    Q11 = c1 . c1, Q12 = c1 . c2 and Q22 = c2 . c2, with ``resid`` the
+    residuals at the draws, that bound every line's move (see
+    :class:`ReluLine`). The fan holds its ``origin``, whose mu and hidden
+    units its lines read.
     c1, c2, the sums and the candidates cost one O(S d n) pass, a line
     O(candidates), and a step scale O(S + flips) for the bound and the held-out
     column and O(n) per row, where flips are the candidates that change
     activity on its line by hbar = 1.
     """
 
-    mu: np.ndarray          # (S, n) at the draws
+    origin: ReluMuLine
     bound: np.ndarray       # (S,)
     c1: np.ndarray          # (S, n)
     c2: np.ndarray          # (S, n)
     candidates: _Elements
-    draw: np.ndarray
     resid: np.ndarray       # (S, n)
     sums: tuple             # (R1, R2, Q11, Q12, Q22), (S,) each
-    units: int
 
     @classmethod
     def build(cls, origin: ReluMuLine, a, g, dw2, db2, bound, resid) -> "ReluFan":
@@ -495,8 +494,8 @@ class ReluFan:
         c1, c2 = np.empty((num_draws, n)), np.empty((num_draws, n))
         found = []
         # c1, c2 and their sums are per unit coef and may overflow where mu on every line of the fan is
-        # finite; a line's mu at phi is then NaN or inf, which apply_transform flags, and its bound too,
-        # which makes it evaluate every row
+        # finite; a line's mu at phi is then NaN or inf on that draw, which apply_transform flags, and the
+        # draw's bound too, which makes it a candidate
         with np.errstate(over="ignore", invalid="ignore"):
             for block in _draw_blocks(num_draws):
                 z, u, block_a = z1[block], dw2[block, None, :], a[block]
@@ -515,37 +514,36 @@ class ReluFan:
         candidates = _Elements(
             s * n + j, z1[s, k, j], np.broadcast_to(a, z1.shape)[s, k, j], np.broadcast_to(g, (n,))[j], w2[s, k], dw2[s, k]
         )
-        return cls(origin.mu, bound, c1, c2, candidates, s, resid, sums, d)
+        return cls(origin, bound, c1, c2, candidates, resid, sums)
 
     def line(self, coef) -> "ReluLine":
         """The line with per-draw coefficient ``coef``, (S,), and its flips. A
         coef outside the fan, past its bound or of the other sign, is a DomainError."""
         if not np.all((np.minimum(self.bound, 0.0) <= coef) & (coef <= np.maximum(self.bound, 0.0))):
             raise DomainError("a relu1 fan's line needs every coefficient between 0 and the fan's bound")
-        e, c = self.candidates, coef[self.draw]
+        e, n = self.candidates, self.c1.shape[1]
+        c = coef[e.cell // n]
         a = c * e.a
         moved = np.flatnonzero((a * e.g + e.z1 > 0) != (e.z1 > 0))
         cell, reach = e.cell[moved], np.abs(c[moved])
-        with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite evaluates every row
+        with np.errstate(over="ignore", invalid="ignore"):  # a draw whose bound is not finite is a candidate
             reach *= np.abs(self.c1.reshape(-1)[cell]) + reach * np.abs(self.c2.reshape(-1)[cell])
-            reach += np.abs(self.mu.reshape(-1)[cell])
-        return ReluLine(
-            mu=self.mu, scale=coef[:, None], c1=self.c1, c2=self.c2,
-            flips=_Elements(cell, e.z1[moved], a[moved], e.g[moved], e.w2[moved], c[moved] * e.dw2[moved]),
-            resid=self.resid, sums=self.sums, reach=np.bincount(self.draw[moved], reach, coef.size), units=self.units,
-        )
+            reach += np.abs(self.origin.mu.reshape(-1)[cell])
+        flips = _Elements(cell, e.z1[moved], a[moved], e.g[moved], e.w2[moved], c[moved] * e.dw2[moved])
+        return ReluLine(self, coef[:, None], flips, np.bincount(cell // n, reach, coef.size))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReluLine:
     """mu(theta + hbar * D) for the one-hidden-layer network: one line of a :class:`ReluFan`.
 
     With t = hbar * ``scale``, mu + t c1 + t^2 c2 plus the terms of the
     ``flips`` (whose a and dw2 already carry the line's coefficient) that
-    have changed activity at hbar. Each flip's activity is decided by
-    (hbar * a) * g + z1 > 0, the rounded pre-activation at the moved draw,
-    once per step scale: the held-out column, the rows and the bound of one
-    attempt share it.
+    have changed activity at hbar; mu, c1, c2, the residuals, the sums and
+    the hidden units are read through the ``fan``. Each flip's activity is
+    decided by (hbar * a) * g + z1 > 0, the rounded pre-activation at the
+    moved draw, once per step scale and kept until the next one: the
+    held-out column, the rows and the bound of one attempt share it.
 
     The move is dmu = t c1 + t^2 c2 + f, with f the sum of each cell's
     flipped terms. Its :class:`MoveBound` has, per draw,
@@ -569,23 +567,17 @@ class ReluLine:
         error included.
     """
 
-    mu: np.ndarray        # (S, n) at the draws
+    fan: ReluFan
     scale: np.ndarray     # (S, 1), the coefficient of each draw
-    c1: np.ndarray
-    c2: np.ndarray
     flips: _Elements
-    resid: np.ndarray
-    sums: tuple           # the fan's (R1, R2, Q11, Q12, Q22)
     reach: np.ndarray     # G per draw, at t = coef
-    units: int
-    _last: list = field(default_factory=lambda: [None], repr=False, compare=False)
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _flipped(self, hbar):
         """(cell, term) of the flips that have changed activity at hbar, in flip order; the last
         step scale's is kept."""
-        last = self._last[0]
-        if last is not None and last[0] == hbar:
-            return last[1:]
+        if self._last is not None and self._last[0] == hbar:
+            return self._last[1:]
         if not 0.0 <= hbar <= 1.0:
             raise DomainError(f"a relu1 line is evaluated at step scales in [0, 1], got {hbar}")
         e = self.flips
@@ -596,18 +588,18 @@ class ReluLine:
         moved = on != (e.z1 > 0)
         term = (e.w2[moved] + hbar * e.dw2[moved]) * z[moved]
         np.negative(term, out=term, where=~on[moved])
-        self._last[0] = hbar, e.cell[moved], term
-        return self._last[0][1:]
+        self._last = hbar, e.cell[moved], term
+        return self._last[1:]
 
     def at(self, hbar, rows=slice(None)) -> np.ndarray:
         """mu at theta + hbar * D on ``rows`` of the draws, each row as it is in the whole."""
         cell, term = self._flipped(hbar)
-        t = hbar * self.scale[rows]
-        mu = self.c2[rows] * t
-        mu += self.c1[rows]
+        fan, t = self.fan, hbar * self.scale[rows]
+        mu = fan.c2[rows] * t
+        mu += fan.c1[rows]
         mu *= t
-        mu += self.mu[rows]
-        num_draws, n = self.mu.shape
+        mu += fan.origin.mu[rows]
+        num_draws, n = fan.c1.shape
         row = np.full(num_draws, -1)
         row[rows] = np.arange(len(mu))
         row = row[cell // n]
@@ -618,24 +610,25 @@ class ReluLine:
     def column(self, hbar, i) -> np.ndarray:
         """mu at theta + hbar * D at observation i, for every draw: column i of :meth:`at`."""
         cell, term = self._flipped(hbar)
-        t = hbar * self.scale[:, 0]
-        mu = self.c2[:, i] * t
-        mu += self.c1[:, i]
+        fan, t = self.fan, hbar * self.scale[:, 0]
+        mu = fan.c2[:, i] * t
+        mu += fan.c1[:, i]
         mu *= t
-        mu += self.mu[:, i]
-        n = self.mu.shape[1]
+        mu += fan.origin.mu[:, i]
+        n = fan.c1.shape[1]
         here = cell % n == i
         np.add.at(mu, cell[here] // n, term[here])
         return mu
 
     def move_bound(self, hbar) -> MoveBound:
         cell, term = self._flipped(hbar)
-        (num_draws, n), (r1, r2, q11, q12, q22) = self.mu.shape, self.sums
+        fan = self.fan
+        (num_draws, n), (r1, r2, q11, q12, q22) = fan.c1.shape, fan.sums
         draw, t = cell // n, hbar * self.scale[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
             square = t * t
             tangent = t * r1 + square * r2
-            tangent += np.bincount(draw, self.resid.reshape(-1)[cell] * term, num_draws)
+            tangent += np.bincount(draw, fan.resid.reshape(-1)[cell] * term, num_draws)
             spread = np.bincount(draw, np.abs(term), num_draws)
             width = np.abs(t) * np.sqrt(q11) + square * np.sqrt(q22)
             curvature = square * (q11 + 2.0 * t * q12 + square * q22)
@@ -644,7 +637,7 @@ class ReluLine:
             curvature += spread
             curvature *= curvature
             size = np.sqrt(n) * width + self.reach
-            size += self.units * (spread + curvature / 8.0)
+            size += fan.origin.model.d * (spread + curvature / 8.0)
             return MoveBound(tangent, curvature, size)
 
 
@@ -727,6 +720,6 @@ def evaluate_posterior(model: SigmoidalModel, values: np.ndarray, dataset: Datas
     log_prior = prior.log_density_batch(values)
     log_lik = log_likelihood(origin.mu, dataset.labels)
     log_lik_sum = log_lik.sum(axis=1)
-    with np.errstate(over="ignore"):  # an infinite size makes every line of the run evaluate every row
+    with np.errstate(over="ignore"):  # a draw with an infinite size is a candidate on every line of the run
         mu_size = np.abs(origin.mu).sum(axis=1)
     return PosteriorEvaluation(origin, log_lik, log_prior, log_prior + log_lik_sum, grad, resid, log_lik_sum, mu_size)

@@ -71,10 +71,9 @@ class TransformedDraws:
     ``log_lik_i`` are mu and the log likelihood of the line's held-out
     observation there, and ``log_jac_det`` is log |det J|, at every draw. Each
     is an (S,) array that owns its data, so no (S, n) array evaluated at phi
-    outlives :func:`apply_transform`. When some rows may be left out,
-    ``complete_log_post`` makes the log posterior at every draw, which the
-    attempt's weights call on first read (see
-    :func:`~looadapt.engine.eta_weights`); otherwise it is None.
+    outlives :func:`apply_transform`. ``complete_log_post`` makes the log
+    posterior at every draw, which the attempt's weights call on first read
+    (see :func:`~looadapt.engine.eta_weights`).
     ``log_jac_det`` entries are finite except for draws where the map is
     numerically singular, which carry -inf (their transformed weight is
     zero). A transform that collapsed to the identity (zero step or
@@ -391,8 +390,7 @@ def step_lines(i: int, problem: LooProblem, nu_weights: WeightVector):
 
 
 def log_weight_bounds(line: StepLine, hbar: float, problem: LooProblem, exact: np.ndarray, log_prior: np.ndarray):
-    """(lower, upper), per draw, bounds on the log weight of step scale ``hbar`` of ``line``, in O(S);
-    None, so that every row is evaluated, where a bound is NaN or +inf.
+    """(lower, upper), per draw, bounds on the log weight of step scale ``hbar`` of ``line``, in O(S).
 
     ``exact`` is log |det J| - log lik_i at phi, and ``log_prior`` the log prior at phi. With
     m = (2y - 1) mu the margins at the draws and dmu the line's move of mu at phi, l = log sigma is
@@ -422,34 +420,36 @@ def log_weight_bounds(line: StepLine, hbar: float, problem: LooProblem, exact: n
         times sum_n |dmu|;
       - the additions that form U and the bounds.
 
-    Finite bounds imply a finite mu at phi at every draw: a finite (n + 16) * size needs every mu
-    and, through the move's size, every term of the line's evaluation finite, and it keeps
-    sum_n |mu at phi| below the largest float over n, so neither mu at phi nor its row sum of
-    log sigma overflows. The log posterior at phi is then NaN only where the log prior along the
-    line is NaN or +inf, which makes ``upper`` NaN or +inf too: all rows are evaluated, and
-    ``nan-log-posterior`` is decided on every draw. A draw whose ``exact`` part is -inf, a singular
-    Jacobian, has both bounds -inf: its weight is known to be zero.
+    A draw whose size is not finite, or whose ``upper`` is NaN or +inf, is unbounded: it gets
+    (-inf, +inf), so it is always a candidate. A finite (n + 16) * size for draw s needs every mu
+    on row s and, through the move's size, every term of the line's evaluation there finite, and
+    it keeps sum_n |mu at phi| below the largest float over n, so neither mu at phi on row s nor
+    its row sum of log sigma overflows. The log posterior at phi is then NaN on row s only where
+    the log prior along the line is NaN or +inf, which makes ``upper`` NaN or +inf too. So a NaN
+    log posterior at phi can only occur at an unbounded draw, which is a candidate, and
+    ``nan-log-posterior`` is decided exactly as when every row is evaluated. A bounded draw whose
+    ``exact`` part is -inf, a singular Jacobian, has both bounds -inf: its weight is known to be zero.
     """
     evaluation, n = problem.evaluation, problem.dataset.n
-    move = line.mu.move_bound(hbar)
-    bend = move.curvature / 8.0
-    size = np.abs(evaluation.log_lik_sum) + evaluation.mu_size + move.size + np.abs(move.tangent)
-    size = (n + 16.0) * (size + bend + n)
-    if not np.all(np.isfinite(size)):
-        return None
-    allowance = 4.0 * np.finfo(float).eps * size
-    tangent = evaluation.log_lik_sum + move.tangent
-    upper = exact + ((log_prior + (tangent + allowance)) - problem.log_proposal)
-    if not np.all(upper < np.inf):  # NaN or +inf
-        return None
-    lower = exact + ((log_prior + (tangent - bend - allowance)) - problem.log_proposal)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or NaN leaves its draw unbounded
+        move = line.mu.move_bound(hbar)
+        bend = move.curvature / 8.0
+        size = np.abs(evaluation.log_lik_sum) + evaluation.mu_size + move.size + np.abs(move.tangent)
+        size = (n + 16.0) * (size + bend + n)
+        allowance = 4.0 * np.finfo(float).eps * size
+        tangent = evaluation.log_lik_sum + move.tangent
+        upper = exact + ((log_prior + (tangent + allowance)) - problem.log_proposal)
+        lower = exact + ((log_prior + (tangent - bend - allowance)) - problem.log_proposal)
+    unbounded = ~(np.isfinite(size) & (upper < np.inf))  # NaN or +inf
+    lower[unbounded], upper[unbounded] = -np.inf, np.inf
     return lower, upper
 
 
 def candidate_rows(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The draws, in index order, whose upper bound reaches the (M + 1)-th largest lower bound,
-    M = :func:`~looadapt.gpd.tail_size`. There are at least M + 1 of them, and every other draw's
-    log weight is below M + 1 others: the candidates hold the M + 1 largest log weights."""
+    M = :func:`~looadapt.gpd.tail_size`. There are at least M + 1 of them, among them every draw
+    without finite bounds, and every other draw's log weight is below M + 1 others: the candidates
+    hold the M + 1 largest log weights."""
     s = lower.size
     kth = max(s - tail_size(s) - 1, 0)
     return np.flatnonzero(upper >= np.partition(lower, kth)[kth])
@@ -465,10 +465,10 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
     log posterior at phi are then evaluated on the :func:`candidate_rows`
     only, those that the Pareto tail can read, in O(n) each; the whole log
     posterior is made when it is first read, which the scan does only for the
-    winner of an observation. A line without finite bounds has every row as
-    a candidate. relu1 adds O(flips), where flips counts the pre-activations
-    that change sign on the line (see :class:`~looadapt.models.ReluFan`), and
-    the determinant O(P) (PMM) or O(S) (gradient kinds).
+    winner of an observation. A draw without finite bounds is a candidate.
+    relu1 adds O(flips), where flips counts the pre-activations that change
+    sign on the line (see :class:`~looadapt.models.ReluFan`), and the
+    determinant O(P) (PMM) or O(S) (gradient kinds).
     """
     if line.mu is None:
         return TransformedDraws(flags=line.flags)
@@ -486,23 +486,21 @@ def apply_transform(line: StepLine, hbar: float, problem: LooProblem) -> Transfo
     log_prior = problem.evaluation.log_prior - hbar * (line.prior_slope + 0.5 * hbar * line.prior_curvature)
     max_step_sd = hbar * line.max_step_sd
     i, labels = line.observation_index, problem.dataset.labels
-    # a line that overflows gives NaN, caught below; so does a bound, which then evaluates every row
+    # a line that overflows gives NaN on a draw without finite bounds, a candidate, caught below
     with np.errstate(over="ignore", invalid="ignore"):
         mu_i = line.mu.column(hbar, i)
         log_lik_i = log_likelihood(mu_i, labels[i])
-        bounds = log_weight_bounds(line, hbar, problem, log_jac_det - log_lik_i, log_prior)
-        rows = slice(None) if bounds is None else candidate_rows(*bounds)
+        rows = candidate_rows(*log_weight_bounds(line, hbar, problem, log_jac_det - log_lik_i, log_prior))
         log_post = log_posterior(line.mu.at(hbar, rows), labels, log_prior[rows])[1]
     if np.isnan(log_post).any():
         return TransformedDraws(h_used=h_used, flags=flags + ("nan-log-posterior",), max_step_sd=max_step_sd)
     candidate_log_post = np.full(problem.draws.num_draws, -np.inf)
     candidate_log_post[rows] = log_post
 
-    def complete_log_post():  # finite bounds leave nothing at phi to overflow (see log_weight_bounds)
+    def complete_log_post():  # the rows left out have finite bounds: nothing there overflows (see log_weight_bounds)
         return log_posterior(line.mu.at(hbar), labels, log_prior)[1]
 
     return TransformedDraws(
         candidate_log_post=candidate_log_post, mu_i=mu_i, log_lik_i=log_lik_i, log_jac_det=log_jac_det,
-        h_used=h_used, flags=flags, max_step_sd=max_step_sd,
-        complete_log_post=None if bounds is None else complete_log_post,
+        h_used=h_used, flags=flags, max_step_sd=max_step_sd, complete_log_post=complete_log_post,
     )

@@ -10,6 +10,7 @@ every attempt to evaluate all rows leaves every report bit for bit.
 import contextlib
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from looadapt.gpd import pareto_smooth, tail_size
 from looadapt.models import ReluLine, log_posterior
 from looadapt.transforms import apply_transform, candidate_rows, log_weight_bounds, step_lines
 
-from conftest import raw_weights
+from conftest import attempt_weights, raw_weights
 from test_golden import GOLDEN_DIR, golden_args
 
 
@@ -94,25 +95,81 @@ class TestLogWeightBounds:
         assert flipped > 0 or name == "logistic"
 
     def test_a_move_past_the_bounds_evaluates_every_row(self):
-        """A line sum that is not finite, here an overflowing tangent, makes no
-        bounds, for either model: the attempt evaluates every row and needs no
-        completion."""
+        """A line sum that is not finite at every draw, here an overflowing tangent,
+        leaves every draw unbounded, for either model, with no RuntimeWarning: every
+        row is a candidate, and the attempt's log posterior is its completion."""
         for name in ("logistic", "relu1"):
             problem = _golden_problem(name)
             raw, _ = pareto_smooth(raw_weights(problem, 0))
             line = next(step_lines(0, problem, raw))
-            if name == "logistic":
-                broken_mu = dataclasses.replace(line.mu, slope=np.full_like(line.mu.slope, np.inf))
-            else:
-                r1, *sums = line.mu.sums
-                broken_mu = dataclasses.replace(line.mu, sums=(np.full_like(r1, np.inf), *sums))
-            broken = dataclasses.replace(line, mu=broken_mu)
+            broken = _with_infinite_tangent(line, slice(None))
             out = apply_transform(line, 1.0, problem)
             exact, log_prior = out.log_jac_det - out.log_lik_i, _line_log_prior(line, 1.0, problem)
-            assert log_weight_bounds(broken, 1.0, problem, exact, log_prior) is None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lower, upper = log_weight_bounds(broken, 1.0, problem, exact, log_prior)
+            assert np.all(lower == -np.inf) and np.all(upper == np.inf)
             every_row = apply_transform(broken, 1.0, problem)
-            assert every_row.complete_log_post is None
             np.testing.assert_array_equal(every_row.candidate_log_post, out.complete_log_post())
+            np.testing.assert_array_equal(every_row.complete_log_post(), out.complete_log_post())
+
+    @pytest.mark.parametrize("name", ["logistic", "relu1"])
+    @pytest.mark.parametrize("broken_at", ["tangent", "prior"])
+    def test_one_unbounded_draw_is_a_candidate(self, name, broken_at):
+        """One draw that is not a candidate loses its bound: its tangent overflows to
+        +inf, or the log prior along the line is NaN there, as an overflowing log prior
+        less an overflowing slope gives. That draw alone is unbounded, (-inf, +inf):
+        every other draw keeps its finite bounds, which hold its exact log weight, and
+        the draw joins the candidates. The attempt is that of every row evaluated: the
+        same k-hat and completed log posterior, or, where the log posterior at phi is
+        NaN, ``nan-log-posterior``."""
+        problem = _golden_problem(name)
+        labels, proposal = problem.dataset.labels, problem.log_proposal
+        raw, _ = pareto_smooth(raw_weights(problem, 0))
+        line = next(step_lines(0, problem, raw))
+        out = apply_transform(line, 1.0, problem)
+        exact = out.log_jac_det - out.log_lik_i
+        lower, upper = log_weight_bounds(line, 1.0, problem, exact, _line_log_prior(line, 1.0, problem))
+        draw = np.setdiff1d(np.arange(lower.size), candidate_rows(lower, upper))[0]
+        if broken_at == "tangent":
+            broken = _with_infinite_tangent(line, draw)
+        else:
+            slope = line.prior_slope.copy()
+            slope[draw] = np.nan
+            broken = dataclasses.replace(line, prior_slope=slope)
+        log_prior = _line_log_prior(broken, 1.0, problem)
+        broken_lower, broken_upper = log_weight_bounds(broken, 1.0, problem, exact, log_prior)
+        assert (broken_lower[draw], broken_upper[draw]) == (-np.inf, np.inf)
+        others = np.arange(lower.size) != draw
+        log_post = log_posterior(line.mu.at(1.0), labels, log_prior)[1]
+        whole = eta_weights(out.log_lik_i, log_post, proposal, out.log_jac_det)
+        for bound, kept in ((broken_lower, lower), (broken_upper, upper)):
+            assert np.all(np.isfinite(bound[others]))
+            np.testing.assert_array_equal(bound[others], kept[others])
+        held = whole.log_weights[others]
+        assert np.all((broken_lower[others] <= held) & (held <= broken_upper[others]))
+        assert draw in candidate_rows(broken_lower, broken_upper)
+        broken_out = apply_transform(broken, 1.0, problem)
+        if broken_at == "prior":
+            assert np.isnan(log_post[draw])
+            assert broken_out.degenerate and "nan-log-posterior" in broken_out.flags
+            return
+        assert broken_out.candidate_log_post[draw] == log_post[draw]
+        assert repr(pareto_smooth(attempt_weights(problem, broken_out))[1]) == repr(pareto_smooth(whole)[1])
+        np.testing.assert_array_equal(broken_out.complete_log_post(), log_post)
+
+
+def _with_infinite_tangent(line, draws):
+    """``line`` with its move's tangent +inf at ``draws``: the logistic slope, or R1 of the relu1 fan."""
+    if isinstance(line.mu, ReluLine):
+        r1, *sums = line.mu.fan.sums
+        r1 = r1.copy()
+        r1[draws] = np.inf
+        fan = dataclasses.replace(line.mu.fan, sums=(r1, *sums))
+        return dataclasses.replace(line, mu=dataclasses.replace(line.mu, fan=fan))
+    slope = line.mu.slope.copy()
+    slope[draws] = np.inf
+    return dataclasses.replace(line, mu=dataclasses.replace(line.mu, slope=slope))
 
 
 def _fingerprint(report):
@@ -142,7 +199,7 @@ def instances(draw):
     of sd 1e-3 to 1e3; some repeat draw rows, so that ties fall at the Pareto cutoff,
     and some make one draw's weight zero through a singular Jacobian or a draw whose log
     prior overflows. A relu1 run may have features near 1e150, where its gradient fans'
-    c2 overflows: those attempts evaluate every row and are ``nan-log-posterior``."""
+    c2 overflows: those attempts have unbounded draws and are ``nan-log-posterior``."""
     relu1 = draw(st.booleans())
     n, p = draw(st.integers(4, 12)), draw(st.integers(1, 4))
     model = ReluOneModel(d=draw(st.integers(1, 3)), p=p) if relu1 else LogisticModel(p=p)
@@ -173,7 +230,7 @@ def instances(draw):
 
 def _overflowing_c2_instance():
     """relu1 with features near 1e150, the instance of ``TestDegenerateInputs``'s
-    overflowing-line test: every gradient attempt evaluates every row and is
+    overflowing-line test: every gradient attempt has unbounded draws and is
     ``nan-log-posterior``."""
     rng = np.random.default_rng(1)
     dataset = Dataset(features=rng.normal(size=(8, 3)) * 1e150, labels=[0, 1] * 4, feature_names=("x0", "x1", "x2"))
@@ -187,8 +244,8 @@ class TestCandidatePath:
     @settings(deadline=None)  # examples and derandomization from the profile (conftest.py)
     def test_run_matches_every_row_evaluated(self, instance):
         """run_loo gives the same decisions, floats and final weights bit for bit
-        when no attempt has bounds, so that every attempt evaluates every row,
-        or the same package error."""
+        when every draw of every attempt is unbounded, (-inf, +inf), so that every
+        attempt evaluates every row, or the same package error."""
         model, draws, dataset, prior, config, zero, draw_index = instance
         logdet = transforms.GradientStep.logdet
 
@@ -198,14 +255,17 @@ class TestCandidatePath:
             values[draw_index] = -np.inf
             return values, tuple(dict.fromkeys(flags + ("singular-jacobian",)))
 
-        seen = {"fewer rows": 0, "tie at the cutoff": 0, "relu1 flips": 0, "no bounds": 0}
+        seen = {"fewer rows": 0, "tie at the cutoff": 0, "relu1 flips": 0, "unbounded draw": 0}
         bounds = transforms.log_weight_bounds
 
         def bounding(line, hbar, problem, exact, log_prior):
-            found = bounds(line, hbar, problem, exact, log_prior)
+            lower, upper = bounds(line, hbar, problem, exact, log_prior)
             seen["relu1 flips"] += isinstance(line.mu, ReluLine) and line.mu.flips.cell.size > 0
-            seen["no bounds"] += found is None
-            return found
+            seen["unbounded draw"] += np.any(upper == np.inf)
+            return lower, upper
+
+        def unbounded(line, hbar, problem, exact, log_prior):
+            return np.full(exact.size, -np.inf), np.full(exact.size, np.inf)
 
         def recording(lower, upper):
             rows = candidate_rows(lower, upper)
@@ -224,7 +284,7 @@ class TestCandidatePath:
             patch.setattr(transforms, "candidate_rows", recording)
             patch.setattr(transforms, "log_weight_bounds", bounding)
             with_candidates = _outcome(model, draws, dataset, prior, config)
-            patch.setattr(transforms, "log_weight_bounds", lambda *args: None)
+            patch.setattr(transforms, "log_weight_bounds", unbounded)
             every_row = _outcome(model, draws, dataset, prior, config)
         event(f"model: {type(model).__name__}")
         event(f"outcome: {'package error' if isinstance(every_row, str) else 'report'}")

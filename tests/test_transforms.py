@@ -680,14 +680,15 @@ class TestLineQuantities:
         return model, LooProblem.build(model, draws, dataset, prior, RunConfig())
 
     @staticmethod
-    def _check_line_contract(line, i, resid):
+    def _check_line_contract(line, i, evaluation):
         """At each step scale: the held-out column and any rows are those of the whole
         evaluation bit for bit, and the move bound holds the move dmu = mu(phi) - mu:
         its tangent is sum_n resid dmu, its curvature at least sum_n dmu^2 and its size
         at least sum_n |dmu|, up to the rounding of mu(phi) and of the subtraction, within
-        4 eps (|mu| + |mu(phi)|) per element. Returns (flips in column i, rows without
-        flips) seen."""
+        4 eps (|mu| + |mu(phi)|) per element, with mu and resid read from the run's
+        ``evaluation``. Returns (flips in column i, rows without flips) seen."""
         flipped_column, clean_rows = 0, 0
+        origin, resid = evaluation.origin.mu, evaluation.resid
         for hbar in (1.0, 0.25, 4.0**-10):
             whole = line.mu.at(hbar)
             assert np.array_equal(line.mu.column(hbar, i), whole[:, i])
@@ -699,11 +700,11 @@ class TestLineQuantities:
             clean_rows += without.size
             for rows in (np.arange(0, num_draws, 3), with_flips, without, np.array([num_draws - 1])):
                 assert np.array_equal(line.mu.at(hbar, rows), whole[rows])
-            move = whole - line.mu.mu
-            rounding = 4.0 * np.finfo(float).eps * (np.abs(line.mu.mu) + np.abs(whole))
+            move = whole - origin
+            rounding = 4.0 * np.finfo(float).eps * (np.abs(origin) + np.abs(whole))
             bound = line.mu.move_bound(hbar)
             _assert_close(bound.tangent, np.einsum("sn,sn->s", resid, move),
-                          floor=(np.abs(move) + np.abs(line.mu.mu)).sum(axis=1), rtol=1e-10)
+                          floor=(np.abs(move) + np.abs(origin)).sum(axis=1), rtol=1e-10)
             norm = np.sqrt(np.einsum("sn,sn->s", move, move))
             assert np.all(norm <= np.sqrt(bound.curvature) * (1.0 + 1e-12) + np.linalg.norm(rounding, axis=1))
             assert np.all(np.abs(move).sum(axis=1) <= bound.size * (1.0 + 1e-12) + rounding.sum(axis=1))
@@ -719,7 +720,7 @@ class TestLineQuantities:
             nu, _ = pareto_smooth(raw_weights(problem, i))
             line, _ = attempt(problem, kind, i, 1.0, nu)
             assert line.mu is not None
-            seen = self._check_line_contract(line, i, problem.evaluation.resid)
+            seen = self._check_line_contract(line, i, problem.evaluation)
             flipped_column, clean_rows = flipped_column + seen[0], clean_rows + seen[1]
             step = line_step(line, problem, nu, model)
             terms = values * (step / prior_sd**2)
